@@ -1,15 +1,27 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from followsim import (
+    CameraIntrinsics,
+    LeaderScript,
+    PidConfig,
+    ScenarioConfig,
     ScenarioError,
+    TargetPanel,
+    VehicleParams,
+    VehicleState,
     area_at_range,
+    default_fuzzy_config,
     default_scenario,
     load_scenario,
     parse_scenario_text,
+    scale_output,
 )
 from followsim.scenario import DEFAULT_FOLLOW_RANGE
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestDefaults:
@@ -49,6 +61,62 @@ class TestParser:
         assert cfg.name == "fallback"
         assert cfg.steering_kind == "pid"
         assert cfg.controllers == ("pid", "fuzzy")
+        assert parse_scenario_text("", "x") == default_scenario("x")
+
+    def test_every_flat_key_reaches_its_field(self):
+        cfg = load_scenario(DATA / "every_key.scn")
+        expected = ScenarioConfig(
+            name="every_key",
+            archetype="path_follow",
+            seed=7,
+            dt=0.04,
+            duration=10.0,
+            setpoint_area=900.0,
+            steady_state_px=3.0,
+            controllers=("fuzzy",),
+            lost_target_policy="stop",
+            stop_speed_eps=0.05,
+            stop_hold_time=2.0,
+            lateral_offset=-0.5,
+            lateral_leader_speed=0.5,
+            step_separations=(1.5, 3.0),
+            leader=LeaderScript(
+                kind="waypoint_path",
+                start=VehicleState(1.0, 2.0, 0.5),
+                speed_profile=((0.0, 1.5), (4.0, 0.5)),
+                waypoints=((5.0, 2.0), (8.0, 4.0)),
+            ),
+            follower_start=VehicleState(-1.0, 1.5, 0.25, 0.2),
+            vehicle=VehicleParams(
+                wheelbase=0.5, max_steer_angle=0.4, max_speed=3.0, max_accel=1.5
+            ),
+            camera=CameraIntrinsics(
+                image_width=640,
+                image_height=480,
+                horizontal_fov=math.radians(60.0),
+                frame_rate=25.0,
+                min_range=0.5,
+                max_range=15.0,
+                jitter_px=0.5,
+            ),
+            panel=TargetPanel(width=0.3, height=0.2, rear_offset=0.1),
+            steering_kind="fuzzy",
+            throttle_kind="fuzzy",
+            steering_locked=True,
+            steering_filter=0.5,
+            throttle_filter=None,
+            steering_pid=PidConfig(
+                kp=0.02, ki=0.001, kd=0.002,
+                output_limit=0.8, integral_limit=0.3, derivative_filter_alpha=0.6,
+            ),
+            throttle_pid=PidConfig(
+                kp=0.002, ki=0.0004, kd=0.0006,
+                output_limit=0.9, integral_limit=0.15, derivative_filter_alpha=0.7,
+            ),
+            steering_fuzzy=scale_output(default_fuzzy_config(200.0, 500.0, 0.8, 501), 1.5),
+            throttle_fuzzy=scale_output(default_fuzzy_config(800.0, 1500.0, 0.9, 401), 0.5),
+        )
+        assert cfg == expected
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_scenario_text("# comment\n\nname = demo\n")
