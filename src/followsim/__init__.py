@@ -7,6 +7,8 @@ experiments (throttle step responses, lateral-offset steering tests, path
 following) with reproducible traces, metrics, and plots.
 """
 
+from types import ModuleType as _ModuleType
+
 from .actuation import (
     ChannelController,
     ControlCommand,
@@ -65,5 +67,8 @@ from .world import (
     step_bicycle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -85,10 +85,19 @@ class Aggregate(NamedTuple):
 def _check_coverage(
     name: str, sets: dict[str, MembershipFunction], universe: tuple[float, float]
 ) -> None:
+    """Raise unless every point of the universe has a positive grade in some set.
+
+    A set is positive on its open support (a, c) plus its closed core, so
+    coverage can only change at a breakpoint. Probing every breakpoint inside
+    the universe, both universe ends, and one point between each neighboring
+    pair therefore sweeps the whole universe exactly.
+    """
     lo, hi = universe
-    for x in np.linspace(lo, hi, 257):
-        if not any(mf.membership(float(x)) > 0.0 for mf in sets.values()):
-            raise FuzzyError(f"{name} sets leave {float(x):g} uncovered")
+    points = sorted({lo, hi, *(b for mf in sets.values() for b in mf.breakpoints if lo < b < hi)})
+    probes = points + [0.5 * p + 0.5 * q for p, q in zip(points, points[1:])]
+    for x in probes:
+        if not any(mf.membership(x) > 0.0 for mf in sets.values()):
+            raise FuzzyError(f"{name} sets leave {x:g} uncovered")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Scenario definitions: defaults, validation, and the flat key=value file format.
 
 A scenario file is plain text, one `dotted.key = value` per line, `#` comment
-lines, and every key optional: unset keys fall back to the documented
-defaults, unknown keys are an error so typos cannot silently change an
-experiment. See README for the full key table.
+lines, and every key optional: unset fields keep their dataclass defaults
+and default_scenario derives the rest, unknown keys are an error so typos
+cannot silently change an experiment. SCENARIO_KEYS is the key table; the
+README documents it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .fuzzy import (
@@ -21,12 +24,13 @@ from .fuzzy import (
 )
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
-from .world import LeaderScript, VehicleParams, VehicleState
+from .world import LeaderScript, VehicleParams, VehicleState, place_behind
 
 ARCHETYPES = ("scenario", "step_response", "lateral_offset", "path_follow")
 CONTROLLER_KINDS = ("pid", "fuzzy")
 LOST_TARGET_POLICIES = ("hold", "stop")
 CHANNELS = ("steering", "throttle")
+_FUZZY_VARS = ("error", "delta", "output")
 
 # head-on range the default setpoint area corresponds to
 DEFAULT_FOLLOW_RANGE = 1.5
@@ -133,46 +137,87 @@ class ScenarioConfig:
         return range_for_area(self.camera, self.panel, self.setpoint_area)
 
 
-def default_scenario(name: str = "default", **overrides) -> ScenarioConfig:
+def default_scenario(
+    name: str = "default",
+    *,
+    follower: dict[str, float] | None = None,
+    fuzzy: dict[str, dict[str, object]] | None = None,
+    **overrides,
+) -> ScenarioConfig:
     """Fully-populated scenario: stationary leader at the origin, follower
-    parked at the setpoint range directly behind it."""
-    camera = overrides.pop("camera", CameraIntrinsics())
-    panel = overrides.pop("panel", TargetPanel())
-    setpoint_area = overrides.pop(
+    parked at the setpoint range directly behind it.
+
+    Keyword overrides replace ScenarioConfig fields. This is the one place
+    that derives the fields other fields imply: dt (one camera frame),
+    setpoint_area, the fuzzy universe spans and the follower start pose.
+    `follower` sets fields of that pose: with an x or y it is placed there
+    outright, otherwise the rest adjust the pose behind the leader. `fuzzy`
+    maps a channel to its `fuzzy.<ch>.*` scenario-file settings.
+    """
+    camera = overrides.setdefault("camera", CameraIntrinsics())
+    panel = overrides.setdefault("panel", TargetPanel())
+    overrides.setdefault("dt", 1.0 / camera.frame_rate)
+    setpoint_area = overrides.setdefault(
         "setpoint_area", area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
     )
-    leader = overrides.pop(
-        "leader", LeaderScript(kind="stationary", start=VehicleState(0.0, 0.0, 0.0))
-    )
-    if "follower_start" in overrides:
-        follower_start = overrides.pop("follower_start")
-    else:
-        gap = range_for_area(camera, panel, setpoint_area)
-        h = leader.start.heading
-        follower_start = VehicleState(
-            leader.start.x - gap * math.cos(h),
-            leader.start.y - gap * math.sin(h),
-            h,
-            0.0,
+    leader = overrides.setdefault("leader", LeaderScript())
+    if "follower_start" not in overrides:
+        pose = follower or {}
+        if "x" in pose or "y" in pose:
+            overrides["follower_start"] = VehicleState(**pose)
+        else:
+            gap = range_for_area(camera, panel, setpoint_area)
+            overrides["follower_start"] = replace(place_behind(leader.start, gap), **pose)
+    spans = {
+        "steering": (camera.image_width / 2.0, DEFAULT_STEERING_DELTA_SPAN),
+        "throttle": (setpoint_area, 2.0 * setpoint_area),
+    }
+    for channel, (error_span, delta_span) in spans.items():
+        if f"{channel}_fuzzy" not in overrides:
+            settings = (fuzzy or {}).get(channel, {})
+            overrides[f"{channel}_fuzzy"] = _build_fuzzy(channel, settings, error_span, delta_span)
+    return ScenarioConfig(name=name, **overrides)
+
+
+# fuzzy.<ch> fields that set a default_fuzzy_config argument -> its parameter name
+_FUZZY_SPAN_ARGS = {
+    "error_universe": "error_span",
+    "delta_universe": "delta_span",
+    "output_universe": "output_span",
+    "grid_points": "grid_points",
+}
+
+
+def _build_fuzzy(
+    channel: str, settings: dict[str, object], error_span: float, delta_span: float
+) -> FuzzyConfig:
+    """Default controller over the given spans with the `fuzzy.<channel>.*`
+    settings applied: span and grid keys, set and rule edits, output_scale."""
+    args = {"error_span": error_span, "delta_span": delta_span}
+    args.update((_FUZZY_SPAN_ARGS[k], v) for k, v in settings.items() if k in _FUZZY_SPAN_ARGS)
+    try:
+        cfg = default_fuzzy_config(**args)
+        sets = {var: dict(getattr(cfg, f"{var}_sets")) for var in _FUZZY_VARS}
+        rules = dict(cfg.rules)
+        for name, value in settings.items():
+            kind, *labels = name.split(".")
+            if kind == "set":
+                var, label = labels
+                sets[var][label] = value
+            elif kind == "rule":
+                rules[tuple(labels)] = value
+        cfg = replace(
+            cfg,
+            error_sets=sets["error"],
+            delta_sets=sets["delta"],
+            output_sets=sets["output"],
+            rules=rules,
         )
-    steering_fuzzy = overrides.pop(
-        "steering_fuzzy",
-        default_fuzzy_config(camera.image_width / 2.0, DEFAULT_STEERING_DELTA_SPAN),
-    )
-    throttle_fuzzy = overrides.pop(
-        "throttle_fuzzy", default_fuzzy_config(setpoint_area, 2.0 * setpoint_area)
-    )
-    return ScenarioConfig(
-        name=name,
-        leader=leader,
-        follower_start=follower_start,
-        camera=camera,
-        panel=panel,
-        setpoint_area=setpoint_area,
-        steering_fuzzy=steering_fuzzy,
-        throttle_fuzzy=throttle_fuzzy,
-        **overrides,
-    )
+        if "output_scale" in settings:
+            cfg = scale_output(cfg, settings["output_scale"])
+    except FuzzyError as exc:
+        raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +236,12 @@ def _parse_float(raw: str) -> float:
 
 def _parse_int(raw: str) -> int:
     try:
-        return int(raw)
+        v = int(raw)
     except ValueError:
         raise ScenarioError(f"expected an integer, got {raw!r}") from None
+    if abs(v) > sys.float_info.max:
+        raise ScenarioError("integer out of range")
+    return v
 
 
 def _parse_bool(raw: str) -> bool:
@@ -205,11 +253,19 @@ def _parse_bool(raw: str) -> bool:
     raise ScenarioError(f"expected true/false, got {raw!r}")
 
 
+def _parse_names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [item.strip() for item in raw.split(",") if item.strip()]
     if not items:
         raise ScenarioError("expected a comma-separated number list")
     return tuple(_parse_float(item) for item in items)
+
+
+def _parse_degrees(raw: str) -> float:
+    return math.radians(_parse_float(raw))
 
 
 def _parse_speed_profile(raw: str):
@@ -241,79 +297,103 @@ def _parse_filter(raw: str):
     return _parse_float(raw)
 
 
-_SIMPLE_KEYS = {
-    "name": str,
-    "archetype": str,
-    "seed": _parse_int,
-    "dt": _parse_float,
-    "duration": _parse_float,
-    "setpoint_area": _parse_float,
-    "steady_state_px": _parse_float,
-    "controllers": lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
-    "lost_target.policy": str,
-    "stop.speed_eps": _parse_float,
-    "stop.hold_time": _parse_float,
-    "lateral.offset": _parse_float,
-    "lateral.leader_speed": _parse_float,
-    "step.separations": _parse_float_list,
-    "leader.kind": str,
-    "leader.start.x": _parse_float,
-    "leader.start.y": _parse_float,
-    "leader.start.heading": _parse_float,
-    "leader.speed": _parse_speed_profile,
-    "leader.waypoints": _parse_waypoints,
-    "follower.start.x": _parse_float,
-    "follower.start.y": _parse_float,
-    "follower.start.heading": _parse_float,
-    "follower.start.speed": _parse_float,
-    "vehicle.wheelbase": _parse_float,
-    "vehicle.max_steer_angle": _parse_float,
-    "vehicle.max_speed": _parse_float,
-    "vehicle.max_accel": _parse_float,
-    "camera.image_width": _parse_int,
-    "camera.image_height": _parse_int,
-    "camera.horizontal_fov_deg": _parse_float,
-    "camera.frame_rate": _parse_float,
-    "camera.min_range": _parse_float,
-    "camera.max_range": _parse_float,
-    "camera.jitter_px": _parse_float,
-    "panel.width": _parse_float,
-    "panel.height": _parse_float,
-    "panel.rear_offset": _parse_float,
-    "controller.steering.kind": str,
-    "controller.throttle.kind": str,
-    "controller.steering.locked": _parse_bool,
-    "filter.steering.alpha": _parse_filter,
-    "filter.throttle.alpha": _parse_filter,
+def _parse_membership(raw: str) -> MembershipFunction:
+    try:
+        return MembershipFunction(_parse_float_list(raw))
+    except FuzzyError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def _parse_label(raw: str) -> str:
+    if raw not in DEFAULT_LABELS:
+        raise ScenarioError(f"expected one of {' '.join(DEFAULT_LABELS)}, got {raw!r}")
+    return raw
+
+
+# a dataclass field of one of these annotations takes a scalar key; a fuzzy
+# universe (lo, hi) is set by its half-span
+_FIELD_PARSERS = {"float": _parse_float, "int": _parse_int, "tuple[float, float]": _parse_float}
+
+
+def _field_keys(section: str, cls) -> dict[str, tuple]:
+    """`<section>.<field>` entries for every scalar field of a dataclass."""
+    return {
+        f"{section}.{f.name}": (_FIELD_PARSERS[f.type], section, f.name)
+        for f in fields(cls)
+        if f.type in _FIELD_PARSERS
+    }
+
+
+# key -> (parser, section, field). Section "" holds ScenarioConfig fields;
+# every other section builds one dataclass (see parse_scenario_text).
+SCENARIO_KEYS: dict[str, tuple] = {
+    "name": (str, "", "name"),
+    "archetype": (str, "", "archetype"),
+    "seed": (_parse_int, "", "seed"),
+    "dt": (_parse_float, "", "dt"),
+    "duration": (_parse_float, "", "duration"),
+    "setpoint_area": (_parse_float, "", "setpoint_area"),
+    "steady_state_px": (_parse_float, "", "steady_state_px"),
+    "controllers": (_parse_names, "", "controllers"),
+    "lost_target.policy": (str, "", "lost_target_policy"),
+    "stop.speed_eps": (_parse_float, "", "stop_speed_eps"),
+    "stop.hold_time": (_parse_float, "", "stop_hold_time"),
+    "lateral.offset": (_parse_float, "", "lateral_offset"),
+    "lateral.leader_speed": (_parse_float, "", "lateral_leader_speed"),
+    "step.separations": (_parse_float_list, "", "step_separations"),
+    "controller.steering.kind": (str, "", "steering_kind"),
+    "controller.throttle.kind": (str, "", "throttle_kind"),
+    "controller.steering.locked": (_parse_bool, "", "steering_locked"),
+    "filter.steering.alpha": (_parse_filter, "", "steering_filter"),
+    "filter.throttle.alpha": (_parse_filter, "", "throttle_filter"),
+    "leader.kind": (str, "leader", "kind"),
+    "leader.speed": (_parse_speed_profile, "leader", "speed_profile"),
+    "leader.waypoints": (_parse_waypoints, "leader", "waypoints"),
+    "leader.start.x": (_parse_float, "leader.start", "x"),
+    "leader.start.y": (_parse_float, "leader.start", "y"),
+    "leader.start.heading": (_parse_float, "leader.start", "heading"),
+    "follower.start.x": (_parse_float, "follower.start", "x"),
+    "follower.start.y": (_parse_float, "follower.start", "y"),
+    "follower.start.heading": (_parse_float, "follower.start", "heading"),
+    "follower.start.speed": (_parse_float, "follower.start", "speed"),
+    "camera.image_width": (_parse_int, "camera", "image_width"),
+    "camera.image_height": (_parse_int, "camera", "image_height"),
+    "camera.horizontal_fov_deg": (_parse_degrees, "camera", "horizontal_fov"),
+    "camera.frame_rate": (_parse_float, "camera", "frame_rate"),
+    "camera.min_range": (_parse_float, "camera", "min_range"),
+    "camera.max_range": (_parse_float, "camera", "max_range"),
+    "camera.jitter_px": (_parse_float, "camera", "jitter_px"),
+    **_field_keys("vehicle", VehicleParams),
+    **_field_keys("panel", TargetPanel),
 }
-
-_PID_FIELDS = ("kp", "ki", "kd", "output_limit", "integral_limit", "derivative_filter_alpha")
 for _ch in CHANNELS:
-    for _f in _PID_FIELDS:
-        _SIMPLE_KEYS[f"pid.{_ch}.{_f}"] = _parse_float
-    for _f in ("error_universe", "delta_universe", "output_universe", "output_scale"):
-        _SIMPLE_KEYS[f"fuzzy.{_ch}.{_f}"] = _parse_float
-    _SIMPLE_KEYS[f"fuzzy.{_ch}.grid_points"] = _parse_int
-
-_FUZZY_VARS = ("error", "delta", "output")
+    SCENARIO_KEYS.update(_field_keys(f"pid.{_ch}", PidConfig))
+    SCENARIO_KEYS.update(_field_keys(f"fuzzy.{_ch}", FuzzyConfig))
+    SCENARIO_KEYS[f"fuzzy.{_ch}.output_scale"] = (_parse_float, f"fuzzy.{_ch}", "output_scale")
 
 
-def _classify_key(key: str):
-    """Return a parser for the key, or raise for unknown keys."""
-    if key in _SIMPLE_KEYS:
-        return _SIMPLE_KEYS[key]
+def _pattern_key(key: str):
+    """Entry for `fuzzy.<ch>.set.<var>.<LABEL>` or `fuzzy.<ch>.rule.<E>.<D>`;
+    None for any other key."""
     parts = key.split(".")
-    if len(parts) == 5 and parts[0] == "fuzzy" and parts[2] == "set":
-        if parts[1] in CHANNELS and parts[3] in _FUZZY_VARS:
-            return _parse_float_list
-    if len(parts) == 5 and parts[0] == "fuzzy" and parts[2] == "rule":
-        if parts[1] in CHANNELS:
-            return str
-    raise ScenarioError(f"unknown key {key!r}")
+    if len(parts) != 5 or parts[0] != "fuzzy" or parts[1] not in CHANNELS:
+        return None
+    section, kind, a, b = f"fuzzy.{parts[1]}", parts[2], parts[3], parts[4]
+    if kind == "set" and a in _FUZZY_VARS:
+        if b not in DEFAULT_LABELS:
+            raise ScenarioError(f"unknown set label {b!r}")
+        return _parse_membership, section, f"set.{a}.{b}"
+    if kind == "rule":
+        if a not in DEFAULT_LABELS or b not in DEFAULT_LABELS:
+            raise ScenarioError(f"no rule cell ({a}, {b})")
+        return _parse_label, section, f"rule.{a}.{b}"
+    return None
 
 
-def _read_pairs(text: str) -> dict[str, tuple[object, int]]:
-    pairs: dict[str, tuple[object, int]] = {}
+def _read_sections(text: str) -> dict[str, dict[str, object]]:
+    """Section -> {field: value}, holding only the keys the text sets."""
+    sections: dict[str, dict[str, object]] = defaultdict(dict)
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -322,201 +402,40 @@ def _read_pairs(text: str) -> dict[str, tuple[object, int]]:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in pairs:
+        if key in seen:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        parser = _classify_key_at(key, lineno)
+        seen.add(key)
         try:
-            value = parser(raw)
+            entry = SCENARIO_KEYS.get(key) or _pattern_key(key)
+            if entry is None:
+                raise ScenarioError("unknown key")
+            parser, section, name = entry
+            sections[section][name] = parser(raw)
         except ScenarioError as exc:
             raise ScenarioError(f"line {lineno}: {key}: {exc}") from None
-        pairs[key] = (value, lineno)
-    return pairs
-
-
-def _classify_key_at(key: str, lineno: int):
-    try:
-        return _classify_key(key)
-    except ScenarioError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
-
-
-class _Pairs:
-    """Typed view over the parsed key/value pairs with take-and-track semantics."""
-
-    def __init__(self, pairs: dict[str, tuple[object, int]]):
-        self._pairs = pairs
-
-    def take(self, key: str, default=None):
-        if key in self._pairs:
-            return self._pairs.pop(key)[0]
-        return default
-
-    def has(self, key: str) -> bool:
-        return key in self._pairs
-
-    def take_prefixed(self, prefix: str) -> dict[str, object]:
-        found = {k: v for k, (v, _) in list(self._pairs.items()) if k.startswith(prefix)}
-        for k in found:
-            del self._pairs[k]
-        return found
-
-    def remaining(self) -> list[str]:
-        return sorted(self._pairs)
-
-
-def _build_fuzzy(pairs: _Pairs, channel: str, error_span: float, delta_span: float) -> FuzzyConfig:
-    cfg = default_fuzzy_config(
-        pairs.take(f"fuzzy.{channel}.error_universe", error_span),
-        pairs.take(f"fuzzy.{channel}.delta_universe", delta_span),
-        pairs.take(f"fuzzy.{channel}.output_universe", 1.0),
-        pairs.take(f"fuzzy.{channel}.grid_points", 1001),
-    )
-    set_maps = {"error": dict(cfg.error_sets), "delta": dict(cfg.delta_sets),
-                "output": dict(cfg.output_sets)}
-    for key, breakpoints in pairs.take_prefixed(f"fuzzy.{channel}.set.").items():
-        _, _, _, var, label = key.split(".")
-        if label not in set_maps[var]:
-            raise ScenarioError(f"{key}: unknown set label {label!r}")
-        try:
-            set_maps[var][label] = MembershipFunction(breakpoints)
-        except FuzzyError as exc:
-            raise ScenarioError(f"{key}: {exc}") from None
-    rules = dict(cfg.rules)
-    for key, out_label in pairs.take_prefixed(f"fuzzy.{channel}.rule.").items():
-        _, _, _, e_label, d_label = key.split(".")
-        if (e_label, d_label) not in rules:
-            raise ScenarioError(f"{key}: no rule cell ({e_label}, {d_label})")
-        rules[(e_label, d_label)] = out_label
-    try:
-        cfg = replace(
-            cfg,
-            error_sets=set_maps["error"],
-            delta_sets=set_maps["delta"],
-            output_sets=set_maps["output"],
-            rules=rules,
-        )
-        scale = pairs.take(f"fuzzy.{channel}.output_scale", 1.0)
-        if scale != 1.0:
-            cfg = scale_output(cfg, scale)
-    except FuzzyError as exc:
-        raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
-    return cfg
+    return sections
 
 
 def parse_scenario_text(text: str, default_name: str = "scenario") -> ScenarioConfig:
-    pairs = _Pairs(_read_pairs(text))
+    """Build each section's dataclass from the keys the text sets and hand
+    them to default_scenario."""
+    sections = _read_sections(text)
+    top = sections[""]
     try:
-        camera = CameraIntrinsics(
-            image_width=pairs.take("camera.image_width", 320),
-            image_height=pairs.take("camera.image_height", 200),
-            horizontal_fov=math.radians(pairs.take("camera.horizontal_fov_deg", 75.0)),
-            frame_rate=pairs.take("camera.frame_rate", 50.0),
-            min_range=pairs.take("camera.min_range", 0.3),
-            max_range=pairs.take("camera.max_range", 20.0),
-            jitter_px=pairs.take("camera.jitter_px", 0.0),
+        return default_scenario(
+            top.pop("name", default_name),
+            camera=CameraIntrinsics(**sections["camera"]),
+            panel=TargetPanel(**sections["panel"]),
+            vehicle=VehicleParams(**sections["vehicle"]),
+            leader=LeaderScript(start=VehicleState(**sections["leader.start"]), **sections["leader"]),
+            steering_pid=replace(DEFAULT_STEERING_PID, **sections["pid.steering"]),
+            throttle_pid=replace(DEFAULT_THROTTLE_PID, **sections["pid.throttle"]),
+            follower=sections["follower.start"],
+            fuzzy={ch: sections[f"fuzzy.{ch}"] for ch in CHANNELS},
+            **top,
         )
-        panel = TargetPanel(
-            width=pairs.take("panel.width", 0.2159),
-            height=pairs.take("panel.height", 0.2794),
-            rear_offset=pairs.take("panel.rear_offset", 0.0),
-        )
-        vehicle = VehicleParams(
-            wheelbase=pairs.take("vehicle.wheelbase", 0.33),
-            max_steer_angle=pairs.take("vehicle.max_steer_angle", 0.45),
-            max_speed=pairs.take("vehicle.max_speed", 4.0),
-            max_accel=pairs.take("vehicle.max_accel", 2.0),
-        )
-        setpoint_area = pairs.take(
-            "setpoint_area", area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
-        )
-
-        leader_start = VehicleState(
-            pairs.take("leader.start.x", 0.0),
-            pairs.take("leader.start.y", 0.0),
-            pairs.take("leader.start.heading", 0.0),
-        )
-        leader = LeaderScript(
-            kind=pairs.take("leader.kind", "stationary"),
-            start=leader_start,
-            speed_profile=pairs.take("leader.speed", 0.0),
-            waypoints=pairs.take("leader.waypoints"),
-        )
-
-        if pairs.has("follower.start.x") or pairs.has("follower.start.y"):
-            follower_start = VehicleState(
-                pairs.take("follower.start.x", 0.0),
-                pairs.take("follower.start.y", 0.0),
-                pairs.take("follower.start.heading", 0.0),
-                pairs.take("follower.start.speed", 0.0),
-            )
-        else:
-            gap = range_for_area(camera, panel, setpoint_area)
-            h = pairs.take("follower.start.heading", leader_start.heading)
-            follower_start = VehicleState(
-                leader_start.x - gap * math.cos(leader_start.heading),
-                leader_start.y - gap * math.sin(leader_start.heading),
-                h,
-                pairs.take("follower.start.speed", 0.0),
-            )
-
-        pid_configs = {}
-        for channel, default in (
-            ("steering", DEFAULT_STEERING_PID),
-            ("throttle", DEFAULT_THROTTLE_PID),
-        ):
-            pid_configs[channel] = PidConfig(
-                **{
-                    f: pairs.take(f"pid.{channel}.{f}", getattr(default, f))
-                    for f in _PID_FIELDS
-                }
-            )
-
-        steering_fuzzy = _build_fuzzy(
-            pairs, "steering", camera.image_width / 2.0, DEFAULT_STEERING_DELTA_SPAN
-        )
-        throttle_fuzzy = _build_fuzzy(pairs, "throttle", setpoint_area, 2.0 * setpoint_area)
-
-        config = ScenarioConfig(
-            name=pairs.take("name", default_name),
-            archetype=pairs.take("archetype", "scenario"),
-            dt=pairs.take("dt", 1.0 / camera.frame_rate),
-            duration=pairs.take("duration", 20.0),
-            seed=pairs.take("seed", 0),
-            setpoint_area=setpoint_area,
-            steady_state_px=pairs.take("steady_state_px", 5.0),
-            controllers=pairs.take("controllers", ("pid", "fuzzy")),
-            leader=leader,
-            follower_start=follower_start,
-            vehicle=vehicle,
-            camera=camera,
-            panel=panel,
-            steering_kind=pairs.take("controller.steering.kind", "pid"),
-            throttle_kind=pairs.take("controller.throttle.kind", "pid"),
-            steering_locked=pairs.take("controller.steering.locked", False),
-            steering_pid=pid_configs["steering"],
-            throttle_pid=pid_configs["throttle"],
-            steering_fuzzy=steering_fuzzy,
-            throttle_fuzzy=throttle_fuzzy,
-            steering_filter=pairs.take("filter.steering.alpha", "auto"),
-            throttle_filter=pairs.take("filter.throttle.alpha", "auto"),
-            lost_target_policy=pairs.take("lost_target.policy", "hold"),
-            stop_speed_eps=pairs.take("stop.speed_eps", 0.01),
-            stop_hold_time=pairs.take("stop.hold_time", 1.0),
-            lateral_offset=pairs.take("lateral.offset", 1.0),
-            lateral_leader_speed=pairs.take("lateral.leader_speed", 1.0),
-            step_separations=pairs.take("step.separations", (1.0, 2.0, 4.0)),
-        )
-    except ScenarioError:
-        raise
-    except FuzzyError as exc:
-        raise ScenarioError(f"fuzzy config: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # dataclass validation; a ScenarioError keeps its message
         raise ScenarioError(str(exc)) from exc
-
-    leftovers = pairs.remaining()
-    if leftovers:
-        raise ScenarioError(f"unused keys: {', '.join(leftovers)}")
-    return config
 
 
 def load_scenario(path) -> ScenarioConfig:

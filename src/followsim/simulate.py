@@ -22,6 +22,7 @@ from .world import (
     following_distance,
     lateral_deviation,
     leader_pose,
+    place_behind,
     step_bicycle,
 )
 
@@ -164,17 +165,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     return Trace(config.name, records, config=config, stop_reason=stop_reason)
 
 
-def _behind(leader_start: VehicleState, gap: float, offset: float = 0.0) -> VehicleState:
-    """Follower start pose `gap` behind the leader, `offset` to its left."""
-    h = leader_start.heading
-    return VehicleState(
-        leader_start.x - gap * math.cos(h) - offset * math.sin(h),
-        leader_start.y - gap * math.sin(h) + offset * math.cos(h),
-        h,
-        0.0,
-    )
-
-
 def _tag(value: float) -> str:
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
@@ -198,7 +188,7 @@ def run_step_response(base: ScenarioConfig, initial_separations) -> list[Trace]:
             name=f"{base.name}_sep_{_tag(sep)}m",
             archetype="scenario",
             leader=leader,
-            follower_start=_behind(leader.start, sep),
+            follower_start=place_behind(leader.start, sep),
             steering_locked=True,
         )
         traces.append(run_scenario(config))
@@ -224,7 +214,7 @@ def run_lateral_offset(base: ScenarioConfig, offset: float, leader_speed: float)
         name=f"{base.name}_lat_{_tag(offset)}m_v{_tag(leader_speed)}",
         archetype="scenario",
         leader=leader,
-        follower_start=_behind(base.leader.start, base.follow_range, offset),
+        follower_start=place_behind(base.leader.start, base.follow_range, offset),
         steering_locked=False,
     )
     return run_scenario(config)
@@ -245,7 +235,7 @@ def run_path_follow(base: ScenarioConfig, path: LeaderScript) -> Trace:
         name=f"{base.name}_path",
         archetype="scenario",
         leader=path,
-        follower_start=_behind(start, base.follow_range),
+        follower_start=place_behind(start, base.follow_range),
         steering_locked=False,
     )
     return run_scenario(config)

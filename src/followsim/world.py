@@ -31,8 +31,8 @@ def _require_finite(**values: float) -> None:
 class VehicleState:
     """Pose and speed of one vehicle. Heading is CCW radians from +x."""
 
-    x: float
-    y: float
+    x: float = 0.0
+    y: float = 0.0
     heading: float = 0.0
     speed: float = 0.0
 
@@ -92,8 +92,8 @@ def _normalize_profile(profile) -> tuple[tuple[float, float], ...]:
 class LeaderScript:
     """Scripted leader motion: parked, constant-heading line, or waypoint polyline."""
 
-    kind: str
-    start: VehicleState
+    kind: str = "stationary"
+    start: VehicleState = VehicleState()
     speed_profile: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
     waypoints: tuple[tuple[float, float], ...] | None = None
 
@@ -135,6 +135,17 @@ class LeaderScript:
             if p != pts[-1]:
                 pts.append(p)
         return tuple(pts)
+
+
+def place_behind(leader_start: VehicleState, gap: float, offset: float = 0.0) -> VehicleState:
+    """Parked follower pose `gap` behind the leader, `offset` to its left."""
+    h = leader_start.heading
+    return VehicleState(
+        leader_start.x - gap * math.cos(h) - offset * math.sin(h),
+        leader_start.y - gap * math.sin(h) + offset * math.cos(h),
+        h,
+        0.0,
+    )
 
 
 def step_bicycle(

@@ -43,6 +43,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "controler.steering.kind" in err
 
+    @pytest.mark.parametrize("key", ["camera.image_width", "camera.image_height"])
+    def test_huge_integer_fails_at_load(self, tmp_path, capsys, key):
+        scn = write_scenario(tmp_path, "huge", f"duration = 1\n{key} = {'4' * 400}\n")
+        assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 2: {key}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                      "--out", str(tmp_path / "o")]) == 1

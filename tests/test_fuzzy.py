@@ -262,6 +262,37 @@ class TestConfigValidation:
                 output_universe=config.output_universe,
             )
 
+    @staticmethod
+    def _with_error_sets(sets):
+        config = default_fuzzy_config(1.0, 1.0)
+        return config.__class__(
+            error_sets=sets,
+            delta_sets=config.delta_sets,
+            output_sets=config.output_sets,
+            rules={(e, d): "Z" for e in sets for d in config.delta_sets},
+            error_universe=(-1.0, 1.0),
+            delta_universe=config.delta_universe,
+            output_universe=config.output_universe,
+        )
+
+    def test_gap_between_samples_rejected(self):
+        # the hole (0.0025, 0.005) is narrower than 1/256 of the universe
+        sets = {
+            "N": MembershipFunction.triangle(-2.0, -1.0, 0.0025),
+            "P": MembershipFunction.triangle(0.005, 1.0, 2.0),
+        }
+        with pytest.raises(FuzzyError, match="uncovered"):
+            self._with_error_sets(sets)
+
+    def test_closed_cores_meeting_at_a_point_cover(self):
+        # both sets reach zero only at 0, where their closed cores give grade 1
+        sets = {
+            "N": MembershipFunction.trapezoid(-2.0, -1.0, 0.0, 0.0),
+            "P": MembershipFunction.trapezoid(0.0, 0.0, 1.0, 2.0),
+        }
+        config = self._with_error_sets(sets)
+        assert fuzzify(0.0, config.error_sets, config.error_universe) == {"N": 1.0, "P": 1.0}
+
     def test_grid_floor_enforced(self):
         with pytest.raises(FuzzyError):
             default_fuzzy_config(1.0, 1.0, grid_points=50)

@@ -19,9 +19,10 @@ from followsim import (
     parse_scenario_text,
     scale_output,
 )
-from followsim.scenario import DEFAULT_FOLLOW_RANGE
+from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -64,7 +65,10 @@ class TestParser:
         assert parse_scenario_text("", "x") == default_scenario("x")
 
     def test_every_flat_key_reaches_its_field(self):
-        cfg = load_scenario(DATA / "every_key.scn")
+        path = DATA / "every_key.scn"
+        lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
+        assert {ln.partition("=")[0].strip() for ln in lines} == set(SCENARIO_KEYS)
+        cfg = load_scenario(path)
         expected = ScenarioConfig(
             name="every_key",
             archetype="path_follow",
@@ -206,6 +210,21 @@ class TestParser:
                 "fuzzy.steering.set.error.Z = -30, 0, 30\n"
             )
 
+    def test_coverage_gap_between_samples_fails_at_load(self):
+        # Z ends at 0.2 px and PS starts at 0.5 px, so an error of 0.3 px
+        # fires no rule and fuzzy_step would find an all-zero aggregate
+        with pytest.raises(ScenarioError, match="uncovered"):
+            parse_scenario_text(
+                "controller.steering.kind = fuzzy\n"
+                "fuzzy.steering.set.error.Z = -80, -0.5, 0.2\n"
+                "fuzzy.steering.set.error.PS = 0.5, 80, 160\n"
+            )
+
+    @pytest.mark.parametrize("key", ["camera.image_width", "camera.image_height", "seed"])
+    def test_huge_integer_rejected_with_line(self, key):
+        with pytest.raises(ScenarioError, match=rf"line 2: {key}: integer out of range"):
+            parse_scenario_text(f"duration = 1\n{key} = {'4' * 400}\n")
+
     def test_controllers_subset(self):
         cfg = parse_scenario_text("controllers = pid\n")
         assert cfg.controllers == ("pid",)
@@ -221,6 +240,29 @@ class TestParser:
         cfg = parse_scenario_text("camera.jitter_px = 1.5\nseed = 42\n")
         assert cfg.camera.jitter_px == 1.5
         assert cfg.seed == 42
+
+
+def readme_keys() -> set[str]:
+    """Keys in the README's scenario-file tables, `a.b` / `.c` shorthand expanded."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        names = [name.strip().strip("`") for name in line.split("|")[1].split(" / ")]
+        base = names[0].rsplit(".", 1)[0]
+        keys.update(base + n if n.startswith(".") else n for n in names)
+    return keys
+
+
+def test_readme_tables_list_exactly_the_key_table():
+    keys = {k.replace("<ch>", ch) for k in readme_keys() for ch in CHANNELS}
+    patterns = {k for k in keys if "<" in k}
+    assert keys - patterns == set(SCENARIO_KEYS)
+    assert patterns == {
+        f"fuzzy.{ch}.{p}" for ch in CHANNELS for p in ("set.<var>.<LABEL>", "rule.<E>.<D>")
+    }
 
 
 class TestLoadScenario:

@@ -15,9 +15,9 @@ from followsim.tune import candidate_filename, results_csv
 
 def step_scenario(duration=6.0):
     cfg = default_scenario("tunestep", duration=duration, steering_locked=True)
-    from followsim.simulate import _behind
+    from followsim.world import place_behind
 
-    return replace(cfg, follower_start=_behind(cfg.leader.start, 3.0))
+    return replace(cfg, follower_start=place_behind(cfg.leader.start, 3.0))
 
 
 class TestTuneSpec:
