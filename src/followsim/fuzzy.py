@@ -16,6 +16,8 @@ import numpy as np
 
 DEFAULT_LABELS = ("NL", "NS", "Z", "PS", "PL")
 MIN_GRID_POINTS = 201
+# caps the memory and per-step work of one output grid (100x the default)
+MAX_GRID_POINTS = 100_001
 # centroid discretization error is first order in grid spacing when a clipped
 # set rides the universe edge; 1001 points keeps it a few 1e-4 of the span
 DEFAULT_GRID_POINTS = 1001
@@ -75,6 +77,18 @@ class MembershipFunction:
         return MembershipFunction(tuple(k * b for b in self.breakpoints))
 
 
+def _has_positive_sample(mf: MembershipFunction, grid: np.ndarray) -> bool:
+    """Whether `mf.membership` is positive at some point of the ascending grid,
+    that is inside its open support (a, c) or its closed core."""
+    a, *core, c = mf.breakpoints  # a triangle's core is its peak
+    above_a = np.searchsorted(grid, a, side="right")
+    in_core = np.searchsorted(grid, core[0], side="left")
+    return bool(
+        (above_a < len(grid) and grid[above_a] < c)
+        or (in_core < len(grid) and grid[in_core] <= core[-1])
+    )
+
+
 class Aggregate(NamedTuple):
     """Inference result: membership sampled on the output universe grid."""
 
@@ -120,13 +134,16 @@ class FuzzyConfig:
             lo, hi = universe
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise FuzzyError(f"bad {name} universe {universe!r}")
-        if self.grid_points < MIN_GRID_POINTS:
-            raise FuzzyError(f"grid_points must be >= {MIN_GRID_POINTS}")
+        if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
+            raise FuzzyError(f"grid_points must be in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")
         if not self.error_sets or not self.delta_sets or not self.output_sets:
             raise FuzzyError("every variable needs at least one set")
         _check_coverage("error", self.error_sets, self.error_universe)
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
+        for label, mf in self.output_sets.items():
+            if not _has_positive_sample(mf, self.output_grid):
+                raise FuzzyError(f"output set {label} has no positive sample on the output grid")
 
         expected = {(e, d) for e in self.error_sets for d in self.delta_sets}
         if set(self.rules) != expected:

@@ -9,9 +9,11 @@ README documents it.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .fuzzy import (
@@ -390,10 +392,15 @@ def _pattern_key(key: str):
     return None
 
 
-def _read_sections(text: str) -> dict[str, dict[str, object]]:
-    """Section -> {field: value}, holding only the keys the text sets."""
+# (section, field) -> (line number, key) of every key a scenario text sets
+KeyLines = dict[tuple[str, str], tuple[int, str]]
+
+
+def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], KeyLines]:
+    """Section -> {field: value}, holding only the keys the text sets, and
+    where each of those keys was set."""
     sections: dict[str, dict[str, object]] = defaultdict(dict)
-    seen = set()
+    lines: KeyLines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -402,40 +409,73 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in seen:
-            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
             entry = SCENARIO_KEYS.get(key) or _pattern_key(key)
             if entry is None:
                 raise ScenarioError("unknown key")
             parser, section, name = entry
+            if (section, name) in lines:
+                raise ScenarioError(f"duplicate key (first set on line {lines[section, name][0]})")
             sections[section][name] = parser(raw)
         except ScenarioError as exc:
             raise ScenarioError(f"line {lineno}: {key}: {exc}") from None
-    return sections
+        lines[section, name] = (lineno, key)
+    return sections, lines
+
+
+def _located(exc: ValueError, lines: KeyLines, section: str, fallback: bool) -> ScenarioError:
+    """A validation error raised while building `section`, prefixed with the
+    line and key of the section's key that its message names first (by field
+    or by key). With `fallback`, a message that names none of them is blamed
+    on the section's last key; otherwise it is passed on unprefixed."""
+    message = str(exc)
+    candidates = [
+        (lineno, key, re.search(rf"\b({re.escape(name)}|{re.escape(key)})\b", message))
+        for (sec, name), (lineno, key) in lines.items()
+        if sec == section
+    ]
+    named = [(found.start(), lineno, key) for lineno, key, found in candidates if found]
+    if named:
+        _, lineno, key = min(named)
+    elif fallback and candidates:
+        lineno, key, _ = max(candidates, key=lambda c: c[0])
+    else:
+        return ScenarioError(message)
+    return ScenarioError(f"line {lineno}: {key}: {message}")
 
 
 def parse_scenario_text(text: str, default_name: str = "scenario") -> ScenarioConfig:
     """Build each section's dataclass from the keys the text sets and hand
-    them to default_scenario."""
-    sections = _read_sections(text)
+    them to default_scenario. A validation error names the line and key it
+    comes from (see _located)."""
+    sections, lines = _read_sections(text)
+
+    def build(section: str, make):
+        try:
+            return make(**sections[section])
+        except ValueError as exc:
+            raise _located(exc, lines, section, fallback=True) from None
+
     top = sections[""]
+    leader_start = VehicleState(**sections["leader.start"])
+    built = {
+        "camera": build("camera", CameraIntrinsics),
+        "panel": build("panel", TargetPanel),
+        "vehicle": build("vehicle", VehicleParams),
+        "leader": build("leader", partial(LeaderScript, start=leader_start)),
+        "steering_pid": build("pid.steering", partial(replace, DEFAULT_STEERING_PID)),
+        "throttle_pid": build("pid.throttle", partial(replace, DEFAULT_THROTTLE_PID)),
+    }
     try:
         return default_scenario(
             top.pop("name", default_name),
-            camera=CameraIntrinsics(**sections["camera"]),
-            panel=TargetPanel(**sections["panel"]),
-            vehicle=VehicleParams(**sections["vehicle"]),
-            leader=LeaderScript(start=VehicleState(**sections["leader.start"]), **sections["leader"]),
-            steering_pid=replace(DEFAULT_STEERING_PID, **sections["pid.steering"]),
-            throttle_pid=replace(DEFAULT_THROTTLE_PID, **sections["pid.throttle"]),
             follower=sections["follower.start"],
             fuzzy={ch: sections[f"fuzzy.{ch}"] for ch in CHANNELS},
+            **built,
             **top,
         )
-    except ValueError as exc:  # dataclass validation; a ScenarioError keeps its message
-        raise ScenarioError(str(exc)) from exc
+    except ValueError as exc:  # the fuzzy sections' errors already name their channel
+        raise _located(exc, lines, "", fallback=False) from None
 
 
 def load_scenario(path) -> ScenarioConfig:

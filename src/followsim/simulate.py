@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .actuation import ChannelController, ControlCommand, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig, ScenarioError
@@ -93,23 +95,32 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     pe = 0.0
     ae = 0.0
     tracked = False
-    # seed the track with the leader's lane extended backward from its start,
-    # so lateral deviation is measured against a line from the first record on
-    leader0 = leader_pose(config.leader, 0.0)
+    # lateral deviation is measured against the leader script's own polyline:
+    # its lane extended backward from the start (so there is a line from the
+    # first record on), the corners already passed, and the leader's position
+    script = config.leader
+    parked = script.kind == "stationary"
+    leader0 = leader_pose(script, 0.0)
     back = 10.0 * max(config.follow_range, 1.0)
-    track_points: list[tuple[float, float]] = [
-        (leader0.x - back * math.cos(leader0.heading),
-         leader0.y - back * math.sin(leader0.heading))
-    ]
+    tail = (leader0.x - back * math.cos(leader0.heading),
+            leader0.y - back * math.sin(leader0.heading))
+    corners = script.path_points() if script.kind == "waypoint_path" else ((leader0.x, leader0.y),)
+    corner_s = list(accumulate(
+        (math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(corners, corners[1:])), initial=0.0
+    ))
+    parked_track = (tail, corners[0])
     records: list[TraceRecord] = []
     stop_reason = None
     still_time = 0.0
 
     for k in range(n_records):
         t = k * config.dt
-        leader = leader_pose(config.leader, t)
-        if not track_points or track_points[-1] != (leader.x, leader.y):
-            track_points.append((leader.x, leader.y))
+        leader = leader_pose(script, t)
+        if parked:
+            track = parked_track
+        else:
+            passed = bisect_right(corner_s, script.distance_at(t))
+            track = (tail, *corners[:passed], (leader.x, leader.y))
 
         started = time.perf_counter_ns()
         reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
@@ -144,7 +155,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 area_error=ae,
                 steering_pwm=command.steering_pwm,
                 throttle_pwm=command.throttle_pwm,
-                lateral_dev_m=lateral_deviation(follower, track_points),
+                lateral_dev_m=lateral_deviation(follower, track),
                 follow_dist_m=following_distance(follower, leader),
                 detected=tracked,
                 loop_cost_us=loop_cost_us,
@@ -156,7 +167,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         for _ in range(sub_steps):
             follower = step_bicycle(follower, config.vehicle, steer_angle, speed_cmd, sub_dt)
 
-        if config.leader.kind == "stationary":
+        if parked:
             still_time = still_time + config.dt if follower.speed < config.stop_speed_eps else 0.0
             if still_time >= config.stop_hold_time and k + 1 < n_records:
                 stop_reason = STOP_REASON_STATIONARY

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from followsim import (
     infer,
     scale_output,
 )
+from followsim.fuzzy import MAX_GRID_POINTS, _has_positive_sample
 from followsim.pid import PidConfig
 
 
@@ -297,6 +300,17 @@ class TestConfigValidation:
         with pytest.raises(FuzzyError):
             default_fuzzy_config(1.0, 1.0, grid_points=50)
 
+    def test_grid_ceiling_enforced(self):
+        config = default_fuzzy_config(1.0, 1.0, grid_points=MAX_GRID_POINTS)
+        assert len(config.output_grid) == MAX_GRID_POINTS
+        with pytest.raises(FuzzyError, match="grid_points"):
+            default_fuzzy_config(1.0, 1.0, grid_points=MAX_GRID_POINTS + 1)
+
+    def test_output_set_touching_one_sample_accepted(self):
+        config = default_fuzzy_config(1.0, 1.0)
+        sets = dict(config.output_sets, Z=MembershipFunction.trapezoid(-0.0001, 0.0, 0.0, 0.0001))
+        assert fuzzy_step(replace(config, output_sets=sets), 0.0, 0.0) == 0.0
+
     def test_scale_must_be_positive(self):
         with pytest.raises(FuzzyError):
             scale_output(default_fuzzy_config(1.0, 1.0), 0.0)
@@ -307,3 +321,14 @@ def test_fuzzy_costs_more_ops_than_pid():
     pid_ops = count_pid_ops(PidConfig(kp=1.0, ki=1.0, kd=1.0))
     assert fuzzy_ops > pid_ops
     assert fuzzy_ops > 100 * pid_ops  # the gap is structural, not marginal
+
+
+@given(
+    points=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4).map(sorted),
+    n=st.integers(2, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_positive_sample_lookup_matches_membership(points, n):
+    mf = MembershipFunction(tuple(points))
+    grid = np.linspace(-1.0, 1.0, n)
+    assert _has_positive_sample(mf, grid) == any(mf.on_grid(grid) > 0.0)

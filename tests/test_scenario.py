@@ -220,6 +220,37 @@ class TestParser:
                 "fuzzy.steering.set.error.PS = 0.5, 80, 160\n"
             )
 
+    def test_output_set_without_grid_sample_fails_at_load(self):
+        # Z lies between two grid samples (spacing 0.002), so a rule firing Z
+        # alone would give fuzzy_step an all-zero aggregate
+        with pytest.raises(ScenarioError, match="fuzzy.steering: output set Z has no positive"):
+            parse_scenario_text(
+                "controller.steering.kind = fuzzy\n"
+                "fuzzy.steering.set.output.NS = -1, -0.5, 0.0001\n"
+                "fuzzy.steering.set.output.Z = 0.0001, 0.0005, 0.0009\n"
+            )
+
+    def test_grid_points_capped_at_load(self):
+        with pytest.raises(ScenarioError, match=r"fuzzy.steering: grid_points must be in \[201, "):
+            parse_scenario_text("fuzzy.steering.grid_points = 1000000000000\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("camera.image_width = 3", "image_width must be a positive even integer"),
+        ("vehicle.wheelbase = -1", "wheelbase must be positive"),
+    ], ids=["image_width", "wheelbase"])
+    def test_dataclass_error_names_key_and_line(self, line, message):
+        key = line.split(" = ")[0]
+        with pytest.raises(ScenarioError, match=rf"^line 2: {key}: {message}$"):
+            parse_scenario_text(f"duration = 1\n{line}\nseed = 3\n")
+
+    def test_cross_field_error_blames_the_key_its_message_names(self):
+        with pytest.raises(ScenarioError, match=r"^line 1: camera.min_range: need 0 < min_range"):
+            parse_scenario_text("camera.min_range = 20\nseed = 3\n")
+
+    def test_error_naming_no_field_blames_the_sections_last_key(self):
+        with pytest.raises(ScenarioError, match=r"^line 3: panel.height: panel dimensions"):
+            parse_scenario_text("panel.width = 0.3\nseed = 3\npanel.height = -1\n")
+
     @pytest.mark.parametrize("key", ["camera.image_width", "camera.image_height", "seed"])
     def test_huge_integer_rejected_with_line(self, key):
         with pytest.raises(ScenarioError, match=rf"line 2: {key}: integer out of range"):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,15 @@ from followsim import (
     VehicleState,
     default_scenario,
     execute_archetype,
+    load_scenario,
     run_lateral_offset,
     run_path_follow,
     run_scenario,
     run_step_response,
 )
+from followsim import simulate
+
+S_CURVE = Path(__file__).parents[1] / "scenarios" / "s_curve.scn"
 
 
 class TestRunScenario:
@@ -194,6 +199,68 @@ class TestPathFollow:
         with pytest.raises(ScenarioError):
             run_path_follow(base_scenario, LeaderScript(kind="stationary",
                                                         start=VehicleState(0, 0, 0)))
+
+
+def signed_distance(x, y, pts):
+    """Signed distance from (x, y) to a polyline, left of travel positive."""
+    best_d2, best_cross = math.inf, 0.0
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        vx, vy = qx - px, qy - py
+        if vx == 0.0 and vy == 0.0:
+            continue
+        u = min(max(((x - px) * vx + (y - py) * vy) / (vx * vx + vy * vy), 0.0), 1.0)
+        dx, dy = x - (px + u * vx), y - (py + u * vy)
+        if dx * dx + dy * dy < best_d2:
+            best_d2, best_cross = dx * dx + dy * dy, vx * dy - vy * dx
+    return math.copysign(math.sqrt(best_d2), best_cross)
+
+
+class TestLeaderTrack:
+    """Lateral deviation is measured against the leader script's polyline,
+    cut at the leader's current arc length: a bounded track per record."""
+
+    @staticmethod
+    def track_lengths(monkeypatch, config):
+        lengths = []
+        measure = simulate.lateral_deviation
+
+        def counting(follower, leader_track):
+            lengths.append(len(leader_track))
+            return measure(follower, leader_track)
+
+        monkeypatch.setattr(simulate, "lateral_deviation", counting)
+        (trace,) = execute_archetype(config)
+        assert len(lengths) == len(trace.records)
+        return lengths
+
+    def test_track_bounded_on_long_straight_run(self, monkeypatch):
+        cfg = replace(load_scenario(S_CURVE), duration=80.0,
+                      leader=LeaderScript(kind="straight_line", speed_profile=1.0))
+        assert max(self.track_lengths(monkeypatch, cfg)) <= 3  # no waypoints
+
+    def test_track_bounded_on_waypoint_path(self, monkeypatch):
+        cfg = load_scenario(S_CURVE)
+        assert max(self.track_lengths(monkeypatch, cfg)) <= len(cfg.leader.waypoints) + 3
+
+    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
+    def test_deviation_matches_cut_script_polyline(self, kind):
+        # s_curve's leader reaches the end of its path and holds there
+        cfg = replace(load_scenario(S_CURVE), steering_kind=kind, throttle_kind=kind)
+        (trace,) = execute_archetype(cfg)
+        path = cfg.leader
+        speed = path.speed_profile[0][1]
+        corners = [(path.start.x, path.start.y), *path.waypoints]
+        arc = [0.0]
+        for (px, py), (qx, qy) in zip(corners, corners[1:]):
+            arc.append(arc[-1] + math.hypot(qx - px, qy - py))
+        back = 10.0 * max(cfg.follow_range, 1.0)
+        tail = (path.start.x - back, path.start.y)  # the first leg heads along +x
+        assert (trace.records[-1].leader_x, trace.records[-1].leader_y) == corners[-1]
+        for r in trace.records:
+            passed = [c for c, s in zip(corners, arc) if s <= speed * r.t]
+            want = signed_distance(r.follower_x, r.follower_y,
+                                   [tail, *passed, (r.leader_x, r.leader_y)])
+            assert r.lateral_dev_m == pytest.approx(want, abs=1e-9)
 
 
 class TestExecuteArchetype:
