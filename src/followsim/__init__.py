@@ -61,6 +61,7 @@ from .world import (
     VehicleParams,
     VehicleState,
     following_distance,
+    integrate_bicycle,
     lateral_deviation,
     leader_pose,
     normalize_angle,

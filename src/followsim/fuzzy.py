@@ -204,16 +204,22 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     return defuzz_centroid(infer(config, e_deg, d_deg))
 
 
-def scale_output(config: FuzzyConfig, k: float) -> FuzzyConfig:
-    """Scale the output universe and every output set by k > 0 (tuning knob)."""
+def scaled_output_fields(
+    output_sets: dict[str, MembershipFunction], output_universe: tuple[float, float], k: float
+) -> dict[str, object]:
+    """The output_sets and output_universe FuzzyConfig fields scaled by k > 0."""
     if k <= 0:
         raise FuzzyError("scale factor must be positive")
-    lo, hi = config.output_universe
-    return replace(
-        config,
-        output_sets={label: mf.scaled(k) for label, mf in config.output_sets.items()},
-        output_universe=(k * lo, k * hi),
-    )
+    lo, hi = output_universe
+    return {
+        "output_sets": {label: mf.scaled(k) for label, mf in output_sets.items()},
+        "output_universe": (k * lo, k * hi),
+    }
+
+
+def scale_output(config: FuzzyConfig, k: float) -> FuzzyConfig:
+    """Scale the output universe and every output set by k > 0 (tuning knob)."""
+    return replace(config, **scaled_output_fields(config.output_sets, config.output_universe, k))
 
 
 def _five_triangles(span: float) -> dict[str, MembershipFunction]:
@@ -234,6 +240,28 @@ def default_rule_table() -> dict[tuple[str, str], str]:
     return rules
 
 
+def default_fuzzy_fields(
+    error_span: float,
+    delta_span: float,
+    output_span: float = 1.0,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> dict[str, object]:
+    """FuzzyConfig fields of the symmetric 5x5 controller over [-span, span]
+    universes, as fresh dicts that can be edited before the one build."""
+    if min(error_span, delta_span, output_span) <= 0:
+        raise FuzzyError("universe spans must be positive")
+    return {
+        "error_sets": _five_triangles(error_span),
+        "delta_sets": _five_triangles(delta_span),
+        "output_sets": _five_triangles(output_span),
+        "rules": default_rule_table(),
+        "error_universe": (-error_span, error_span),
+        "delta_universe": (-delta_span, delta_span),
+        "output_universe": (-output_span, output_span),
+        "grid_points": grid_points,
+    }
+
+
 def default_fuzzy_config(
     error_span: float,
     delta_span: float,
@@ -241,18 +269,7 @@ def default_fuzzy_config(
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> FuzzyConfig:
     """Symmetric 5x5 controller over [-span, span] universes."""
-    if min(error_span, delta_span, output_span) <= 0:
-        raise FuzzyError("universe spans must be positive")
-    return FuzzyConfig(
-        error_sets=_five_triangles(error_span),
-        delta_sets=_five_triangles(delta_span),
-        output_sets=_five_triangles(output_span),
-        rules=default_rule_table(),
-        error_universe=(-error_span, error_span),
-        delta_universe=(-delta_span, delta_span),
-        output_universe=(-output_span, output_span),
-        grid_points=grid_points,
-    )
+    return FuzzyConfig(**default_fuzzy_fields(error_span, delta_span, output_span, grid_points))
 
 
 _TRI_EVAL_OPS = 7

@@ -21,8 +21,8 @@ from .fuzzy import (
     FuzzyConfig,
     FuzzyError,
     MembershipFunction,
-    default_fuzzy_config,
-    scale_output,
+    default_fuzzy_fields,
+    scaled_output_fields,
 )
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
@@ -107,9 +107,9 @@ class ScenarioConfig:
             raise ScenarioError("steady_state_px must be positive")
         if not self.controllers or any(c not in CONTROLLER_KINDS for c in self.controllers):
             raise ScenarioError("controllers must name pid and/or fuzzy")
-        for kind in (self.steering_kind, self.throttle_kind):
+        for key, kind in (("steering", self.steering_kind), ("throttle", self.throttle_kind)):
             if kind not in CONTROLLER_KINDS:
-                raise ScenarioError(f"unknown controller kind {kind!r}")
+                raise ScenarioError(f"controller.{key}.kind must be pid or fuzzy, got {kind!r}")
         if self.lost_target_policy not in LOST_TARGET_POLICIES:
             raise ScenarioError(f"unknown lost-target policy {self.lost_target_policy!r}")
         if self.stop_speed_eps < 0:
@@ -162,6 +162,8 @@ def default_scenario(
     setpoint_area = overrides.setdefault(
         "setpoint_area", area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
     )
+    if setpoint_area <= 0:  # before the follower range and fuzzy spans derive from it
+        raise ScenarioError("setpoint_area must be positive")
     leader = overrides.setdefault("leader", LeaderScript())
     if "follower_start" not in overrides:
         pose = follower or {}
@@ -194,32 +196,26 @@ def _build_fuzzy(
     channel: str, settings: dict[str, object], error_span: float, delta_span: float
 ) -> FuzzyConfig:
     """Default controller over the given spans with the `fuzzy.<channel>.*`
-    settings applied: span and grid keys, set and rule edits, output_scale."""
+    settings applied: span and grid keys, set and rule edits, output_scale.
+    The edits go to the config's fields, so the controller is built once."""
     args = {"error_span": error_span, "delta_span": delta_span}
     args.update((_FUZZY_SPAN_ARGS[k], v) for k, v in settings.items() if k in _FUZZY_SPAN_ARGS)
     try:
-        cfg = default_fuzzy_config(**args)
-        sets = {var: dict(getattr(cfg, f"{var}_sets")) for var in _FUZZY_VARS}
-        rules = dict(cfg.rules)
+        spec = default_fuzzy_fields(**args)
         for name, value in settings.items():
             kind, *labels = name.split(".")
             if kind == "set":
                 var, label = labels
-                sets[var][label] = value
+                spec[f"{var}_sets"][label] = value
             elif kind == "rule":
-                rules[tuple(labels)] = value
-        cfg = replace(
-            cfg,
-            error_sets=sets["error"],
-            delta_sets=sets["delta"],
-            output_sets=sets["output"],
-            rules=rules,
-        )
+                spec["rules"][tuple(labels)] = value
         if "output_scale" in settings:
-            cfg = scale_output(cfg, settings["output_scale"])
+            spec.update(scaled_output_fields(
+                spec["output_sets"], spec["output_universe"], settings["output_scale"]
+            ))
+        return FuzzyConfig(**spec)
     except FuzzyError as exc:
         raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from .world import (
     LeaderScript,
     VehicleState,
     following_distance,
+    integrate_bicycle,
     lateral_deviation,
     leader_pose,
     place_behind,
-    step_bicycle,
 )
 
 STOP_REASON_STATIONARY = "follower_stationary"
@@ -115,10 +115,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
     for k in range(n_records):
         t = k * config.dt
-        leader = leader_pose(script, t)
         if parked:
-            track = parked_track
+            leader, track = leader0, parked_track
         else:
+            leader = leader_pose(script, t)
             passed = bisect_right(corner_s, script.distance_at(t))
             track = (tail, *corners[:passed], (leader.x, leader.y))
 
@@ -164,8 +164,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         )
 
         steer_angle, speed_cmd = pwm_to_actuation(command, config.vehicle)
-        for _ in range(sub_steps):
-            follower = step_bicycle(follower, config.vehicle, steer_angle, speed_cmd, sub_dt)
+        follower = integrate_bicycle(
+            follower, config.vehicle, steer_angle, speed_cmd, sub_dt, sub_steps
+        )
 
         if parked:
             still_time = still_time + config.dt if follower.speed < config.stop_speed_eps else 0.0

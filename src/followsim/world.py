@@ -148,18 +148,22 @@ def place_behind(leader_start: VehicleState, gap: float, offset: float = 0.0) ->
     )
 
 
-def step_bicycle(
+def integrate_bicycle(
     state: VehicleState,
     params: VehicleParams,
     steer_angle: float,
     speed_cmd: float,
     dt: float,
+    steps: int,
 ) -> VehicleState:
-    """Advance one vehicle dt seconds under bicycle kinematics.
+    """Advance one vehicle `steps` RK4 sub-steps of dt seconds each under
+    bicycle kinematics, holding the steering and speed commands.
 
     The steering angle is clamped to +-max_steer_angle. Speed slews toward the
-    (clamped, non-negative) command at max_accel, and the pose is integrated
-    with RK4 using the exact slewed speed profile within the step.
+    (clamped, non-negative) command at max_accel, and each sub-step integrates
+    the pose with RK4 using the exact slewed speed profile within it. Inputs
+    are validated once; the sub-steps run over plain floats, wrapping the
+    heading after each one.
     """
     _require_finite(
         x=state.x, y=state.y, heading=state.heading, speed=state.speed,
@@ -167,35 +171,57 @@ def step_bicycle(
     )
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
 
     delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
     curvature = math.tan(delta) / params.wheelbase
-
-    v0 = state.speed
+    max_accel = params.max_accel
     target = min(max(speed_cmd, 0.0), params.max_speed)
-    dv = target - v0
-    ramp_time = abs(dv) / params.max_accel
-
-    def speed_at(tau: float) -> float:
-        if tau >= ramp_time:
-            return target
-        return v0 + math.copysign(params.max_accel * tau, dv)
-
-    def deriv(tau: float, h: float) -> tuple[float, float, float]:
-        v = speed_at(tau)
-        return v * math.cos(h), v * math.sin(h), v * curvature
-
-    x, y, h = state.x, state.y, state.heading
     half = 0.5 * dt
-    k1 = deriv(0.0, h)
-    k2 = deriv(half, h + half * k1[2])
-    k3 = deriv(half, h + half * k2[2])
-    k4 = deriv(dt, h + dt * k3[2])
     sixth = dt / 6.0
-    x += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    y += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    h += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return VehicleState(x, y, normalize_angle(h), speed_at(dt))
+    # speed change of a ramp still under way by tau = dt/2 and dt
+    slew_mid, slew_end = max_accel * half, max_accel * dt
+    cos, sin, copysign = math.cos, math.sin, math.copysign
+
+    x, y, h, v = state.x, state.y, state.heading, state.speed
+    for _ in range(steps):
+        dv = target - v
+        ramp_time = abs(dv) / max_accel
+        # adding the zero change at tau = 0 turns a -0.0 speed into +0.0
+        v_start = target if 0.0 >= ramp_time else v + copysign(0.0, dv)
+        v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
+        v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
+
+        # k2 and k3 share the mid-step speed, hence one heading rate k2h
+        k1h = v_start * curvature
+        h2 = h + half * k1h
+        k2h = v_mid * curvature
+        h3 = h + half * k2h
+        h4 = h + dt * k2h
+        k4h = v_end * curvature
+        x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
+                      + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
+        y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
+                      + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
+        h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
+        h = math.remainder(h, math.tau)  # normalize_angle, inlined
+        if h == math.pi:
+            h = -math.pi
+        v = v_end
+    return VehicleState(x, y, h, v)
+
+
+def step_bicycle(
+    state: VehicleState,
+    params: VehicleParams,
+    steer_angle: float,
+    speed_cmd: float,
+    dt: float,
+) -> VehicleState:
+    """Advance one vehicle dt seconds under bicycle kinematics: one RK4 step
+    of integrate_bicycle."""
+    return integrate_bicycle(state, params, steer_angle, speed_cmd, dt, 1)
 
 
 def leader_pose(script: LeaderScript, t: float) -> VehicleState:

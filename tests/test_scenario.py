@@ -5,6 +5,7 @@ import pytest
 
 from followsim import (
     CameraIntrinsics,
+    FuzzyConfig,
     LeaderScript,
     PidConfig,
     ScenarioConfig,
@@ -250,6 +251,30 @@ class TestParser:
     def test_error_naming_no_field_blames_the_sections_last_key(self):
         with pytest.raises(ScenarioError, match=r"^line 3: panel.height: panel dimensions"):
             parse_scenario_text("panel.width = 0.3\nseed = 3\npanel.height = -1\n")
+
+    def test_unknown_controller_kind_names_key_and_line(self):
+        with pytest.raises(ScenarioError, match=r"^line 2: controller.steering.kind: .*'fizzy'"):
+            parse_scenario_text("seed = 3\ncontroller.steering.kind = fizzy\n")
+
+    def test_negative_setpoint_area_names_key_and_line(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^line 2: setpoint_area: setpoint_area must be positive$"):
+            parse_scenario_text("seed = 3\nsetpoint_area = -3\n")
+
+    @pytest.mark.parametrize("text", ["", "fuzzy.throttle.output_scale = 0.7\n"],
+                             ids=["empty", "output_scale"])
+    def test_one_fuzzy_build_per_channel(self, monkeypatch, text):
+        builds = []
+        check = FuzzyConfig.__post_init__
+
+        def counting(self):
+            builds.append(self)
+            check(self)
+
+        monkeypatch.setattr(FuzzyConfig, "__post_init__", counting)
+        cfg = parse_scenario_text(text)
+        assert len(builds) == 2
+        assert builds[0] is cfg.steering_fuzzy and builds[1] is cfg.throttle_fuzzy
 
     @pytest.mark.parametrize("key", ["camera.image_width", "camera.image_height", "seed"])
     def test_huge_integer_rejected_with_line(self, key):

@@ -22,6 +22,7 @@ from followsim import (
 from followsim import simulate
 
 S_CURVE = Path(__file__).parents[1] / "scenarios" / "s_curve.scn"
+THROTTLE_STEP = Path(__file__).parents[1] / "scenarios" / "throttle_step.scn"
 
 
 class TestRunScenario:
@@ -261,6 +262,24 @@ class TestLeaderTrack:
             want = signed_distance(r.follower_x, r.follower_y,
                                    [tail, *passed, (r.leader_x, r.leader_y)])
             assert r.lateral_dev_m == pytest.approx(want, abs=1e-9)
+
+
+class TestPhysicsCalls:
+    """The runner integrates each control period in one kernel call."""
+
+    @pytest.mark.parametrize("path", [S_CURVE, THROTTLE_STEP], ids=["s_curve", "throttle_step"])
+    def test_one_integrate_call_per_record(self, monkeypatch, path):
+        steps = []
+        integrate = simulate.integrate_bicycle
+
+        def counting(state, params, steer_angle, speed_cmd, dt, n):
+            steps.append(n)
+            return integrate(state, params, steer_angle, speed_cmd, dt, n)
+
+        monkeypatch.setattr(simulate, "integrate_bicycle", counting)
+        traces = execute_archetype(load_scenario(path))
+        assert len(steps) == sum(len(trace.records) for trace in traces)
+        assert set(steps) == {10}  # a 20 ms frame in 2 ms sub-steps
 
 
 class TestExecuteArchetype:

@@ -1,7 +1,8 @@
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from followsim import (
@@ -9,6 +10,7 @@ from followsim import (
     VehicleParams,
     VehicleState,
     following_distance,
+    integrate_bicycle,
     lateral_deviation,
     leader_pose,
     normalize_angle,
@@ -16,6 +18,90 @@ from followsim import (
 )
 
 PARAMS = VehicleParams()
+
+
+def _frozen_require_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite {name}: {v!r}")
+
+
+def frozen_step_bicycle(
+    state: VehicleState,
+    params: VehicleParams,
+    steer_angle: float,
+    speed_cmd: float,
+    dt: float,
+) -> VehicleState:
+    """The closure-based single RK4 step that integrate_bicycle replaced, kept
+    verbatim as the bit-exact oracle for the fused kernel."""
+    _frozen_require_finite(
+        x=state.x, y=state.y, heading=state.heading, speed=state.speed,
+        steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt,
+    )
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
+    curvature = math.tan(delta) / params.wheelbase
+
+    v0 = state.speed
+    target = min(max(speed_cmd, 0.0), params.max_speed)
+    dv = target - v0
+    ramp_time = abs(dv) / params.max_accel
+
+    def speed_at(tau: float) -> float:
+        if tau >= ramp_time:
+            return target
+        return v0 + math.copysign(params.max_accel * tau, dv)
+
+    def deriv(tau: float, h: float) -> tuple[float, float, float]:
+        v = speed_at(tau)
+        return v * math.cos(h), v * math.sin(h), v * curvature
+
+    x, y, h = state.x, state.y, state.heading
+    half = 0.5 * dt
+    k1 = deriv(0.0, h)
+    k2 = deriv(half, h + half * k1[2])
+    k3 = deriv(half, h + half * k2[2])
+    k4 = deriv(dt, h + dt * k3[2])
+    sixth = dt / 6.0
+    x += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    y += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    h += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    return VehicleState(x, y, normalize_angle(h), speed_at(dt))
+
+
+def state_bits(state: VehicleState) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in (state.x, state.y, state.heading, state.speed))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(state, steer, speed command, dt, steps) covering the kernel's branches."""
+    steps = draw(st.integers(1, 12))
+    dt = draw(st.sampled_from([0.002, 0.02 / 10, 1.0 / 600]) | st.floats(1e-4, 0.05))
+    speed = draw(st.sampled_from([0.0, -0.0, PARAMS.max_speed]) | st.floats(-0.5, 4.5))
+    heading = draw(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-math.pi, math.pi, exclude_max=True),
+        st.floats(math.pi - 1e-6, math.pi),  # wraps to -pi within a few steps
+        st.floats(-math.pi, -math.pi + 1e-6),
+    ))
+    # beyond +-max_steer_angle both ways
+    steer = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1.5, 1.5))
+    ramp = PARAMS.max_accel * dt
+    cmd = draw(st.one_of(
+        st.just(speed),  # already at target
+        # the ramp ends inside sub-step j
+        st.tuples(st.integers(0, steps - 1), st.floats(0.0, 1.0), st.sampled_from([-1.0, 1.0]))
+        .map(lambda jus: speed + jus[2] * (jus[0] + jus[1]) * ramp),
+        st.floats(-10.0, -1e-9),  # negative
+        st.floats(PARAMS.max_speed, 10.0, exclude_min=True),  # above max_speed
+        st.floats(0.0, PARAMS.max_speed),
+    ))
+    state = VehicleState(draw(st.floats(-100, 100)), draw(st.floats(-100, 100)), heading, speed)
+    return state, steer, cmd, dt, steps
 
 
 def arc_pose(start: VehicleState, params: VehicleParams, steer: float, v: float, t: float):
@@ -117,6 +203,51 @@ class TestStepBicycle:
         assert math.isfinite(out.x) and math.isfinite(out.y)
         assert -math.pi <= out.heading < math.pi
         assert 0.0 <= out.speed <= PARAMS.max_speed
+
+
+class TestIntegrateBicycle:
+    @given(kernel_inputs())
+    # the first sub-step lands exactly on pi, which wraps to -pi before the next
+    @example((VehicleState(0.0, 0.0, math.nextafter(math.pi, 0.0), 2.0), 2e-14, 2.0, 0.002, 2))
+    # a ramp up from -0.0 speed: the speed at tau = 0 is +0.0, which fixes
+    # the sign of the zero heading
+    @example((VehicleState(0.0, 0.0, -0.0, -0.0), -0.0, 1.0, 0.002, 1))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_chained_closure_steps(self, inputs):
+        state, steer, cmd, dt, steps = inputs
+        fused = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
+        chained = state
+        for _ in range(steps):
+            chained = frozen_step_bicycle(chained, PARAMS, steer, cmd, dt)
+        assert state_bits(fused) == state_bits(chained)
+
+    def test_step_bicycle_is_one_sub_step(self):
+        state = VehicleState(0.5, -1.0, 3.1, speed=0.7)
+        assert step_bicycle(state, PARAMS, 0.2, 2.5, 0.002) == integrate_bicycle(
+            state, PARAMS, 0.2, 2.5, 0.002, 1
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y", "heading", "speed", "steer_angle", "speed_cmd",
+                                       "dt"])
+    def test_non_finite_rejected(self, bad, where):
+        # a plain namespace, since VehicleState itself rejects an infinite heading
+        pose = SimpleNamespace(**{f: bad if f == where else 0.5
+                                  for f in ("x", "y", "heading", "speed")})
+        args = {f: bad if f == where else 0.002 for f in ("steer_angle", "speed_cmd", "dt")}
+        with pytest.raises(ValueError, match=f"non-finite {where}"):
+            integrate_bicycle(pose, PARAMS, args["steer_angle"], args["speed_cmd"],
+                              args["dt"], 10)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -0.002])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_bicycle(VehicleState(), PARAMS, 0.0, 1.0, dt, 10)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_fewer_than_one_step_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            integrate_bicycle(VehicleState(), PARAMS, 0.0, 1.0, 0.002, steps)
 
 
 class TestVehicleParams:
