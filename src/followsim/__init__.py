@@ -31,7 +31,7 @@ from .fuzzy import (
     scale_output,
 )
 from .metrics import ComparisonReport, MetricSet, compare, objective_value, step_metrics, trace_metrics
-from .pid import PidConfig, PidState, count_pid_ops, pid_step
+from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
 from .report import format_report, write_report
 from .scenario import ScenarioConfig, ScenarioError, default_scenario, load_scenario, parse_scenario_text
 from .sensor import (

@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 
 from .fuzzy import FuzzyConfig, count_fuzzy_ops, fuzzy_step
-from .pid import PidConfig, PidState, count_pid_ops, pid_step
+from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
 from .world import VehicleParams
 
 NEUTRAL_PWM = 90.0
 PWM_MAX = 180.0
-DEFAULT_CHANNEL_GAIN = 90.0  # pwm per unit effort: effort +-1 spans the full scale
+CHANNEL_GAIN = 90.0  # pwm per unit effort: effort +-1 spans the full scale
 
 # op-model costs of the non-controller arithmetic in one channel update
 _PWM_MAP_OPS = 2
@@ -53,11 +53,9 @@ class ControlCommand:
                 raise ValueError(f"{name} must be within [0, {PWM_MAX:g}]")
 
 
-def effort_to_pwm(effort: float, channel_gain: float = DEFAULT_CHANNEL_GAIN) -> float:
+def effort_to_pwm(effort: float) -> float:
     """Map effort to a servo command about 90 neutral, clamped to [0, 180]."""
-    if channel_gain <= 0:
-        raise ValueError("channel_gain must be positive")
-    return min(max(NEUTRAL_PWM + channel_gain * effort, 0.0), PWM_MAX)
+    return min(max(NEUTRAL_PWM + CHANNEL_GAIN * effort, 0.0), PWM_MAX)
 
 
 def pwm_to_actuation(command: ControlCommand, params: VehicleParams) -> tuple[float, float]:
@@ -70,9 +68,11 @@ def pwm_to_actuation(command: ControlCommand, params: VehicleParams) -> tuple[fl
 class ChannelController:
     """One control channel: a PID or fuzzy core plus optional output filter.
 
-    The fuzzy error rate and the PID derivative both need a previous sample;
-    the first update seeds it from the current one so neither controller
-    kicks on startup.
+    `state` is the core's value state, stepped by the pure functions: a
+    PidState for pid, the previous error for fuzzy. Both need a previous
+    sample, so it is None until the first update seeds it from the current
+    one and neither controller kicks on startup. The per-update op cost is
+    fixed by the configs, so it is worked out once here.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class ChannelController:
         pid_config: PidConfig | None = None,
         fuzzy_config: FuzzyConfig | None = None,
         filter_alpha: float | None = None,
-        channel_gain: float = DEFAULT_CHANNEL_GAIN,
     ) -> None:
         if kind not in ("pid", "fuzzy"):
             raise ValueError(f"unknown controller kind {kind!r}")
@@ -92,39 +91,24 @@ class ChannelController:
         self.kind = kind
         self.pid_config = pid_config
         self.fuzzy_config = fuzzy_config
-        self.filter_alpha = filter_alpha
-        self.channel_gain = channel_gain
-        self.reset()
-
-    def reset(self) -> None:
-        self.pid_state = PidState()
-        self.filter = None if self.filter_alpha is None else ExpFilter(self.filter_alpha)
-        self._prev_error: float | None = None
-        self._started = False
+        self.filter = None if filter_alpha is None else ExpFilter(filter_alpha)
+        self.state: PidState | float | None = None
+        ops = PID_STEP_OPS if kind == "pid" else count_fuzzy_ops(fuzzy_config) + _DELTA_OPS
+        if self.filter is not None:
+            ops += _EXP_FILTER_OPS
+        self.ops_per_step = ops + _PWM_MAP_OPS
 
     def update(self, error: float, measurement: float, dt: float) -> float:
         """One control update; returns the channel's PWM command."""
+        state = self.state
         if self.kind == "pid":
-            if not self._started:
-                self.pid_state = PidState(prev_measurement=measurement)
-            effort, self.pid_state = pid_step(
-                self.pid_config, self.pid_state, error, measurement, dt
-            )
+            if state is None:
+                state = PidState(prev_measurement=measurement)
+            effort, self.state = pid_step(self.pid_config, state, error, measurement, dt)
         else:
-            prev = error if self._prev_error is None else self._prev_error
+            prev = error if state is None else state
             effort = fuzzy_step(self.fuzzy_config, error, (error - prev) / dt)
-            self._prev_error = error
-        self._started = True
+            self.state = error
         if self.filter is not None:
             effort, self.filter = exp_filter_step(self.filter, effort)
-        return effort_to_pwm(effort, self.channel_gain)
-
-    @property
-    def ops_per_step(self) -> int:
-        if self.kind == "pid":
-            ops = count_pid_ops(self.pid_config)
-        else:
-            ops = count_fuzzy_ops(self.fuzzy_config) + _DELTA_OPS
-        if self.filter_alpha is not None:
-            ops += _EXP_FILTER_OPS
-        return ops + _PWM_MAP_OPS
+        return effort_to_pwm(effort)

@@ -277,7 +277,7 @@ _TRAP_EVAL_OPS = 9
 
 
 def count_fuzzy_ops(config: FuzzyConfig) -> int:
-    """Float operations per fuzzy_step under the same op model as count_pid_ops.
+    """Float operations per fuzzy_step under the same op model as PID_STEP_OPS.
 
     Fuzzification grades every input set, each rule costs one min plus a
     grid-wide clip and max, and the centroid costs one multiply-accumulate

@@ -20,7 +20,6 @@ METRIC_FIELDS = (
     "steady_state_error",
     "rms_error",
     "control_effort_tv",
-    "mean_loop_cost",
     "mean_op_count",
 )
 
@@ -38,7 +37,6 @@ class MetricSet:
     steady_state_error: float
     rms_error: float
     control_effort_tv: float
-    mean_loop_cost: float
     mean_op_count: float
 
     def as_dict(self) -> dict[str, float]:
@@ -109,7 +107,6 @@ def _metrics(trace: Trace, signal: str, delta: float | None) -> MetricSet:
     cmds = _column(trace, command)
     tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
 
-    costs = _column(trace, "loop_cost_us")
     ops = _column(trace, "op_count")
     return MetricSet(
         rise_time=rise,
@@ -118,7 +115,6 @@ def _metrics(trace: Trace, signal: str, delta: float | None) -> MetricSet:
         steady_state_error=steady_state,
         rms_error=rms,
         control_effort_tv=tv,
-        mean_loop_cost=sum(costs) / len(costs),
         mean_op_count=sum(ops) / len(ops),
     )
 

@@ -72,11 +72,7 @@ def pid_step(
     return effort, PidState(integral, measurement, filtered_d)
 
 
-# float operations (+ - * / and min/max comparisons) in one pid_step call;
-# the basis for the per-loop resource metric
+# float operations (+ - * / and min/max comparisons) in one pid_step call,
+# whatever the gains: the cost analogue of controller code size and the basis
+# for the per-loop resource metric
 PID_STEP_OPS = 16
-
-
-def count_pid_ops(config: PidConfig) -> int:
-    """Float operations per pid_step, the cost analogue of controller code size."""
-    return PID_STEP_OPS

@@ -13,7 +13,6 @@ _UNITS = {
     "steady_state_error": "signal",
     "rms_error": "signal",
     "control_effort_tv": "pwm",
-    "mean_loop_cost": "us",
     "mean_op_count": "ops",
 }
 

@@ -128,7 +128,7 @@ class ScenarioConfig:
 
     def filter_alpha_for(self, channel: str, kind: str) -> float | None:
         """Resolve a channel's filter setting for the controller kind in use."""
-        setting = self.steering_filter if channel == "steering" else self.throttle_filter
+        setting = getattr(self, f"{channel}_filter")
         if setting == "auto":
             return DEFAULT_FUZZY_FILTER_ALPHA if kind == "fuzzy" else None
         return setting

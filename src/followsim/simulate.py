@@ -33,7 +33,7 @@ STOP_REASON_STATIONARY = "follower_stationary"
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One control period of an experiment; field order matches the CSV schema."""
+    """One control period of an experiment; the field order is the CSV column order."""
 
     t: float
     leader_x: float
@@ -65,11 +65,11 @@ class Trace:
 
 
 def _make_channel(config: ScenarioConfig, channel: str) -> ChannelController:
-    kind = config.steering_kind if channel == "steering" else config.throttle_kind
+    kind = getattr(config, f"{channel}_kind")
     return ChannelController(
         kind=kind,
-        pid_config=config.steering_pid if channel == "steering" else config.throttle_pid,
-        fuzzy_config=config.steering_fuzzy if channel == "steering" else config.throttle_fuzzy,
+        pid_config=getattr(config, f"{channel}_pid"),
+        fuzzy_config=getattr(config, f"{channel}_fuzzy"),
         filter_alpha=config.filter_alpha_for(channel, kind),
     )
 
@@ -104,10 +104,12 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     back = 10.0 * max(config.follow_range, 1.0)
     tail = (leader0.x - back * math.cos(leader0.heading),
             leader0.y - back * math.sin(leader0.heading))
-    corners = script.path_points() if script.kind == "waypoint_path" else ((leader0.x, leader0.y),)
-    corner_s = list(accumulate(
-        (math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(corners, corners[1:])), initial=0.0
-    ))
+    if script.kind == "waypoint_path":
+        corners = script.path_points()
+        lengths = [length for _, _, length, _ in script.segments]
+    else:
+        corners, lengths = ((leader0.x, leader0.y),), []
+    corner_s = list(accumulate(lengths, initial=0.0))
     parked_track = (tail, corners[0])
     records: list[TraceRecord] = []
     stop_reason = None
@@ -237,9 +239,8 @@ def run_path_follow(base: ScenarioConfig, path: LeaderScript) -> Trace:
     if path.kind not in ("straight_line", "waypoint_path"):
         raise ScenarioError("path must be straight_line or waypoint_path")
     if path.kind == "waypoint_path":
-        pts = path.path_points()
-        heading = math.atan2(pts[1][1] - pts[0][1], pts[1][0] - pts[0][0])
-        start = VehicleState(pts[0][0], pts[0][1], heading)
+        (x, y), _, _, heading = path.segments[0]
+        start = VehicleState(x, y, heading)
     else:
         start = path.start
     config = replace(

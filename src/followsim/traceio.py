@@ -6,27 +6,12 @@ hand-mangled file fails loudly with the offending column or line.
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .simulate import Trace, TraceRecord
 
-CSV_COLUMNS = (
-    "t",
-    "leader_x",
-    "leader_y",
-    "follower_x",
-    "follower_y",
-    "follower_heading",
-    "pixel_error_x",
-    "area_error",
-    "steering_pwm",
-    "throttle_pwm",
-    "lateral_dev_m",
-    "follow_dist_m",
-    "detected",
-    "loop_cost_us",
-    "op_count",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 class TraceFormatError(ValueError):
     pass

@@ -102,19 +102,19 @@ class TuneResult:
 
 
 def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, float]) -> ScenarioConfig:
-    kind = base.steering_kind if spec.channel == "steering" else base.throttle_kind
+    kind = getattr(base, f"{spec.channel}_kind")
     if spec.mode == "pid":
         if kind != "pid":
             raise TuneError(
                 f"grid tunes pid gains but the {spec.channel} channel is {kind!r}"
             )
-        attr = "steering_pid" if spec.channel == "steering" else "throttle_pid"
+        attr = f"{spec.channel}_pid"
         return replace(base, **{attr: replace(getattr(base, attr), **params)})
     if kind != "fuzzy":
         raise TuneError(
             f"grid tunes the fuzzy output scale but the {spec.channel} channel is {kind!r}"
         )
-    attr = "steering_fuzzy" if spec.channel == "steering" else "throttle_fuzzy"
+    attr = f"{spec.channel}_fuzzy"
     return replace(base, **{attr: scale_output(getattr(base, attr), params["output_scale"])})
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 SCRIPT_KINDS = ("stationary", "straight_line", "waypoint_path")
 
@@ -128,6 +129,15 @@ class LeaderScript:
             s += v0 * (min(t, t1) - t0)
         return s
 
+    @cached_property
+    def segments(self) -> tuple[tuple, ...]:
+        """(p, q, length, heading) of each path_points() segment, worked out once."""
+        pts = self.path_points()
+        return tuple(
+            (p, q, math.hypot(q[0] - p[0], q[1] - p[1]), math.atan2(q[1] - p[1], q[0] - p[0]))
+            for p, q in zip(pts, pts[1:])
+        )
+
     def path_points(self) -> tuple[tuple[float, float], ...]:
         """Polyline traversed by a waypoint_path script (start pose prepended)."""
         pts = [(self.start.x, self.start.y)]
@@ -245,11 +255,8 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
         )
 
     # waypoint_path: walk segments at the profile speed, hold the end pose
-    pts = script.path_points()
     s = script.distance_at(t)
-    for p, q in zip(pts, pts[1:]):
-        seg = math.hypot(q[0] - p[0], q[1] - p[1])
-        heading = math.atan2(q[1] - p[1], q[0] - p[0])
+    for p, q, seg, heading in script.segments:
         if s <= seg:
             u = s / seg
             return VehicleState(
@@ -257,7 +264,7 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
                 heading, script.speed_at(t),
             )
         s -= seg
-    return VehicleState(pts[-1][0], pts[-1][1], heading, 0.0)
+    return VehicleState(q[0], q[1], heading, 0.0)
 
 
 def _as_point(p) -> tuple[float, float]:

@@ -9,7 +9,7 @@ scenarios/throttle_grid.grid on scenarios/throttle_step.scn, then stores the
 SHA-256 of:
 
 - every trace CSV, with the wall-clock `loop_cost_us` column blanked;
-- every compare report, without its wall-clock `mean_loop_cost` row;
+- every compare report;
 - `tune_results.csv`.
 
 tests/test_golden.py recomputes the same hashes and compares. Regenerate only
@@ -45,17 +45,8 @@ def _blank_loop_cost(text: str) -> str:
     return "\n".join(out)
 
 
-def _drop_loop_cost_row(text: str) -> str:
-    return "".join(
-        line for line in text.splitlines(keepends=True)
-        if not line.startswith("| mean_loop_cost |")
-    )
-
-
 def _canonical(path: Path) -> str:
     text = path.read_text(encoding="utf-8")
-    if path.name.endswith("_report.md"):
-        return _drop_loop_cost_row(text)
     if path.suffix == ".csv" and path.name != "tune_results.csv":
         return _blank_loop_cost(text)
     return text

@@ -254,8 +254,16 @@ def test_criterion_7_compare_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["compare", "--scenario", str(scn), "--out", str(out1)]) == 0
     assert main(["compare", "--scenario", str(scn), "--out", str(out2)]) == 0
-    for name in ("det_lat_1m_v1_pid.csv", "det_lat_1m_v1_fuzzy.csv"):
-        assert _strip_loop_cost(out1 / name) == _strip_loop_cost(out2 / name)
+    # every file under --out: trace CSVs up to their wall-clock column,
+    # plots and the report byte for byte
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert {Path(n).suffix for n in names} == {".csv", ".svg", ".md"}
+    for name in names:
+        if name.endswith(".csv"):
+            assert _strip_loop_cost(out1 / name) == _strip_loop_cost(out2 / name)
+        else:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     _ok(7, "compare-byte-determinism")
 
 

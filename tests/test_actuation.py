@@ -7,10 +7,12 @@ from followsim import (
     ControlCommand,
     ExpFilter,
     PidConfig,
+    PidState,
     VehicleParams,
     default_fuzzy_config,
     effort_to_pwm,
     exp_filter_step,
+    pid_step,
     pwm_to_actuation,
 )
 
@@ -57,10 +59,6 @@ class TestEffortToPwm:
     @given(e=st.floats(-1.0, 1.0))
     def test_symmetry_about_neutral(self, e):
         assert effort_to_pwm(e) - 90.0 == pytest.approx(-(effort_to_pwm(-e) - 90.0), abs=1e-12)
-
-    def test_gain_must_be_positive(self):
-        with pytest.raises(ValueError):
-            effort_to_pwm(1.0, channel_gain=0.0)
 
 
 class TestPwmToActuation:
@@ -123,14 +121,16 @@ class TestChannelController:
         )
         assert filt.ops_per_step == plain.ops_per_step + 4
 
-    def test_reset_restores_startup_behavior(self):
-        ctrl = ChannelController(
-            "pid", pid_config=PidConfig(kp=0.0, ki=0.0, kd=10.0, output_limit=10.0)
-        )
-        first = ctrl.update(0.0, 100.0, 0.02)
-        ctrl.update(0.0, 200.0, 0.02)
-        ctrl.reset()
-        assert ctrl.update(0.0, 100.0, 0.02) == first
+    def test_state_is_one_value_seeded_by_first_update(self):
+        config = PidConfig(kp=1.0, ki=0.5, kd=0.1)
+        pid = ChannelController("pid", pid_config=config)
+        fuzzy = ChannelController("fuzzy", fuzzy_config=default_fuzzy_config(1.0, 1.0))
+        assert pid.state is None and fuzzy.state is None
+        pid.update(0.5, 3.0, 0.02)
+        fuzzy.update(0.25, 0.0, 0.02)
+        _, expected = pid_step(config, PidState(prev_measurement=3.0), 0.5, 3.0, 0.02)
+        assert pid.state == expected
+        assert fuzzy.state == 0.25
 
     def test_config_requirements(self):
         with pytest.raises(ValueError):

@@ -114,8 +114,18 @@ class TestCompare:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["compare", "--scenario", scn, "--out", str(out1)]) == 0
         assert main(["compare", "--scenario", scn, "--out", str(out2)]) == 0
-        for name in ("det_lat_1m_v1_pid.csv", "det_lat_1m_v1_fuzzy.csv"):
-            assert strip_loop_cost(out1 / name) == strip_loop_cost(out2 / name)
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert names == [
+            "det_lat_1m_v1_fuzzy.csv", "det_lat_1m_v1_fuzzy.svg",
+            "det_lat_1m_v1_pid.csv", "det_lat_1m_v1_pid.svg",
+            "det_lat_1m_v1_report.md",
+        ]
+        for name in names:
+            if name.endswith(".csv"):
+                assert strip_loop_cost(out1 / name) == strip_loop_cost(out2 / name)
+            else:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestTune:

@@ -19,7 +19,7 @@ from followsim import (
     run_scenario,
     run_step_response,
 )
-from followsim import simulate
+from followsim import actuation, simulate
 
 S_CURVE = Path(__file__).parents[1] / "scenarios" / "s_curve.scn"
 THROTTLE_STEP = Path(__file__).parents[1] / "scenarios" / "throttle_step.scn"
@@ -280,6 +280,38 @@ class TestPhysicsCalls:
         traces = execute_archetype(load_scenario(path))
         assert len(steps) == sum(len(trace.records) for trace in traces)
         assert set(steps) == {10}  # a 20 ms frame in 2 ms sub-steps
+
+
+class TestPerRunWork:
+    """Work that the config fixes is done once per run, not once per record."""
+
+    def test_path_points_built_at_most_twice(self, monkeypatch):
+        cfg = load_scenario(S_CURVE)
+        calls = []
+        path_points = LeaderScript.path_points
+
+        def counting(script):
+            calls.append(script)
+            return path_points(script)
+
+        monkeypatch.setattr(LeaderScript, "path_points", counting)
+        (trace,) = execute_archetype(cfg)
+        assert len(trace.records) == 900
+        assert len(calls) <= 2
+
+    def test_fuzzy_op_cost_counted_once_per_channel(self, monkeypatch):
+        cfg = replace(load_scenario(S_CURVE), steering_kind="fuzzy", throttle_kind="fuzzy")
+        calls = []
+        count = actuation.count_fuzzy_ops
+
+        def counting(config):
+            calls.append(config)
+            return count(config)
+
+        monkeypatch.setattr(actuation, "count_fuzzy_ops", counting)
+        (trace,) = execute_archetype(cfg)
+        assert sum(r.detected for r in trace.records) > 100
+        assert calls == [cfg.steering_fuzzy, cfg.throttle_fuzzy]
 
 
 class TestExecuteArchetype:
