@@ -13,6 +13,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 from .actuation import ChannelController, ControlCommand, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig, ScenarioError
@@ -31,8 +32,7 @@ from .world import (
 STOP_REASON_STATIONARY = "follower_stationary"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One control period of an experiment; the field order is the CSV column order."""
 
     t: float

@@ -6,32 +6,22 @@ hand-mangled file fails loudly with the offending column or line.
 """
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 
 from .simulate import Trace, TraceRecord
 
-CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+CSV_COLUMNS = TraceRecord._fields
+# one record is one row: a TraceRecord is a tuple in column order
+_ROW = ",".join(
+    "%d" if column in ("detected", "op_count") else "%.9g" for column in CSV_COLUMNS
+) + "\n"
 
 class TraceFormatError(ValueError):
     pass
 
 
-def _format_value(column: str, value) -> str:
-    if column == "detected":
-        return "1" if value else "0"
-    if column == "op_count":
-        return str(int(value))
-    return format(float(value), ".9g")
-
-
 def trace_to_csv(trace: Trace) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for record in trace.records:
-        lines.append(
-            ",".join(_format_value(c, getattr(record, c)) for c in CSV_COLUMNS)
-        )
-    return "\n".join(lines) + "\n"
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(_ROW % r for r in trace.records)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -81,9 +71,8 @@ def read_trace_csv(path) -> Trace:
             raise TraceFormatError(
                 f"line {lineno}: expected {len(CSV_COLUMNS)} cells, found {len(cells)}"
             )
-        values = {
-            column: _parse_cell(column, cell.strip(), lineno)
+        records.append(TraceRecord(*(
+            _parse_cell(column, cell.strip(), lineno)
             for column, cell in zip(CSV_COLUMNS, cells)
-        }
-        records.append(TraceRecord(**values))
+        )))
     return Trace(path.stem, records)

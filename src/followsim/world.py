@@ -280,24 +280,17 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
     with a single distinct point (or a follower collinear with the nearest
     segment's axis) has no left/right side; the unsigned distance is returned.
     """
-    pts: list[tuple[float, float]] = []
-    for p in leader_track:
-        xy = _as_point(p)
-        if not pts or xy != pts[-1]:
-            pts.append(xy)
+    pts = [_as_point(p) for p in leader_track]
     if not pts:
         raise ValueError("leader track must not be empty")
 
     fx, fy = follower.x, follower.y
-    if len(pts) == 1:
-        return math.hypot(fx - pts[0][0], fy - pts[0][1])
-
     best_d2 = math.inf
     best_sign = 0.0
     for (px, py), (qx, qy) in zip(pts, pts[1:]):
         vx, vy = qx - px, qy - py
         norm2 = vx * vx + vy * vy
-        if norm2 == 0.0:  # distinct points can still be closer than sqrt(tiny)
+        if norm2 == 0.0:  # a repeated point, or distinct points closer than sqrt(tiny)
             continue
         u = ((fx - px) * vx + (fy - py) * vy) / norm2
         u = min(max(u, 0.0), 1.0)
@@ -307,7 +300,7 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
             best_d2 = d2
             cross = vx * (fy - cy) - vy * (fx - cx)
             best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
-    if math.isinf(best_d2):  # every segment collapsed numerically
+    if math.isinf(best_d2):  # one distinct point, or every segment collapsed
         return math.hypot(fx - pts[0][0], fy - pts[0][1])
     d = math.sqrt(best_d2)
     return best_sign * d if best_sign != 0.0 else d

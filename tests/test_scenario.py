@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,63 @@ def test_readme_tables_list_exactly_the_key_table():
     assert patterns == {
         f"fuzzy.{ch}.{p}" for ch in CHANNELS for p in ("set.<var>.<LABEL>", "rule.<E>.<D>")
     }
+
+
+# README rows whose default is prose, or an expression of another key
+PROSE_DEFAULTS = {
+    "name", "setpoint_area", "leader.waypoints",
+    *(f"follower.start.{f}" for f in ("x", "y", "heading", "speed")),
+    *(f"fuzzy.{ch}.{p}" for ch in CHANNELS for p in ("set.<var>.<LABEL>", "rule.<E>.<D>")),
+    "fuzzy.throttle.error_universe", "fuzzy.throttle.delta_universe",
+}
+LITERALS = re.compile(r"`[^`]+`(?: / `[^`]+`)*(?: \([^)]*\))?")
+
+
+def readme_defaults() -> dict[str, str | None]:
+    """Each README key with its default literal, or None where the default is prose.
+
+    One literal serves every key of its row, `a` / `b` pairs key by key, and
+    `x/y/z` inside one literal splits over a row of three keys; a
+    `steering ..., throttle ...` cell gives each channel its own.
+    """
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    defaults = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = [cell.strip() for cell in line.split("|")[1:3]]
+        names = [name.strip().strip("`") for name in cells[0].split(" / ")]
+        base = names[0].rsplit(".", 1)[0]
+        names = [base + n if n.startswith(".") else n for n in names]
+        per_channel = re.fullmatch(r"steering (.+), throttle (.+)", cells[1])
+        for ch in CHANNELS if "<ch>" in names[0] else (None,):
+            cell = per_channel[1 + CHANNELS.index(ch)] if per_channel else cells[1]
+            keys = [n.replace("<ch>", ch) if ch else n for n in names]
+            if not LITERALS.fullmatch(cell):
+                defaults.update(dict.fromkeys(keys))
+                continue
+            values = re.findall(r"`([^`]+)`", cell)
+            if len(values) == 1 and len(keys) > 1:
+                values = values[0].split("/") if "/" in values[0] else values * len(keys)
+            assert len(values) == len(keys), line
+            defaults.update(zip(keys, values))
+    return defaults
+
+
+def test_readme_default_column_is_the_parsed_default():
+    baseline = parse_scenario_text("")
+    prose = set()
+    for key, value in readme_defaults().items():
+        try:
+            parsed = parse_scenario_text(f"{key} = {value}") if value else None
+        except ScenarioError:
+            parsed = None  # a backticked expression such as `2*setpoint_area`
+        if parsed is None:
+            prose.add(key)
+        else:
+            assert parsed == baseline, f"README default {key} = {value}"
+    assert prose == PROSE_DEFAULTS
 
 
 class TestLoadScenario:

@@ -1,10 +1,15 @@
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from followsim import Trace, TraceFormatError, read_trace_csv, write_trace_csv
+from followsim import Trace, TraceFormatError, TraceRecord, read_trace_csv, write_trace_csv
 from followsim.traceio import CSV_COLUMNS, trace_to_csv
+
+README = Path(__file__).parents[1] / "README.md"
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 
@@ -21,6 +26,34 @@ record_strategy = st.builds(
     loop_cost_us=st.floats(0, 1e6),
     op_count=st.integers(0, 10**9),
 )
+
+# every float the writer can meet, the ones `finite` leaves out included
+any_float = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+special_record_strategy = st.builds(TraceRecord, **{
+    **dict.fromkeys(CSV_COLUMNS, any_float),
+    "detected": st.booleans(),
+    "op_count": st.integers(0, 2**63),
+})
+
+
+def frozen_trace_to_csv(trace: Trace) -> str:
+    """The cell-by-cell writer as it stood before the one-template row."""
+
+    def format_value(column, value):
+        if column == "detected":
+            return "1" if value else "0"
+        if column == "op_count":
+            return str(int(value))
+        return format(float(value), ".9g")
+
+    lines = [",".join(CSV_COLUMNS)]
+    for record in trace.records:
+        lines.append(",".join(format_value(c, getattr(record, c)) for c in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 class TestWriteRead:
@@ -59,6 +92,18 @@ class TestWriteRead:
         once = path.read_bytes()
         write_trace_csv(read_trace_csv(path), path)
         assert path.read_bytes() == once
+
+    @given(records=st.lists(special_record_strategy, max_size=5))
+    @settings(max_examples=300)
+    def test_matches_cell_by_cell_writer(self, records):
+        trace = Trace("w", records)
+        assert trace_to_csv(trace) == frozen_trace_to_csv(trace)
+
+    def test_readme_schema_block_is_the_header(self):
+        section = README.read_text(encoding="utf-8").split("## Trace CSV schema", 1)[1]
+        block = section.split("```", 2)[1]
+        assert "".join(block.split()) == ",".join(CSV_COLUMNS)
+        assert CSV_COLUMNS == TraceRecord._fields
 
     def test_round_trip_preserves_fields_to_precision(self, tmp_path):
         path = tmp_path / "rt.csv"

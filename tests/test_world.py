@@ -16,6 +16,7 @@ from followsim import (
     normalize_angle,
     step_bicycle,
 )
+from followsim import world
 
 PARAMS = VehicleParams()
 
@@ -366,6 +367,54 @@ def brute_force_polyline_distance(point, pts, resolution=1e-3):
     return best
 
 
+def frozen_lateral_deviation(follower: VehicleState, leader_track) -> float:
+    """lateral_deviation as it stood with a dedup pass and a one-point branch."""
+    pts: list[tuple[float, float]] = []
+    for p in leader_track:
+        xy = world._as_point(p)
+        if not pts or xy != pts[-1]:
+            pts.append(xy)
+    if not pts:
+        raise ValueError("leader track must not be empty")
+
+    fx, fy = follower.x, follower.y
+    if len(pts) == 1:
+        return math.hypot(fx - pts[0][0], fy - pts[0][1])
+
+    best_d2 = math.inf
+    best_sign = 0.0
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        vx, vy = qx - px, qy - py
+        norm2 = vx * vx + vy * vy
+        if norm2 == 0.0:
+            continue
+        u = ((fx - px) * vx + (fy - py) * vy) / norm2
+        u = min(max(u, 0.0), 1.0)
+        cx, cy = px + u * vx, py + u * vy
+        d2 = (fx - cx) ** 2 + (fy - cy) ** 2
+        if d2 < best_d2:
+            best_d2 = d2
+            cross = vx * (fy - cy) - vy * (fx - cx)
+            best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
+    if math.isinf(best_d2):
+        return math.hypot(fx - pts[0][0], fy - pts[0][1])
+    d = math.sqrt(best_d2)
+    return best_sign * d if best_sign != 0.0 else d
+
+
+@st.composite
+def repeating_tracks(draw):
+    """Polylines whose points repeat in runs; a zero x may flip sign inside a run."""
+    coord = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
+    track = []
+    for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)):
+        for _ in range(draw(st.integers(1, 4))):
+            if x == 0.0 and draw(st.booleans()):
+                x = -x
+            track.append((x, y))
+    return track
+
+
 class TestLateralDeviation:
     def test_on_track_is_zero(self):
         track = [(0.0, 0.0), (5.0, 0.0)]
@@ -423,6 +472,16 @@ class TestLateralDeviation:
         # the sign is only defined away from ties and away from segment axes
         if _sign_is_robust((fx, fy), pts):
             assert moved == pytest.approx(base, abs=1e-7)
+
+
+    @given(track=repeating_tracks(), fx=st.floats(-12, 12), fy=st.floats(-12, 12))
+    @example(track=[(0.0, 1.0), (-0.0, 1.0), (2.0, 1.0)], fx=-0.0, fy=0.0)
+    @example(track=[(1.0, 2.0)] * 4, fx=4.0, fy=6.0)
+    @settings(max_examples=300)
+    def test_matches_deduplicating_version_bit_for_bit(self, track, fx, fy):
+        follower = VehicleState(fx, fy, 0.0)
+        got = lateral_deviation(follower, track)
+        assert got.hex() == frozen_lateral_deviation(follower, track).hex()
 
 
 class TestFollowingDistance:
