@@ -44,15 +44,7 @@ from .sensor import (
     pixel_error_x,
     range_for_area,
 )
-from .simulate import (
-    Trace,
-    TraceRecord,
-    execute_archetype,
-    run_lateral_offset,
-    run_path_follow,
-    run_scenario,
-    run_step_response,
-)
+from .simulate import Trace, TraceRecord, execute_archetype, run_scenario
 from .svgplot import write_plot_svg
 from .traceio import CSV_COLUMNS, TraceFormatError, read_trace_csv, write_trace_csv
 from .tune import TuneError, TuneSpec, load_gain_grid, run_grid_search

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .metrics import compare, trace_metrics
 from .report import write_report
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
-from .simulate import Trace, execute_archetype, run_step_response
+from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
+from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
 from .tune import TuneError, TuneSpec, candidate_filename, load_gain_grid, results_csv, run_grid_search
@@ -121,15 +121,14 @@ def cmd_tune(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
     try:
-        separations = tuple(float(s) for s in args.separations.split(",") if s.strip())
-    except ValueError:
-        raise ScenarioError(f"cannot parse separations {args.separations!r}") from None
-    if not separations:
-        raise ScenarioError("no separations given")
+        separations = _parse_float_list(args.separations)
+        steps = replace(config, archetype="step_response", step_separations=separations)
+    except ScenarioError as exc:
+        raise ScenarioError(f"--separations {args.separations!r}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    traces = run_step_response(config, separations)
+    traces = execute_archetype(steps)
     lines = [
         f"# Step-response sweep: {config.name}",
         "",

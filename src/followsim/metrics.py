@@ -9,7 +9,7 @@ as "n/a".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .simulate import Trace
 
@@ -38,9 +38,6 @@ class MetricSet:
     rms_error: float
     control_effort_tv: float
     mean_op_count: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _column(trace: Trace, name: str) -> list[float]:

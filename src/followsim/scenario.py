@@ -54,6 +54,11 @@ class ScenarioError(ValueError):
     pass
 
 
+def _tag(value: float) -> str:
+    """A number as it appears in a trace name: 2.5 -> 2p5, -0.8 -> m0p8."""
+    return f"{value:g}".replace(".", "p").replace("-", "m")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -123,8 +128,57 @@ class ScenarioConfig:
                 raise ScenarioError(f"filter.{key}.alpha must be auto, none, or in (0, 1]")
         if any(s <= 0 or not math.isfinite(s) for s in self.step_separations):
             raise ScenarioError("step.separations must be positive")
+        if self.archetype == "step_response":
+            if not self.step_separations:
+                raise ScenarioError("step.separations needs at least one separation")
+            for sep in self.step_separations:
+                if sep <= self.camera.min_range:
+                    raise ScenarioError(f"step.separations {sep:g} m is inside "
+                                        f"camera.min_range {self.camera.min_range:g} m")
+                if sep > self.camera.max_range:
+                    raise ScenarioError(f"step.separations {sep:g} m is beyond camera.max_range "
+                                        f"{self.camera.max_range:g} m: undetectable at start")
+        if self.archetype == "lateral_offset":
+            if self.lateral_offset == 0.0 or not math.isfinite(self.lateral_offset):
+                raise ScenarioError("lateral.offset must be finite and non-zero")
+            if not 0.0 <= self.lateral_leader_speed < math.inf:
+                raise ScenarioError("lateral.leader_speed must be finite and at least 0")
+        if self.archetype == "path_follow" and self.leader.kind == "stationary":
+            raise ScenarioError("leader.kind must be straight_line or waypoint_path "
+                                "for archetype path_follow, not stationary")
         if self.steering_fuzzy is None or self.throttle_fuzzy is None:
             raise ScenarioError("fuzzy configs missing; build scenarios via default_scenario/load_scenario")
+
+    def runs(self) -> tuple[ScenarioConfig, ...]:
+        """The plain (archetype "scenario") configs this archetype expands to,
+        one per trace. Every other archetype ignores follower_start: it parks
+        the follower `gap` behind a reference pose, `offset` to its left."""
+        if self.archetype == "scenario":
+            return (self,)
+        start = self.leader.start
+        parked = LeaderScript(kind="stationary", start=start)
+        # (name suffix, leader, reference pose, gap, offset, steering locked)
+        if self.archetype == "step_response":
+            rows = [(f"_sep_{_tag(sep)}m", parked, start, sep, 0.0, True)
+                    for sep in self.step_separations]
+        elif self.archetype == "lateral_offset":
+            offset, speed = self.lateral_offset, self.lateral_leader_speed
+            leader = parked if speed == 0.0 else LeaderScript(
+                kind="straight_line", start=start, speed_profile=speed
+            )
+            rows = [(f"_lat_{_tag(offset)}m_v{_tag(speed)}", leader, start,
+                     self.follow_range, offset, False)]
+        else:  # path_follow: behind the start of the path's first leg
+            reference = start
+            if self.leader.kind == "waypoint_path":
+                (x, y), _, _, heading = self.leader.segments[0]
+                reference = VehicleState(x, y, heading)
+            rows = [("_path", self.leader, reference, self.follow_range, 0.0, False)]
+        return tuple(
+            replace(self, name=self.name + suffix, archetype="scenario", leader=leader,
+                    follower_start=place_behind(reference, gap, offset), steering_locked=locked)
+            for suffix, leader, reference, gap, offset, locked in rows
+        )
 
     def filter_alpha_for(self, channel: str, kind: str) -> float | None:
         """Resolve a channel's filter setting for the controller kind in use."""
@@ -421,20 +475,23 @@ def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], KeyLines]:
 
 def _located(exc: ValueError, lines: KeyLines, section: str, fallback: bool) -> ScenarioError:
     """A validation error raised while building `section`, prefixed with the
-    line and key of the section's key that its message names first (by field
-    or by key). With `fallback`, a message that names none of them is blamed
-    on the section's last key; otherwise it is passed on unprefixed."""
+    line and key of the set key that its message names first: a key of
+    `section` by field or by key, any other by key. With `fallback`, a message
+    that names none of them is blamed on the section's last key; otherwise it
+    is passed on unprefixed."""
     message = str(exc)
-    candidates = [
-        (lineno, key, re.search(rf"\b({re.escape(name)}|{re.escape(key)})\b", message))
-        for (sec, name), (lineno, key) in lines.items()
-        if sec == section
-    ]
-    named = [(found.start(), lineno, key) for lineno, key, found in candidates if found]
+    named, own = [], []
+    for (sec, name), (lineno, key) in lines.items():
+        words = rf"{re.escape(name)}|{re.escape(key)}" if sec == section else re.escape(key)
+        found = re.search(rf"\b({words})\b", message)
+        if found:
+            named.append((found.start(), lineno, key))
+        if sec == section:
+            own.append((lineno, key))
     if named:
         _, lineno, key = min(named)
-    elif fallback and candidates:
-        lineno, key, _ = max(candidates, key=lambda c: c[0])
+    elif fallback and own:
+        lineno, key = max(own)
     else:
         return ScenarioError(message)
     return ScenarioError(f"line {lineno}: {key}: {message}")

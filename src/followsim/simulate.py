@@ -11,22 +11,19 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
 from .actuation import ChannelController, ControlCommand, NEUTRAL_PWM, pwm_to_actuation
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig
 from .sensor import area_error, observe, pixel_error_x
 from .world import (
     MAX_PHYSICS_DT,
-    LeaderScript,
-    VehicleState,
     following_distance,
     integrate_bicycle,
     lateral_deviation,
     leader_pose,
-    place_behind,
 )
 
 STOP_REASON_STATIONARY = "follower_stationary"
@@ -179,87 +176,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     return Trace(config.name, records, config=config, stop_reason=stop_reason)
 
 
-def _tag(value: float) -> str:
-    return f"{value:g}".replace(".", "p").replace("-", "m")
-
-
-def run_step_response(base: ScenarioConfig, initial_separations) -> list[Trace]:
-    """Throttle step tests: follower parked at each separation behind a
-    stationary leader, steering locked neutral, one trace per separation."""
-    separations = tuple(float(s) for s in initial_separations)
-    if not separations:
-        raise ScenarioError("need at least one separation")
-    for sep in separations:
-        if sep <= base.camera.min_range:
-            raise ScenarioError(f"separation {sep:g} m is inside min_range")
-        if sep > base.camera.max_range:
-            raise ScenarioError(f"separation {sep:g} m: target undetectable at start")
-    leader = LeaderScript(kind="stationary", start=base.leader.start)
-    traces = []
-    for sep in separations:
-        config = replace(
-            base,
-            name=f"{base.name}_sep_{_tag(sep)}m",
-            archetype="scenario",
-            leader=leader,
-            follower_start=place_behind(leader.start, sep),
-            steering_locked=True,
-        )
-        traces.append(run_scenario(config))
-    return traces
-
-
-def run_lateral_offset(base: ScenarioConfig, offset: float, leader_speed: float) -> Trace:
-    """Steering test: follower starts at the setpoint range behind the leader's
-    track but laterally offset. leader_speed 0 reproduces the stop-before-
-    aligned regime; a moving leader gives the follower room to converge."""
-    if offset == 0.0 or not math.isfinite(offset):
-        raise ScenarioError("lateral offset must be non-zero")
-    if leader_speed < 0 or not math.isfinite(leader_speed):
-        raise ScenarioError("leader_speed must be non-negative")
-    if leader_speed == 0.0:
-        leader = LeaderScript(kind="stationary", start=base.leader.start)
-    else:
-        leader = LeaderScript(
-            kind="straight_line", start=base.leader.start, speed_profile=leader_speed
-        )
-    config = replace(
-        base,
-        name=f"{base.name}_lat_{_tag(offset)}m_v{_tag(leader_speed)}",
-        archetype="scenario",
-        leader=leader,
-        follower_start=place_behind(base.leader.start, base.follow_range, offset),
-        steering_locked=False,
-    )
-    return run_scenario(config)
-
-
-def run_path_follow(base: ScenarioConfig, path: LeaderScript) -> Trace:
-    """Full two-channel loop along a straight or waypoint leader path."""
-    if path.kind not in ("straight_line", "waypoint_path"):
-        raise ScenarioError("path must be straight_line or waypoint_path")
-    if path.kind == "waypoint_path":
-        (x, y), _, _, heading = path.segments[0]
-        start = VehicleState(x, y, heading)
-    else:
-        start = path.start
-    config = replace(
-        base,
-        name=f"{base.name}_path",
-        archetype="scenario",
-        leader=path,
-        follower_start=place_behind(start, base.follow_range),
-        steering_locked=False,
-    )
-    return run_scenario(config)
-
-
 def execute_archetype(config: ScenarioConfig) -> list[Trace]:
-    """Run whichever experiment the scenario's archetype names; always a list."""
-    if config.archetype == "step_response":
-        return run_step_response(config, config.step_separations)
-    if config.archetype == "lateral_offset":
-        return [run_lateral_offset(config, config.lateral_offset, config.lateral_leader_speed)]
-    if config.archetype == "path_follow":
-        return [run_path_follow(config, config.leader)]
-    return [run_scenario(config)]
+    """Run every plain config the scenario's archetype expands to; always a list."""
+    return [run_scenario(run) for run in config.runs()]

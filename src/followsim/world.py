@@ -40,10 +40,6 @@ class VehicleState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class VehicleParams:

@@ -28,10 +28,8 @@ from followsim import (
     fuzzy_step,
     observe,
     pid_step,
+    execute_archetype,
     read_trace_csv,
-    run_lateral_offset,
-    run_scenario,
-    run_step_response,
     scale_output,
     step_bicycle,
     trace_metrics,
@@ -156,7 +154,8 @@ def test_criterion_2_centroid_matches_fine_integration():
 @pytest.mark.parametrize("family", ["pid", "fuzzy"])
 def test_criterion_3_stationary_leader_stops_misaligned(family):
     base = default_scenario("fig5", steering_kind=family, throttle_kind=family)
-    trace = run_lateral_offset(base, 1.0, 0.0)
+    (trace,) = execute_archetype(replace(base, archetype="lateral_offset",
+                                         lateral_offset=1.0, lateral_leader_speed=0.0))
     # the run must end on the stillness condition, not the duration cap
     assert trace.stop_reason == "follower_stationary"
     assert abs(trace.records[-1].pixel_error_x) > base.steady_state_px
@@ -166,7 +165,8 @@ def test_criterion_3_stationary_leader_stops_misaligned(family):
 @pytest.mark.parametrize("family", ["pid", "fuzzy"])
 def test_criterion_4_moving_leader_reaches_steady_state(family):
     base = default_scenario("fig6", steering_kind=family, throttle_kind=family)
-    trace = run_lateral_offset(base, 1.0, 1.0)
+    (trace,) = execute_archetype(replace(base, archetype="lateral_offset",
+                                         lateral_offset=1.0, lateral_leader_speed=1.0))
     tail = trace.records[int(0.8 * len(trace.records)):]
     mean_abs = sum(abs(r.pixel_error_x) for r in tail) / len(tail)
     assert mean_abs < base.steady_state_px, f"{family} tail error {mean_abs:.2f}px"
@@ -178,7 +178,8 @@ def test_criterion_4_moving_leader_reaches_steady_state(family):
 
 
 def test_criterion_5_step_response_depends_on_separation():
-    traces = run_step_response(default_scenario("steps"), [1.0, 2.0, 4.0])
+    traces = execute_archetype(default_scenario("steps", archetype="step_response",
+                                                step_separations=(1.0, 2.0, 4.0)))
     transients = []
     for trace in traces:
         y0 = trace.records[0].area_error
@@ -216,14 +217,8 @@ def test_criterion_6_fuzzy_costs_more_ops():
     for name, cfg in scenarios.items():
         pair = {}
         for family in ("pid", "fuzzy"):
-            variant = replace(cfg, steering_kind=family, throttle_kind=family,
-                              archetype="scenario")
-            if name == "lateral_moving":
-                pair[family] = run_lateral_offset(variant, 1.0, 1.0)
-            elif name == "throttle_step":
-                (pair[family],) = run_step_response(variant, [3.0])
-            else:
-                pair[family] = run_scenario(variant)
+            variant = replace(cfg, steering_kind=family, throttle_kind=family)
+            (pair[family],) = execute_archetype(variant)
         report = compare(pair["pid"], pair["fuzzy"])
         assert report.fuzzy.mean_op_count > report.pid.mean_op_count, name
         rendered = format_report(report)
@@ -366,8 +361,9 @@ def test_criterion_8d_csv_round_trip_identity(roundtrip_file, records):
 @ACCEPT
 def test_criterion_8e_lateral_mirror_symmetry(offset, speed):
     base = default_scenario("mirror", duration=0.6)
-    left = run_lateral_offset(base, offset, speed)
-    right = run_lateral_offset(base, -offset, speed)
+    base = replace(base, archetype="lateral_offset", lateral_leader_speed=speed)
+    (left,) = execute_archetype(replace(base, lateral_offset=offset))
+    (right,) = execute_archetype(replace(base, lateral_offset=-offset))
     assert len(left.records) == len(right.records)
     for a, b in zip(left.records, right.records):
         assert a.pixel_error_x == pytest.approx(-b.pixel_error_x, abs=1e-6)

@@ -175,6 +175,18 @@ class TestSweep:
                      "--out", str(tmp_path / "o")]) == 1
         assert "separations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("separations, message", [
+        ("nan", "expected a finite number"), ("1,0.1", "min_range"),
+    ], ids=["nan", "inside_min_range"])
+    def test_invalid_separations_fail_before_writing(self, tmp_path, capsys,
+                                                     separations, message):
+        scn = write_scenario(tmp_path, "sw", "duration = 2\n")
+        assert main(["sweep", "--scenario", scn, "--separations", separations,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --separations") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_step_separation_reports_not_applicable(self, tmp_path):
         # a separation at the setpoint range has no step to traverse
         scn = write_scenario(tmp_path, "sw", "duration = 3\n")

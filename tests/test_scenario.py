@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from followsim import (
     area_at_range,
     default_fuzzy_config,
     default_scenario,
+    execute_archetype,
     load_scenario,
     parse_scenario_text,
     scale_output,
@@ -24,6 +26,7 @@ from followsim import (
 from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
 
 DATA = Path(__file__).parent / "data"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -297,6 +300,34 @@ class TestParser:
         cfg = parse_scenario_text("camera.jitter_px = 1.5\nseed = 42\n")
         assert cfg.camera.jitter_px == 1.5
         assert cfg.seed == 42
+
+
+# each archetype's inputs are checked at load, so a scenario that loads also runs
+@pytest.mark.parametrize("text, message", [
+    ("archetype = step_response\nstep.separations = 0.1\n",
+     r"^line 2: step\.separations: step\.separations 0\.1 m is inside camera\.min_range"),
+    ("archetype = step_response\ncamera.max_range = 3\n",
+     r"^line 2: camera\.max_range: step\.separations 4 m .*undetectable"),
+    ("archetype = lateral_offset\nlateral.offset = 0\n",
+     r"^line 2: lateral\.offset: lateral\.offset must be"),
+    ("archetype = lateral_offset\nlateral.leader_speed = -1\n",
+     r"^line 2: lateral\.leader_speed: lateral\.leader_speed must be"),
+    ("archetype = path_follow\n",
+     r"^line 1: archetype: leader\.kind must be straight_line or waypoint_path"),
+    ("archetype = path_follow\nleader.kind = stationary\n",
+     r"^line 2: leader\.kind: leader\.kind must be straight_line or waypoint_path"),
+], ids=["inside_min_range", "beyond_max_range", "zero_offset", "negative_leader_speed",
+        "default_leader_path", "stationary_leader_path"])
+def test_archetype_inputs_fail_at_load(text, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.scn")), DATA / "every_key.scn"],
+                         ids=lambda path: path.stem)
+def test_loaded_scenarios_run(path):
+    traces = execute_archetype(replace(load_scenario(path), duration=1.0))
+    assert traces and all(trace.records for trace in traces)
 
 
 def readme_keys() -> set[str]:

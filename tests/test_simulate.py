@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,10 @@ from followsim import (
     default_scenario,
     execute_archetype,
     load_scenario,
-    run_lateral_offset,
-    run_path_follow,
     run_scenario,
-    run_step_response,
 )
 from followsim import actuation, simulate
+from followsim.world import place_behind
 
 S_CURVE = Path(__file__).parents[1] / "scenarios" / "s_curve.scn"
 THROTTLE_STEP = Path(__file__).parents[1] / "scenarios" / "throttle_step.scn"
@@ -89,7 +88,9 @@ class TestRunScenario:
             kind="waypoint_path", start=VehicleState(0, 0, 0), speed_profile=2.0,
             waypoints=((2.0, 0.0), (1.8, 0.4), (-5.0, 0.6)),
         )
-        trace = run_path_follow(replace(base, duration=10.0), hairpin)
+        (trace,) = execute_archetype(
+            replace(base, duration=10.0, archetype="path_follow", leader=hairpin)
+        )
         lost = [i for i, r in enumerate(trace.records) if not r.detected]
         assert lost
         i = lost[0]
@@ -104,7 +105,9 @@ class TestRunScenario:
             kind="waypoint_path", start=VehicleState(0, 0, 0), speed_profile=2.0,
             waypoints=((2.0, 0.0), (1.8, 0.4), (-5.0, 0.6)),
         )
-        trace = run_path_follow(replace(base, duration=10.0), hairpin)
+        (trace,) = execute_archetype(
+            replace(base, duration=10.0, archetype="path_follow", leader=hairpin)
+        )
         lost = [r for r in trace.records if not r.detected]
         assert lost
         assert all((r.steering_pwm, r.throttle_pwm) == (90.0, 90.0) for r in lost)
@@ -112,56 +115,69 @@ class TestRunScenario:
 
 class TestStepResponse:
     def test_zero_error_step_is_flat(self, base_scenario):
-        (trace,) = run_step_response(
-            replace(base_scenario, duration=3.0), [base_scenario.follow_range]
+        (trace,) = execute_archetype(
+            replace(base_scenario, duration=3.0, archetype="step_response",
+                    step_separations=(base_scenario.follow_range,))
         )
         assert all(r.area_error == 0.0 for r in trace.records)
         assert all(r.throttle_pwm == 90.0 for r in trace.records)
         assert all(r.steering_pwm == 90.0 for r in trace.records)
 
     def test_steering_locked_neutral_throughout(self, base_scenario):
-        traces = run_step_response(replace(base_scenario, duration=3.0), [2.0, 4.0])
+        traces = execute_archetype(replace(base_scenario, duration=3.0, archetype="step_response",
+                                           step_separations=(2.0, 4.0)))
         for trace in traces:
             assert all(r.steering_pwm == 90.0 for r in trace.records)
 
     def test_distinct_transients(self, base_scenario):
-        t2, t4 = run_step_response(replace(base_scenario, duration=6.0), [2.0, 4.0])
+        t2, t4 = execute_archetype(replace(base_scenario, duration=6.0, archetype="step_response",
+                                           step_separations=(2.0, 4.0)))
         assert [r.area_error for r in t2.records] != [r.area_error for r in t4.records]
 
     def test_saturating_start(self, base_scenario):
-        (trace,) = run_step_response(replace(base_scenario, duration=6.0), [4.0])
+        (trace,) = execute_archetype(replace(base_scenario, duration=6.0,
+                                             archetype="step_response", step_separations=(4.0,)))
         assert max(r.throttle_pwm for r in trace.records[:20]) == 180.0
 
     def test_separation_validation(self, base_scenario):
+        steps = partial(replace, base_scenario, archetype="step_response")
         with pytest.raises(ScenarioError, match="min_range"):
-            run_step_response(base_scenario, [0.1])
+            steps(step_separations=(0.1,))
         with pytest.raises(ScenarioError, match="undetectable"):
-            run_step_response(base_scenario, [25.0])
+            steps(step_separations=(25.0,))
         with pytest.raises(ScenarioError):
-            run_step_response(base_scenario, [])
+            steps(step_separations=())
 
 
 class TestLateralOffset:
     def test_offset_must_be_nonzero(self, base_scenario):
         with pytest.raises(ScenarioError):
-            run_lateral_offset(base_scenario, 0.0, 1.0)
+            replace(base_scenario, archetype="lateral_offset",
+                    lateral_offset=0.0, lateral_leader_speed=1.0)
 
     def test_stationary_regime_stops_misaligned(self, base_scenario):
-        trace = run_lateral_offset(replace(base_scenario, duration=20.0), 1.0, 0.0)
+        (trace,) = execute_archetype(replace(
+            base_scenario, duration=20.0, archetype="lateral_offset",
+            lateral_offset=1.0, lateral_leader_speed=0.0,
+        ))
         assert trace.stop_reason == "follower_stationary"
         assert abs(trace.records[-1].pixel_error_x) > base_scenario.steady_state_px
 
     def test_moving_regime_reaches_steady_state(self, base_scenario):
-        trace = run_lateral_offset(replace(base_scenario, duration=20.0), 1.0, 1.0)
+        (trace,) = execute_archetype(replace(
+            base_scenario, duration=20.0, archetype="lateral_offset",
+            lateral_offset=1.0, lateral_leader_speed=1.0,
+        ))
         n = len(trace.records)
         tail = trace.records[int(0.8 * n):]
         mean_abs = sum(abs(r.pixel_error_x) for r in tail) / len(tail)
         assert mean_abs < base_scenario.steady_state_px
 
     def test_mirror_symmetry(self, base_scenario):
-        cfg = replace(base_scenario, duration=2.0)
-        left = run_lateral_offset(cfg, 0.8, 1.0)
-        right = run_lateral_offset(cfg, -0.8, 1.0)
+        cfg = replace(base_scenario, duration=2.0, archetype="lateral_offset",
+                      lateral_leader_speed=1.0)
+        (left,) = execute_archetype(replace(cfg, lateral_offset=0.8))
+        (right,) = execute_archetype(replace(cfg, lateral_offset=-0.8))
         assert len(left.records) == len(right.records)
         for a, b in zip(left.records, right.records):
             assert a.pixel_error_x == pytest.approx(-b.pixel_error_x, abs=1e-6)
@@ -170,14 +186,19 @@ class TestLateralOffset:
             assert a.lateral_dev_m == pytest.approx(-b.lateral_dev_m, abs=1e-9)
 
     def test_initial_offset_recorded_in_lateral_dev(self, base_scenario):
-        trace = run_lateral_offset(replace(base_scenario, duration=1.0), 1.0, 1.0)
+        (trace,) = execute_archetype(replace(
+            base_scenario, duration=1.0, archetype="lateral_offset",
+            lateral_offset=1.0, lateral_leader_speed=1.0,
+        ))
         assert trace.records[0].lateral_dev_m == pytest.approx(1.0)
 
 
 class TestPathFollow:
     def test_straight_path_zero_deviation(self, base_scenario):
         path = LeaderScript(kind="straight_line", start=VehicleState(0, 0, 0), speed_profile=1.0)
-        trace = run_path_follow(replace(base_scenario, duration=5.0), path)
+        (trace,) = execute_archetype(
+            replace(base_scenario, duration=5.0, archetype="path_follow", leader=path)
+        )
         assert max(abs(r.lateral_dev_m) for r in trace.records) < 1e-9
 
     def test_gentle_s_curve_never_loses_target(self, base_scenario):
@@ -185,7 +206,9 @@ class TestPathFollow:
             kind="waypoint_path", start=VehicleState(0, 0, 0), speed_profile=1.0,
             waypoints=((3.0, 0.0), (6.0, 0.8), (9.0, 0.8), (12.0, 0.0), (15.0, 0.0)),
         )
-        trace = run_path_follow(replace(base_scenario, duration=15.0), path)
+        (trace,) = execute_archetype(
+            replace(base_scenario, duration=15.0, archetype="path_follow", leader=path)
+        )
         assert all(r.detected for r in trace.records)
 
     def test_hairpin_loses_target(self, base_scenario):
@@ -193,13 +216,15 @@ class TestPathFollow:
             kind="waypoint_path", start=VehicleState(0, 0, 0), speed_profile=1.5,
             waypoints=((2.5, 0.0), (2.8, 0.3), (2.5, 0.6), (-3.0, 0.6)),
         )
-        trace = run_path_follow(replace(base_scenario, duration=10.0), path)
+        (trace,) = execute_archetype(
+            replace(base_scenario, duration=10.0, archetype="path_follow", leader=path)
+        )
         assert any(not r.detected for r in trace.records)
 
     def test_rejects_stationary_path(self, base_scenario):
         with pytest.raises(ScenarioError):
-            run_path_follow(base_scenario, LeaderScript(kind="stationary",
-                                                        start=VehicleState(0, 0, 0)))
+            replace(base_scenario, archetype="path_follow",
+                    leader=LeaderScript(kind="stationary", start=VehicleState(0, 0, 0)))
 
 
 def signed_distance(x, y, pts):
@@ -314,6 +339,104 @@ class TestPerRunWork:
         assert calls == [cfg.steering_fuzzy, cfg.throttle_fuzzy]
 
 
+def frozen_tag(value: float) -> str:
+    return f"{value:g}".replace(".", "p").replace("-", "m")
+
+
+def frozen_step_configs(base, separations):
+    """The configs the run_step_response wrapper built, as it stood before
+    ScenarioConfig.runs() took the archetypes over."""
+    separations = tuple(float(s) for s in separations)
+    leader = LeaderScript(kind="stationary", start=base.leader.start)
+    return [
+        replace(
+            base,
+            name=f"{base.name}_sep_{frozen_tag(sep)}m",
+            archetype="scenario",
+            leader=leader,
+            follower_start=place_behind(leader.start, sep),
+            steering_locked=True,
+        )
+        for sep in separations
+    ]
+
+
+def frozen_lateral_config(base, offset, leader_speed):
+    """The config the run_lateral_offset wrapper built."""
+    if leader_speed == 0.0:
+        leader = LeaderScript(kind="stationary", start=base.leader.start)
+    else:
+        leader = LeaderScript(
+            kind="straight_line", start=base.leader.start, speed_profile=leader_speed
+        )
+    return replace(
+        base,
+        name=f"{base.name}_lat_{frozen_tag(offset)}m_v{frozen_tag(leader_speed)}",
+        archetype="scenario",
+        leader=leader,
+        follower_start=place_behind(base.leader.start, base.follow_range, offset),
+        steering_locked=False,
+    )
+
+
+def frozen_path_config(base, path):
+    """The config the run_path_follow wrapper built."""
+    if path.kind == "waypoint_path":
+        (x, y), _, _, heading = path.segments[0]
+        start = VehicleState(x, y, heading)
+    else:
+        start = path.start
+    return replace(
+        base,
+        name=f"{base.name}_path",
+        archetype="scenario",
+        leader=path,
+        follower_start=place_behind(start, base.follow_range),
+        steering_locked=False,
+    )
+
+
+LEADER_STARTS = [VehicleState(0.0, 0.0, 0.0), VehicleState(1.0, -2.0, 2.3)]
+
+
+class TestRunsMatchFrozenWrappers:
+    """ScenarioConfig.runs() builds the configs the deleted run_* wrappers
+    built, down to the bits of the follower's start pose."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b
+            assert [v.hex() for v in vars(a.follower_start).values()] == \
+                [v.hex() for v in vars(b.follower_start).values()]
+            assert a.archetype == "scenario"
+
+    @pytest.mark.parametrize("start", LEADER_STARTS)
+    def test_step_response(self, start):
+        base = default_scenario("eq", leader=LeaderScript(start=start),
+                                archetype="step_response", step_separations=(1, 2.5, 4))
+        self.assert_same(base.runs(), frozen_step_configs(base, (1, 2.5, 4)))
+
+    @pytest.mark.parametrize("start", LEADER_STARTS)
+    @pytest.mark.parametrize("offset", [0.8, -0.8, -0.5])
+    @pytest.mark.parametrize("speed", [0.0, 1.25])
+    def test_lateral_offset(self, start, offset, speed):
+        base = default_scenario("eq", leader=LeaderScript(start=start), archetype="lateral_offset",
+                                lateral_offset=offset, lateral_leader_speed=speed)
+        self.assert_same(base.runs(), [frozen_lateral_config(base, offset, speed)])
+
+    @pytest.mark.parametrize("start", LEADER_STARTS)
+    @pytest.mark.parametrize("kind", ["straight_line", "waypoint_path"])
+    def test_path_follow(self, start, kind):
+        waypoints = None
+        if kind == "waypoint_path":  # the first waypoint repeats the start
+            waypoints = ((start.x, start.y), (start.x + 3.0, start.y + 1.0), (6.0, 2.0))
+        path = LeaderScript(kind=kind, start=start, speed_profile=1.0, waypoints=waypoints)
+        base = default_scenario("eq", leader=path, archetype="path_follow")
+        self.assert_same(base.runs(), [frozen_path_config(base, path)])
+
+
 class TestExecuteArchetype:
     def test_step_response_archetype(self, base_scenario):
         cfg = replace(base_scenario, archetype="step_response",
@@ -349,7 +472,9 @@ def test_records_never_violate_invariants(offset, leader_speed, kp, duration):
         steering_pid=PidConfig(kp=kp, ki=0.002, kd=0.001),
     )
     if offset != 0.0:
-        trace = run_lateral_offset(cfg, offset, leader_speed)
+        (trace,) = execute_archetype(replace(
+            cfg, archetype="lateral_offset", lateral_offset=offset, lateral_leader_speed=leader_speed,
+        ))
     else:
         trace = run_scenario(cfg)
     ts = [r.t for r in trace.records]
