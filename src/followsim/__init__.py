@@ -30,7 +30,7 @@ from .fuzzy import (
     infer,
     scale_output,
 )
-from .metrics import ComparisonReport, MetricSet, compare, objective_value, step_metrics, trace_metrics
+from .metrics import ComparisonReport, MetricSet, compare, objective_value, trace_metrics
 from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
 from .report import format_report, write_report
 from .scenario import ScenarioConfig, ScenarioError, default_scenario, load_scenario, parse_scenario_text

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .metrics import compare, trace_metrics
+from .metrics import SIGNAL_COMMANDS, compare, trace_metrics
 from .report import write_report
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
 from .simulate import Trace, execute_archetype
@@ -19,16 +19,11 @@ from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
 from .tune import TuneError, TuneSpec, candidate_filename, load_gain_grid, results_csv, run_grid_search
 
-_STEP_CHANNELS = ("area_error", "throttle_pwm")
-_STEER_CHANNELS = ("pixel_error_x", "steering_pwm")
-
-
-def _plot_channels(config: ScenarioConfig) -> tuple[str, str]:
-    return _STEP_CHANNELS if config.archetype == "step_response" else _STEER_CHANNELS
-
-
-def _signal_for(config: ScenarioConfig) -> str:
-    return "area_error" if config.archetype == "step_response" else "pixel_error_x"
+def _channels(config: ScenarioConfig) -> tuple[str, str]:
+    """(error column, command column) a scenario is judged and plotted on:
+    throttle for step responses, steering otherwise."""
+    signal = "area_error" if config.archetype == "step_response" else "pixel_error_x"
+    return signal, SIGNAL_COMMANDS[signal]
 
 
 def _write_trace_artifacts(trace: Trace, out: Path, channels) -> tuple[Path, Path]:
@@ -52,7 +47,7 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channels = _plot_channels(config)
+    channels = _channels(config)
     for trace in execute_archetype(config):
         csv_path, svg_path = _write_trace_artifacts(trace, out, channels)
         print(
@@ -70,22 +65,21 @@ def cmd_compare(args) -> int:
                 f"scenario does not define {family} controller configs "
                 "(controllers = pid,fuzzy is required for compare)"
             )
+    if len(config.runs()) != 1:
+        raise ScenarioError("compare needs a single-run scenario archetype")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channels = _plot_channels(config)
+    channels = _channels(config)
 
     traces = {}
     for family in ("pid", "fuzzy"):
         variant = replace(config, steering_kind=family, throttle_kind=family)
-        runs = execute_archetype(variant)
-        if len(runs) != 1:
-            raise ScenarioError("compare needs a single-run scenario archetype")
-        trace = runs[0]
+        (trace,) = execute_archetype(variant)
         write_trace_csv(trace, out / f"{trace.name}_{family}.csv")
         write_plot_svg(trace, channels, out / f"{trace.name}_{family}.svg")
         traces[family] = trace
 
-    signal = _signal_for(config)
+    signal = channels[0]
     report = compare(
         traces["pid"], traces["fuzzy"], signal=signal,
         setpoint_delta=_initial_delta(traces["pid"], signal),
@@ -102,10 +96,10 @@ def cmd_tune(args) -> int:
     config = load_scenario(args.scenario)
     grid = load_gain_grid(args.grid)
     spec = TuneSpec(channel=args.channel, objective=args.objective, grid=grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     results = run_grid_search(config, spec)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for result in results:
         write_trace_csv(result.trace, out / candidate_filename(result))
     results_path = out / "tune_results.csv"
@@ -128,6 +122,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    channels = _channels(steps)
+    signal = channels[0]
     traces = execute_archetype(steps)
     lines = [
         f"# Step-response sweep: {config.name}",
@@ -136,8 +132,8 @@ def cmd_sweep(args) -> int:
         "|---|---|---|---|---|---|---|",
     ]
     for sep, trace in zip(separations, traces):
-        _write_trace_artifacts(trace, out, _STEP_CHANNELS)
-        m = trace_metrics(trace, "area_error", _initial_delta(trace, "area_error"))
+        _write_trace_artifacts(trace, out, channels)
+        m = trace_metrics(trace, signal, _initial_delta(trace, signal))
 
         def cell(v: float) -> str:
             return "n/a" if v != v else format(v, ".5g")

@@ -26,7 +26,7 @@ METRIC_FIELDS = (
 # error channel -> the command column that produces it
 SIGNAL_COMMANDS = {"pixel_error_x": "steering_pwm", "area_error": "throttle_pwm"}
 
-DEFAULT_TIE_TOLERANCE = 0.02  # relative margin below which a metric is a tie
+TIE_TOLERANCE = 0.02  # relative margin below which a metric is a tie
 
 
 @dataclass(frozen=True)
@@ -47,21 +47,12 @@ def _column(trace: Trace, name: str) -> list[float]:
         raise ValueError(f"unknown trace column {name!r}") from None
 
 
-def step_metrics(trace: Trace, signal: str, setpoint_delta: float) -> MetricSet:
-    """Metrics for a trace that traverses a step of size setpoint_delta."""
-    if setpoint_delta == 0 or not math.isfinite(setpoint_delta):
-        raise ValueError("setpoint_delta must be non-zero")
-    return _metrics(trace, signal, setpoint_delta)
-
-
 def trace_metrics(trace: Trace, signal: str, setpoint_delta: float | None = None) -> MetricSet:
-    """Like step_metrics, but a missing/zero step just disables the step metrics."""
-    if setpoint_delta is not None and setpoint_delta != 0:
-        return _metrics(trace, signal, setpoint_delta)
-    return _metrics(trace, signal, None)
-
-
-def _metrics(trace: Trace, signal: str, delta: float | None) -> MetricSet:
+    """Metrics of one error column. A trace traverses a step of size
+    setpoint_delta; None or 0 means no step, and the step metrics are NaN."""
+    if setpoint_delta is not None and not math.isfinite(setpoint_delta):
+        raise ValueError(f"setpoint_delta must be finite, got {setpoint_delta!r}")
+    delta = setpoint_delta or None
     ys = _column(trace, signal)
     ts = _column(trace, "t")
     if len(ys) < 5:
@@ -126,14 +117,14 @@ class ComparisonReport:
     notes: list[str]
 
 
-def _pick_winner(metric: str, a: float, b: float, tolerance: float) -> tuple[str, float]:
+def _pick_winner(metric: str, a: float, b: float) -> tuple[str, float]:
     if math.isnan(a) or math.isnan(b):
         return "n/a", math.nan
     # steady-state error is signed; closeness to zero is what counts
     if metric == "steady_state_error":
         a, b = abs(a), abs(b)
     margin = abs(a - b)
-    if margin <= tolerance * max(abs(a), abs(b)):
+    if margin <= TIE_TOLERANCE * max(abs(a), abs(b)):
         return "tie", margin
     return ("pid" if a < b else "fuzzy"), margin
 
@@ -143,27 +134,24 @@ def compare(
     trace_fuzzy: Trace,
     signal: str = "pixel_error_x",
     setpoint_delta: float | None = None,
-    tolerances: dict[str, float] | None = None,
 ) -> ComparisonReport:
     """Side-by-side metric comparison of two runs of the same scenario.
 
-    Every metric is lower-is-better; a metric within the tie tolerance
-    (relative, default 2%) of its counterpart is a tie.
+    Every metric is lower-is-better; a metric within TIE_TOLERANCE (relative,
+    2%) of its counterpart is a tie.
     """
     if trace_pid.name != trace_fuzzy.name:
         raise ValueError(
             f"traces come from different scenarios: {trace_pid.name!r} vs {trace_fuzzy.name!r}"
         )
-    tolerances = tolerances or {}
     pid_metrics = trace_metrics(trace_pid, signal, setpoint_delta)
     fuzzy_metrics = trace_metrics(trace_fuzzy, signal, setpoint_delta)
 
     winners: dict[str, str] = {}
     margins: dict[str, float] = {}
     for metric in METRIC_FIELDS:
-        tol = tolerances.get(metric, DEFAULT_TIE_TOLERANCE)
         winners[metric], margins[metric] = _pick_winner(
-            metric, getattr(pid_metrics, metric), getattr(fuzzy_metrics, metric), tol
+            metric, getattr(pid_metrics, metric), getattr(fuzzy_metrics, metric)
         )
 
     notes = []

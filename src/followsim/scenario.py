@@ -68,11 +68,9 @@ class ScenarioConfig:
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     panel: TargetPanel = field(default_factory=TargetPanel)
     archetype: str = "scenario"
-    dt: float = 0.02
     duration: float = 20.0
     seed: int = 0
     setpoint_area: float = 0.0  # 0 means "derive from camera/panel", see default_scenario
-    steady_state_px: float = 5.0
     controllers: tuple[str, ...] = ("pid", "fuzzy")
     steering_kind: str = "pid"
     throttle_kind: str = "pid"
@@ -95,21 +93,12 @@ class ScenarioConfig:
             raise ScenarioError("scenario name must not be empty")
         if self.archetype not in ARCHETYPES:
             raise ScenarioError(f"unknown archetype {self.archetype!r}")
-        if self.dt <= 0:
-            raise ScenarioError("dt must be positive")
         if self.duration < self.dt:
-            raise ScenarioError("duration must be at least one dt")
-        if self.duration / self.dt > 1e7:
-            raise ScenarioError("duration/dt exceeds the 1e7 runaway guard")
-        if abs(self.dt * self.camera.frame_rate - 1.0) > 1e-9:
-            raise ScenarioError(
-                "dt must equal one camera frame interval "
-                f"(1/{self.camera.frame_rate:g} s): control runs at frame rate"
-            )
+            raise ScenarioError("duration must be at least one camera frame interval")
+        if self.duration * self.camera.frame_rate > 1e7:
+            raise ScenarioError("duration * camera.frame_rate exceeds the 1e7 runaway guard")
         if self.setpoint_area <= 0:
             raise ScenarioError("setpoint_area must be positive")
-        if self.steady_state_px <= 0:
-            raise ScenarioError("steady_state_px must be positive")
         if not self.controllers or any(c not in CONTROLLER_KINDS for c in self.controllers):
             raise ScenarioError("controllers must name pid and/or fuzzy")
         for key, kind in (("steering", self.steering_kind), ("throttle", self.throttle_kind)):
@@ -188,6 +177,11 @@ class ScenarioConfig:
         return setting
 
     @property
+    def dt(self) -> float:
+        """Control period, s: one camera frame, since control runs at frame rate."""
+        return 1.0 / self.camera.frame_rate
+
+    @property
     def follow_range(self) -> float:
         """Head-on range at which the box area equals the setpoint."""
         return range_for_area(self.camera, self.panel, self.setpoint_area)
@@ -204,15 +198,14 @@ def default_scenario(
     parked at the setpoint range directly behind it.
 
     Keyword overrides replace ScenarioConfig fields. This is the one place
-    that derives the fields other fields imply: dt (one camera frame),
-    setpoint_area, the fuzzy universe spans and the follower start pose.
+    that derives the fields other fields imply: setpoint_area, the fuzzy
+    universe spans and the follower start pose.
     `follower` sets fields of that pose: with an x or y it is placed there
     outright, otherwise the rest adjust the pose behind the leader. `fuzzy`
     maps a channel to its `fuzzy.<ch>.*` scenario-file settings.
     """
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
-    overrides.setdefault("dt", 1.0 / camera.frame_rate)
     setpoint_area = overrides.setdefault(
         "setpoint_area", area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
     )
@@ -382,10 +375,8 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "name": (str, "", "name"),
     "archetype": (str, "", "archetype"),
     "seed": (_parse_int, "", "seed"),
-    "dt": (_parse_float, "", "dt"),
     "duration": (_parse_float, "", "duration"),
     "setpoint_area": (_parse_float, "", "setpoint_area"),
-    "steady_state_px": (_parse_float, "", "steady_state_px"),
     "controllers": (_parse_names, "", "controllers"),
     "lost_target.policy": (str, "", "lost_target_policy"),
     "stop.speed_eps": (_parse_float, "", "stop_speed_eps"),

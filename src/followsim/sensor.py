@@ -33,8 +33,8 @@ class CameraIntrinsics:
             raise ValueError("image_height must be positive")
         if not 0.0 < self.horizontal_fov < math.pi:
             raise ValueError("horizontal_fov must be in (0, pi)")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be positive and finite")
         if not 0.0 < self.min_range < self.max_range:
             raise ValueError("need 0 < min_range < max_range")
         if self.jitter_px < 0:

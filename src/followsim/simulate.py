@@ -51,13 +51,11 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class Trace:
-    """Scenario name plus the time-ordered records; the config snapshot and any
-    early-stop reason ride along but do not take part in equality (they do not
-    survive the CSV round trip)."""
+    """Scenario name plus the time-ordered records; the early-stop reason rides
+    along but takes no part in equality (it does not survive the CSV round trip)."""
 
     name: str
     records: list[TraceRecord]
-    config: ScenarioConfig | None = field(default=None, compare=False)
     stop_reason: str | None = field(default=None, compare=False)
 
 
@@ -79,9 +77,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     undetected. Runs against a stationary leader end early once the follower
     has been slower than stop_speed_eps for stop_hold_time seconds.
     """
-    n_records = int(config.duration / config.dt + 1e-9)
-    sub_steps = max(1, math.ceil(config.dt / MAX_PHYSICS_DT - 1e-12))
-    sub_dt = config.dt / sub_steps
+    dt = config.dt
+    n_records = int(config.duration / dt + 1e-9)
+    sub_steps = max(1, math.ceil(dt / MAX_PHYSICS_DT - 1e-12))
+    sub_dt = dt / sub_steps
     rng = random.Random(config.seed)
 
     steering = None if config.steering_locked else _make_channel(config, "steering")
@@ -113,7 +112,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     still_time = 0.0
 
     for k in range(n_records):
-        t = k * config.dt
+        t = k * dt
         if parked:
             leader, track = leader0, parked_track
         else:
@@ -130,9 +129,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             if steering is None:
                 steering_pwm = NEUTRAL_PWM
             else:
-                steering_pwm = steering.update(pe, pe, config.dt)
+                steering_pwm = steering.update(pe, pe, dt)
                 ops += steering.ops_per_step
-            throttle_pwm = throttle.update(ae, reading.area_px2, config.dt)
+            throttle_pwm = throttle.update(ae, reading.area_px2, dt)
             ops += throttle.ops_per_step
             command = ControlCommand(steering_pwm, throttle_pwm)
             tracked = True
@@ -168,12 +167,12 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         )
 
         if parked:
-            still_time = still_time + config.dt if follower.speed < config.stop_speed_eps else 0.0
+            still_time = still_time + dt if follower.speed < config.stop_speed_eps else 0.0
             if still_time >= config.stop_hold_time and k + 1 < n_records:
                 stop_reason = STOP_REASON_STATIONARY
                 break
 
-    return Trace(config.name, records, config=config, stop_reason=stop_reason)
+    return Trace(config.name, records, stop_reason=stop_reason)
 
 
 def execute_archetype(config: ScenarioConfig) -> list[Trace]:

@@ -120,16 +120,15 @@ def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, fl
 
 def run_grid_search(base: ScenarioConfig, spec: TuneSpec) -> list[TuneResult]:
     """Evaluate every grid point; returns results ranked best-first."""
+    if len(base.runs()) != 1:
+        raise TuneError("tuning needs a single-run scenario archetype")
     signal = CHANNEL_SIGNALS[spec.channel]
     keys = spec.ordered_keys
     results = []
     for index, combo in enumerate(itertools.product(*(spec.grid[k] for k in keys))):
         params = dict(zip(keys, combo))
         config = _candidate_config(base, spec, params)
-        traces = execute_archetype(config)
-        if len(traces) != 1:
-            raise TuneError("tuning needs a single-run scenario archetype")
-        trace = traces[0]
+        (trace,) = execute_archetype(config)
         score = objective_value(trace, signal, spec.objective)
         tv = trace_metrics(trace, signal).control_effort_tv
         results.append(TuneResult(index, params, score, tv, trace))

@@ -3,6 +3,10 @@ import pytest
 from followsim import TraceRecord, default_scenario
 
 
+# pixel error below which a steering run counts as aligned (the paper's figs. 5 and 6)
+STEADY_STATE_PX = 5.0
+
+
 @pytest.fixture
 def base_scenario():
     return default_scenario("testbase")

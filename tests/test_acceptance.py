@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import STEADY_STATE_PX, make_record
 from followsim import (
     PidConfig,
     PidState,
@@ -158,7 +158,7 @@ def test_criterion_3_stationary_leader_stops_misaligned(family):
                                          lateral_offset=1.0, lateral_leader_speed=0.0))
     # the run must end on the stillness condition, not the duration cap
     assert trace.stop_reason == "follower_stationary"
-    assert abs(trace.records[-1].pixel_error_x) > base.steady_state_px
+    assert abs(trace.records[-1].pixel_error_x) > STEADY_STATE_PX
     _ok(3, f"stationary-offset-fails-to-align ({family})")
 
 
@@ -169,7 +169,7 @@ def test_criterion_4_moving_leader_reaches_steady_state(family):
                                          lateral_offset=1.0, lateral_leader_speed=1.0))
     tail = trace.records[int(0.8 * len(trace.records)):]
     mean_abs = sum(abs(r.pixel_error_x) for r in tail) / len(tail)
-    assert mean_abs < base.steady_state_px, f"{family} tail error {mean_abs:.2f}px"
+    assert mean_abs < STEADY_STATE_PX, f"{family} tail error {mean_abs:.2f}px"
     _ok(4, f"moving-leader-aligns ({family})")
 
 

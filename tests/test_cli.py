@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from followsim import cli, simulate, tune
 from followsim.cli import main
 from followsim.traceio import read_trace_csv
 
@@ -25,6 +26,22 @@ MOVING = (
     "lateral.leader_speed = 1.0\n"
     "duration = 6\n"
 )
+
+
+STEPS = "archetype = step_response\nduration = 2\n"
+
+
+def count_runs(monkeypatch) -> list:
+    """Configs passed to execute_archetype by the CLI and tune from now on."""
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return simulate.execute_archetype(config)
+
+    for module in (cli, tune):
+        monkeypatch.setattr(module, "execute_archetype", counting)
+    return calls
 
 
 class TestRun:
@@ -104,6 +121,15 @@ class TestCompare:
         assert abs(float(cells[2])) < 5.0  # pid column, pixels
         assert abs(float(cells[3])) < 5.0  # fuzzy column
 
+    def test_multi_run_archetype_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = count_runs(monkeypatch)
+        scn = write_scenario(tmp_path, "steps", STEPS)
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 1
+        assert "compare needs a single-run scenario archetype" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(calls) == 0
+
     def test_missing_family_rejected(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, "pidonly", "controllers = pid\nduration = 2\n")
         assert main(["compare", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
@@ -144,6 +170,18 @@ class TestTune:
         assert (out / "cand_000.csv").exists()
         assert (out / "cand_001.csv").exists()
         assert "best:" in capsys.readouterr().out
+
+    def test_multi_run_archetype_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = count_runs(monkeypatch)
+        scn = write_scenario(tmp_path, "steps", STEPS)
+        grid = tmp_path / "g.grid"
+        grid.write_text("kp = 0.0006, 0.0012\n")
+        out = tmp_path / "t"
+        assert main(["tune", "--scenario", scn, "--channel", "throttle",
+                     "--grid", str(grid), "--objective", "itae", "--out", str(out)]) == 1
+        assert "tuning needs a single-run scenario archetype" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(calls) == 0
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, "s", "duration = 2\n")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import make_record
-from followsim import Trace, compare, objective_value, step_metrics, trace_metrics
+from followsim import Trace, compare, objective_value, trace_metrics
 from followsim.metrics import METRIC_FIELDS
 
 
@@ -19,30 +19,30 @@ def exp_trace(delta=100.0, duration=20.0, dt=0.01, t0=0.0):
 
 class TestStepMetrics:
     def test_rise_time_matches_closed_form(self):
-        m = step_metrics(exp_trace(), "pixel_error_x", 100.0)
+        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
         # 10%..90% of 1 - e^-t: ln(10/9) to ln(10), difference ln 9
         assert m.rise_time == pytest.approx(math.log(9.0), abs=0.02)
 
     def test_settling_time_matches_closed_form(self):
-        m = step_metrics(exp_trace(), "pixel_error_x", 100.0)
+        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
         # final sample ~ delta; leaves the 5% band when e^-t = 0.05
         assert m.settling_time == pytest.approx(math.log(20.0), abs=0.02)
 
     def test_monotone_trace_has_zero_overshoot(self):
-        m = step_metrics(exp_trace(), "pixel_error_x", 100.0)
+        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
         assert m.overshoot == 0.0
 
     def test_overshoot_measured_beyond_final(self):
         records = [make_record(0.0, pixel_error_x=0.0)]
         records += [make_record(0.1, pixel_error_x=130.0)]
         records += [make_record(0.1 * k, pixel_error_x=100.0) for k in range(2, 40)]
-        m = step_metrics(Trace("os", records), "pixel_error_x", 100.0)
+        m = trace_metrics(Trace("os", records), "pixel_error_x", 100.0)
         assert m.overshoot == pytest.approx(30.0)
 
     def test_instantaneous_step_zero_rise(self):
         records = [make_record(0.0, pixel_error_x=0.0)]
         records += [make_record(0.02 * k, pixel_error_x=50.0) for k in range(1, 30)]
-        m = step_metrics(Trace("jump", records), "pixel_error_x", 50.0)
+        m = trace_metrics(Trace("jump", records), "pixel_error_x", 50.0)
         assert m.rise_time == 0.0
 
     def test_steady_state_error_is_tail_mean(self):
@@ -67,19 +67,27 @@ class TestStepMetrics:
         assert m2.control_effort_tv == 0.0
 
     def test_time_shift_invariance(self):
-        a = step_metrics(exp_trace(t0=0.0), "pixel_error_x", 100.0)
-        b = step_metrics(exp_trace(t0=123.0), "pixel_error_x", 100.0)
+        a = trace_metrics(exp_trace(t0=0.0), "pixel_error_x", 100.0)
+        b = trace_metrics(exp_trace(t0=123.0), "pixel_error_x", 100.0)
         for field in METRIC_FIELDS:
             assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-9, abs=1e-12)
 
     def test_short_trace_rejected(self):
         records = [make_record(0.1 * k) for k in range(3)]
         with pytest.raises(ValueError, match="records"):
-            step_metrics(Trace("short", records), "pixel_error_x", 1.0)
+            trace_metrics(Trace("short", records), "pixel_error_x", 1.0)
 
-    def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
-            step_metrics(exp_trace(), "pixel_error_x", 0.0)
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_zero_delta_means_no_step(self, delta):
+        m = trace_metrics(exp_trace(), "pixel_error_x", delta)
+        assert math.isnan(m.rise_time)
+        assert math.isnan(m.settling_time)
+        assert math.isnan(m.overshoot)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="setpoint_delta must be finite"):
+            trace_metrics(exp_trace(), "pixel_error_x", delta)
 
     def test_trace_metrics_without_delta_skips_step_fields(self):
         m = trace_metrics(exp_trace(), "pixel_error_x")
@@ -130,13 +138,12 @@ class TestCompare:
         assert report.winners["mean_op_count"] == "pid"
         assert any("costs more per loop" in note for note in report.notes)
 
-    def test_tie_tolerance_configurable(self):
-        a = Trace("s", [make_record(0.1 * k, pixel_error_x=100.0) for k in range(10)])
-        b = Trace("s", [make_record(0.1 * k, pixel_error_x=101.0) for k in range(10)])
-        strict = compare(a, b, tolerances={"rms_error": 0.0001})
-        loose = compare(a, b, tolerances={"rms_error": 0.05})
-        assert strict.winners["rms_error"] == "pid"
-        assert loose.winners["rms_error"] == "tie"
+    def test_tie_tolerance_is_two_percent(self):
+        def flat(px):
+            return Trace("s", [make_record(0.1 * k, pixel_error_x=px) for k in range(10)])
+
+        assert compare(flat(100.0), flat(101.0)).winners["rms_error"] == "tie"
+        assert compare(flat(100.0), flat(103.0)).winners["rms_error"] == "pid"
 
 
 class TestObjectives:

@@ -41,9 +41,16 @@ class TestDefaults:
         assert cfg.follower_start.x == pytest.approx(-DEFAULT_FOLLOW_RANGE)
         assert cfg.follower_start.y == 0.0
 
-    def test_dt_must_match_frame_interval(self):
-        with pytest.raises(ScenarioError, match="frame"):
-            default_scenario("x", dt=0.01)
+    def test_dt_is_one_frame_interval(self, base_scenario):
+        assert parse_scenario_text("camera.frame_rate = 30\n").dt == 1.0 / 30
+        cfg = replace(base_scenario, camera=replace(base_scenario.camera, frame_rate=25.0))
+        assert cfg.dt == 0.04
+
+    @pytest.mark.parametrize("line", ["dt = 0.02", "steady_state_px = 5"])
+    def test_removed_keys_are_unknown(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ScenarioError, match=rf"^line 1: {key}: unknown key$"):
+            parse_scenario_text(line + "\n")
 
     def test_runaway_guard(self):
         with pytest.raises(ScenarioError, match="guard"):
@@ -78,10 +85,8 @@ class TestParser:
             name="every_key",
             archetype="path_follow",
             seed=7,
-            dt=0.04,
             duration=10.0,
             setpoint_area=900.0,
-            steady_state_px=3.0,
             controllers=("fuzzy",),
             lost_target_policy="stop",
             stop_speed_eps=0.05,
@@ -137,11 +142,11 @@ class TestParser:
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ScenarioError, match="duplicate"):
-            parse_scenario_text("dt = 0.02\ndt = 0.02\n")
+            parse_scenario_text("duration = 5\nduration = 5\n")
 
     def test_bad_number_rejected_with_line(self):
         with pytest.raises(ScenarioError, match="line 1"):
-            parse_scenario_text("dt = fast\n")
+            parse_scenario_text("duration = fast\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ScenarioError, match="key = value"):
@@ -155,7 +160,7 @@ class TestParser:
 
     def test_camera_and_setpoint_coupling(self):
         cfg = parse_scenario_text(
-            "camera.horizontal_fov_deg = 60\ncamera.frame_rate = 25\ndt = 0.04\n"
+            "camera.horizontal_fov_deg = 60\ncamera.frame_rate = 25\n"
         )
         assert cfg.camera.horizontal_fov == pytest.approx(math.radians(60))
         assert cfg.dt == 0.04

@@ -185,6 +185,8 @@ class TestCameraValidation:
             dict(min_range=0.0),
             dict(min_range=30.0),
             dict(jitter_px=-1.0),
+            dict(frame_rate=math.inf),
+            dict(frame_rate=math.nan),
         ],
     )
     def test_invalid_rejected(self, kwargs):

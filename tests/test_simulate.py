@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import records_match_except_timing
+from conftest import STEADY_STATE_PX, records_match_except_timing
 from followsim import (
     LeaderScript,
     ScenarioError,
@@ -161,7 +161,7 @@ class TestLateralOffset:
             lateral_offset=1.0, lateral_leader_speed=0.0,
         ))
         assert trace.stop_reason == "follower_stationary"
-        assert abs(trace.records[-1].pixel_error_x) > base_scenario.steady_state_px
+        assert abs(trace.records[-1].pixel_error_x) > STEADY_STATE_PX
 
     def test_moving_regime_reaches_steady_state(self, base_scenario):
         (trace,) = execute_archetype(replace(
@@ -171,7 +171,7 @@ class TestLateralOffset:
         n = len(trace.records)
         tail = trace.records[int(0.8 * n):]
         mean_abs = sum(abs(r.pixel_error_x) for r in tail) / len(tail)
-        assert mean_abs < base_scenario.steady_state_px
+        assert mean_abs < STEADY_STATE_PX
 
     def test_mirror_symmetry(self, base_scenario):
         cfg = replace(base_scenario, duration=2.0, archetype="lateral_offset",
