@@ -18,16 +18,12 @@ from .actuation import (
     pwm_to_actuation,
 )
 from .fuzzy import (
-    Aggregate,
     FuzzyConfig,
     FuzzyError,
     MembershipFunction,
     count_fuzzy_ops,
     default_fuzzy_config,
-    defuzz_centroid,
-    fuzzify,
     fuzzy_step,
-    infer,
     scale_output,
 )
 from .metrics import ComparisonReport, MetricSet, compare, objective_value, trace_metrics

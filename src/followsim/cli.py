@@ -59,12 +59,6 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_scenario(args.scenario)
-    for family in ("pid", "fuzzy"):
-        if family not in config.controllers:
-            raise ScenarioError(
-                f"scenario does not define {family} controller configs "
-                "(controllers = pid,fuzzy is required for compare)"
-            )
     if len(config.runs()) != 1:
         raise ScenarioError("compare needs a single-run scenario archetype")
     out = Path(args.out)

@@ -1,16 +1,17 @@
 """Two-input Mamdani fuzzy controller.
 
-Pipeline: fuzzify (error, error rate) -> min/max rule inference -> centroid
-defuzzification on a fixed uniform grid over the output universe. Everything
-is built from triangular/trapezoidal sets; the default layout is the textbook
-workhorse: five 50%-overlap triangles per variable and a 25-rule diagonal table.
+FuzzyConfig samples every output set once on a fixed uniform grid over the
+output universe; fuzzy_step then grades (error, error rate), clips each fired
+rule's output curve (min/max inference) and returns the aggregate's centroid.
+Everything is built from triangular/trapezoidal sets; the default layout is the
+textbook workhorse: five 50%-overlap triangles per variable and a 25-rule
+diagonal table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,18 +44,6 @@ class MembershipFunction:
             raise FuzzyError("breakpoints must be non-decreasing")
         object.__setattr__(self, "breakpoints", pts)
 
-    @property
-    def shape(self) -> str:
-        return "triangular" if len(self.breakpoints) == 3 else "trapezoidal"
-
-    @classmethod
-    def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
-        return cls((a, b, c))
-
-    @classmethod
-    def trapezoid(cls, a: float, b: float, c: float, d: float) -> "MembershipFunction":
-        return cls((a, b, c, d))
-
     def membership(self, x: float) -> float:
         """Piecewise-linear grade in [0, 1]; zero-width edges act as steps."""
         if len(self.breakpoints) == 3:
@@ -71,29 +60,19 @@ class MembershipFunction:
         return (c - x) / (c - hi)
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        return np.array([self.membership(float(x)) for x in grid])
+        """`membership` at every grid point: the same branches and IEEE
+        operations, so the same bits."""
+        x = np.asarray(grid, dtype=float)
+        a, *core, c = self.breakpoints  # a triangle's core is its peak
+        lo, hi = core[0], core[-1]
+        with np.errstate(all="ignore"):
+            grade = np.where(x < lo, (x - a) / (lo - a), (c - x) / (c - hi))
+        grade[(lo <= x) & (x <= hi)] = 1.0
+        grade[(x < a) | (x > c)] = 0.0
+        return grade
 
     def scaled(self, k: float) -> "MembershipFunction":
         return MembershipFunction(tuple(k * b for b in self.breakpoints))
-
-
-def _has_positive_sample(mf: MembershipFunction, grid: np.ndarray) -> bool:
-    """Whether `mf.membership` is positive at some point of the ascending grid,
-    that is inside its open support (a, c) or its closed core."""
-    a, *core, c = mf.breakpoints  # a triangle's core is its peak
-    above_a = np.searchsorted(grid, a, side="right")
-    in_core = np.searchsorted(grid, core[0], side="left")
-    return bool(
-        (above_a < len(grid) and grid[above_a] < c)
-        or (in_core < len(grid) and grid[in_core] <= core[-1])
-    )
-
-
-class Aggregate(NamedTuple):
-    """Inference result: membership sampled on the output universe grid."""
-
-    universe: np.ndarray
-    membership: np.ndarray
 
 
 def _check_coverage(
@@ -141,8 +120,8 @@ class FuzzyConfig:
         _check_coverage("error", self.error_sets, self.error_universe)
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
-        for label, mf in self.output_sets.items():
-            if not _has_positive_sample(mf, self.output_grid):
+        for label, curve in self.output_curves.items():
+            if not curve.any():
                 raise FuzzyError(f"output set {label} has no positive sample on the output grid")
 
         expected = {(e, d) for e in self.error_sets for d in self.delta_sets}
@@ -160,48 +139,38 @@ class FuzzyConfig:
         return np.linspace(lo, hi, self.grid_points)
 
     @cached_property
-    def _output_curves(self) -> dict[str, np.ndarray]:
+    def output_curves(self) -> dict[str, np.ndarray]:
+        """Each output set sampled on output_grid, built once by __post_init__."""
         return {label: mf.on_grid(self.output_grid) for label, mf in self.output_sets.items()}
 
 
-def fuzzify(
-    value: float, sets: dict[str, MembershipFunction], universe: tuple[float, float]
-) -> dict[str, float]:
-    """Membership grade of value in every set; out-of-universe values clamp to the edge."""
-    lo, hi = universe
-    v = min(max(value, lo), hi)
-    return {label: mf.membership(v) for label, mf in sets.items()}
+def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
+    """Crisp controller output for one (error, error rate) sample.
 
-
-def infer(
-    config: FuzzyConfig,
-    error_degrees: dict[str, float],
-    delta_degrees: dict[str, float],
-) -> Aggregate:
-    """Min/max Mamdani inference: clip each fired rule's output set, max-aggregate."""
-    grid = config.output_grid
-    aggregate = np.zeros_like(grid)
-    curves = config._output_curves
+    Each input is clamped to its universe and graded in every set. A rule
+    fires with strength min(error grade, delta grade) and clips its output
+    curve there; the clipped curves are max-aggregated, and the output is the
+    aggregate's weighted-mean centroid over the grid.
+    """
+    if not (math.isfinite(error) and math.isfinite(error_delta)):
+        name = "error_delta" if math.isfinite(error) else "error"
+        raise FuzzyError(f"non-finite controller input {name}")
+    lo, hi = config.error_universe
+    e = min(max(error, lo), hi)
+    e_deg = {label: mf.membership(e) for label, mf in config.error_sets.items()}
+    lo, hi = config.delta_universe
+    d = min(max(error_delta, lo), hi)
+    d_deg = {label: mf.membership(d) for label, mf in config.delta_sets.items()}
+    curves = config.output_curves
+    aggregate = np.zeros(config.grid_points)
     for (e_label, d_label), out_label in config.rules.items():
-        strength = min(error_degrees[e_label], delta_degrees[d_label])
+        strength = min(e_deg[e_label], d_deg[d_label])
         if strength > 0.0:
             np.maximum(aggregate, np.minimum(curves[out_label], strength), out=aggregate)
-    return Aggregate(grid, aggregate)
-
-
-def defuzz_centroid(aggregate: Aggregate) -> float:
-    """Weighted-mean centroid of the gridded aggregate membership."""
-    total = float(aggregate.membership.sum())
+    total = float(aggregate.sum())
     if total == 0.0:
         raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
-    return float(np.dot(aggregate.universe, aggregate.membership)) / total
-
-
-def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
-    """Crisp controller output for one (error, error rate) sample."""
-    e_deg = fuzzify(error, config.error_sets, config.error_universe)
-    d_deg = fuzzify(error_delta, config.delta_sets, config.delta_universe)
-    return defuzz_centroid(infer(config, e_deg, d_deg))
+    return float(np.dot(config.output_grid, aggregate)) / total
 
 
 def scaled_output_fields(
@@ -226,7 +195,7 @@ def _five_triangles(span: float) -> dict[str, MembershipFunction]:
     half = span / 2.0
     centers = (-span, -half, 0.0, half, span)
     return {
-        label: MembershipFunction.triangle(c - half, c, c + half)
+        label: MembershipFunction((c - half, c, c + half))
         for label, c in zip(DEFAULT_LABELS, centers)
     }
 
@@ -285,7 +254,7 @@ def count_fuzzy_ops(config: FuzzyConfig) -> int:
     """
     ops = 0
     for mf in list(config.error_sets.values()) + list(config.delta_sets.values()):
-        ops += _TRI_EVAL_OPS if mf.shape == "triangular" else _TRAP_EVAL_OPS
+        ops += _TRI_EVAL_OPS if len(mf.breakpoints) == 3 else _TRAP_EVAL_OPS
     ops += len(config.rules) * (1 + 2 * config.grid_points)
     ops += 3 * config.grid_points + 1
     return ops

@@ -55,11 +55,6 @@ def trace_metrics(trace: Trace, signal: str, setpoint_delta: float | None = None
     delta = setpoint_delta or None
     ys = _column(trace, signal)
     ts = _column(trace, "t")
-    if len(ys) < 5:
-        raise ValueError(
-            f"trace {trace.name!r} has {len(ys)} records; "
-            "need at least 5 to evaluate settling bands"
-        )
     tail_start = int(0.8 * len(ys))
     tail = ys[tail_start:]
     steady_state = sum(tail) / len(tail)

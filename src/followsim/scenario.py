@@ -71,7 +71,6 @@ class ScenarioConfig:
     duration: float = 20.0
     seed: int = 0
     setpoint_area: float = 0.0  # 0 means "derive from camera/panel", see default_scenario
-    controllers: tuple[str, ...] = ("pid", "fuzzy")
     steering_kind: str = "pid"
     throttle_kind: str = "pid"
     steering_locked: bool = False
@@ -99,8 +98,6 @@ class ScenarioConfig:
             raise ScenarioError("duration * camera.frame_rate exceeds the 1e7 runaway guard")
         if self.setpoint_area <= 0:
             raise ScenarioError("setpoint_area must be positive")
-        if not self.controllers or any(c not in CONTROLLER_KINDS for c in self.controllers):
-            raise ScenarioError("controllers must name pid and/or fuzzy")
         for key, kind in (("steering", self.steering_kind), ("throttle", self.throttle_kind)):
             if kind not in CONTROLLER_KINDS:
                 raise ScenarioError(f"controller.{key}.kind must be pid or fuzzy, got {kind!r}")
@@ -298,10 +295,6 @@ def _parse_bool(raw: str) -> bool:
     raise ScenarioError(f"expected true/false, got {raw!r}")
 
 
-def _parse_names(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
-
-
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     items = [item.strip() for item in raw.split(",") if item.strip()]
     if not items:
@@ -377,7 +370,6 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "seed": (_parse_int, "", "seed"),
     "duration": (_parse_float, "", "duration"),
     "setpoint_area": (_parse_float, "", "setpoint_area"),
-    "controllers": (_parse_names, "", "controllers"),
     "lost_target.policy": (str, "", "lost_target_policy"),
     "stop.speed_eps": (_parse_float, "", "stop_speed_eps"),
     "stop.hold_time": (_parse_float, "", "stop_hold_time"),
@@ -415,9 +407,11 @@ for _ch in CHANNELS:
     SCENARIO_KEYS[f"fuzzy.{_ch}.output_scale"] = (_parse_float, f"fuzzy.{_ch}", "output_scale")
 
 
-def _pattern_key(key: str):
-    """Entry for `fuzzy.<ch>.set.<var>.<LABEL>` or `fuzzy.<ch>.rule.<E>.<D>`;
-    None for any other key."""
+def _scenario_entry(key: str):
+    """SCENARIO_KEYS entry of a key, else its `fuzzy.<ch>.set.<var>.<LABEL>`
+    or `fuzzy.<ch>.rule.<E>.<D>` entry; None for any other key."""
+    if key in SCENARIO_KEYS:
+        return SCENARIO_KEYS[key]
     parts = key.split(".")
     if len(parts) != 5 or parts[0] != "fuzzy" or parts[1] not in CHANNELS:
         return None
@@ -437,9 +431,12 @@ def _pattern_key(key: str):
 KeyLines = dict[tuple[str, str], tuple[int, str]]
 
 
-def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], KeyLines]:
+def _read_sections(
+    text: str, entry_for=_scenario_entry
+) -> tuple[dict[str, dict[str, object]], KeyLines]:
     """Section -> {field: value}, holding only the keys the text sets, and
-    where each of those keys was set."""
+    where each of those keys was set. entry_for maps a key to its
+    (parser, section, field) entry, None for an unknown key."""
     sections: dict[str, dict[str, object]] = defaultdict(dict)
     lines: KeyLines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -451,7 +448,7 @@ def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], KeyLines]:
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
         try:
-            entry = SCENARIO_KEYS.get(key) or _pattern_key(key)
+            entry = entry_for(key)
             if entry is None:
                 raise ScenarioError("unknown key")
             parser, section, name = entry

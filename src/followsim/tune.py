@@ -1,6 +1,6 @@
 """Exhaustive grid-search tuning of one control channel.
 
-The grid file is the same key=value format as scenarios: `kp = 0.5, 1, 2`
+The grid file is read by the scenario file's line reader: `kp = 0.5, 1, 2`
 lines for a PID channel or a single `output_scale = ...` line for a fuzzy
 channel (the one structural knob exposed: scaling the output universe).
 Every candidate runs the scenario once; candidates are ranked by the chosen
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .fuzzy import scale_output
 from .metrics import objective_value, trace_metrics
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
 from .simulate import Trace, execute_archetype
 
 OBJECTIVES = ("itae", "ise", "rms")
@@ -65,28 +65,17 @@ class TuneSpec:
         return tuple(k for k in base if k in self.grid)
 
 
+# grid key -> its _read_sections entry: a list of finite numbers
+_GRID_ENTRIES = {key: (_parse_float_list, "", key) for key in PID_GRID_KEYS + FUZZY_GRID_KEYS}
+
+
 def load_gain_grid(path) -> dict[str, tuple[float, ...]]:
-    grid: dict[str, tuple[float, ...]] = {}
     text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise TuneError(f"line {lineno}: expected 'gain = v1, v2, ...'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in PID_GRID_KEYS + FUZZY_GRID_KEYS:
-            raise TuneError(f"line {lineno}: unknown grid key {key!r}")
-        if key in grid:
-            raise TuneError(f"line {lineno}: duplicate grid key {key!r}")
-        try:
-            values = tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise TuneError(f"line {lineno}: cannot parse values for {key!r}") from None
-        if not values:
-            raise TuneError(f"line {lineno}: no values for {key!r}")
-        grid[key] = values
+    try:
+        sections, _ = _read_sections(text, _GRID_ENTRIES.get)
+    except ScenarioError as exc:
+        raise TuneError(str(exc)) from None
+    grid = sections[""]
     if not grid:
         raise TuneError("grid file defines no gains")
     return grid

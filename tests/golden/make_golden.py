@@ -4,13 +4,15 @@ Usage, from the repository root:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-Runs `followsim compare` on every shipped scenario and `followsim tune` of
-scenarios/throttle_grid.grid on scenarios/throttle_step.scn, then stores the
-SHA-256 of:
+Runs `followsim compare` on every shipped scenario, `followsim tune` of
+scenarios/throttle_grid.grid on scenarios/throttle_step.scn (PID gains) and of
+tests/data/output_scale.grid on tests/data/throttle_step_fuzzy.scn (fuzzy
+output scale), and `followsim sweep --separations 1,2,4` on
+scenarios/throttle_step.scn, then stores the SHA-256 of:
 
 - every trace CSV, with the wall-clock `loop_cost_us` column blanked;
-- every compare report;
-- `tune_results.csv`.
+- every compare report and the sweep summary;
+- each `tune_results.csv`.
 
 tests/test_golden.py recomputes the same hashes and compares. Regenerate only
 when a change is meant to alter the outputs, and say in CHANGES.md which
@@ -30,6 +32,7 @@ from followsim import cli
 
 ROOT = Path(__file__).resolve().parents[2]
 SCENARIOS = ROOT / "scenarios"
+DATA = ROOT / "tests" / "data"
 HASHES = Path(__file__).resolve().parent / "hashes.json"
 
 
@@ -61,21 +64,30 @@ def _run(argv: list[str]) -> None:
 def compute_hashes() -> dict[str, str]:
     """Output label -> SHA-256 of its canonical text, for the whole corpus."""
     hashes = {}
+
+    def store(out: Path, paths) -> None:
+        for path in paths:
+            hashes[f"{out.name}/{path.name}"] = hashlib.sha256(
+                _canonical(path).encode("utf-8")
+            ).hexdigest()
+
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in sorted(SCENARIOS.glob("*.scn")):
             out = Path(tmp) / f"compare_{scenario.stem}"
             _run(["compare", "--scenario", str(scenario), "--out", str(out)])
-            for path in sorted(out.glob("*.csv")) + sorted(out.glob("*_report.md")):
-                hashes[f"{out.name}/{path.name}"] = hashlib.sha256(
-                    _canonical(path).encode("utf-8")
-                ).hexdigest()
-        out = Path(tmp) / "tune_throttle_step"
-        _run(["tune", "--scenario", str(SCENARIOS / "throttle_step.scn"),
-              "--grid", str(SCENARIOS / "throttle_grid.grid"), "--channel", "throttle",
-              "--objective", "itae", "--out", str(out)])
-        hashes[f"{out.name}/tune_results.csv"] = hashlib.sha256(
-            _canonical(out / "tune_results.csv").encode("utf-8")
-        ).hexdigest()
+            store(out, sorted(out.glob("*.csv")) + sorted(out.glob("*_report.md")))
+        for label, scenario, grid in (
+            ("throttle_step", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid"),
+            ("throttle_step_fuzzy", DATA / "throttle_step_fuzzy.scn", DATA / "output_scale.grid"),
+        ):
+            out = Path(tmp) / f"tune_{label}"
+            _run(["tune", "--scenario", str(scenario), "--grid", str(grid),
+                  "--channel", "throttle", "--objective", "itae", "--out", str(out)])
+            store(out, [out / "tune_results.csv"])
+        out = Path(tmp) / "sweep_throttle_step"
+        _run(["sweep", "--scenario", str(SCENARIOS / "throttle_step.scn"),
+              "--separations", "1,2,4", "--out", str(out)])
+        store(out, sorted(out.glob("*.csv")) + sorted(out.glob("*_sweep.md")))
     return hashes
 
 

@@ -130,10 +130,21 @@ class TestCompare:
         assert not out.exists()
         assert len(calls) == 0
 
-    def test_missing_family_rejected(self, tmp_path, capsys):
+    def test_controllers_key_is_unknown(self, tmp_path, capsys):
+        # every scenario defines both families, so there is no subset to pick
         scn = write_scenario(tmp_path, "pidonly", "controllers = pid\nduration = 2\n")
         assert main(["compare", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
-        assert "fuzzy" in capsys.readouterr().err
+        assert "line 1: controllers: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["duration = 0.06\n", "stop.hold_time = 0.001\n"])
+    def test_short_run_compares(self, tmp_path, text):
+        scn = write_scenario(tmp_path, "short", text)
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 0
+        assert (out / "short_report.md").exists()
+        for family in ("pid", "fuzzy"):
+            assert 1 <= len(read_trace_csv(out / f"short_{family}.csv").records) < 5
 
     def test_deterministic_across_invocations(self, tmp_path):
         scn = write_scenario(tmp_path, "det", MOVING + "seed = 3\n")
@@ -224,6 +235,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: --separations") and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_short_runs_sweep(self, tmp_path):
+        scn = write_scenario(tmp_path, "short", "duration = 0.06\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", scn, "--separations", "1,2",
+                     "--out", str(out)]) == 0
+        assert (out / "short_sweep.md").exists()
+        assert len(read_trace_csv(out / "short_sep_2m.csv").records) < 5
 
     def test_zero_step_separation_reports_not_applicable(self, tmp_path):
         # a separation at the setpoint range has no step to traverse

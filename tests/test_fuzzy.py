@@ -1,24 +1,22 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from followsim import (
-    Aggregate,
+    FuzzyConfig,
     FuzzyError,
     MembershipFunction,
     PID_STEP_OPS,
     count_fuzzy_ops,
     default_fuzzy_config,
-    defuzz_centroid,
-    fuzzify,
     fuzzy_step,
-    infer,
     scale_output,
 )
-from followsim.fuzzy import MAX_GRID_POINTS, _has_positive_sample
+from followsim.fuzzy import DEFAULT_LABELS, MAX_GRID_POINTS
 
 
 def oracle_membership(breakpoints, x):
@@ -39,23 +37,22 @@ def oracle_membership(breakpoints, x):
 
 class TestMembershipFunction:
     def test_peak_is_one(self):
-        mf = MembershipFunction.triangle(-1.0, 0.5, 2.0)
+        mf = MembershipFunction((-1.0, 0.5, 2.0))
         assert mf.membership(0.5) == 1.0
 
     def test_fifty_percent_crossing(self):
-        left = MembershipFunction.triangle(-2.0, -1.0, 0.0)
-        right = MembershipFunction.triangle(-1.0, 0.0, 1.0)
+        left = MembershipFunction((-2.0, -1.0, 0.0))
+        right = MembershipFunction((-1.0, 0.0, 1.0))
         assert left.membership(-0.5) == 0.5
         assert right.membership(-0.5) == 0.5
 
     def test_trapezoid_core(self):
-        mf = MembershipFunction.trapezoid(0.0, 1.0, 2.0, 4.0)
+        mf = MembershipFunction((0.0, 1.0, 2.0, 4.0))
         assert mf.membership(1.5) == 1.0
         assert mf.membership(3.0) == 0.5
-        assert mf.shape == "trapezoidal"
 
     def test_zero_width_edges_act_as_steps(self):
-        mf = MembershipFunction.triangle(0.0, 0.0, 1.0)
+        mf = MembershipFunction((0.0, 0.0, 1.0))
         assert mf.membership(0.0) == 1.0
         assert mf.membership(-1e-9) == 0.0
 
@@ -67,7 +64,7 @@ class TestMembershipFunction:
     )
     @settings(max_examples=300)
     def test_matches_piecewise_linear_oracle(self, a, spread1, spread2, x):
-        mf = MembershipFunction.triangle(a, a + spread1, a + spread1 + spread2)
+        mf = MembershipFunction((a, a + spread1, a + spread1 + spread2))
         want = oracle_membership(mf.breakpoints, x)
         assert mf.membership(x) == pytest.approx(want, abs=1e-12)
         assert 0.0 <= mf.membership(x) <= 1.0
@@ -77,50 +74,97 @@ class TestMembershipFunction:
         with pytest.raises(FuzzyError):
             MembershipFunction(pts)
 
+    @given(
+        points=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0)),
+            min_size=3, max_size=4,
+        ).map(sorted),
+        extra=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)), max_size=30),
+        n=st.integers(2, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(points=[0.0, 0.0, 1.0], extra=[-0.0, 0.0], n=3)  # zero-width edge at a sample
+    @example(points=[-1.0, 0.0, 0.0, 1.0], extra=[-0.0], n=2)  # zero-width core
+    @example(points=[-0.0, 0.0, 0.0, -0.0], extra=[0.0, -0.0, 1e-300], n=2)  # signed zeros
+    def test_on_grid_matches_scalar_loop(self, points, extra, n):
+        """on_grid gives the scalar membership's bits at every point, including
+        -0.0 grades and points that sit exactly on a breakpoint."""
+        mf = MembershipFunction(tuple(points))
+        grid = np.concatenate([np.linspace(-2.5, 2.5, n), points, extra])
+        want = np.array([mf.membership(float(x)) for x in grid])
+        assert mf.on_grid(grid).tobytes() == want.tobytes()
+
+
+def grades(sets, x):
+    return {label: mf.membership(x) for label, mf in sets.items()}
+
 
 class TestFuzzify:
     def test_degrees_and_clamping(self):
         config = default_fuzzy_config(100.0, 100.0)
-        degrees = fuzzify(0.0, config.error_sets, config.error_universe)
+        degrees = grades(config.error_sets, 0.0)
         assert degrees["Z"] == 1.0
         assert sum(1 for d in degrees.values() if d > 0) == 1
-        # out-of-universe input clamps to the edge set
-        edge = fuzzify(1e9, config.error_sets, config.error_universe)
-        assert edge["PL"] == 1.0
+        # out-of-universe inputs clamp to the edge sets
+        assert fuzzy_step(config, 1e9, -1e9) == fuzzy_step(config, 100.0, -100.0)
 
     def test_adjacent_overlap_sums_to_one(self):
         config = default_fuzzy_config(100.0, 100.0)
         for x in (-80.0, -30.0, 12.5, 60.0, 99.0):
-            degrees = fuzzify(x, config.error_sets, config.error_universe)
-            assert sum(degrees.values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(grades(config.error_sets, x).values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def two_rule_config(output: MembershipFunction, grid_points: int = 1001) -> FuzzyConfig:
+    """Error grades N = (1 - e) / 2 and P = (1 + e) / 2 on [-1, 1]; both rules
+    fire output set C, so the aggregate is C clipped at max(N, P)."""
+    wide = MembershipFunction((-2.0, -1.0, 1.0, 2.0))
+    return FuzzyConfig(
+        error_sets={"N": MembershipFunction((-2.0, -1.0, 1.0)), "P": MembershipFunction((-1.0, 1.0, 2.0))},
+        delta_sets={"Z": wide},
+        output_sets={"C": output, "W": wide},
+        rules={("N", "Z"): "C", ("P", "Z"): "C"},
+        error_universe=(-1.0, 1.0),
+        delta_universe=(-1.0, 1.0),
+        output_universe=(-1.0, 1.0),
+        grid_points=grid_points,
+    )
+
+
+def aggregate_fn(config, e, d):
+    """The clipped, max-aggregated output membership at any u, by scalar grades."""
+    e_deg, d_deg = grades(config.error_sets, e), grades(config.delta_sets, d)
+
+    def mu(u):
+        best = 0.0
+        for (el, dl), out in config.rules.items():
+            strength = min(e_deg[el], d_deg[dl])
+            best = max(best, min(strength, config.output_sets[out].membership(u)))
+        return best
+
+    return mu
 
 
 class TestInfer:
     def test_single_rule_identity(self):
+        # at (0, 0) only rule (Z, Z) fires, at full strength: the output is
+        # the centroid of the Z curve itself
         config = default_fuzzy_config(1.0, 1.0)
-        e = {label: (1.0 if label == "Z" else 0.0) for label in config.error_sets}
-        d = dict(e)
-        agg = infer(config, e, d)
-        want = config.output_sets["Z"].on_grid(agg.universe)
-        assert np.array_equal(agg.membership, want)
+        curve = config.output_curves["Z"]
+        want = float(np.dot(config.output_grid, curve)) / float(curve.sum())
+        assert fuzzy_step(config, 0.0, 0.0) == want
 
     def test_half_strength_clips(self):
-        config = default_fuzzy_config(1.0, 1.0)
-        e = {label: (0.5 if label == "Z" else 0.0) for label in config.error_sets}
-        agg = infer(config, e, dict(e))
-        assert agg.membership.max() == 0.5
+        # the right triangle (0, 0, 1) has centroid 1/3; clipped at 0.5 it is
+        # a trapezoid with centroid 7/18
+        config = two_rule_config(MembershipFunction((0.0, 0.0, 1.0)))
+        assert fuzzy_step(config, -1.0, 0.0) == pytest.approx(1.0 / 3.0, abs=2e-3)
+        assert fuzzy_step(config, 0.0, 0.0) == pytest.approx(7.0 / 18.0, abs=2e-3)
 
     def test_pointwise_max_against_grid_oracle(self):
         config = default_fuzzy_config(1.0, 1.0)
-        e_deg = fuzzify(0.3, config.error_sets, config.error_universe)
-        d_deg = fuzzify(-0.6, config.delta_sets, config.delta_universe)
-        agg = infer(config, e_deg, d_deg)
-        for i, u in enumerate(agg.universe):
-            want = 0.0
-            for (el, dl), out in config.rules.items():
-                strength = min(e_deg[el], d_deg[dl])
-                want = max(want, min(strength, config.output_sets[out].membership(float(u))))
-            assert agg.membership[i] == pytest.approx(want, abs=1e-12)
+        mu = np.array([aggregate_fn(config, 0.3, -0.6)(float(u)) for u in config.output_grid])
+        want = float(np.dot(config.output_grid, mu)) / float(mu.sum())
+        assert fuzzy_step(config, 0.3, -0.6) == pytest.approx(want, abs=1e-12)
 
 
 def fine_grid_centroid(aggregate_fn, lo, hi, n):
@@ -139,33 +183,22 @@ class TestDefuzz:
         assert out == pytest.approx(0.0, abs=1e-12)
 
     def test_clipped_symmetric_triangle_returns_center(self):
-        grid = np.linspace(-1.0, 1.0, 401)
-        mf = MembershipFunction.triangle(0.1, 0.3, 0.5)
-        membership = np.minimum(mf.on_grid(grid), 0.6)
-        assert defuzz_centroid(Aggregate(grid, membership)) == pytest.approx(0.3, abs=1e-9)
+        config = two_rule_config(MembershipFunction((0.1, 0.3, 0.5)), grid_points=401)
+        assert fuzzy_step(config, -0.2, 0.0) == pytest.approx(0.3, abs=1e-9)
 
     def test_asymmetric_aggregate_matches_fine_integration(self):
         config = default_fuzzy_config(1.0, 1.0)
-        e_deg = fuzzify(0.55, config.error_sets, config.error_universe)
-        d_deg = fuzzify(0.2, config.delta_sets, config.delta_universe)
-        agg = infer(config, e_deg, d_deg)
-
-        def aggregate_fn(u):
-            best = 0.0
-            for (el, dl), out in config.rules.items():
-                strength = min(e_deg[el], d_deg[dl])
-                best = max(best, min(strength, config.output_sets[out].membership(u)))
-            return best
-
-        got = defuzz_centroid(agg)
+        got = fuzzy_step(config, 0.55, 0.2)
         lo, hi = config.output_universe
-        want = fine_grid_centroid(aggregate_fn, lo, hi, 10 * config.grid_points)
+        want = fine_grid_centroid(aggregate_fn(config, 0.55, 0.2), lo, hi, 10 * config.grid_points)
         assert abs(got - want) <= 1e-3 * (hi - lo)
 
     def test_all_zero_aggregate_rejected(self):
-        grid = np.linspace(-1, 1, 201)
-        with pytest.raises(FuzzyError):
-            defuzz_centroid(Aggregate(grid, np.zeros_like(grid)))
+        config = default_fuzzy_config(1.0, 1.0)
+        for curve in config.output_curves.values():
+            curve[:] = 0.0
+        with pytest.raises(FuzzyError, match="all-zero aggregate"):
+            fuzzy_step(config, 0.0, 0.0)
 
 
 def oracle_fuzzy_step(config, error, error_delta):
@@ -193,6 +226,13 @@ class TestFuzzyStep:
     def test_zero_inputs_zero_output(self):
         config = default_fuzzy_config(160.0, 600.0)
         assert fuzzy_step(config, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", ["error", "error_delta"])
+    def test_non_finite_input_rejected(self, bad, position):
+        args = {"error": 0.0, "error_delta": 0.0, position: bad}
+        with pytest.raises(FuzzyError, match=f"non-finite controller input {position}$"):
+            fuzzy_step(default_fuzzy_config(1.0, 1.0), **args)
 
     @given(e=st.floats(-200, 200), d=st.floats(-700, 700))
     @settings(max_examples=100)
@@ -249,8 +289,8 @@ class TestConfigValidation:
 
     def test_coverage_gap_rejected(self):
         sets = {
-            "N": MembershipFunction.triangle(-1.0, -0.6, -0.2),
-            "P": MembershipFunction.triangle(0.2, 0.6, 1.0),
+            "N": MembershipFunction((-1.0, -0.6, -0.2)),
+            "P": MembershipFunction((0.2, 0.6, 1.0)),
         }  # hole around zero
         config = default_fuzzy_config(1.0, 1.0)
         with pytest.raises(FuzzyError, match="uncovered"):
@@ -280,8 +320,8 @@ class TestConfigValidation:
     def test_gap_between_samples_rejected(self):
         # the hole (0.0025, 0.005) is narrower than 1/256 of the universe
         sets = {
-            "N": MembershipFunction.triangle(-2.0, -1.0, 0.0025),
-            "P": MembershipFunction.triangle(0.005, 1.0, 2.0),
+            "N": MembershipFunction((-2.0, -1.0, 0.0025)),
+            "P": MembershipFunction((0.005, 1.0, 2.0)),
         }
         with pytest.raises(FuzzyError, match="uncovered"):
             self._with_error_sets(sets)
@@ -289,11 +329,11 @@ class TestConfigValidation:
     def test_closed_cores_meeting_at_a_point_cover(self):
         # both sets reach zero only at 0, where their closed cores give grade 1
         sets = {
-            "N": MembershipFunction.trapezoid(-2.0, -1.0, 0.0, 0.0),
-            "P": MembershipFunction.trapezoid(0.0, 0.0, 1.0, 2.0),
+            "N": MembershipFunction((-2.0, -1.0, 0.0, 0.0)),
+            "P": MembershipFunction((0.0, 0.0, 1.0, 2.0)),
         }
         config = self._with_error_sets(sets)
-        assert fuzzify(0.0, config.error_sets, config.error_universe) == {"N": 1.0, "P": 1.0}
+        assert grades(config.error_sets, 0.0) == {"N": 1.0, "P": 1.0}
 
     def test_grid_floor_enforced(self):
         with pytest.raises(FuzzyError):
@@ -307,8 +347,15 @@ class TestConfigValidation:
 
     def test_output_set_touching_one_sample_accepted(self):
         config = default_fuzzy_config(1.0, 1.0)
-        sets = dict(config.output_sets, Z=MembershipFunction.trapezoid(-0.0001, 0.0, 0.0, 0.0001))
+        sets = dict(config.output_sets, Z=MembershipFunction((-0.0001, 0.0, 0.0, 0.0001)))
         assert fuzzy_step(replace(config, output_sets=sets), 0.0, 0.0) == 0.0
+
+    def test_output_set_between_samples_rejected(self):
+        config = default_fuzzy_config(1.0, 1.0)
+        # the grid samples 0.0 and 0.002; X lies strictly between them
+        sets = dict(config.output_sets, X=MembershipFunction((0.0001, 0.0005, 0.0009)))
+        with pytest.raises(FuzzyError, match="output set X has no positive sample"):
+            replace(config, output_sets=sets)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(FuzzyError):
@@ -321,12 +368,110 @@ def test_fuzzy_costs_more_ops_than_pid():
     assert fuzzy_ops > 100 * PID_STEP_OPS  # the gap is structural, not marginal
 
 
-@given(
-    points=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4).map(sorted),
-    n=st.integers(2, 300),
-)
-@settings(max_examples=200, deadline=None)
-def test_positive_sample_lookup_matches_membership(points, n):
-    mf = MembershipFunction(tuple(points))
-    grid = np.linspace(-1.0, 1.0, n)
-    assert _has_positive_sample(mf, grid) == any(mf.on_grid(grid) > 0.0)
+
+def staged_fuzzy_step(config, error, error_delta):
+    """Frozen copy of the staged evaluation fuzzy_step replaced: fuzzify each
+    input, infer over output curves built by a scalar membership loop, then
+    defuzz_centroid. fuzzy_step must give the same bits."""
+
+    def fuzzify(value, sets, universe):
+        lo, hi = universe
+        v = min(max(value, lo), hi)
+        return {label: mf.membership(v) for label, mf in sets.items()}
+
+    e_deg = fuzzify(error, config.error_sets, config.error_universe)
+    d_deg = fuzzify(error_delta, config.delta_sets, config.delta_universe)
+    lo, hi = config.output_universe
+    grid = np.linspace(lo, hi, config.grid_points)
+    curves = {
+        label: np.array([mf.membership(float(x)) for x in grid])
+        for label, mf in config.output_sets.items()
+    }
+    aggregate = np.zeros_like(grid)
+    for (e_label, d_label), out_label in config.rules.items():
+        strength = min(e_deg[e_label], d_deg[d_label])
+        if strength > 0.0:
+            np.maximum(aggregate, np.minimum(curves[out_label], strength), out=aggregate)
+    total = float(aggregate.sum())
+    if total == 0.0:
+        raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
+    return float(np.dot(grid, aggregate)) / total
+
+
+@st.composite
+def covering_sets(draw, universe):
+    """1-5 asymmetric triangles or trapezoids that cover the universe: set i
+    peaks at peaks[i] and its feet stand on the neighboring peaks, the outer
+    feet beyond the universe. Equal peaks give zero-width edges."""
+    lo, hi = universe
+    width = hi - lo
+    k = draw(st.integers(1, len(DEFAULT_LABELS)))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    peaks = sorted(lo + f * width for f in fractions)
+    margins = draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
+    feet = [lo - margins[0] * width, *peaks, hi + margins[1] * width]
+    sets = {}
+    for i, label in enumerate(DEFAULT_LABELS[:k]):
+        a, b, c = feet[i : i + 3]
+        if draw(st.booleans()):
+            sets[label] = MembershipFunction((a, b, c))
+        else:  # the core runs part of the way to the right foot
+            sets[label] = MembershipFunction((a, b, b + draw(st.floats(0.0, 0.9)) * (c - b), c))
+    return sets
+
+
+@st.composite
+def universes(draw):
+    if draw(st.booleans()):
+        span = draw(st.floats(0.1, 50.0))
+        return (-span, span)  # samples 0.0 on an odd grid
+    lo = draw(st.floats(-50.0, 50.0))
+    return (lo, lo + draw(st.floats(0.1, 50.0)))
+
+
+@st.composite
+def fuzzy_configs(draw):
+    universe = {var: draw(universes()) for var in ("error", "delta", "output")}
+    sets = {var: draw(covering_sets(universe[var])) for var in universe}
+    out_labels = sorted(sets["output"])
+    rules = {
+        (e, d): draw(st.sampled_from(out_labels))  # outputs repeat across rules
+        for e in sets["error"] for d in sets["delta"]
+    }
+    try:
+        config = FuzzyConfig(
+            error_sets=sets["error"],
+            delta_sets=sets["delta"],
+            output_sets=sets["output"],
+            rules=rules,
+            error_universe=universe["error"],
+            delta_universe=universe["delta"],
+            output_universe=universe["output"],
+            grid_points=draw(st.integers(201, 5001)),
+        )
+        if draw(st.booleans()):
+            config = scale_output(config, draw(st.floats(0.01, 100.0)))
+    except FuzzyError:  # e.g. an output set that falls between grid samples
+        assume(False)
+    return config
+
+
+def inputs_for(sets, universe):
+    """Inputs inside, on the breakpoints of, and beyond the universe."""
+    lo, hi = universe
+    width = hi - lo
+    return st.one_of(
+        st.floats(-1.0, 2.0).map(lambda f: lo + f * width),
+        st.sampled_from(sorted({b for mf in sets.values() for b in mf.breakpoints})),
+        st.sampled_from([0.0, -0.0, lo - 1e6 * width, hi + 1e6 * width]),
+    )
+
+
+@given(data=st.data(), config=fuzzy_configs())
+@settings(max_examples=150, deadline=None)
+def test_fuzzy_step_matches_staged_pipeline_bit_for_bit(data, config):
+    errors = inputs_for(config.error_sets, config.error_universe)
+    deltas = inputs_for(config.delta_sets, config.delta_universe)
+    for _ in range(4):
+        e, d = data.draw(errors), data.draw(deltas)
+        assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()

@@ -72,10 +72,16 @@ class TestStepMetrics:
         for field in METRIC_FIELDS:
             assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-9, abs=1e-12)
 
-    def test_short_trace_rejected(self):
-        records = [make_record(0.1 * k) for k in range(3)]
-        with pytest.raises(ValueError, match="records"):
-            trace_metrics(Trace("short", records), "pixel_error_x", 1.0)
+    def test_short_traces_have_every_metric(self):
+        for n in (1, 3):
+            records = [make_record(0.1 * k, pixel_error_x=2.0) for k in range(n)]
+            m = trace_metrics(Trace("short", records), "pixel_error_x", 1.0)
+            assert math.isnan(m.rise_time)  # the trace never traverses the step
+            assert m.settling_time == 0.0
+            assert m.overshoot == 0.0
+            assert m.steady_state_error == 2.0
+            assert m.rms_error == 2.0
+            assert m.control_effort_tv == 0.0
 
     @pytest.mark.parametrize("delta", [0.0, -0.0])
     def test_zero_delta_means_no_step(self, delta):

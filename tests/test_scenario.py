@@ -46,7 +46,7 @@ class TestDefaults:
         cfg = replace(base_scenario, camera=replace(base_scenario.camera, frame_rate=25.0))
         assert cfg.dt == 0.04
 
-    @pytest.mark.parametrize("line", ["dt = 0.02", "steady_state_px = 5"])
+    @pytest.mark.parametrize("line", ["dt = 0.02", "steady_state_px = 5", "controllers = pid"])
     def test_removed_keys_are_unknown(self, line):
         key = line.split(" = ")[0]
         with pytest.raises(ScenarioError, match=rf"^line 1: {key}: unknown key$"):
@@ -73,7 +73,6 @@ class TestParser:
         cfg = parse_scenario_text("", default_name="fallback")
         assert cfg.name == "fallback"
         assert cfg.steering_kind == "pid"
-        assert cfg.controllers == ("pid", "fuzzy")
         assert parse_scenario_text("", "x") == default_scenario("x")
 
     def test_every_flat_key_reaches_its_field(self):
@@ -87,7 +86,6 @@ class TestParser:
             seed=7,
             duration=10.0,
             setpoint_area=900.0,
-            controllers=("fuzzy",),
             lost_target_policy="stop",
             stop_speed_eps=0.05,
             stop_hold_time=2.0,
@@ -289,12 +287,6 @@ class TestParser:
     def test_huge_integer_rejected_with_line(self, key):
         with pytest.raises(ScenarioError, match=rf"line 2: {key}: integer out of range"):
             parse_scenario_text(f"duration = 1\n{key} = {'4' * 400}\n")
-
-    def test_controllers_subset(self):
-        cfg = parse_scenario_text("controllers = pid\n")
-        assert cfg.controllers == ("pid",)
-        with pytest.raises(ScenarioError):
-            parse_scenario_text("controllers = pid, neural\n")
 
     def test_filter_settings(self):
         cfg = parse_scenario_text("filter.steering.alpha = none\nfilter.throttle.alpha = 0.25\n")

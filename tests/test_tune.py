@@ -65,6 +65,19 @@ class TestLoadGainGrid:
         with pytest.raises(TuneError, match="duplicate"):
             load_gain_grid(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "1e999", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, raw):
+        path = tmp_path / "g.grid"
+        path.write_text(f"# grid\nkp = 1, {raw}\n")
+        with pytest.raises(TuneError, match=rf"^line 2: kp: expected a finite number, got '{raw}'$"):
+            load_gain_grid(path)
+
+    def test_malformed_line_names_the_line(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("kp 1\n")
+        with pytest.raises(TuneError, match="^line 1: expected 'key = value'"):
+            load_gain_grid(path)
+
 
 class TestGridSearch:
     def test_singleton_grid_returns_candidate(self):
