@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .metrics import SIGNAL_COMMANDS, compare, trace_metrics
+from .metrics import CHANNEL_COLUMNS, compare, trace_metrics
 from .report import write_report
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
 from .simulate import Trace, execute_archetype
@@ -22,8 +22,7 @@ from .tune import TuneError, TuneSpec, candidate_filename, load_gain_grid, resul
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
     throttle for step responses, steering otherwise."""
-    signal = "area_error" if config.archetype == "step_response" else "pixel_error_x"
-    return signal, SIGNAL_COMMANDS[signal]
+    return CHANNEL_COLUMNS["throttle" if config.archetype == "step_response" else "steering"]
 
 
 def _write_trace_artifacts(trace: Trace, out: Path, channels) -> tuple[Path, Path]:
@@ -32,13 +31,6 @@ def _write_trace_artifacts(trace: Trace, out: Path, channels) -> tuple[Path, Pat
     write_trace_csv(trace, csv_path)
     write_plot_svg(trace, channels, svg_path)
     return csv_path, svg_path
-
-
-def _initial_delta(trace: Trace, signal: str) -> float | None:
-    if not trace.records:
-        return None
-    y0 = float(getattr(trace.records[0], signal))
-    return -y0 if y0 != 0.0 else None
 
 
 def cmd_run(args) -> int:
@@ -73,11 +65,7 @@ def cmd_compare(args) -> int:
         write_plot_svg(trace, channels, out / f"{trace.name}_{family}.svg")
         traces[family] = trace
 
-    signal = channels[0]
-    report = compare(
-        traces["pid"], traces["fuzzy"], signal=signal,
-        setpoint_delta=_initial_delta(traces["pid"], signal),
-    )
+    report = compare(traces["pid"], traces["fuzzy"], signal=channels[0])
     report_path = out / f"{traces['pid'].name}_report.md"
     write_report(report, report_path)
     for metric, winner in report.winners.items():
@@ -117,7 +105,6 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     channels = _channels(steps)
-    signal = channels[0]
     traces = execute_archetype(steps)
     lines = [
         f"# Step-response sweep: {config.name}",
@@ -125,18 +112,15 @@ def cmd_sweep(args) -> int:
         "| separation (m) | rise (s) | settle (s) | overshoot (%) | sse | rms | tv (pwm) |",
         "|---|---|---|---|---|---|---|",
     ]
+
+    def cell(v: float) -> str:
+        return "n/a" if v != v else format(v, ".5g")
+
     for sep, trace in zip(separations, traces):
         _write_trace_artifacts(trace, out, channels)
-        m = trace_metrics(trace, signal, _initial_delta(trace, signal))
-
-        def cell(v: float) -> str:
-            return "n/a" if v != v else format(v, ".5g")
-
-        lines.append(
-            f"| {sep:g} | {cell(m.rise_time)} | {cell(m.settling_time)} | "
-            f"{cell(m.overshoot)} | {cell(m.steady_state_error)} | "
-            f"{cell(m.rms_error)} | {cell(m.control_effort_tv)} |"
-        )
+        m = trace_metrics(trace, channels[0])
+        # one column per metric, in MetricSet order, except mean_op_count
+        lines.append(f"| {sep:g} | " + " | ".join(map(cell, m[:-1])) + " |")
         print(f"separation {sep:g} m: rise={cell(m.rise_time)} settle={cell(m.settling_time)}")
     summary_path = out / f"{config.name}_sweep.md"
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

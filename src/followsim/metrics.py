@@ -1,8 +1,10 @@
 """Step-response and tracking metrics over traces, plus the PID-vs-fuzzy verdict.
 
-Conventions (all configurable nowhere else, so they are pinned here): rise is
-the 10-90% traversal time, settling uses a 5% band of the step size around the
-final sample, steady-state error is the mean of the final 20% of records.
+Conventions (all configurable nowhere else, so they are pinned here): every
+metric reads a channel's error column, and the error steps from its first
+sample y0 to zero, so the step size is -y0; a y0 of +-0 means no step. Rise
+is the 10-90% traversal time, settling uses a 5% band of the step size around
+the final sample, steady-state error is the mean of the final 20% of records.
 Metrics that do not apply to a trace (no step to traverse) are NaN and render
 as "n/a".
 """
@@ -10,27 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .simulate import Trace
 
-METRIC_FIELDS = (
-    "rise_time",
-    "settling_time",
-    "overshoot",
-    "steady_state_error",
-    "rms_error",
-    "control_effort_tv",
-    "mean_op_count",
-)
-
-# error channel -> the command column that produces it
-SIGNAL_COMMANDS = {"pixel_error_x": "steering_pwm", "area_error": "throttle_pwm"}
+# control channel -> (error column it is judged on, command column that drives it)
+CHANNEL_COLUMNS = {
+    "steering": ("pixel_error_x", "steering_pwm"),
+    "throttle": ("area_error", "throttle_pwm"),
+}
+_COMMAND_OF = dict(CHANNEL_COLUMNS.values())
 
 TIE_TOLERANCE = 0.02  # relative margin below which a metric is a tie
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     rise_time: float
     settling_time: float
     overshoot: float
@@ -40,20 +36,27 @@ class MetricSet:
     mean_op_count: float
 
 
+METRIC_FIELDS = MetricSet._fields
+
+
 def _column(trace: Trace, name: str) -> list[float]:
+    if not trace.records:
+        raise ValueError(f"trace {trace.name!r} has no records")
     try:
         return [float(getattr(r, name)) for r in trace.records]
     except AttributeError:
         raise ValueError(f"unknown trace column {name!r}") from None
 
 
-def trace_metrics(trace: Trace, signal: str, setpoint_delta: float | None = None) -> MetricSet:
-    """Metrics of one error column. A trace traverses a step of size
-    setpoint_delta; None or 0 means no step, and the step metrics are NaN."""
-    if setpoint_delta is not None and not math.isfinite(setpoint_delta):
-        raise ValueError(f"setpoint_delta must be finite, got {setpoint_delta!r}")
-    delta = setpoint_delta or None
+def trace_metrics(trace: Trace, signal: str) -> MetricSet:
+    """Metrics of one channel's error column, which steps from its first
+    sample y0 to zero; a y0 of +-0 means no step, and the step metrics are NaN."""
+    if signal not in _COMMAND_OF:
+        raise ValueError(f"{signal!r} is not a channel's error column")
     ys = _column(trace, signal)
+    if not math.isfinite(ys[0]):
+        raise ValueError(f"{signal} starts at a non-finite value {ys[0]!r}")
+    delta = -ys[0] or None
     ts = _column(trace, "t")
     tail_start = int(0.8 * len(ys))
     tail = ys[tail_start:]
@@ -86,8 +89,7 @@ def trace_metrics(trace: Trace, signal: str, setpoint_delta: float | None = None
 
     rms = math.sqrt(sum(y * y for y in ys) / len(ys))
 
-    command = SIGNAL_COMMANDS.get(signal, "steering_pwm")
-    cmds = _column(trace, command)
+    cmds = _column(trace, _COMMAND_OF[signal])
     tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
 
     ops = _column(trace, "op_count")
@@ -124,12 +126,7 @@ def _pick_winner(metric: str, a: float, b: float) -> tuple[str, float]:
     return ("pid" if a < b else "fuzzy"), margin
 
 
-def compare(
-    trace_pid: Trace,
-    trace_fuzzy: Trace,
-    signal: str = "pixel_error_x",
-    setpoint_delta: float | None = None,
-) -> ComparisonReport:
+def compare(trace_pid: Trace, trace_fuzzy: Trace, signal: str = "pixel_error_x") -> ComparisonReport:
     """Side-by-side metric comparison of two runs of the same scenario.
 
     Every metric is lower-is-better; a metric within TIE_TOLERANCE (relative,
@@ -139,15 +136,13 @@ def compare(
         raise ValueError(
             f"traces come from different scenarios: {trace_pid.name!r} vs {trace_fuzzy.name!r}"
         )
-    pid_metrics = trace_metrics(trace_pid, signal, setpoint_delta)
-    fuzzy_metrics = trace_metrics(trace_fuzzy, signal, setpoint_delta)
+    pid_metrics = trace_metrics(trace_pid, signal)
+    fuzzy_metrics = trace_metrics(trace_fuzzy, signal)
 
     winners: dict[str, str] = {}
     margins: dict[str, float] = {}
-    for metric in METRIC_FIELDS:
-        winners[metric], margins[metric] = _pick_winner(
-            metric, getattr(pid_metrics, metric), getattr(fuzzy_metrics, metric)
-        )
+    for metric, a, b in zip(METRIC_FIELDS, pid_metrics, fuzzy_metrics):
+        winners[metric], margins[metric] = _pick_winner(metric, a, b)
 
     notes = []
     if fuzzy_metrics.mean_op_count > pid_metrics.mean_op_count:
@@ -171,13 +166,10 @@ def compare(
     )
 
 
-def objective_value(trace: Trace, signal: str, objective: str) -> float:
-    """Scalar tuning score of a run: itae, ise, or rms of the chosen error."""
+def objective_value(trace: Trace, signal: str, objective: str, dt: float) -> float:
+    """Scalar tuning score of a run sampled every dt seconds: itae, ise, or rms of the error."""
     ys = _column(trace, signal)
     ts = _column(trace, "t")
-    if len(ys) < 2:
-        raise ValueError("trace too short for an objective")
-    dt = ts[1] - ts[0]
     t0 = ts[0]
     if objective == "itae":
         return sum((t - t0) * abs(y) * dt for t, y in zip(ts, ys))

@@ -30,13 +30,13 @@ def format_report(report: ComparisonReport) -> str:
         "| metric | unit | pid | fuzzy | winner | margin |",
         "|---|---|---|---|---|---|",
     ]
-    for metric in METRIC_FIELDS:
+    for metric, pid, fuzzy in zip(METRIC_FIELDS, report.pid, report.fuzzy):
         lines.append(
             "| {m} | {u} | {p} | {f} | {w} | {g} |".format(
                 m=metric,
                 u=_UNITS[metric],
-                p=_cell(getattr(report.pid, metric)),
-                f=_cell(getattr(report.fuzzy, metric)),
+                p=_cell(pid),
+                f=_cell(fuzzy),
                 w=report.winners[metric],
                 g=_cell(report.margins[metric]),
             )

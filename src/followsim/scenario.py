@@ -26,7 +26,7 @@ from .fuzzy import (
 )
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
-from .world import LeaderScript, VehicleParams, VehicleState, place_behind
+from .world import LeaderScript, VehicleParams, VehicleState, leader_pose, place_behind
 
 ARCHETYPES = ("scenario", "step_response", "lateral_offset", "path_follow")
 CONTROLLER_KINDS = ("pid", "fuzzy")
@@ -134,6 +134,14 @@ class ScenarioConfig:
                                 "for archetype path_follow, not stationary")
         if self.steering_fuzzy is None or self.throttle_fuzzy is None:
             raise ScenarioError("fuzzy configs missing; build scenarios via default_scenario/load_scenario")
+        if self.archetype != "scenario":
+            self.runs()  # each run checks itself as it is built, so it fails here, not mid-run
+            return
+        # leader speeds are never negative: a pose finite at duration is finite all run
+        end = leader_pose(self.leader, self.duration)
+        if not (math.isfinite(end.x) and math.isfinite(end.y)):
+            raise ScenarioError("leader.speed or lateral.leader_speed moves the leader to a "
+                                f"non-finite position by duration {self.duration:g} s")
 
     def runs(self) -> tuple[ScenarioConfig, ...]:
         """The plain (archetype "scenario") configs this archetype expands to,

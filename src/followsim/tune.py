@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .fuzzy import scale_output
-from .metrics import objective_value, trace_metrics
+from .metrics import CHANNEL_COLUMNS, objective_value, trace_metrics
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
 from .simulate import Trace, execute_archetype
 
 OBJECTIVES = ("itae", "ise", "rms")
 PID_GRID_KEYS = ("kp", "ki", "kd")
 FUZZY_GRID_KEYS = ("output_scale",)
-CHANNEL_SIGNALS = {"steering": "pixel_error_x", "throttle": "area_error"}
 
 
 class TuneError(ValueError):
@@ -36,7 +35,7 @@ class TuneSpec:
     grid: dict[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        if self.channel not in CHANNEL_SIGNALS:
+        if self.channel not in CHANNEL_COLUMNS:
             raise TuneError(f"unknown channel {self.channel!r}")
         if self.objective not in OBJECTIVES:
             raise TuneError(f"unknown objective {self.objective!r}")
@@ -65,8 +64,15 @@ class TuneSpec:
         return tuple(k for k in base if k in self.grid)
 
 
-# grid key -> its _read_sections entry: a list of finite numbers
-_GRID_ENTRIES = {key: (_parse_float_list, "", key) for key in PID_GRID_KEYS + FUZZY_GRID_KEYS}
+def _parse_grid_values(raw: str) -> tuple[float, ...]:
+    values = _parse_float_list(raw)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ScenarioError(f"values must be strictly ascending, got {raw!r}")
+    return values
+
+
+# grid key -> its _read_sections entry: a strictly ascending list of finite numbers
+_GRID_ENTRIES = {key: (_parse_grid_values, "", key) for key in PID_GRID_KEYS + FUZZY_GRID_KEYS}
 
 
 def load_gain_grid(path) -> dict[str, tuple[float, ...]]:
@@ -111,14 +117,14 @@ def run_grid_search(base: ScenarioConfig, spec: TuneSpec) -> list[TuneResult]:
     """Evaluate every grid point; returns results ranked best-first."""
     if len(base.runs()) != 1:
         raise TuneError("tuning needs a single-run scenario archetype")
-    signal = CHANNEL_SIGNALS[spec.channel]
+    signal = CHANNEL_COLUMNS[spec.channel][0]
     keys = spec.ordered_keys
     results = []
     for index, combo in enumerate(itertools.product(*(spec.grid[k] for k in keys))):
         params = dict(zip(keys, combo))
         config = _candidate_config(base, spec, params)
         (trace,) = execute_archetype(config)
-        score = objective_value(trace, signal, spec.objective)
+        score = objective_value(trace, signal, spec.objective, base.dt)
         tv = trace_metrics(trace, signal).control_effort_tv
         results.append(TuneResult(index, params, score, tv, trace))
     results.sort(

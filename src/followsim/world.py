@@ -105,6 +105,8 @@ class LeaderScript:
             if all(p == pts[0] for p in pts):
                 raise ValueError("waypoints must contain at least two distinct points")
             object.__setattr__(self, "waypoints", pts)
+            if not all(math.isfinite(length) for _, _, length, _ in self.segments):
+                raise ValueError("waypoints make a path segment too long to measure")
 
     def speed_at(self, t: float) -> float:
         v = self.speed_profile[0][1]
@@ -263,27 +265,20 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
     return VehicleState(q[0], q[1], heading, 0.0)
 
 
-def _as_point(p) -> tuple[float, float]:
-    if hasattr(p, "x"):
-        return (p.x, p.y)
-    return (float(p[0]), float(p[1]))
-
-
 def lateral_deviation(follower: VehicleState, leader_track) -> float:
-    """Signed perpendicular distance from the follower to the leader's polyline.
+    """Signed perpendicular distance from the follower to the leader's (x, y) polyline.
 
     Positive when the follower sits left of the local track direction. A track
     with a single distinct point (or a follower collinear with the nearest
     segment's axis) has no left/right side; the unsigned distance is returned.
     """
-    pts = [_as_point(p) for p in leader_track]
-    if not pts:
+    if not leader_track:
         raise ValueError("leader track must not be empty")
 
     fx, fy = follower.x, follower.y
     best_d2 = math.inf
     best_sign = 0.0
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+    for (px, py), (qx, qy) in zip(leader_track, leader_track[1:]):
         vx, vy = qx - px, qy - py
         norm2 = vx * vx + vy * vy
         if norm2 == 0.0:  # a repeated point, or distinct points closer than sqrt(tiny)
@@ -297,7 +292,7 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
             cross = vx * (fy - cy) - vy * (fx - cx)
             best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
     if math.isinf(best_d2):  # one distinct point, or every segment collapsed
-        return math.hypot(fx - pts[0][0], fy - pts[0][1])
+        return math.hypot(fx - leader_track[0][0], fy - leader_track[0][1])
     d = math.sqrt(best_d2)
     return best_sign * d if best_sign != 0.0 else d
 

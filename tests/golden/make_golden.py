@@ -5,9 +5,9 @@ Usage, from the repository root:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Runs `followsim compare` on every shipped scenario, `followsim tune` of
-scenarios/throttle_grid.grid on scenarios/throttle_step.scn (PID gains) and of
-tests/data/output_scale.grid on tests/data/throttle_step_fuzzy.scn (fuzzy
-output scale), and `followsim sweep --separations 1,2,4` on
+scenarios/throttle_grid.grid on scenarios/throttle_step.scn (PID gains, once
+per objective: itae, ise and rms) and of tests/data/output_scale.grid on
+tests/data/throttle_step_fuzzy.scn (fuzzy output scale, itae), and `followsim sweep --separations 1,2,4` on
 scenarios/throttle_step.scn, then stores the SHA-256 of:
 
 - every trace CSV, with the wall-clock `loop_cost_us` column blanked;
@@ -76,13 +76,15 @@ def compute_hashes() -> dict[str, str]:
             out = Path(tmp) / f"compare_{scenario.stem}"
             _run(["compare", "--scenario", str(scenario), "--out", str(out)])
             store(out, sorted(out.glob("*.csv")) + sorted(out.glob("*_report.md")))
-        for label, scenario, grid in (
-            ("throttle_step", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid"),
-            ("throttle_step_fuzzy", DATA / "throttle_step_fuzzy.scn", DATA / "output_scale.grid"),
+        for label, scenario, grid, objective in (
+            ("throttle_step", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid", "itae"),
+            ("throttle_step_ise", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid", "ise"),
+            ("throttle_step_rms", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid", "rms"),
+            ("throttle_step_fuzzy", DATA / "throttle_step_fuzzy.scn", DATA / "output_scale.grid", "itae"),
         ):
             out = Path(tmp) / f"tune_{label}"
             _run(["tune", "--scenario", str(scenario), "--grid", str(grid),
-                  "--channel", "throttle", "--objective", "itae", "--out", str(out)])
+                  "--channel", "throttle", "--objective", objective, "--out", str(out)])
             store(out, [out / "tune_results.csv"])
         out = Path(tmp) / "sweep_throttle_step"
         _run(["sweep", "--scenario", str(SCENARIOS / "throttle_step.scn"),

@@ -26,6 +26,7 @@ from followsim import (
     default_scenario,
     format_report,
     fuzzy_step,
+    load_scenario,
     observe,
     pid_step,
     execute_archetype,
@@ -182,8 +183,7 @@ def test_criterion_5_step_response_depends_on_separation():
                                                 step_separations=(1.0, 2.0, 4.0)))
     transients = []
     for trace in traces:
-        y0 = trace.records[0].area_error
-        m = trace_metrics(trace, "area_error", -y0 if y0 else None)
+        m = trace_metrics(trace, "area_error")
         transients.append((m.rise_time, m.settling_time))
 
     def distinct(a, b):
@@ -401,13 +401,14 @@ def test_criterion_9_grid_search_minimizes_itae(tmp_path):
     score_col = header.index("itae")
     file_col = header.index("trace_file")
 
+    dt = load_scenario(scn).dt
     reported = []
     recomputed = []
     for line in results[1:]:
         cells = line.split(",")
         reported.append(float(cells[score_col]))
         trace = read_trace_csv(out / cells[file_col])
-        recomputed.append(objective_value(trace, "area_error", "itae"))
+        recomputed.append(objective_value(trace, "area_error", "itae", dt))
     for want, got in zip(reported, recomputed):
         assert got == pytest.approx(want, rel=1e-6)
     # trace CSVs carry 9 significant digits; allow that much slack on the min

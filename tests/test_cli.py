@@ -69,6 +69,17 @@ class TestRun:
         assert f"line 2: {key}" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("leader.kind = straight_line\nleader.speed = 1e308\nduration = 2\n", "leader.speed"),
+        ("leader.kind = waypoint_path\nleader.start.x = -1e308\n"
+         "leader.waypoints = -1e308 0; 1e308 0\n", "leader.waypoints"),
+    ])
+    def test_overflowing_leader_fails_at_load(self, tmp_path, capsys, text, key):
+        scn = write_scenario(tmp_path, "far", text)
+        assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+        assert f": {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -193,6 +204,17 @@ class TestTune:
         assert "tuning needs a single-run scenario archetype" in capsys.readouterr().err
         assert not out.exists()
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("objective", ["itae", "ise", "rms"])
+    def test_one_record_run_tunes(self, tmp_path, capsys, objective):
+        scn = write_scenario(tmp_path, "one", "stop.hold_time = 0.001\n")
+        grid = tmp_path / "g.grid"
+        grid.write_text("kp = 0.001, 0.002\n")
+        out = tmp_path / "t"
+        assert main(["tune", "--scenario", scn, "--channel", "throttle",
+                     "--grid", str(grid), "--objective", objective, "--out", str(out)]) == 0
+        assert len((out / "tune_results.csv").read_text().splitlines()) == 3
+        assert len(read_trace_csv(out / "cand_000.csv").records) == 1
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, "s", "duration = 2\n")

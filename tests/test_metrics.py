@@ -1,48 +1,51 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
 from followsim import Trace, compare, objective_value, trace_metrics
-from followsim.metrics import METRIC_FIELDS
+from followsim.metrics import METRIC_FIELDS, MetricSet
 
 
 def exp_trace(delta=100.0, duration=20.0, dt=0.01, t0=0.0):
-    """Synthetic first-order response y = delta*(1 - exp(-t)) on pixel_error_x."""
+    """Synthetic first-order error e = -delta*exp(-t) on pixel_error_x: a
+    step of delta, from -delta to zero."""
     records = []
     steps = int(duration / dt)
     for k in range(steps):
         t = k * dt
-        records.append(make_record(t0 + t, pixel_error_x=delta * (1.0 - math.exp(-t))))
+        records.append(make_record(t0 + t, pixel_error_x=-delta * math.exp(-t)))
     return Trace("exp", records)
 
 
 class TestStepMetrics:
     def test_rise_time_matches_closed_form(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
+        m = trace_metrics(exp_trace(), "pixel_error_x")
         # 10%..90% of 1 - e^-t: ln(10/9) to ln(10), difference ln 9
         assert m.rise_time == pytest.approx(math.log(9.0), abs=0.02)
 
     def test_settling_time_matches_closed_form(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
-        # final sample ~ delta; leaves the 5% band when e^-t = 0.05
+        m = trace_metrics(exp_trace(), "pixel_error_x")
+        # final sample ~ 0; leaves the 5% band when e^-t = 0.05
         assert m.settling_time == pytest.approx(math.log(20.0), abs=0.02)
 
     def test_monotone_trace_has_zero_overshoot(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x", 100.0)
+        m = trace_metrics(exp_trace(), "pixel_error_x")
         assert m.overshoot == 0.0
 
     def test_overshoot_measured_beyond_final(self):
-        records = [make_record(0.0, pixel_error_x=0.0)]
-        records += [make_record(0.1, pixel_error_x=130.0)]
-        records += [make_record(0.1 * k, pixel_error_x=100.0) for k in range(2, 40)]
-        m = trace_metrics(Trace("os", records), "pixel_error_x", 100.0)
+        records = [make_record(0.0, pixel_error_x=-100.0)]
+        records += [make_record(0.1, pixel_error_x=30.0)]
+        records += [make_record(0.1 * k, pixel_error_x=0.0) for k in range(2, 40)]
+        m = trace_metrics(Trace("os", records), "pixel_error_x")
         assert m.overshoot == pytest.approx(30.0)
 
     def test_instantaneous_step_zero_rise(self):
-        records = [make_record(0.0, pixel_error_x=0.0)]
-        records += [make_record(0.02 * k, pixel_error_x=50.0) for k in range(1, 30)]
-        m = trace_metrics(Trace("jump", records), "pixel_error_x", 50.0)
+        records = [make_record(0.0, pixel_error_x=-50.0)]
+        records += [make_record(0.02 * k, pixel_error_x=0.0) for k in range(1, 30)]
+        m = trace_metrics(Trace("jump", records), "pixel_error_x")
         assert m.rise_time == 0.0
 
     def test_steady_state_error_is_tail_mean(self):
@@ -67,15 +70,15 @@ class TestStepMetrics:
         assert m2.control_effort_tv == 0.0
 
     def test_time_shift_invariance(self):
-        a = trace_metrics(exp_trace(t0=0.0), "pixel_error_x", 100.0)
-        b = trace_metrics(exp_trace(t0=123.0), "pixel_error_x", 100.0)
-        for field in METRIC_FIELDS:
-            assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-9, abs=1e-12)
+        a = trace_metrics(exp_trace(t0=0.0), "pixel_error_x")
+        b = trace_metrics(exp_trace(t0=123.0), "pixel_error_x")
+        for got, want in zip(b, a):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_short_traces_have_every_metric(self):
         for n in (1, 3):
             records = [make_record(0.1 * k, pixel_error_x=2.0) for k in range(n)]
-            m = trace_metrics(Trace("short", records), "pixel_error_x", 1.0)
+            m = trace_metrics(Trace("short", records), "pixel_error_x")
             assert math.isnan(m.rise_time)  # the trace never traverses the step
             assert m.settling_time == 0.0
             assert m.overshoot == 0.0
@@ -85,32 +88,52 @@ class TestStepMetrics:
 
     @pytest.mark.parametrize("delta", [0.0, -0.0])
     def test_zero_delta_means_no_step(self, delta):
-        m = trace_metrics(exp_trace(), "pixel_error_x", delta)
+        # the error starts at -delta = -+0 and then moves: no step to traverse
+        records = [make_record(0.0, pixel_error_x=-delta)] + exp_trace().records[1:]
+        m = trace_metrics(Trace("exp", records), "pixel_error_x")
         assert math.isnan(m.rise_time)
         assert math.isnan(m.settling_time)
         assert math.isnan(m.overshoot)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="setpoint_delta must be finite"):
-            trace_metrics(exp_trace(), "pixel_error_x", delta)
+        # the step is read from the first sample, so a non-finite one fails
+        records = [make_record(0.0, area_error=-delta)]
+        records += [make_record(0.1 * k) for k in range(1, 10)]
+        with pytest.raises(ValueError, match="area_error starts at a non-finite value"):
+            trace_metrics(Trace("bad", records), "area_error")
 
     def test_trace_metrics_without_delta_skips_step_fields(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x")
+        # a response that starts at zero (the old 0 -> delta form) has no step
+        response = Trace("r", [make_record(r.t, pixel_error_x=100.0 + r.pixel_error_x)
+                               for r in exp_trace().records])
+        m = trace_metrics(response, "pixel_error_x")
         assert math.isnan(m.rise_time)
         assert math.isnan(m.settling_time)
         assert math.isnan(m.overshoot)
         assert not math.isnan(m.rms_error)
 
+    def test_empty_trace_rejected(self):
+        # a header-only CSV reads back as a trace with no records
+        with pytest.raises(ValueError, match="has no records"):
+            trace_metrics(Trace("empty", []), "pixel_error_x")
+        with pytest.raises(ValueError, match="has no records"):
+            objective_value(Trace("empty", []), "pixel_error_x", "itae", 0.02)
+
     def test_unknown_column_rejected(self):
         with pytest.raises(ValueError, match="column"):
             trace_metrics(exp_trace(), "bogus_signal")
+        # a trace column that is no channel's error: before, this read the
+        # steering total variation through a fallback
+        for column in ("follow_dist_m", "steering_pwm"):
+            with pytest.raises(ValueError, match=f"'{column}' is not a channel's error column"):
+                trace_metrics(exp_trace(), column)
 
 
 class TestCompare:
     def test_identical_traces_tie_everywhere(self):
         t = exp_trace()
-        report = compare(t, t, signal="pixel_error_x", setpoint_delta=100.0)
+        report = compare(t, t, signal="pixel_error_x")
         assert all(w == "tie" for w in report.winners.values())
 
     def test_lower_rms_wins(self):
@@ -126,8 +149,8 @@ class TestCompare:
         b = Trace("exp", [make_record(r.t, pixel_error_x=r.pixel_error_x * 0.5,
                                       steering_pwm=95.0 if i % 2 else 90.0)
                           for i, r in enumerate(a.records)])
-        fwd = compare(a, b, setpoint_delta=100.0)
-        rev = compare(b, a, setpoint_delta=100.0)
+        fwd = compare(a, b)
+        rev = compare(b, a)
         flip = {"pid": "fuzzy", "fuzzy": "pid", "tie": "tie", "n/a": "n/a"}
         for metric in METRIC_FIELDS:
             assert rev.winners[metric] == flip[fwd.winners[metric]]
@@ -160,17 +183,103 @@ class TestObjectives:
 
     def test_itae_hand_computed(self):
         # sum t*|e|*dt = (0*2 + 0.5*1 + 1.0*0 + 1.5*1) * 0.5
-        assert objective_value(self._trace(), "pixel_error_x", "itae") == pytest.approx(1.0)
+        assert objective_value(self._trace(), "pixel_error_x", "itae", 0.5) == pytest.approx(1.0)
 
     def test_ise_hand_computed(self):
         # sum e^2*dt = (4 + 1 + 0 + 1) * 0.5
-        assert objective_value(self._trace(), "pixel_error_x", "ise") == pytest.approx(3.0)
+        assert objective_value(self._trace(), "pixel_error_x", "ise", 0.5) == pytest.approx(3.0)
 
     def test_rms_hand_computed(self):
-        assert objective_value(self._trace(), "pixel_error_x", "rms") == pytest.approx(
+        assert objective_value(self._trace(), "pixel_error_x", "rms", 0.5) == pytest.approx(
             math.sqrt(6.0 / 4.0)
         )
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
-            objective_value(self._trace(), "pixel_error_x", "mse")
+            objective_value(self._trace(), "pixel_error_x", "mse", 0.5)
+
+
+def frozen_trace_metrics(trace, signal, setpoint_delta=None):
+    """trace_metrics as it stood when callers passed the step size."""
+    def column(name):
+        return [float(getattr(r, name)) for r in trace.records]
+
+    if setpoint_delta is not None and not math.isfinite(setpoint_delta):
+        raise ValueError(f"setpoint_delta must be finite, got {setpoint_delta!r}")
+    delta = setpoint_delta or None
+    ys = column(signal)
+    ts = column("t")
+    tail_start = int(0.8 * len(ys))
+    tail = ys[tail_start:]
+    steady_state = sum(tail) / len(tail)
+    final = ys[-1]
+
+    rise = settle = overshoot = math.nan
+    if delta is not None:
+        t10 = t90 = None
+        for t, y in zip(ts, ys):
+            f = (y - ys[0]) / delta
+            if t10 is None and f >= 0.1:
+                t10 = t
+            if f >= 0.9:
+                t90 = t
+                break
+        if t10 is not None and t90 is not None:
+            rise = t90 - t10
+
+        band = 0.05 * abs(delta)
+        last_outside = -1
+        for i, y in enumerate(ys):
+            if abs(y - final) > band:
+                last_outside = i
+        if last_outside + 1 < len(ys):
+            settle = ts[last_outside + 1] - ts[0]
+
+        direction = math.copysign(1.0, delta)
+        overshoot = max(0.0, max((y - final) * direction for y in ys)) / abs(delta) * 100.0
+
+    rms = math.sqrt(sum(y * y for y in ys) / len(ys))
+
+    command = {"pixel_error_x": "steering_pwm", "area_error": "throttle_pwm"}[signal]
+    cmds = column(command)
+    tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
+
+    ops = column("op_count")
+    return MetricSet(rise, settle, overshoot, steady_state, rms, tv, sum(ops) / len(ops))
+
+
+@st.composite
+def error_traces(draw):
+    """(signal, trace): 1-50 records of one error column, starting at +-0, a
+    signed value or a round value whose 10% and 90% points are exact."""
+    signal = draw(st.sampled_from(["pixel_error_x", "area_error"]))
+    y0 = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 10.0, -10.0, 200.0, -5e4]),
+        st.floats(-1e6, 1e6),
+    ))
+    # 0.9 * y0 and 0.1 * y0 sit on the 10% and 90% thresholds of a -y0 step
+    sample = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.9 * y0, 0.1 * y0, y0, -y0, 1.05 * y0]),
+        st.floats(-2e6, 2e6),
+    )
+    command = st.floats(0.0, 180.0)
+    n = draw(st.integers(1, 50))
+    dt = draw(st.sampled_from([0.02, 0.04, 1.0 / 30.0]))
+    ys = [y0] + [draw(sample) for _ in range(n - 1)]
+    records = [
+        make_record(k * dt, **{signal: y}, steering_pwm=draw(command),
+                    throttle_pwm=draw(command), op_count=draw(st.integers(0, 5000)))
+        for k, y in enumerate(ys)
+    ]
+    return signal, Trace("prop", records)
+
+
+@given(case=error_traces())
+@example(case=("pixel_error_x", exp_trace(duration=0.5, dt=0.01)))
+@settings(max_examples=400, deadline=None)
+def test_step_from_first_sample_matches_passed_delta(case):
+    signal, trace = case
+    y0 = getattr(trace.records[0], signal)
+    got = trace_metrics(trace, signal)
+    want = frozen_trace_metrics(trace, signal, -y0 or None)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

@@ -313,8 +313,17 @@ class TestParser:
      r"^line 1: archetype: leader\.kind must be straight_line or waypoint_path"),
     ("archetype = path_follow\nleader.kind = stationary\n",
      r"^line 2: leader\.kind: leader\.kind must be straight_line or waypoint_path"),
+    # leaders that overflow float range before the run ends
+    ("leader.kind = straight_line\nleader.speed = 1e308\nduration = 2\n",
+     r"^line 2: leader\.speed: .* non-finite position by duration 2 s"),
+    ("leader.kind = waypoint_path\nleader.start.x = -1e308\n"
+     "leader.waypoints = -1e308 0; 1e308 0\n",
+     r"^line 3: leader\.waypoints: waypoints make a path segment too long"),
+    ("archetype = lateral_offset\nlateral.leader_speed = 1e308\nduration = 2\n",
+     r"^line 2: lateral\.leader_speed: .* non-finite position by duration 2 s"),
 ], ids=["inside_min_range", "beyond_max_range", "zero_offset", "negative_leader_speed",
-        "default_leader_path", "stationary_leader_path"])
+        "default_leader_path", "stationary_leader_path", "straight_line_overflow",
+        "waypoint_segment_overflow", "lateral_leader_overflow"])
 def test_archetype_inputs_fail_at_load(text, message):
     with pytest.raises(ScenarioError, match=message):
         parse_scenario_text(text)

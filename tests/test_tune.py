@@ -72,6 +72,13 @@ class TestLoadGainGrid:
         with pytest.raises(TuneError, match=rf"^line 2: kp: expected a finite number, got '{raw}'$"):
             load_gain_grid(path)
 
+    @pytest.mark.parametrize("raw", ["0.002, 0.001", "1, 1"])
+    def test_unordered_values_name_the_line(self, tmp_path, raw):
+        path = tmp_path / "g.grid"
+        path.write_text(f"ki = 0.1\nkp = {raw}\n")
+        with pytest.raises(TuneError, match=r"^line 2: kp: values must be strictly ascending"):
+            load_gain_grid(path)
+
     def test_malformed_line_names_the_line(self, tmp_path):
         path = tmp_path / "g.grid"
         path.write_text("kp 1\n")
@@ -91,12 +98,13 @@ class TestGridSearch:
             "throttle", "itae",
             {"kp": (0.0004, 0.0012, 0.002), "ki": (0.0001, 0.0002, 0.0003), "kd": (0.0005,)},
         )
-        results = run_grid_search(step_scenario(), spec)
+        base = step_scenario()
+        results = run_grid_search(base, spec)
         assert len(results) == 9
         assert all(results[0].score <= r.score for r in results)
         # scores recompute from the stored traces
         for r in results:
-            assert objective_value(r.trace, "area_error", "itae") == r.score
+            assert objective_value(r.trace, "area_error", "itae", base.dt) == r.score
 
     def test_equilibrium_ties_break_lexicographically(self):
         # zero error throughout: every candidate scores 0 and moves nothing,
