@@ -9,14 +9,7 @@ following) with reproducible traces, metrics, and plots.
 
 from types import ModuleType as _ModuleType
 
-from .actuation import (
-    ChannelController,
-    ControlCommand,
-    ExpFilter,
-    effort_to_pwm,
-    exp_filter_step,
-    pwm_to_actuation,
-)
+from .actuation import ChannelController, effort_to_pwm, pwm_to_actuation
 from .fuzzy import (
     FuzzyConfig,
     FuzzyError,

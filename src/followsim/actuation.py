@@ -8,7 +8,6 @@ the vehicles never reverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .fuzzy import FuzzyConfig, count_fuzzy_ops, fuzzy_step
 from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
@@ -24,55 +23,35 @@ _EXP_FILTER_OPS = 4
 _DELTA_OPS = 2
 
 
-@dataclass(frozen=True)
-class ExpFilter:
-    """First-order low-pass: out = alpha*in + (1-alpha)*previous out."""
-
-    alpha: float
-    state: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-
-
-def exp_filter_step(filt: ExpFilter, value: float) -> tuple[float, ExpFilter]:
-    out = filt.alpha * value + (1.0 - filt.alpha) * filt.state
-    return out, ExpFilter(filt.alpha, out)
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    steering_pwm: float = NEUTRAL_PWM
-    throttle_pwm: float = NEUTRAL_PWM
-
-    def __post_init__(self) -> None:
-        for name in ("steering_pwm", "throttle_pwm"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= PWM_MAX):
-                raise ValueError(f"{name} must be within [0, {PWM_MAX:g}]")
-
-
 def effort_to_pwm(effort: float) -> float:
-    """Map effort to a servo command about 90 neutral, clamped to [0, 180]."""
+    """Map effort to a servo command about 90 neutral, clamped to [0, 180].
+
+    +-inf saturates; NaN would pass the clamp, so it is rejected here.
+    """
+    if math.isnan(effort):
+        raise ValueError("controller effort is NaN")
     return min(max(NEUTRAL_PWM + CHANNEL_GAIN * effort, 0.0), PWM_MAX)
 
 
-def pwm_to_actuation(command: ControlCommand, params: VehicleParams) -> tuple[float, float]:
-    """Servo command -> (steer angle, speed command). Below-neutral throttle coasts."""
-    steer = params.max_steer_angle * (command.steering_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
-    speed = params.max_speed * max(0.0, command.throttle_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
+def pwm_to_actuation(
+    steering_pwm: float, throttle_pwm: float, params: VehicleParams
+) -> tuple[float, float]:
+    """Servo commands -> (steer angle, speed command). Below-neutral throttle coasts."""
+    steer = params.max_steer_angle * (steering_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
+    speed = params.max_speed * max(0.0, throttle_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
     return steer, speed
 
 
 class ChannelController:
     """One control channel: a PID or fuzzy core plus optional output filter.
 
-    `state` is the core's value state, stepped by the pure functions: a
-    PidState for pid, the previous error for fuzzy. Both need a previous
-    sample, so it is None until the first update seeds it from the current
-    one and neither controller kicks on startup. The per-update op cost is
-    fixed by the configs, so it is worked out once here.
+    The channel holds all of its state as plain values. `state` is the core's
+    value state, stepped by the pure functions: a PidState for pid, the
+    previous error for fuzzy. Both need a previous sample, so it is None until
+    the first update seeds it from the current one and neither controller
+    kicks on startup. With a filter, `alpha` is its weight and `filtered` its
+    previous output, starting from 0.0. The per-update op cost is fixed by
+    the configs, so it is worked out once here.
     """
 
     def __init__(
@@ -91,10 +70,13 @@ class ChannelController:
         self.kind = kind
         self.pid_config = pid_config
         self.fuzzy_config = fuzzy_config
-        self.filter = None if filter_alpha is None else ExpFilter(filter_alpha)
+        if filter_alpha is not None and not 0 < filter_alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
+        self.alpha = filter_alpha
+        self.filtered = 0.0
         self.state: PidState | float | None = None
         ops = PID_STEP_OPS if kind == "pid" else count_fuzzy_ops(fuzzy_config) + _DELTA_OPS
-        if self.filter is not None:
+        if filter_alpha is not None:
             ops += _EXP_FILTER_OPS
         self.ops_per_step = ops + _PWM_MAP_OPS
 
@@ -109,6 +91,7 @@ class ChannelController:
             prev = error if state is None else state
             effort = fuzzy_step(self.fuzzy_config, error, (error - prev) / dt)
             self.state = error
-        if self.filter is not None:
-            effort, self.filter = exp_filter_step(self.filter, effort)
+        if self.alpha is not None:
+            effort = self.alpha * effort + (1.0 - self.alpha) * self.filtered
+            self.filtered = effort
         return effort_to_pwm(effort)

@@ -17,7 +17,8 @@ from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_sce
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
-from .tune import TuneError, TuneSpec, candidate_filename, load_gain_grid, results_csv, run_grid_search
+from .tune import (OBJECTIVES, TuneError, TuneSpec, candidate_filename, load_gain_grid,
+                   results_csv, run_grid_search)
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
@@ -149,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_p = sub.add_parser("tune", help="grid-search one channel's gains")
     tune_p.add_argument("--scenario", required=True, help="scenario file to tune against")
-    tune_p.add_argument("--channel", required=True, choices=("steering", "throttle"),
+    tune_p.add_argument("--channel", required=True, choices=tuple(CHANNEL_COLUMNS),
                         help="which control channel to tune")
     tune_p.add_argument("--grid", required=True,
                         help="grid file: kp/ki/kd lists (pid) or output_scale (fuzzy)")
-    tune_p.add_argument("--objective", required=True, choices=("itae", "ise", "rms"),
+    tune_p.add_argument("--objective", required=True, choices=OBJECTIVES,
                         help="scalar score minimized over the grid")
     tune_p.add_argument("--out", required=True, help="output directory")
     tune_p.set_defaults(handler=cmd_tune)

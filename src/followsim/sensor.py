@@ -64,18 +64,18 @@ class TargetPanel:
 
 @dataclass(frozen=True)
 class SensorReading:
-    """One bounding-box report: centroid pixels, box size, area, timestamp."""
+    """One bounding-box report: centroid pixels, box size, timestamp; the area
+    is the box's width times its height."""
 
     x_px: float
     y_px: float
     width_px: float
     height_px: float
-    area_px2: float
     t: float
 
-    def __post_init__(self) -> None:
-        if self.area_px2 != self.width_px * self.height_px:
-            raise ValueError("area_px2 must equal width_px * height_px")
+    @property
+    def area_px2(self) -> float:
+        return self.width_px * self.height_px
 
 
 def observe(
@@ -138,7 +138,6 @@ def observe(
         y_px=camera.image_height / 2.0,
         width_px=width_px,
         height_px=height_px,
-        area_px2=width_px * height_px,
         t=t,
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .actuation import ChannelController, ControlCommand, NEUTRAL_PWM, pwm_to_actuation
+from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
 from .sensor import area_error, observe, pixel_error_x
 from .world import (
@@ -87,7 +87,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     throttle = _make_channel(config, "throttle")
 
     follower = config.follower_start
-    command = ControlCommand()
+    steering_pwm = throttle_pwm = NEUTRAL_PWM
     pe = 0.0
     ae = 0.0
     tracked = False
@@ -126,18 +126,15 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         if reading is not None:
             pe = pixel_error_x(reading, config.camera)
             ae = area_error(reading, config.setpoint_area)
-            if steering is None:
-                steering_pwm = NEUTRAL_PWM
-            else:
+            if steering is not None:
                 steering_pwm = steering.update(pe, pe, dt)
                 ops += steering.ops_per_step
             throttle_pwm = throttle.update(ae, reading.area_px2, dt)
             ops += throttle.ops_per_step
-            command = ControlCommand(steering_pwm, throttle_pwm)
             tracked = True
         else:
             if config.lost_target_policy == "stop":
-                command = ControlCommand()
+                steering_pwm = throttle_pwm = NEUTRAL_PWM
             tracked = False
         loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
 
@@ -151,8 +148,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 follower_heading=follower.heading,
                 pixel_error_x=pe,
                 area_error=ae,
-                steering_pwm=command.steering_pwm,
-                throttle_pwm=command.throttle_pwm,
+                steering_pwm=steering_pwm,
+                throttle_pwm=throttle_pwm,
                 lateral_dev_m=lateral_deviation(follower, track),
                 follow_dist_m=following_distance(follower, leader),
                 detected=tracked,
@@ -161,7 +158,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             )
         )
 
-        steer_angle, speed_cmd = pwm_to_actuation(command, config.vehicle)
+        steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
         follower = integrate_bicycle(
             follower, config.vehicle, steer_angle, speed_cmd, sub_dt, sub_steps
         )

@@ -80,10 +80,10 @@ def load_gain_grid(path) -> dict[str, tuple[float, ...]]:
     try:
         sections, _ = _read_sections(text, _GRID_ENTRIES.get)
     except ScenarioError as exc:
-        raise TuneError(str(exc)) from None
+        raise TuneError(f"{path}: {exc}") from None
     grid = sections[""]
     if not grid:
-        raise TuneError("grid file defines no gains")
+        raise TuneError(f"{path}: grid file defines no gains")
     return grid
 
 

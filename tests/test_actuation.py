@@ -1,51 +1,58 @@
+import math
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from followsim import (
+    PID_STEP_OPS,
     ChannelController,
-    ControlCommand,
-    ExpFilter,
     PidConfig,
     PidState,
     VehicleParams,
+    count_fuzzy_ops,
     default_fuzzy_config,
     effort_to_pwm,
-    exp_filter_step,
+    fuzzy_step,
     pid_step,
     pwm_to_actuation,
 )
 
 PARAMS = VehicleParams()
+UNIT_P = PidConfig(kp=1.0, ki=0.0, kd=0.0, output_limit=2.0, integral_limit=1.0)
+
+
+def filtered_channel(alpha):
+    """A pid channel whose effort is its error, so its PWM shows the filter."""
+    return ChannelController("pid", pid_config=UNIT_P, filter_alpha=alpha)
 
 
 class TestExpFilter:
     def test_alpha_one_is_identity(self):
-        filt = ExpFilter(alpha=1.0, state=5.0)
-        out, _ = exp_filter_step(filt, 2.5)
-        assert out == 2.5
+        plain = ChannelController("pid", pid_config=UNIT_P)
+        filt = filtered_channel(1.0)
+        for error in (0.25, -0.5, 0.75):
+            assert filt.update(error, 0.0, 0.02) == plain.update(error, 0.0, 0.02)
 
     def test_hand_recurrence(self):
-        filt = ExpFilter(alpha=0.5)
-        outs = []
-        for _ in range(3):
-            out, filt = exp_filter_step(filt, 1.0)
-            outs.append(out)
-        assert outs == [0.5, 0.75, 0.875]
+        filt = filtered_channel(0.5)
+        # efforts 0.5, 0.75, 0.875 from a 0.0 start, 90 PWM per unit effort
+        assert [filt.update(1.0, 0.0, 0.02) for _ in range(3)] == [135.0, 157.5, 168.75]
 
     def test_constant_input_converges_monotonically(self):
-        filt = ExpFilter(alpha=0.2, state=0.0)
-        prev = 0.0
+        filt = filtered_channel(0.2)
+        prev = 90.0
         for _ in range(100):
-            out, filt = exp_filter_step(filt, 3.0)
-            assert prev < out <= 3.0
-            prev = out
-        assert prev == pytest.approx(3.0, abs=1e-8)
+            pwm = filt.update(0.5, 0.0, 0.02)
+            assert prev < pwm <= 135.0
+            prev = pwm
+        assert prev == pytest.approx(135.0, abs=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_alpha_bounds(self, alpha):
-        with pytest.raises(ValueError):
-            ExpFilter(alpha=alpha)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
+            filtered_channel(alpha)
 
 
 class TestEffortToPwm:
@@ -55,6 +62,17 @@ class TestEffortToPwm:
     def test_saturation(self):
         assert effort_to_pwm(1e9) == 180.0
         assert effort_to_pwm(-1e9) == 0.0
+        assert effort_to_pwm(math.inf) == 180.0
+        assert effort_to_pwm(-math.inf) == 0.0
+
+    def test_nan_effort_rejected(self):
+        with pytest.raises(ValueError, match="^controller effort is NaN$"):
+            effort_to_pwm(math.nan)
+        ctrl = ChannelController("pid", pid_config=PidConfig(kp=1e308, ki=0.0, kd=1e308))
+        assert ctrl.update(10.0, 1.0, 0.02) == 180.0
+        # kp*error and kd*derivative both overflow to +inf: inf - inf is NaN
+        with pytest.raises(ValueError, match="^controller effort is NaN$"):
+            ctrl.update(10.0, 2.0, 0.02)
 
     @given(e=st.floats(-1.0, 1.0))
     def test_symmetry_about_neutral(self, e):
@@ -63,27 +81,19 @@ class TestEffortToPwm:
 
 class TestPwmToActuation:
     def test_neutral(self):
-        assert pwm_to_actuation(ControlCommand(90.0, 90.0), PARAMS) == (0.0, 0.0)
+        assert pwm_to_actuation(90.0, 90.0, PARAMS) == (0.0, 0.0)
 
     def test_full_scale(self):
-        steer, speed = pwm_to_actuation(ControlCommand(180.0, 180.0), PARAMS)
+        steer, speed = pwm_to_actuation(180.0, 180.0, PARAMS)
         assert steer == PARAMS.max_steer_angle
         assert speed == PARAMS.max_speed
 
     def test_braking_region_floors_at_zero(self):
-        steer, speed = pwm_to_actuation(ControlCommand(90.0, 45.0), PARAMS)
+        steer, speed = pwm_to_actuation(90.0, 45.0, PARAMS)
         assert (steer, speed) == (0.0, 0.0)
 
     def test_round_trip_neutral(self):
-        assert pwm_to_actuation(
-            ControlCommand(effort_to_pwm(0.0), effort_to_pwm(0.0)), PARAMS
-        ) == (0.0, 0.0)
-
-    def test_command_validation(self):
-        with pytest.raises(ValueError):
-            ControlCommand(181.0, 90.0)
-        with pytest.raises(ValueError):
-            ControlCommand(90.0, -1.0)
+        assert pwm_to_actuation(effort_to_pwm(0.0), effort_to_pwm(0.0), PARAMS) == (0.0, 0.0)
 
 
 class TestChannelController:
@@ -155,3 +165,81 @@ class TestChannelController:
         for e in errors:
             pwm = ctrl.update(e, e, 0.02)
             assert 0.0 <= pwm <= 180.0
+
+
+# --- frozen copy of the channel before its filter state became plain values ---
+# (ExpFilter value type, exp_filter_step and the unchecked effort_to_pwm)
+
+@dataclass(frozen=True)
+class _FrozenExpFilter:
+    alpha: float
+    state: float = 0.0
+
+    def __post_init__(self):
+        if not 0 < self.alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
+
+
+def _frozen_exp_filter_step(filt, value):
+    out = filt.alpha * value + (1.0 - filt.alpha) * filt.state
+    return out, _FrozenExpFilter(filt.alpha, out)
+
+
+def _frozen_effort_to_pwm(effort):
+    return min(max(90.0 + 90.0 * effort, 0.0), 180.0)
+
+
+class _FrozenChannel:
+    def __init__(self, kind, pid_config=None, fuzzy_config=None, filter_alpha=None):
+        self.kind = kind
+        self.pid_config = pid_config
+        self.fuzzy_config = fuzzy_config
+        self.filter = None if filter_alpha is None else _FrozenExpFilter(filter_alpha)
+        self.state = None
+        ops = PID_STEP_OPS if kind == "pid" else count_fuzzy_ops(fuzzy_config) + 2
+        if self.filter is not None:
+            ops += 4
+        self.ops_per_step = ops + 2
+
+    def update(self, error, measurement, dt):
+        state = self.state
+        if self.kind == "pid":
+            if state is None:
+                state = PidState(prev_measurement=measurement)
+            effort, self.state = pid_step(self.pid_config, state, error, measurement, dt)
+        else:
+            prev = error if state is None else state
+            effort = fuzzy_step(self.fuzzy_config, error, (error - prev) / dt)
+            self.state = error
+        if self.filter is not None:
+            effort, self.filter = _frozen_exp_filter_step(self.filter, effort)
+        return _frozen_effort_to_pwm(effort)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(
+    kind=st.sampled_from(["pid", "fuzzy"]),
+    gains=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 0.5)),
+    spans=st.tuples(st.floats(1.0, 500.0), st.floats(1.0, 5000.0)),
+    alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+    samples=st.lists(st.tuples(_finite, _finite), min_size=1, max_size=30),
+    dt=st.sampled_from([0.02, 0.01, 1.0 / 30.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_channel_matches_frozen_filter_and_command_bit_for_bit(
+    kind, gains, spans, alpha, samples, dt
+):
+    kwargs = dict(
+        pid_config=PidConfig(*gains, output_limit=1.5, integral_limit=0.75),
+        fuzzy_config=default_fuzzy_config(*spans),
+        filter_alpha=alpha,
+    )
+    channel = ChannelController(kind, **kwargs)
+    frozen = _FrozenChannel(kind, **kwargs)
+    assert channel.ops_per_step == frozen.ops_per_step
+    for error, measurement in samples:
+        got = channel.update(error, measurement, dt)
+        want = frozen.update(error, measurement, dt)
+        assert got.hex() == want.hex()

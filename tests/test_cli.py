@@ -1,3 +1,4 @@
+import argparse
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from followsim import cli, simulate, tune
 from followsim.cli import main
+from followsim.metrics import CHANNEL_COLUMNS
 from followsim.traceio import read_trace_csv
 
 
@@ -79,6 +81,15 @@ class TestRun:
         assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
         assert f": {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_nan_effort_fails_with_message(self, tmp_path, capsys):
+        scn = write_scenario(
+            tmp_path, "nan",
+            "controller.steering.locked = true\nfollower.start.x = -4\n"
+            "pid.throttle.kp = 1e308\npid.throttle.kd = 1e308\n",
+        )
+        assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: controller effort is NaN\n"
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
@@ -225,6 +236,16 @@ class TestTune:
                      "--out", str(tmp_path / "o")]) == 1
         assert "no gains" in capsys.readouterr().err
 
+    def test_grid_error_names_the_grid_file(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "s", "duration = 2\n")
+        grid = tmp_path / "g.grid"
+        grid.write_text("kp = 0.002, 0.001\n")
+        assert main(["tune", "--scenario", scn, "--channel", "throttle",
+                     "--grid", str(grid), "--objective", "itae",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {grid}: line 1: kp: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def test_writes_traces_and_summary(self, tmp_path):
@@ -293,3 +314,10 @@ class TestParserSurface:
         out = capsys.readouterr().out
         for flag in ("--scenario", "--channel", "--grid", "--objective", "--out"):
             assert flag in out
+
+    def test_tune_choices_come_from_their_tables(self):
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        choices = {action.dest: action.choices for action in commands.choices["tune"]._actions}
+        assert choices["channel"] == tuple(CHANNEL_COLUMNS)
+        assert choices["objective"] == tune.OBJECTIVES

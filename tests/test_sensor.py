@@ -118,7 +118,7 @@ class TestObserve:
 
 class TestPixelError:
     def _reading(self, x_px):
-        return SensorReading(x_px, 100.0, 10.0, 12.0, 120.0, 0.0)
+        return SensorReading(x_px, 100.0, 10.0, 12.0, 0.0)
 
     def test_centered_zero(self):
         assert pixel_error_x(self._reading(160.0), CAM) == 0.0
@@ -136,7 +136,7 @@ class TestPixelError:
 
 class TestAreaError:
     def _reading(self, area):
-        return SensorReading(160.0, 100.0, area / 10.0, 10.0, area, 0.0)
+        return SensorReading(160.0, 100.0, area / 10.0, 10.0, 0.0)
 
     def test_at_setpoint_zero(self):
         assert area_error(self._reading(900.0), 900.0) == 0.0
@@ -192,7 +192,3 @@ class TestCameraValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CameraIntrinsics(**kwargs)
-
-    def test_reading_area_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SensorReading(160.0, 100.0, 10.0, 10.0, 99.0, 0.0)

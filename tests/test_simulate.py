@@ -15,6 +15,7 @@ from followsim import (
     default_scenario,
     execute_archetype,
     load_scenario,
+    parse_scenario_text,
     run_scenario,
 )
 from followsim import actuation, simulate
@@ -111,6 +112,27 @@ class TestRunScenario:
         lost = [r for r in trace.records if not r.detected]
         assert lost
         assert all((r.steering_pwm, r.throttle_pwm) == (90.0, 90.0) for r in lost)
+
+    def test_nan_effort_fails_at_the_record_that_made_it(self, monkeypatch):
+        # kp*error and kd*derivative overflow to infinities of one sign; their
+        # difference is NaN, which effort_to_pwm's clamp would pass through
+        config = parse_scenario_text(
+            "controller.steering.locked = true\n"
+            "follower.start.x = -4\n"
+            "pid.throttle.kp = 1e308\n"
+            "pid.throttle.kd = 1e308\n"
+        )
+        observed = []
+        sense = simulate.observe
+
+        def counting(*args, **kwargs):
+            observed.append(args)
+            return sense(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "observe", counting)
+        with pytest.raises(ValueError, match="^controller effort is NaN$"):
+            run_scenario(config)
+        assert len(observed) == 3  # raised while controlling record index 2
 
 
 class TestStepResponse:

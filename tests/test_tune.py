@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -56,7 +57,7 @@ class TestLoadGainGrid:
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "g.grid"
         path.write_text("# nothing\n")
-        with pytest.raises(TuneError, match="no gains"):
+        with pytest.raises(TuneError, match=rf"^{re.escape(str(path))}: grid file defines no gains$"):
             load_gain_grid(path)
 
     def test_duplicate_rejected(self, tmp_path):
@@ -69,20 +70,24 @@ class TestLoadGainGrid:
     def test_non_finite_value_names_the_line(self, tmp_path, raw):
         path = tmp_path / "g.grid"
         path.write_text(f"# grid\nkp = 1, {raw}\n")
-        with pytest.raises(TuneError, match=rf"^line 2: kp: expected a finite number, got '{raw}'$"):
+        with pytest.raises(
+            TuneError, match=rf"^{re.escape(str(path))}: line 2: kp: expected a finite number, got '{raw}'$"
+        ):
             load_gain_grid(path)
 
     @pytest.mark.parametrize("raw", ["0.002, 0.001", "1, 1"])
     def test_unordered_values_name_the_line(self, tmp_path, raw):
         path = tmp_path / "g.grid"
         path.write_text(f"ki = 0.1\nkp = {raw}\n")
-        with pytest.raises(TuneError, match=r"^line 2: kp: values must be strictly ascending"):
+        with pytest.raises(
+            TuneError, match=rf"^{re.escape(str(path))}: line 2: kp: values must be strictly ascending"
+        ):
             load_gain_grid(path)
 
     def test_malformed_line_names_the_line(self, tmp_path):
         path = tmp_path / "g.grid"
         path.write_text("kp 1\n")
-        with pytest.raises(TuneError, match="^line 1: expected 'key = value'"):
+        with pytest.raises(TuneError, match=rf"^{re.escape(str(path))}: line 1: expected 'key = value'"):
             load_gain_grid(path)
 
 
