@@ -120,9 +120,19 @@ class FuzzyConfig:
         _check_coverage("error", self.error_sets, self.error_universe)
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
+        # per-step tables: each input set as (label, a, lo, hi, c), and each
+        # output curve's support slice with the curve's view over it
+        supports = {}
         for label, curve in self.output_curves.items():
-            if not curve.any():
+            nonzero = np.flatnonzero(curve)
+            if not nonzero.size:
                 raise FuzzyError(f"output set {label} has no positive sample on the output grid")
+            span = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+            supports[label] = (span, curve[span])
+        object.__setattr__(self, "output_supports", supports)
+        for name, sets in (("error_table", self.error_sets), ("delta_table", self.delta_sets)):
+            table = tuple((k, *mf.breakpoints[:2], *mf.breakpoints[-2:]) for k, mf in sets.items())
+            object.__setattr__(self, name, table)
 
         expected = {(e, d) for e in self.error_sets for d in self.delta_sets}
         if set(self.rules) != expected:
@@ -144,30 +154,49 @@ class FuzzyConfig:
         return {label: mf.on_grid(self.output_grid) for label, mf in self.output_sets.items()}
 
 
+def _fired(table, x: float) -> list[tuple[str, float]]:
+    """(label, grade) of each (label, a, lo, hi, c) set that grades x above 0,
+    by membership's formula in its branch order."""
+    fired = []
+    for label, a, lo, hi, c in table:
+        if a <= x <= c:
+            grade = 1.0 if lo <= x <= hi else (x - a) / (lo - a) if x < lo else (c - x) / (c - hi)
+            if grade > 0.0:
+                fired.append((label, grade))
+    return fired
+
+
 def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     """Crisp controller output for one (error, error rate) sample.
 
     Each input is clamped to its universe and graded in every set. A rule
     fires with strength min(error grade, delta grade) and clips its output
     curve there; the clipped curves are max-aggregated, and the output is the
-    aggregate's weighted-mean centroid over the grid.
+    aggregate's weighted-mean centroid over the grid. Only positive grades
+    fire, each output label clips once at its largest strength (max_r min(
+    curve, s_r) == min(curve, max_r s_r)) and only over its support; the sum
+    and dot stay full-grid, as a sliced reduction would change the bits.
     """
     if not (math.isfinite(error) and math.isfinite(error_delta)):
         name = "error_delta" if math.isfinite(error) else "error"
         raise FuzzyError(f"non-finite controller input {name}")
     lo, hi = config.error_universe
-    e = min(max(error, lo), hi)
-    e_deg = {label: mf.membership(e) for label, mf in config.error_sets.items()}
+    e_fired = _fired(config.error_table, min(max(error, lo), hi))
     lo, hi = config.delta_universe
-    d = min(max(error_delta, lo), hi)
-    d_deg = {label: mf.membership(d) for label, mf in config.delta_sets.items()}
-    curves = config.output_curves
+    d_fired = _fired(config.delta_table, min(max(error_delta, lo), hi))
+    strengths: dict[str, float] = {}
+    for e_label, e_grade in e_fired:
+        for d_label, d_grade in d_fired:
+            out_label = config.rules[e_label, d_label]
+            strength = min(e_grade, d_grade)
+            if strength > strengths.get(out_label, 0.0):
+                strengths[out_label] = strength
     aggregate = np.zeros(config.grid_points)
-    for (e_label, d_label), out_label in config.rules.items():
-        strength = min(e_deg[e_label], d_deg[d_label])
-        if strength > 0.0:
-            np.maximum(aggregate, np.minimum(curves[out_label], strength), out=aggregate)
-    total = float(aggregate.sum())
+    for out_label, strength in strengths.items():
+        span, curve = config.output_supports[out_label]
+        seg = aggregate[span]
+        np.maximum(seg, np.minimum(curve, strength), out=seg)
+    total = float(np.add.reduce(aggregate))
     if total == 0.0:
         raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
     return float(np.dot(config.output_grid, aggregate)) / total

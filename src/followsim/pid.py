@@ -11,6 +11,12 @@ import math
 from dataclasses import dataclass
 
 
+# bound on |kp|, |ki|, |kd|: such a gain already saturates a +-1 effort on a
+# millionth of a pixel of error, and kp*error - kd*rate cannot overflow to NaN
+# while |error| and |rate| stay below 1e302
+MAX_GAIN = 1e6
+
+
 @dataclass(frozen=True)
 class PidConfig:
     kp: float
@@ -22,8 +28,9 @@ class PidConfig:
 
     def __post_init__(self) -> None:
         for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite gain {name}")
+            value = getattr(self, name)
+            if not abs(value) <= MAX_GAIN:  # also false for NaN
+                raise ValueError(f"gain {name} must be within +-{MAX_GAIN:g}, got {value!r}")
         if self.output_limit <= 0:
             raise ValueError("output_limit must be positive")
         if not 0 < self.integral_limit <= self.output_limit:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .fuzzy import scale_output
 from .metrics import CHANNEL_COLUMNS, objective_value, trace_metrics
+from .pid import MAX_GAIN
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
 from .simulate import Trace, execute_archetype
 
@@ -71,8 +72,17 @@ def _parse_grid_values(raw: str) -> tuple[float, ...]:
     return values
 
 
-# grid key -> its _read_sections entry: a strictly ascending list of finite numbers
-_GRID_ENTRIES = {key: (_parse_grid_values, "", key) for key in PID_GRID_KEYS + FUZZY_GRID_KEYS}
+def _parse_gain_values(raw: str) -> tuple[float, ...]:
+    values = _parse_grid_values(raw)
+    if not all(abs(v) <= MAX_GAIN for v in values):
+        raise ScenarioError(f"gains must be within +-{MAX_GAIN:g}, got {raw!r}")
+    return values
+
+
+# grid key -> its _read_sections entry: a strictly ascending list of finite
+# numbers, within +-MAX_GAIN for a PID gain
+_GRID_ENTRIES = {key: (_parse_gain_values, "", key) for key in PID_GRID_KEYS}
+_GRID_ENTRIES.update({key: (_parse_grid_values, "", key) for key in FUZZY_GRID_KEYS})
 
 
 def load_gain_grid(path) -> dict[str, tuple[float, ...]]:

@@ -23,6 +23,7 @@ def normalize_angle(angle: float) -> float:
 
 
 def _require_finite(**values: float) -> None:
+    """Name the first non-finite value; hot callers test math.isfinite first."""
     for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"non-finite {name}: {v!r}")
@@ -173,10 +174,12 @@ def integrate_bicycle(
     are validated once; the sub-steps run over plain floats, wrapping the
     heading after each one.
     """
-    _require_finite(
-        x=state.x, y=state.y, heading=state.heading, speed=state.speed,
-        steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt,
-    )
+    x, y, h, v = state.x, state.y, state.heading, state.speed
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(h) and isfinite(v)
+            and isfinite(steer_angle) and isfinite(speed_cmd) and isfinite(dt)):
+        _require_finite(x=x, y=y, heading=h, speed=v,
+                        steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
@@ -192,7 +195,6 @@ def integrate_bicycle(
     slew_mid, slew_end = max_accel * half, max_accel * dt
     cos, sin, copysign = math.cos, math.sin, math.copysign
 
-    x, y, h, v = state.x, state.y, state.heading, state.speed
     for _ in range(steps):
         dv = target - v
         ramp_time = abs(dv) / max_accel
@@ -299,5 +301,7 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
 
 def following_distance(follower: VehicleState, leader: VehicleState) -> float:
     """Euclidean distance between the two vehicle positions."""
-    _require_finite(fx=follower.x, fy=follower.y, lx=leader.x, ly=leader.y)
-    return math.hypot(leader.x - follower.x, leader.y - follower.y)
+    fx, fy, lx, ly = follower.x, follower.y, leader.x, leader.y
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(lx) and math.isfinite(ly)):
+        _require_finite(fx=fx, fy=fy, lx=lx, ly=ly)
+    return math.hypot(lx - fx, ly - fy)

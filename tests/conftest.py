@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from followsim import TraceRecord, default_scenario
+from followsim import PidConfig, TraceRecord, default_scenario
 
 
 # pixel error below which a steering run counts as aligned (the paper's figs. 5 and 6)
@@ -20,6 +22,17 @@ def records_match_except_timing(a: TraceRecord, b: TraceRecord) -> bool:
         if getattr(a, name) != getattr(b, name):
             return False
     return True
+
+
+def overflowing_pid_config(config: PidConfig) -> PidConfig:
+    """A copy of config with kp = kd = 1e308, forced past PidConfig's gain
+    bound: no loader accepts such gains, so a test of the runner's NaN-effort
+    guard has to force them in. kp*error and kd*derivative then overflow to
+    infinities of one sign, and their difference is NaN."""
+    forced = replace(config)
+    object.__setattr__(forced, "kp", 1e308)
+    object.__setattr__(forced, "kd", 1e308)
+    return forced
 
 
 def make_record(t, **overrides) -> TraceRecord:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overflowing_pid_config
 from followsim import (
     PID_STEP_OPS,
     ChannelController,
@@ -68,7 +69,8 @@ class TestEffortToPwm:
     def test_nan_effort_rejected(self):
         with pytest.raises(ValueError, match="^controller effort is NaN$"):
             effort_to_pwm(math.nan)
-        ctrl = ChannelController("pid", pid_config=PidConfig(kp=1e308, ki=0.0, kd=1e308))
+        config = overflowing_pid_config(PidConfig(kp=0.0, ki=0.0, kd=0.0))
+        ctrl = ChannelController("pid", pid_config=config)
         assert ctrl.update(10.0, 1.0, 0.02) == 180.0
         # kp*error and kd*derivative both overflow to +inf: inf - inf is NaN
         with pytest.raises(ValueError, match="^controller effort is NaN$"):

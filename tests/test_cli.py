@@ -82,14 +82,19 @@ class TestRun:
         assert f": {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_nan_effort_fails_with_message(self, tmp_path, capsys):
+    def test_overflowing_gains_fail_at_load(self, tmp_path, capsys):
+        # kp*error - kd*derivative would be inf - inf: a NaN effort at record 2
         scn = write_scenario(
             tmp_path, "nan",
             "controller.steering.locked = true\nfollower.start.x = -4\n"
             "pid.throttle.kp = 1e308\npid.throttle.kd = 1e308\n",
         )
         assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: controller effort is NaN\n"
+        assert capsys.readouterr().err == (
+            f"error: {scn}: line 3: pid.throttle.kp: "
+            "gain kp must be within +-1e+06, got 1e+308\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from followsim import (
     fuzzy_step,
     scale_output,
 )
+from followsim.actuation import ChannelController
 from followsim.fuzzy import DEFAULT_LABELS, MAX_GRID_POINTS
+from followsim.scenario import CHANNELS, load_scenario
+
+DATA = Path(__file__).parent / "data"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 def oracle_membership(breakpoints, x):
@@ -368,6 +374,58 @@ def test_fuzzy_costs_more_ops_than_pid():
     assert fuzzy_ops > 100 * PID_STEP_OPS  # the gap is structural, not marginal
 
 
+def test_op_model_is_the_grid_controllers_not_ours():
+    # op_count models the paper's grid-based controller, where every rule
+    # clips the whole grid; fuzzy_step's sparse evaluation must not shrink it
+    assert count_fuzzy_ops(default_fuzzy_config(160.0, 600.0)) == 53149
+    config = load_scenario(SCENARIOS / "s_curve.scn")
+    channels = [
+        ChannelController("fuzzy", fuzzy_config=getattr(config, f"{ch}_fuzzy"),
+                          filter_alpha=config.filter_alpha_for(ch, "fuzzy"))
+        for ch in CHANNELS
+    ]
+    assert [channel.ops_per_step for channel in channels] == [53157, 53157]
+
+
+def shipped_fuzzy_configs():
+    configs = [default_fuzzy_config(160.0, 600.0)]
+    for path in (DATA / "throttle_step_fuzzy.scn", SCENARIOS / "s_curve.scn"):
+        config = load_scenario(path)
+        configs += [getattr(config, f"{ch}_fuzzy") for ch in CHANNELS]
+    return configs
+
+
+def assert_supports_match_curves(config):
+    """Each output label's support slice spans its curve's nonzero samples,
+    and its stored curve is a view of output_curves over that slice."""
+    assert config.output_supports.keys() == config.output_curves.keys()
+    for label, curve in config.output_curves.items():
+        nonzero = np.flatnonzero(curve)
+        span, view = config.output_supports[label]
+        assert span == slice(nonzero[0], nonzero[-1] + 1)
+        assert np.shares_memory(view, curve)
+        assert np.array_equal(view, curve[span])
+
+
+@pytest.mark.parametrize("config", shipped_fuzzy_configs())
+def test_shipped_support_slices_are_the_nonzero_span(config):
+    assert_supports_match_curves(config)
+
+
+def test_support_of_one_sample_and_of_the_whole_grid():
+    config = default_fuzzy_config(1.0, 1.0)
+    sets = dict(
+        config.output_sets,
+        Z=MembershipFunction((-0.0001, 0.0, 0.0, 0.0001)),  # grid sample 500 only
+        PL=MembershipFunction((-2.0, -1.0, 1.0, 2.0)),  # past both universe ends
+    )
+    config = replace(config, output_sets=sets)
+    assert_supports_match_curves(config)
+    assert config.output_supports["Z"][0] == slice(500, 501)
+    assert config.output_supports["PL"][0] == slice(0, config.grid_points)
+    for e, d in [(0.0, 0.0), (0.7, 0.6), (0.2, 0.9), (1.0, 1.0), (0.5, -0.25)]:
+        assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
+
 
 def staged_fuzzy_step(config, error, error_delta):
     """Frozen copy of the staged evaluation fuzzy_step replaced: fuzzify each
@@ -475,3 +533,9 @@ def test_fuzzy_step_matches_staged_pipeline_bit_for_bit(data, config):
     for _ in range(4):
         e, d = data.draw(errors), data.draw(deltas)
         assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
+
+
+@given(config=fuzzy_configs())
+@settings(max_examples=100, deadline=None)
+def test_support_slices_match_curves(config):
+    assert_supports_match_curves(config)

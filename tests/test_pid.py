@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from followsim import PID_STEP_OPS, PidConfig, PidState, pid_step
+from followsim.pid import MAX_GAIN
 
 
 class TestPidStep:
@@ -105,6 +106,8 @@ class TestPidConfigValidation:
             dict(derivative_filter_alpha=0.0),
             dict(derivative_filter_alpha=1.5),
             dict(kp=math.nan),
+            dict(kd=-1e308),  # kd*derivative would overflow
+            dict(ki=math.nextafter(MAX_GAIN, math.inf)),
         ],
     )
     def test_invalid_rejected(self, kwargs):

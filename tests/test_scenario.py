@@ -23,6 +23,7 @@ from followsim import (
     parse_scenario_text,
     scale_output,
 )
+from followsim.pid import MAX_GAIN
 from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
 
 DATA = Path(__file__).parent / "data"
@@ -267,6 +268,23 @@ class TestParser:
         with pytest.raises(ScenarioError,
                            match=r"^line 2: setpoint_area: setpoint_area must be positive$"):
             parse_scenario_text("seed = 3\nsetpoint_area = -3\n")
+
+    def test_overflowing_gains_fail_at_load(self):
+        # kp*error - kd*derivative would be inf - inf: a NaN effort at record 2
+        with pytest.raises(ScenarioError, match=r"^line 3: pid.throttle.kp: gain kp must be "
+                           r"within \+-1e\+06, got 1e\+308$"):
+            parse_scenario_text(
+                "controller.steering.locked = true\nfollower.start.x = -4\n"
+                "pid.throttle.kp = 1e308\npid.throttle.kd = 1e308\n"
+            )
+
+    @pytest.mark.parametrize("key", ["kp", "ki", "kd"])
+    def test_gain_bound_is_inclusive(self, key):
+        cfg = parse_scenario_text(f"seed = 3\npid.steering.{key} = {-MAX_GAIN!r}\n")
+        assert getattr(cfg.steering_pid, key) == -MAX_GAIN
+        past = math.nextafter(MAX_GAIN, math.inf)
+        with pytest.raises(ScenarioError, match=rf"^line 2: pid.steering.{key}: gain {key} must be"):
+            parse_scenario_text(f"seed = 3\npid.steering.{key} = {past!r}\n")
 
     @pytest.mark.parametrize("text", ["", "fuzzy.throttle.output_scale = 0.7\n"],
                              ids=["empty", "output_scale"])

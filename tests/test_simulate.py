@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STEADY_STATE_PX, records_match_except_timing
+from conftest import STEADY_STATE_PX, overflowing_pid_config, records_match_except_timing
 from followsim import (
     LeaderScript,
     ScenarioError,
@@ -114,14 +114,9 @@ class TestRunScenario:
         assert all((r.steering_pwm, r.throttle_pwm) == (90.0, 90.0) for r in lost)
 
     def test_nan_effort_fails_at_the_record_that_made_it(self, monkeypatch):
-        # kp*error and kd*derivative overflow to infinities of one sign; their
-        # difference is NaN, which effort_to_pwm's clamp would pass through
-        config = parse_scenario_text(
-            "controller.steering.locked = true\n"
-            "follower.start.x = -4\n"
-            "pid.throttle.kp = 1e308\n"
-            "pid.throttle.kd = 1e308\n"
-        )
+        # the NaN effort would pass effort_to_pwm's clamp
+        config = parse_scenario_text("controller.steering.locked = true\nfollower.start.x = -4\n")
+        config = replace(config, throttle_pid=overflowing_pid_config(config.throttle_pid))
         observed = []
         sense = simulate.observe
 

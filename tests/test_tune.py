@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from followsim import (
     objective_value,
     run_grid_search,
 )
+from followsim.pid import MAX_GAIN
 from followsim.tune import candidate_filename, results_csv
 
 
@@ -83,6 +85,20 @@ class TestLoadGainGrid:
             TuneError, match=rf"^{re.escape(str(path))}: line 2: kp: values must be strictly ascending"
         ):
             load_gain_grid(path)
+
+    def test_gain_past_the_bound_names_the_line(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("ki = 0.1\nkd = 0.001, 1e308\n")
+        with pytest.raises(TuneError, match=rf"^{re.escape(str(path))}: line 2: kd: gains must be "
+                           r"within \+-1e\+06, got '0.001, 1e308'$"):
+            load_gain_grid(path)
+
+    def test_shipped_and_output_scale_grids_load(self, tmp_path):
+        grid = load_gain_grid(Path(__file__).parents[1] / "scenarios" / "throttle_grid.grid")
+        assert max(abs(v) for values in grid.values() for v in values) <= MAX_GAIN
+        path = tmp_path / "g.grid"
+        path.write_text("output_scale = 0.5, 2e6\n")  # a scale, not a gain: no gain bound
+        assert load_gain_grid(path) == {"output_scale": (0.5, 2e6)}
 
     def test_malformed_line_names_the_line(self, tmp_path):
         path = tmp_path / "g.grid"

@@ -494,6 +494,15 @@ class TestFollowingDistance:
     def test_three_four_five(self):
         assert following_distance(VehicleState(0, 0, 0), VehicleState(3, 4, 1)) == 5.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["fx", "fy", "lx", "ly"])
+    def test_non_finite_rejected(self, bad, where):
+        coords = {name: bad if name == where else 0.5 for name in ("fx", "fy", "lx", "ly")}
+        follower = VehicleState(coords["fx"], coords["fy"])
+        leader = VehicleState(coords["lx"], coords["ly"])
+        with pytest.raises(ValueError, match=f"^non-finite {where}: {bad!r}$"):
+            following_distance(follower, leader)
+
     @given(
         ax=st.floats(-100, 100), ay=st.floats(-100, 100),
         bx=st.floats(-100, 100), by=st.floats(-100, 100),
