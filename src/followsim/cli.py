@@ -22,13 +22,18 @@ from .tune import (OBJECTIVES, TuneError, TuneSpec, candidate_filename, load_gai
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
-    throttle for step responses, steering otherwise."""
-    return CHANNEL_COLUMNS["throttle" if config.archetype == "step_response" else "steering"]
+    throttle when its runs lock the steering, steering otherwise."""
+    return CHANNEL_COLUMNS["throttle" if config.runs()[0].steering_locked else "steering"]
 
 
-def _write_trace_artifacts(trace: Trace, out: Path, channels) -> tuple[Path, Path]:
-    csv_path = out / f"{trace.name}.csv"
-    svg_path = out / f"{trace.name}.svg"
+def _write_trace_artifacts(
+    trace: Trace, out: Path, channels, stem: str | None = None
+) -> tuple[Path, Path]:
+    """Write a trace's CSV and its plot as <stem>.csv and <stem>.svg, the
+    stem defaulting to the trace name."""
+    stem = stem or trace.name
+    csv_path = out / f"{stem}.csv"
+    svg_path = out / f"{stem}.svg"
     write_trace_csv(trace, csv_path)
     write_plot_svg(trace, channels, svg_path)
     return csv_path, svg_path
@@ -62,8 +67,7 @@ def cmd_compare(args) -> int:
     for family in ("pid", "fuzzy"):
         variant = replace(config, steering_kind=family, throttle_kind=family)
         (trace,) = execute_archetype(variant)
-        write_trace_csv(trace, out / f"{trace.name}_{family}.csv")
-        write_plot_svg(trace, channels, out / f"{trace.name}_{family}.svg")
+        _write_trace_artifacts(trace, out, channels, f"{trace.name}_{family}")
         traces[family] = trace
 
     report = compare(traces["pid"], traces["fuzzy"], signal=channels[0])

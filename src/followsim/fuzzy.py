@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -120,10 +119,15 @@ class FuzzyConfig:
         _check_coverage("error", self.error_sets, self.error_universe)
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
-        # per-step tables: each input set as (label, a, lo, hi, c), and each
-        # output curve's support slice with the curve's view over it
+        # per-step tables: the output grid, each output set sampled on it, each
+        # input set as (label, a, lo, hi, c), and each output curve's support
+        # slice with the curve's view over it
+        grid = np.linspace(*self.output_universe, self.grid_points)
+        curves = {label: mf.on_grid(grid) for label, mf in self.output_sets.items()}
+        object.__setattr__(self, "output_grid", grid)
+        object.__setattr__(self, "output_curves", curves)
         supports = {}
-        for label, curve in self.output_curves.items():
+        for label, curve in curves.items():
             nonzero = np.flatnonzero(curve)
             if not nonzero.size:
                 raise FuzzyError(f"output set {label} has no positive sample on the output grid")
@@ -142,16 +146,6 @@ class FuzzyConfig:
         for out in self.rules.values():
             if out not in self.output_sets:
                 raise FuzzyError(f"rule output {out!r} is not an output set")
-
-    @cached_property
-    def output_grid(self) -> np.ndarray:
-        lo, hi = self.output_universe
-        return np.linspace(lo, hi, self.grid_points)
-
-    @cached_property
-    def output_curves(self) -> dict[str, np.ndarray]:
-        """Each output set sampled on output_grid, built once by __post_init__."""
-        return {label: mf.on_grid(self.output_grid) for label, mf in self.output_sets.items()}
 
 
 def _fired(table, x: float) -> list[tuple[str, float]]:

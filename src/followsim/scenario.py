@@ -1,10 +1,9 @@
 """Scenario definitions: defaults, validation, and the flat key=value file format.
 
 A scenario file is plain text, one `dotted.key = value` per line, `#` comment
-lines, and every key optional: unset fields keep their dataclass defaults
-and default_scenario derives the rest, unknown keys are an error so typos
-cannot silently change an experiment. SCENARIO_KEYS is the key table; the
-README documents it.
+lines, and every key optional: an unset key keeps its default from
+default_scenario, unknown keys are an error so typos cannot silently change
+an experiment. SCENARIO_KEYS is the key table; the README documents it.
 """
 from __future__ import annotations
 
@@ -64,20 +63,20 @@ class ScenarioConfig:
     name: str
     leader: LeaderScript
     follower_start: VehicleState
+    camera: CameraIntrinsics
+    panel: TargetPanel
+    setpoint_area: float
+    steering_fuzzy: FuzzyConfig
+    throttle_fuzzy: FuzzyConfig
     vehicle: VehicleParams = field(default_factory=VehicleParams)
-    camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
-    panel: TargetPanel = field(default_factory=TargetPanel)
     archetype: str = "scenario"
     duration: float = 20.0
     seed: int = 0
-    setpoint_area: float = 0.0  # 0 means "derive from camera/panel", see default_scenario
     steering_kind: str = "pid"
     throttle_kind: str = "pid"
     steering_locked: bool = False
     steering_pid: PidConfig = DEFAULT_STEERING_PID
     throttle_pid: PidConfig = DEFAULT_THROTTLE_PID
-    steering_fuzzy: FuzzyConfig | None = None
-    throttle_fuzzy: FuzzyConfig | None = None
     steering_filter: float | str | None = "auto"
     throttle_filter: float | str | None = "auto"
     lost_target_policy: str = "hold"
@@ -132,8 +131,6 @@ class ScenarioConfig:
         if self.archetype == "path_follow" and self.leader.kind == "stationary":
             raise ScenarioError("leader.kind must be straight_line or waypoint_path "
                                 "for archetype path_follow, not stationary")
-        if self.steering_fuzzy is None or self.throttle_fuzzy is None:
-            raise ScenarioError("fuzzy configs missing; build scenarios via default_scenario/load_scenario")
         if self.archetype != "scenario":
             self.runs()  # each run checks itself as it is built, so it fails here, not mid-run
             return
@@ -203,11 +200,12 @@ def default_scenario(
     parked at the setpoint range directly behind it.
 
     Keyword overrides replace ScenarioConfig fields. This is the one place
-    that derives the fields other fields imply: setpoint_area, the fuzzy
-    universe spans and the follower start pose.
-    `follower` sets fields of that pose: with an x or y it is placed there
-    outright, otherwise the rest adjust the pose behind the leader. `fuzzy`
-    maps a channel to its `fuzzy.<ch>.*` scenario-file settings.
+    that holds the defaults of the fields ScenarioConfig requires: camera,
+    panel, setpoint_area, both fuzzy controllers (over universe spans derived
+    from the camera and setpoint) and the follower start pose, which is
+    placed the setpoint range behind the leader's start. `follower` maps
+    VehicleState fields to values that override those of that placed pose.
+    `fuzzy` maps a channel to its `fuzzy.<ch>.*` scenario-file settings.
     """
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
@@ -218,12 +216,8 @@ def default_scenario(
         raise ScenarioError("setpoint_area must be positive")
     leader = overrides.setdefault("leader", LeaderScript())
     if "follower_start" not in overrides:
-        pose = follower or {}
-        if "x" in pose or "y" in pose:
-            overrides["follower_start"] = VehicleState(**pose)
-        else:
-            gap = range_for_area(camera, panel, setpoint_area)
-            overrides["follower_start"] = replace(place_behind(leader.start, gap), **pose)
+        gap = range_for_area(camera, panel, setpoint_area)
+        overrides["follower_start"] = replace(place_behind(leader.start, gap), **(follower or {}))
     spans = {
         "steering": (camera.image_width / 2.0, DEFAULT_STEERING_DELTA_SPAN),
         "throttle": (setpoint_area, 2.0 * setpoint_area),

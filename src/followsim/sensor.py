@@ -159,8 +159,7 @@ def area_at_range(camera: CameraIntrinsics, panel: TargetPanel, distance: float)
     """Box area of a head-on panel at the given range (no clamping)."""
     if distance <= 0:
         raise ValueError("distance must be positive")
-    facing = 1.0
-    width_px = camera.focal_px * panel.width * facing / distance
+    width_px = camera.focal_px * panel.width / distance
     height_px = camera.focal_px * panel.height / distance
     return width_px * height_px
 

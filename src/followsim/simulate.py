@@ -76,7 +76,12 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     (or neutral, under the `stop` policy) is held and the record is flagged
     undetected. Runs against a stationary leader end early once the follower
     has been slower than stop_speed_eps for stop_hold_time seconds.
+    Takes plain (archetype "scenario") configs only; execute_archetype runs
+    the others through ScenarioConfig.runs().
     """
+    if config.archetype != "scenario":
+        raise ValueError(f"run_scenario takes a plain scenario, not archetype "
+                         f"{config.archetype!r}: use execute_archetype or ScenarioConfig.runs()")
     dt = config.dt
     n_records = int(config.duration / dt + 1e-9)
     sub_steps = max(1, math.ceil(dt / MAX_PHYSICS_DT - 1e-12))
@@ -90,7 +95,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     steering_pwm = throttle_pwm = NEUTRAL_PWM
     pe = 0.0
     ae = 0.0
-    tracked = False
     # lateral deviation is measured against the leader script's own polyline:
     # its lane extended backward from the start (so there is a line from the
     # first record on), the corners already passed, and the leader's position
@@ -131,11 +135,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 ops += steering.ops_per_step
             throttle_pwm = throttle.update(ae, reading.area_px2, dt)
             ops += throttle.ops_per_step
-            tracked = True
-        else:
-            if config.lost_target_policy == "stop":
-                steering_pwm = throttle_pwm = NEUTRAL_PWM
-            tracked = False
+        elif config.lost_target_policy == "stop":
+            steering_pwm = throttle_pwm = NEUTRAL_PWM
         loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
 
         records.append(
@@ -152,7 +153,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 throttle_pwm=throttle_pwm,
                 lateral_dev_m=lateral_deviation(follower, track),
                 follow_dist_m=following_distance(follower, leader),
-                detected=tracked,
+                detected=reading is not None,
                 loop_cost_us=loop_cost_us,
                 op_count=ops,
             )

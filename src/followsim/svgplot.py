@@ -1,9 +1,10 @@
-"""Standalone SVG time-series plots, one polyline per channel.
+"""Standalone SVG time-series plots of one control channel.
 
-Dual-axis layout: time runs along the horizontal axis, the error signal uses
-the left axis, and the PWM command sits on a fixed 0-180 right axis. Output
-is plain SVG built with ElementTree, so the file is well-formed XML with no
-external references and each polyline has exactly one point per trace record.
+Dual-axis layout: time runs along the horizontal axis, the channel's error
+column uses the left axis, and its PWM command sits on a fixed 0-180 right
+axis. Output is plain SVG built with ElementTree, so the file is well-formed
+XML with no external references and each polyline has exactly one point per
+trace record.
 """
 from __future__ import annotations
 
@@ -11,15 +12,12 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+from .metrics import CHANNEL_COLUMNS
 from .simulate import Trace
-from .traceio import CSV_COLUMNS
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
-PWM_CHANNELS = ("steering_pwm", "throttle_pwm")
-PLOTTABLE_CHANNELS = tuple(c for c in CSV_COLUMNS if c != "t")
-
-_COLORS = ("#1f6fb2", "#d1495b", "#3c8d40", "#8d5fb2", "#c67c1d", "#46969b")
+_ERROR_COLOR, _COMMAND_COLOR = "#1f6fb2", "#d1495b"
 
 _WIDTH, _HEIGHT = 840, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 70, 40, 50
@@ -79,19 +77,18 @@ def _line(parent, x1, y1, x2, y2, color="#888", width=1.0):
 
 
 def write_plot_svg(trace: Trace, channels, path) -> None:
-    """Plot the named trace columns against time into an SVG file."""
-    channels = list(channels)
-    if not channels:
-        raise ValueError("need at least one channel to plot")
-    for ch in channels:
-        if ch not in PLOTTABLE_CHANNELS:
-            raise ValueError(f"unknown channel {ch!r}")
+    """Plot one channel's (error column, command column) pair, as in
+    metrics.CHANNEL_COLUMNS, against time into an SVG file."""
+    channels = tuple(channels)
+    if channels not in CHANNEL_COLUMNS.values():
+        raise ValueError(f"need one (error, command) channel pair of "
+                         f"{list(CHANNEL_COLUMNS.values())}, got {channels!r}")
+    error, command = channels
 
     records = trace.records
     ts = [r.t for r in records]
-    series = {ch: [float(getattr(r, ch)) for r in records] for ch in channels}
-    left = [ch for ch in channels if ch not in PWM_CHANNELS]
-    right = [ch for ch in channels if ch in PWM_CHANNELS]
+    errors = [float(getattr(r, error)) for r in records]
+    commands = [float(getattr(r, command)) for r in records]
 
     svg = ET.Element(
         "svg",
@@ -110,17 +107,14 @@ def write_plot_svg(trace: Trace, channels, path) -> None:
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T  # y grows downward in SVG
 
-    t_lo, t_hi = _axis_range(ts) if ts else (0.0, 1.0)
-    x_scale = _Scale(t_lo, t_hi, x0, x1)
-    left_values = [v for ch in left for v in series[ch]]
-    left_scale = _Scale(*(_axis_range(left_values) if left_values else (0.0, 1.0)), y0, y1)
+    x_scale = _Scale(*(_axis_range(ts) if ts else (0.0, 1.0)), x0, x1)
+    left_scale = _Scale(*(_axis_range(errors) if errors else (0.0, 1.0)), y0, y1)
     right_scale = _Scale(0.0, 180.0, y0, y1)
 
     # frame and ticks
     _line(svg, x0, y0, x1, y0, color="#333")
     _line(svg, x0, y0, x0, y1, color="#333")
-    if right:
-        _line(svg, x1, y0, x1, y1, color="#333")
+    _line(svg, x1, y0, x1, y1, color="#333")
     for t in x_scale.ticks():
         px = x_scale(t)
         _line(svg, px, y0, px, y0 + 5, color="#333")
@@ -129,25 +123,21 @@ def write_plot_svg(trace: Trace, channels, path) -> None:
         py = left_scale(v)
         _line(svg, x0 - 5, py, x0, py, color="#333")
         _text(svg, x0 - 10, py + 4, f"{v:.4g}", anchor="end")
-    if right:
-        for v in right_scale.ticks():
-            py = right_scale(v)
-            _line(svg, x1, py, x1 + 5, py, color="#333")
-            _text(svg, x1 + 10, py + 4, f"{v:.4g}", anchor="start")
+    for v in right_scale.ticks():
+        py = right_scale(v)
+        _line(svg, x1, py, x1 + 5, py, color="#333")
+        _text(svg, x1 + 10, py + 4, f"{v:.4g}", anchor="start")
 
     _text(svg, (x0 + x1) / 2, _HEIGHT - 12, "time (s)", size=13)
-    if left:
-        _text(svg, 18, (y0 + y1) / 2, ", ".join(left), size=13, rotate=-90)
-    if right:
-        _text(svg, _WIDTH - 16, (y0 + y1) / 2, "PWM", size=13, rotate=90)
+    _text(svg, 18, (y0 + y1) / 2, error, size=13, rotate=-90)
+    _text(svg, _WIDTH - 16, (y0 + y1) / 2, "PWM", size=13, rotate=90)
     _text(svg, (x0 + x1) / 2, 22, trace.name, size=14)
 
-    for i, ch in enumerate(channels):
-        color = _COLORS[i % len(_COLORS)]
-        scale = right_scale if ch in PWM_CHANNELS else left_scale
-        points = [
-            (x_scale(t), scale(v)) for t, v in zip(ts, series[ch])
-        ]
+    for i, (ch, values, scale, color) in enumerate((
+        (error, errors, left_scale, _ERROR_COLOR),
+        (command, commands, right_scale, _COMMAND_COLOR),
+    )):
+        points = [(x_scale(t), scale(v)) for t, v in zip(ts, values)]
         if len(points) >= 2:
             ET.SubElement(
                 svg,

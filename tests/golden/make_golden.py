@@ -14,9 +14,10 @@ scenarios/throttle_step.scn, then stores the SHA-256 of:
 - every compare report and the sweep summary;
 - each `tune_results.csv`.
 
-tests/test_golden.py recomputes the same hashes and compares. Regenerate only
-when a change is meant to alter the outputs, and say in CHANGES.md which
-column moved and why.
+Before it rewrites the file, it prints each label whose hash changed, was
+added or was removed. tests/test_golden.py recomputes the same hashes and
+compares. Regenerate only when a change is meant to alter the outputs, and
+say in CHANGES.md which column moved and why.
 """
 from __future__ import annotations
 
@@ -94,7 +95,16 @@ def compute_hashes() -> dict[str, str]:
 
 
 def main() -> int:
-    HASHES.write_text(json.dumps(compute_hashes(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(HASHES.read_text()) if HASHES.exists() else {}
+    new = compute_hashes()
+    for label in sorted(old.keys() | new.keys()):
+        if label not in new:
+            print(f"removed {label}")
+        elif label not in old:
+            print(f"added {label}")
+        elif old[label] != new[label]:
+            print(f"changed {label}")
+    HASHES.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {HASHES}")
     return 0
 

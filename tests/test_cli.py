@@ -7,7 +7,10 @@ import pytest
 from followsim import cli, simulate, tune
 from followsim.cli import main
 from followsim.metrics import CHANNEL_COLUMNS
+from followsim.scenario import load_scenario, parse_scenario_text
 from followsim.traceio import read_trace_csv
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, name, text):
@@ -190,6 +193,44 @@ class TestCompare:
                 assert strip_loop_cost(out1 / name) == strip_loop_cost(out2 / name)
             else:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def svg_texts(path: Path) -> set[str]:
+    return {el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")}
+
+
+class TestChannelChoice:
+    """A command judges and plots the throttle channel when the scenario's
+    runs lock the steering, and the steering channel otherwise."""
+
+    @pytest.mark.parametrize("source, channel", [
+        (SCENARIOS / "throttle_step.scn", "throttle"),
+        (SCENARIOS / "s_curve.scn", "steering"),
+        (SCENARIOS / "lateral_offset_moving.scn", "steering"),
+        (SCENARIOS / "lateral_offset_stationary.scn", "steering"),
+        (STEPS, "throttle"),
+        ("controller.steering.locked = true\narchetype = step_response\n", "throttle"),
+        ("controller.steering.locked = true\narchetype = lateral_offset\n", "steering"),
+        ("duration = 2\n", "steering"),
+    ])
+    def test_channel_follows_the_steering_lock(self, source, channel):
+        config = load_scenario(source) if isinstance(source, Path) else parse_scenario_text(source)
+        assert cli._channels(config) == CHANNEL_COLUMNS[channel]
+
+    def test_throttle_step_run_and_compare_plot_and_judge_throttle(self, tmp_path):
+        scn = str(SCENARIOS / "throttle_step.scn")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 0
+        for name in ("throttle_step", "throttle_step_pid", "throttle_step_fuzzy"):
+            texts = svg_texts(out / f"{name}.svg")
+            assert {"area_error", "throttle_pwm"} <= texts
+            assert not {"pixel_error_x", "steering_pwm"} & texts
+        report = (out / "throttle_step_report.md").read_text()
+        for metric in ("rise_time", "settling_time"):
+            row = next(line for line in report.splitlines() if line.startswith(f"| {metric} "))
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            assert all(float(c) > 0 for c in cells[2:4]), row  # pid and fuzzy columns
 
 
 class TestTune:

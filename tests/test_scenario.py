@@ -1,9 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from followsim import (
     CameraIntrinsics,
@@ -25,6 +27,7 @@ from followsim import (
 )
 from followsim.pid import MAX_GAIN
 from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
+from followsim.world import place_behind
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -60,6 +63,19 @@ class TestDefaults:
     def test_duration_floor(self):
         with pytest.raises(ScenarioError):
             default_scenario("x", duration=0.0)
+
+    @pytest.mark.parametrize("missing", [
+        "camera", "panel", "setpoint_area", "steering_fuzzy", "throttle_fuzzy",
+    ])
+    def test_derived_fields_are_required(self, base_scenario, missing):
+        # their defaults live in default_scenario only
+        kwargs = {f.name: getattr(base_scenario, f.name) for f in fields(ScenarioConfig)}
+        assert ScenarioConfig(**kwargs) == base_scenario
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            ScenarioConfig(**kwargs)
+        with pytest.raises(TypeError):
+            ScenarioConfig(name="x", leader=LeaderScript(), follower_start=VehicleState())
 
     def test_filter_resolution(self, base_scenario):
         assert base_scenario.filter_alpha_for("steering", "pid") is None
@@ -173,6 +189,17 @@ class TestParser:
             math.sqrt(area_at_range(cfg.camera, cfg.panel, 1.0) / 300.0)
         )
         assert cfg.follower_start.x == pytest.approx(-cfg.follow_range)
+
+    def test_x_alone_behind_a_turned_leader(self):
+        # y, heading and speed stay those of the pose the setpoint range
+        # behind the leader's start
+        cfg = parse_scenario_text(
+            "leader.start.heading = 1.5707963267948966\nfollower.start.x = -3\n"
+        )
+        placed = place_behind(cfg.leader.start, cfg.follow_range)
+        assert cfg.follower_start == replace(placed, x=-3.0)
+        assert cfg.follower_start.y == pytest.approx(-DEFAULT_FOLLOW_RANGE)
+        assert cfg.follower_start.heading == pytest.approx(math.pi / 2)
 
     def test_leader_script_round_trip(self):
         cfg = parse_scenario_text(
@@ -366,6 +393,31 @@ def readme_keys() -> set[str]:
         base = names[0].rsplit(".", 1)[0]
         keys.update(base + n if n.startswith(".") else n for n in names)
     return keys
+
+
+_POSE_VALUES = {
+    "x": st.floats(-50.0, 50.0),
+    "y": st.floats(-50.0, 50.0),
+    "heading": st.floats(-10.0, 10.0),
+    "speed": st.floats(0.0, 4.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    leader=st.fixed_dictionaries({k: _POSE_VALUES[k] for k in ("x", "y", "heading")}),
+    follower=st.fixed_dictionaries({}, optional=_POSE_VALUES).filter(bool),
+)
+@example(leader={"x": 0.0, "y": 0.0, "heading": 0.0}, follower={"x": -4.0, "y": 0.0})
+def test_follower_keys_override_the_placed_pose(leader, follower):
+    """Every non-empty subset of the follower.start keys overrides those
+    fields of the pose the setpoint range behind the leader's start, bit for bit."""
+    text = "".join(f"leader.start.{k} = {v!r}\n" for k, v in leader.items())
+    text += "".join(f"follower.start.{k} = {v!r}\n" for k, v in follower.items())
+    cfg = parse_scenario_text(text)
+    want = replace(place_behind(VehicleState(**leader), cfg.follow_range), **follower)
+    got = cfg.follower_start
+    assert [v.hex() for v in vars(got).values()] == [v.hex() for v in vars(want).values()]
 
 
 def test_readme_tables_list_exactly_the_key_table():

@@ -26,6 +26,14 @@ THROTTLE_STEP = Path(__file__).parents[1] / "scenarios" / "throttle_step.scn"
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("archetype", ["step_response", "lateral_offset", "path_follow"])
+    def test_archetype_configs_rejected(self, archetype):
+        leader = LeaderScript(kind="straight_line", speed_profile=1.0)
+        config = default_scenario("x", archetype=archetype, duration=1.0, leader=leader)
+        with pytest.raises(ValueError, match=rf"archetype '{archetype}': use execute_archetype"):
+            run_scenario(config)
+        assert len(execute_archetype(config)) == len(config.runs())
+
     def test_single_record_boundary(self):
         trace = run_scenario(default_scenario("one", duration=0.02))
         assert len(trace.records) == 1
