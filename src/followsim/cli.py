@@ -17,8 +17,7 @@ from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_sce
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
-from .tune import (OBJECTIVES, TuneError, TuneSpec, candidate_filename, load_gain_grid,
-                   results_csv, run_grid_search)
+from .tune import OBJECTIVES, TuneError, TuneSpec, load_gain_grid, run_grid_search
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
@@ -82,20 +81,15 @@ def cmd_compare(args) -> int:
 def cmd_tune(args) -> int:
     config = load_scenario(args.scenario)
     grid = load_gain_grid(args.grid)
-    spec = TuneSpec(channel=args.channel, objective=args.objective, grid=grid)
-
-    results = run_grid_search(config, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        write_trace_csv(result.trace, out / candidate_filename(result))
-    results_path = out / "tune_results.csv"
-    results_path.write_text(results_csv(spec, results), encoding="utf-8")
-
+    try:  # --channel and --objective are argparse choices: only the grid can fail here
+        spec = TuneSpec(args.channel, args.objective, grid)
+    except TuneError as exc:
+        raise TuneError(f"{args.grid}: {exc}") from None
+    results = run_grid_search(config, spec, args.out)
     best = results[0]
     gains = " ".join(f"{k}={v:g}" for k, v in best.params.items())
     print(f"best: {gains} {spec.objective}={best.score:.9g} ({len(results)} candidates)")
-    print(f"wrote {results_path}")
+    print(f"wrote the candidate traces and their ranking in {args.out}")
     return 0
 
 

@@ -110,7 +110,7 @@ class FuzzyConfig:
             ("output", self.output_universe),
         ):
             lo, hi = universe
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise FuzzyError(f"bad {name} universe {universe!r}")
         if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
             raise FuzzyError(f"grid_points must be in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")

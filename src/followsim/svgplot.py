@@ -29,7 +29,7 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("cannot plot non-finite values")
     if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0  # 0 for lo = 0 and for a tiny subnormal lo
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad

@@ -3,9 +3,10 @@
 The grid file is read by the scenario file's line reader: `kp = 0.5, 1, 2`
 lines for a PID channel or a single `output_scale = ...` line for a fuzzy
 channel (the one structural knob exposed: scaling the output universe).
-Every candidate runs the scenario once; candidates are ranked by the chosen
-objective with ties broken by lower steering/throttle total variation, then
-by gain order.
+Every check runs before any candidate does and before the output directory
+exists. Then every candidate runs the scenario once and its trace is written
+as it is scored; candidates are ranked by the chosen objective with ties
+broken by lower steering/throttle total variation, then by gain order.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from .fuzzy import scale_output
 from .metrics import CHANNEL_COLUMNS, objective_value, trace_metrics
 from .pid import MAX_GAIN
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
-from .simulate import Trace, execute_archetype
+from .simulate import execute_archetype
+from .traceio import write_trace_csv
 
 OBJECTIVES = ("itae", "ise", "rms")
 PID_GRID_KEYS = ("kp", "ki", "kd")
@@ -65,24 +67,23 @@ class TuneSpec:
         return tuple(k for k in base if k in self.grid)
 
 
-def _parse_grid_values(raw: str) -> tuple[float, ...]:
-    values = _parse_float_list(raw)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ScenarioError(f"values must be strictly ascending, got {raw!r}")
-    return values
+def _grid_parser(ok, rule: str):
+    """A grid line's parser: a strictly ascending list of finite numbers that all pass ok."""
+    def parse(raw: str) -> tuple[float, ...]:
+        values = _parse_float_list(raw)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ScenarioError(f"values must be strictly ascending, got {raw!r}")
+        if not all(map(ok, values)):
+            raise ScenarioError(f"{rule}, got {raw!r}")
+        return values
+    return parse
 
 
-def _parse_gain_values(raw: str) -> tuple[float, ...]:
-    values = _parse_grid_values(raw)
-    if not all(abs(v) <= MAX_GAIN for v in values):
-        raise ScenarioError(f"gains must be within +-{MAX_GAIN:g}, got {raw!r}")
-    return values
-
-
-# grid key -> its _read_sections entry: a strictly ascending list of finite
-# numbers, within +-MAX_GAIN for a PID gain
-_GRID_ENTRIES = {key: (_parse_gain_values, "", key) for key in PID_GRID_KEYS}
-_GRID_ENTRIES.update({key: (_parse_grid_values, "", key) for key in FUZZY_GRID_KEYS})
+# grid key -> its _read_sections entry
+_GAINS = _grid_parser(lambda v: abs(v) <= MAX_GAIN, f"gains must be within +-{MAX_GAIN:g}")
+_SCALES = _grid_parser(lambda v: v > 0, "scales must be positive")
+_GRID_ENTRIES = {key: (_GAINS, "", key) for key in PID_GRID_KEYS}
+_GRID_ENTRIES.update({key: (_SCALES, "", key) for key in FUZZY_GRID_KEYS})
 
 
 def load_gain_grid(path) -> dict[str, tuple[float, ...]]:
@@ -103,43 +104,45 @@ class TuneResult:
     params: dict[str, float]
     score: float
     control_effort_tv: float
-    trace: Trace
 
 
 def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, float]) -> ScenarioConfig:
-    kind = getattr(base, f"{spec.channel}_kind")
-    if spec.mode == "pid":
-        if kind != "pid":
-            raise TuneError(
-                f"grid tunes pid gains but the {spec.channel} channel is {kind!r}"
-            )
-        attr = f"{spec.channel}_pid"
-        return replace(base, **{attr: replace(getattr(base, attr), **params)})
-    if kind != "fuzzy":
-        raise TuneError(
-            f"grid tunes the fuzzy output scale but the {spec.channel} channel is {kind!r}"
-        )
-    attr = f"{spec.channel}_fuzzy"
-    return replace(base, **{attr: scale_output(getattr(base, attr), params["output_scale"])})
+    attr = f"{spec.channel}_{spec.mode}"  # throttle_pid, steering_fuzzy, ...
+    try:
+        if spec.mode == "pid":
+            return replace(base, **{attr: replace(getattr(base, attr), **params)})
+        return replace(base, **{attr: scale_output(getattr(base, attr), params["output_scale"])})
+    except ValueError as exc:
+        gains = " ".join(f"{k}={v:g}" for k, v in params.items())
+        raise TuneError(f"{spec.channel} candidate {gains}: {exc}") from None
 
 
-def run_grid_search(base: ScenarioConfig, spec: TuneSpec) -> list[TuneResult]:
-    """Evaluate every grid point; returns results ranked best-first."""
-    if len(base.runs()) != 1:
+def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResult]:
+    """Check everything before out exists, then run, score and write each
+    candidate in turn; write the ranking and return the results best-first."""
+    runs = base.runs()
+    if len(runs) != 1:
         raise TuneError("tuning needs a single-run scenario archetype")
-    signal = CHANNEL_COLUMNS[spec.channel][0]
+    if spec.channel == "steering" and runs[0].steering_locked:
+        raise TuneError("the scenario locks the steering channel, so it has nothing to tune")
+    kind = getattr(base, f"{spec.channel}_kind")
+    if kind != spec.mode:
+        raise TuneError(f"grid tunes a {spec.mode} channel but the {spec.channel} channel is {kind!r}")
     keys = spec.ordered_keys
+    grid = [dict(zip(keys, combo)) for combo in itertools.product(*(spec.grid[k] for k in keys))]
+    configs = [_candidate_config(base, spec, params) for params in grid]
+    signal = CHANNEL_COLUMNS[spec.channel][0]
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     results = []
-    for index, combo in enumerate(itertools.product(*(spec.grid[k] for k in keys))):
-        params = dict(zip(keys, combo))
-        config = _candidate_config(base, spec, params)
+    for index, (params, config) in enumerate(zip(grid, configs)):
         (trace,) = execute_archetype(config)
-        score = objective_value(trace, signal, spec.objective, base.dt)
-        tv = trace_metrics(trace, signal).control_effort_tv
-        results.append(TuneResult(index, params, score, tv, trace))
-    results.sort(
-        key=lambda r: (r.score, r.control_effort_tv, tuple(r.params[k] for k in keys))
-    )
+        results.append(TuneResult(index, params, objective_value(trace, signal, spec.objective, base.dt),
+                                  trace_metrics(trace, signal).control_effort_tv))
+        write_trace_csv(trace, out / candidate_filename(results[-1]))
+        del trace  # so the next run starts with no trace held
+    results.sort(key=lambda r: (r.score, r.control_effort_tv, tuple(r.params[k] for k in keys)))
+    (out / "tune_results.csv").write_text(results_csv(spec, results), encoding="utf-8")
     return results
 
 

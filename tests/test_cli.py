@@ -99,6 +99,21 @@ class TestRun:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("controller.throttle.kind = fuzzy\nfuzzy.throttle.output_universe = 1e308\n",
+         "fuzzy.throttle: bad output universe (-1e+308, 1e+308)"),
+        ("fuzzy.steering.error_universe = 1e308\n",
+         "fuzzy.steering: bad error universe (-1e+308, 1e+308)"),
+        ("fuzzy.throttle.delta_universe = 1e308\n",
+         "fuzzy.throttle: bad error_delta universe (-1e+308, 1e+308)"),
+    ])
+    def test_universe_wider_than_float_range_fails_at_load(self, tmp_path, capsys, text, message):
+        # its span hi - lo overflows to inf, so no grid could be laid on it
+        scn = write_scenario(tmp_path, "wide", text)
+        assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {scn}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -290,6 +305,53 @@ class TestTune:
                      "--grid", str(grid), "--objective", "itae",
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {grid}: line 1: kp: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_locked_channel_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        # throttle_step locks the steering: its steering channel never moves
+        calls = count_runs(monkeypatch)
+        grid = tmp_path / "g.grid"
+        grid.write_text("kp = 0.001, 0.01\n")
+        out = tmp_path / "t"
+        assert main(["tune", "--scenario", str(SCENARIOS / "throttle_step.scn"),
+                     "--channel", "steering", "--grid", str(grid), "--objective", "itae",
+                     "--out", str(out)]) == 1
+        assert "locks the steering channel" in capsys.readouterr().err
+        assert len(calls) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("universe, scales", [
+        ("1e300", "1, 1e10"),  # the last candidate's universe overflows
+        ("1", "0.5, 1e308"),  # a universe wider than float range
+    ])
+    def test_candidate_that_cannot_be_built_fails_before_running(
+        self, tmp_path, capsys, monkeypatch, universe, scales
+    ):
+        calls = count_runs(monkeypatch)
+        scn = write_scenario(tmp_path, "fz", "stop.hold_time = 0.001\ncontroller.throttle.kind = fuzzy\n"
+                             f"fuzzy.throttle.output_universe = {universe}\n")
+        grid = tmp_path / "g.grid"
+        grid.write_text(f"output_scale = {scales}\n")
+        out = tmp_path / "t"
+        assert main(["tune", "--scenario", scn, "--channel", "throttle", "--grid", str(grid),
+                     "--objective", "itae", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: throttle candidate output_scale=")
+        assert len(calls) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("output_scale = -1, 1\n", "line 1: output_scale: scales must be positive, got '-1, 1'"),
+        ("ki = 0.1\noutput_scale = 0, 1\n", "line 2: output_scale: scales must be positive"),
+        ("kp = 1\noutput_scale = 1\n", "grid keys ('kp', 'output_scale') must be"),
+    ])
+    def test_every_grid_error_names_the_grid_file(self, tmp_path, capsys, text, message):
+        scn = write_scenario(tmp_path, "s", "duration = 2\n")
+        grid = tmp_path / "g.grid"
+        grid.write_text(text)
+        assert main(["tune", "--scenario", scn, "--channel", "throttle",
+                     "--grid", str(grid), "--objective", "itae",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {grid}: {message}")
         assert not (tmp_path / "o").exists()
 
 

@@ -1,9 +1,10 @@
+import math
 import xml.etree.ElementTree as ET
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
@@ -51,6 +52,15 @@ class TestWritePlotSvg:
         root = ET.parse(path).getroot()
         assert not root.findall(f"{SVG}polyline")
 
+    def test_flat_subnormal_range_still_valid(self, tmp_path):
+        # a tenth of 5e-324 underflows to 0, so the axis pads by 1 as at 0
+        assert _axis_range([5e-324]) == (-1.0, 1.0)
+        path = tmp_path / "tiny.svg"
+        write_plot_svg(Trace("tiny", [make_record(5e-324, pixel_error_x=5e-324)]),
+                       ["pixel_error_x", "steering_pwm"], path)
+        root = ET.parse(path).getroot()
+        assert len(root.findall(f"{SVG}circle")) == 2
+
     def test_unknown_channel_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="pixel_error_y"):
             write_plot_svg(small_trace(), ["pixel_error_y", "steering_pwm"], tmp_path / "x.svg")
@@ -90,10 +100,23 @@ class TestWritePlotSvg:
 
 # ---------------------------------------------------------------------------
 # frozen reference: the multi-column plotter as it stood before the plot took
-# exactly one channel pair, restricted to the columns a pair can name
+# exactly one channel pair, restricted to the columns a pair can name, with
+# its axis range from before a flat range whose pad underflows got a pad of 1
 
 _FROZEN_PWM_CHANNELS = ("steering_pwm", "throttle_pwm")
 _FROZEN_COLORS = ("#1f6fb2", "#d1495b", "#3c8d40", "#8d5fb2", "#c67c1d", "#46969b")
+
+
+def _frozen_axis_range(values):
+    lo = min(values)
+    hi = max(values)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot plot non-finite values")
+    if lo == hi:
+        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+        return lo - pad, hi + pad
+    pad = (hi - lo) * 0.05
+    return lo - pad, hi + pad
 
 
 def frozen_write_plot_svg(trace, channels, path) -> None:
@@ -110,10 +133,10 @@ def frozen_write_plot_svg(trace, channels, path) -> None:
                                 "height": str(_HEIGHT), "fill": "white"})
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    t_lo, t_hi = _axis_range(ts) if ts else (0.0, 1.0)
+    t_lo, t_hi = _frozen_axis_range(ts) if ts else (0.0, 1.0)
     x_scale = _Scale(t_lo, t_hi, x0, x1)
     left_values = [v for ch in left for v in series[ch]]
-    left_scale = _Scale(*(_axis_range(left_values) if left_values else (0.0, 1.0)), y0, y1)
+    left_scale = _Scale(*(_frozen_axis_range(left_values) if left_values else (0.0, 1.0)), y0, y1)
     right_scale = _Scale(0.0, 180.0, y0, y1)
 
     _line(svg, x0, y0, x1, y0, color="#333")
@@ -183,6 +206,11 @@ def plotted_traces(draw):
 @example(trace=Trace("flat", [make_record(0.02 * k) for k in range(5)]), channel="steering")
 def test_plot_is_byte_identical_to_frozen_multi_column_plotter(tmp_path, trace, channel):
     pair = CHANNEL_COLUMNS[channel]
+    try:
+        frozen_write_plot_svg(trace, pair, tmp_path / "want.svg")
+    except ZeroDivisionError:
+        # a flat range at a value so small that a tenth of it underflows to 0:
+        # the frozen plotter pads it by nothing and divides by a zero span
+        assume(False)
     write_plot_svg(trace, pair, tmp_path / "got.svg")
-    frozen_write_plot_svg(trace, pair, tmp_path / "want.svg")
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
