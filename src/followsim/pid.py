@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # bound on |kp|, |ki|, |kd|: such a gain already saturates a +-1 effort on a
@@ -39,8 +40,7 @@ class PidConfig:
             raise ValueError("derivative_filter_alpha must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     integral: float = 0.0
     prev_measurement: float = 0.0
     filtered_derivative: float = 0.0

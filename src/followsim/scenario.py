@@ -47,6 +47,9 @@ DEFAULT_THROTTLE_PID = PidConfig(
     output_limit=1.0, integral_limit=0.1, derivative_filter_alpha=0.4,
 )
 DEFAULT_FUZZY_FILTER_ALPHA = 0.3
+# runaway guard on duration * camera.frame_rate: a kept record costs about
+# 480 bytes, so a trace at the guard stays within half a gigabyte
+MAX_RECORDS = 1e6
 
 
 class ScenarioError(ValueError):
@@ -93,8 +96,9 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown archetype {self.archetype!r}")
         if self.duration < self.dt:
             raise ScenarioError("duration must be at least one camera frame interval")
-        if self.duration * self.camera.frame_rate > 1e7:
-            raise ScenarioError("duration * camera.frame_rate exceeds the 1e7 runaway guard")
+        if self.duration * self.camera.frame_rate > MAX_RECORDS:
+            raise ScenarioError(f"duration * camera.frame_rate exceeds the "
+                                f"{MAX_RECORDS:,.0f}-record runaway guard")
         if self.setpoint_area <= 0:
             raise ScenarioError("setpoint_area must be positive")
         for key, kind in (("steering", self.steering_kind), ("throttle", self.throttle_kind)):
@@ -217,7 +221,8 @@ def default_scenario(
     leader = overrides.setdefault("leader", LeaderScript())
     if "follower_start" not in overrides:
         gap = range_for_area(camera, panel, setpoint_area)
-        overrides["follower_start"] = replace(place_behind(leader.start, gap), **(follower or {}))
+        placed = place_behind(leader.start, gap)._asdict()
+        overrides["follower_start"] = VehicleState(**{**placed, **(follower or {})})
     spans = {
         "steering": (camera.image_width / 2.0, DEFAULT_STEERING_DELTA_SPAN),
         "throttle": (setpoint_area, 2.0 * setpoint_area),

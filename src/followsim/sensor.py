@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .world import VehicleState, normalize_angle
 
@@ -42,7 +44,7 @@ class CameraIntrinsics:
         if not math.isfinite(self.focal_px) or self.focal_px <= 0:
             raise ValueError("degenerate focal length")
 
-    @property
+    @cached_property
     def focal_px(self) -> float:
         return (self.image_width / 2.0) / math.tan(self.horizontal_fov / 2.0)
 
@@ -62,8 +64,7 @@ class TargetPanel:
             raise ValueError("rear_offset must be non-negative")
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(NamedTuple):
     """One bounding-box report: centroid pixels, box size, timestamp; the area
     is the box's width times its height."""
 
@@ -133,13 +134,7 @@ def observe(
     x_px = min(max(x_px, 0.0), float(camera.image_width))
     width_px = min(max(width_px, 0.0), float(camera.image_width))
     height_px = min(max(height_px, 0.0), float(camera.image_height))
-    return SensorReading(
-        x_px=x_px,
-        y_px=camera.image_height / 2.0,
-        width_px=width_px,
-        height_px=height_px,
-        t=t,
-    )
+    return SensorReading(x_px, camera.image_height / 2.0, width_px, height_px, t)
 
 
 def pixel_error_x(reading: SensorReading, camera: CameraIntrinsics) -> float:

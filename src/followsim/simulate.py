@@ -139,25 +139,11 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             steering_pwm = throttle_pwm = NEUTRAL_PWM
         loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
 
-        records.append(
-            TraceRecord(
-                t=t,
-                leader_x=leader.x,
-                leader_y=leader.y,
-                follower_x=follower.x,
-                follower_y=follower.y,
-                follower_heading=follower.heading,
-                pixel_error_x=pe,
-                area_error=ae,
-                steering_pwm=steering_pwm,
-                throttle_pwm=throttle_pwm,
-                lateral_dev_m=lateral_deviation(follower, track),
-                follow_dist_m=following_distance(follower, leader),
-                detected=reading is not None,
-                loop_cost_us=loop_cost_us,
-                op_count=ops,
-            )
-        )
+        records.append(TraceRecord(
+            t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
+            steering_pwm, throttle_pwm, lateral_deviation(follower, track),
+            following_distance(follower, leader), reading is not None, loop_cost_us, ops,
+        ))
 
         steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
         follower = integrate_bicycle(

@@ -7,8 +7,9 @@ The leader is scripted, not controlled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 SCRIPT_KINDS = ("stationary", "straight_line", "waypoint_path")
 
@@ -29,17 +30,22 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"non-finite {name}: {v!r}")
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Pose and speed of one vehicle. Heading is CCW radians from +x."""
-
+class _Pose(NamedTuple):
     x: float = 0.0
     y: float = 0.0
     heading: float = 0.0
     speed: float = 0.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+
+class VehicleState(_Pose):
+    """Pose and speed of one vehicle. Heading is CCW radians from +x, wrapped
+    to [-pi, pi) on construction; `_make` and `_replace` take the fields as
+    given, for a heading that is already wrapped."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float = 0.0, y: float = 0.0, heading: float = 0.0, speed: float = 0.0):
+        return tuple.__new__(cls, (x, y, normalize_angle(heading), speed))
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,13 @@ def integrate_bicycle(
     # speed change of a ramp still under way by tau = dt/2 and dt
     slew_mid, slew_end = max_accel * half, max_accel * dt
     cos, sin, copysign = math.cos, math.sin, math.copysign
+    remainder, tau, pi = math.remainder, math.tau, math.pi
+    # with zero curvature h2, h3 and h4 are h plus a signed zero, and adding
+    # one leaves a wrapped non-zero h as it is: one cos/sin pair serves every
+    # sub-step. At h == 0 each sine is its own signed-zero angle, and the
+    # heading update still sets the sign of the zero.
+    straight = curvature == 0.0 and -pi <= h < pi
+    c, s = cos(h), sin(h)
 
     for _ in range(steps):
         dv = target - v
@@ -203,23 +216,33 @@ def integrate_bicycle(
         v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
         v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
 
-        # k2 and k3 share the mid-step speed, hence one heading rate k2h
-        k1h = v_start * curvature
-        h2 = h + half * k1h
-        k2h = v_mid * curvature
-        h3 = h + half * k2h
-        h4 = h + dt * k2h
-        k4h = v_end * curvature
-        x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
-                      + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
-        y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
-                      + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
-        h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
-        h = math.remainder(h, math.tau)  # normalize_angle, inlined
-        if h == math.pi:
-            h = -math.pi
+        if straight:
+            x += sixth * (v_start * c + 2.0 * (v_mid * c) + 2.0 * (v_mid * c) + v_end * c)
+            if h:
+                y += sixth * (v_start * s + 2.0 * (v_mid * s) + 2.0 * (v_mid * s) + v_end * s)
+            else:
+                k1h, k2h = v_start * curvature, v_mid * curvature
+                y += sixth * (v_start * h + 2.0 * (v_mid * (h + half * k1h))
+                              + 2.0 * (v_mid * (h + half * k2h)) + v_end * (h + dt * k2h))
+                h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + v_end * curvature)
+        else:
+            # k2 and k3 share the mid-step speed, hence one heading rate k2h
+            k1h = v_start * curvature
+            h2 = h + half * k1h
+            k2h = v_mid * curvature
+            h3 = h + half * k2h
+            h4 = h + dt * k2h
+            k4h = v_end * curvature
+            x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
+                          + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
+            y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
+                          + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
+            h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
+            h = remainder(h, tau)  # normalize_angle, inlined
+            if h == pi:
+                h = -pi
         v = v_end
-    return VehicleState(x, y, h, v)
+    return VehicleState._make((x, y, h, v))
 
 
 def step_bicycle(
@@ -242,7 +265,7 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
         raise ValueError("time must be non-negative")
 
     if script.kind == "stationary":
-        return replace(script.start, speed=0.0)
+        return script.start._replace(speed=0.0)
 
     if script.kind == "straight_line":
         s = script.distance_at(t)

@@ -11,13 +11,16 @@ tests/data/throttle_step_fuzzy.scn (fuzzy output scale, itae), and `followsim sw
 scenarios/throttle_step.scn, then stores the SHA-256 of:
 
 - every trace CSV, with the wall-clock `loop_cost_us` column blanked;
+- each other column of every trace CSV on its own, its cells in record
+  order, under the label `<file label>#<column>`;
 - every compare report and the sweep summary;
 - each `tune_results.csv`.
 
 Before it rewrites the file, it prints each label whose hash changed, was
 added or was removed. tests/test_golden.py recomputes the same hashes and
-compares. Regenerate only when a change is meant to alter the outputs, and
-say in CHANGES.md which column moved and why.
+compares; on a mismatch it names the trace columns that moved. Regenerate
+only when a change is meant to alter the outputs, and say in CHANGES.md
+which column moved and why.
 """
 from __future__ import annotations
 
@@ -37,6 +40,34 @@ DATA = ROOT / "tests" / "data"
 HASHES = Path(__file__).resolve().parent / "hashes.json"
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _is_trace(path: Path) -> bool:
+    return path.suffix == ".csv" and path.name != "tune_results.csv"
+
+
+def _column_hashes(text: str) -> dict[str, str]:
+    """Column -> hash of its cells in record order, for every column of a
+    trace CSV except the wall-clock `loop_cost_us`."""
+    header, *rows = [line.split(",") for line in text.split("\n") if line]
+    return {
+        column: _sha256("\n".join(row[i] for row in rows))
+        for i, column in enumerate(header) if column != "loop_cost_us"
+    }
+
+
+def moved_columns(stored: dict[str, str], got: dict[str, str]) -> dict[str, list[str]]:
+    """Trace CSV label -> the columns whose hash differs, for each CSV with one."""
+    moved: dict[str, list[str]] = {}
+    for label in sorted(stored):
+        if "#" in label and got.get(label) != stored[label]:
+            file_label, column = label.split("#")
+            moved.setdefault(file_label, []).append(column)
+    return moved
+
+
 def _blank_loop_cost(text: str) -> str:
     lines = text.split("\n")
     col = lines[0].split(",").index("loop_cost_us")
@@ -51,7 +82,7 @@ def _blank_loop_cost(text: str) -> str:
 
 def _canonical(path: Path) -> str:
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".csv" and path.name != "tune_results.csv":
+    if _is_trace(path):
         return _blank_loop_cost(text)
     return text
 
@@ -68,9 +99,11 @@ def compute_hashes() -> dict[str, str]:
 
     def store(out: Path, paths) -> None:
         for path in paths:
-            hashes[f"{out.name}/{path.name}"] = hashlib.sha256(
-                _canonical(path).encode("utf-8")
-            ).hexdigest()
+            label, text = f"{out.name}/{path.name}", _canonical(path)
+            hashes[label] = _sha256(text)
+            if _is_trace(path):
+                for column, digest in _column_hashes(text).items():
+                    hashes[f"{label}#{column}"] = digest
 
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in sorted(SCENARIOS.glob("*.scn")):

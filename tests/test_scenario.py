@@ -197,7 +197,7 @@ class TestParser:
             "leader.start.heading = 1.5707963267948966\nfollower.start.x = -3\n"
         )
         placed = place_behind(cfg.leader.start, cfg.follow_range)
-        assert cfg.follower_start == replace(placed, x=-3.0)
+        assert cfg.follower_start == placed._replace(x=-3.0)
         assert cfg.follower_start.y == pytest.approx(-DEFAULT_FOLLOW_RANGE)
         assert cfg.follower_start.heading == pytest.approx(math.pi / 2)
 
@@ -415,9 +415,10 @@ def test_follower_keys_override_the_placed_pose(leader, follower):
     text = "".join(f"leader.start.{k} = {v!r}\n" for k, v in leader.items())
     text += "".join(f"follower.start.{k} = {v!r}\n" for k, v in follower.items())
     cfg = parse_scenario_text(text)
-    want = replace(place_behind(VehicleState(**leader), cfg.follow_range), **follower)
+    placed = place_behind(VehicleState(**leader), cfg.follow_range)
+    want = VehicleState(**{**placed._asdict(), **follower})
     got = cfg.follower_start
-    assert [v.hex() for v in vars(got).values()] == [v.hex() for v in vars(want).values()]
+    assert [v.hex() for v in got._asdict().values()] == [v.hex() for v in want._asdict().values()]
 
 
 def test_readme_tables_list_exactly_the_key_table():

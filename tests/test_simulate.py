@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -19,10 +21,17 @@ from followsim import (
     run_scenario,
 )
 from followsim import actuation, simulate
+from followsim.scenario import MAX_RECORDS
 from followsim.world import place_behind
 
-S_CURVE = Path(__file__).parents[1] / "scenarios" / "s_curve.scn"
-THROTTLE_STEP = Path(__file__).parents[1] / "scenarios" / "throttle_step.scn"
+ROOT = Path(__file__).parents[1]
+S_CURVE = ROOT / "scenarios" / "s_curve.scn"
+THROTTLE_STEP = ROOT / "scenarios" / "throttle_step.scn"
+LATERAL_MOVING = ROOT / "scenarios" / "lateral_offset_moving.scn"
+
+# memory one trace at the runaway guard may hold, as the README's `duration`
+# row states it
+TRACE_BUDGET_BYTES = 512 * 2**20
 
 
 class TestRunScenario:
@@ -433,8 +442,8 @@ class TestRunsMatchFrozenWrappers:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a == b
-            assert [v.hex() for v in vars(a.follower_start).values()] == \
-                [v.hex() for v in vars(b.follower_start).values()]
+            assert [v.hex() for v in a.follower_start._asdict().values()] == \
+                [v.hex() for v in b.follower_start._asdict().values()]
             assert a.archetype == "scenario"
 
     @pytest.mark.parametrize("start", LEADER_STARTS)
@@ -511,3 +520,25 @@ def test_records_never_violate_invariants(offset, leader_speed, kp, duration):
         assert -math.pi <= r.follower_heading < math.pi
         assert r.follow_dist_m >= 0.0
         assert r.op_count >= 0
+
+
+def test_trace_at_the_runaway_guard_fits_the_documented_budget():
+    """tracemalloc bytes per kept record of a 1000-record moving-leader run,
+    where every record holds floats of its own, times the guard stay within
+    the budget the README states. No wall clock takes part."""
+    row = next(line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `duration` |"))
+    assert "<= 1e6" in row and "512 MiB" in row and MAX_RECORDS == 1e6
+    (cfg,) = load_scenario(LATERAL_MOVING).runs()
+    run_scenario(replace(cfg, duration=0.1))  # first-call caches are not per-record cost
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_scenario(cfg)
+        gc.collect()
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / len(trace.records)
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 1000
+    assert per_record * MAX_RECORDS <= TRACE_BUDGET_BYTES, f"{per_record:.0f} bytes per record"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from followsim import (
     LeaderScript,
+    PidState,
+    SensorReading,
     VehicleParams,
     VehicleState,
     following_distance,
@@ -72,6 +74,74 @@ def frozen_step_bicycle(
     return VehicleState(x, y, normalize_angle(h), speed_at(dt))
 
 
+def frozen_integrate_bicycle(
+    state: VehicleState,
+    params: VehicleParams,
+    steer_angle: float,
+    speed_cmd: float,
+    dt: float,
+    steps: int,
+) -> VehicleState:
+    """The fused kernel as it was before its zero-curvature branch, kept
+    verbatim as the bit-exact oracle for that branch.
+
+    Advance one vehicle `steps` RK4 sub-steps of dt seconds each under
+    bicycle kinematics, holding the steering and speed commands.
+
+    The steering angle is clamped to +-max_steer_angle. Speed slews toward the
+    (clamped, non-negative) command at max_accel, and each sub-step integrates
+    the pose with RK4 using the exact slewed speed profile within it. Inputs
+    are validated once; the sub-steps run over plain floats, wrapping the
+    heading after each one.
+    """
+    x, y, h, v = state.x, state.y, state.heading, state.speed
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(h) and isfinite(v)
+            and isfinite(steer_angle) and isfinite(speed_cmd) and isfinite(dt)):
+        _frozen_require_finite(x=x, y=y, heading=h, speed=v,
+                               steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+
+    delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
+    curvature = math.tan(delta) / params.wheelbase
+    max_accel = params.max_accel
+    target = min(max(speed_cmd, 0.0), params.max_speed)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    # speed change of a ramp still under way by tau = dt/2 and dt
+    slew_mid, slew_end = max_accel * half, max_accel * dt
+    cos, sin, copysign = math.cos, math.sin, math.copysign
+
+    for _ in range(steps):
+        dv = target - v
+        ramp_time = abs(dv) / max_accel
+        # adding the zero change at tau = 0 turns a -0.0 speed into +0.0
+        v_start = target if 0.0 >= ramp_time else v + copysign(0.0, dv)
+        v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
+        v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
+
+        # k2 and k3 share the mid-step speed, hence one heading rate k2h
+        k1h = v_start * curvature
+        h2 = h + half * k1h
+        k2h = v_mid * curvature
+        h3 = h + half * k2h
+        h4 = h + dt * k2h
+        k4h = v_end * curvature
+        x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
+                      + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
+        y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
+                      + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
+        h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
+        h = math.remainder(h, math.tau)  # normalize_angle, inlined
+        if h == math.pi:
+            h = -math.pi
+        v = v_end
+    return VehicleState(x, y, h, v)
+
+
 def state_bits(state: VehicleState) -> tuple[str, ...]:
     return tuple(float(v).hex() for v in (state.x, state.y, state.heading, state.speed))
 
@@ -102,6 +172,34 @@ def kernel_inputs(draw):
     ))
     state = VehicleState(draw(st.floats(-100, 100)), draw(st.floats(-100, 100)), heading, speed)
     return state, steer, cmd, dt, steps
+
+
+# module-level strategies: one built per example would cost more than the kernel
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+COORDINATE = SIGNED_ZERO | st.floats(-100, 100)
+WRAPPED_HEADING = (st.sampled_from([0.0, -0.0, -math.pi, math.nextafter(math.pi, 0.0)])
+                   | st.floats(-math.pi, math.pi, exclude_max=True))
+SPEED = st.sampled_from([0.0, -0.0, PARAMS.max_speed]) | st.floats(-0.5, 4.5)
+COMMAND = SIGNED_ZERO | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def straight_kernel_inputs(draw):
+    """(state, steer, speed command, dt, steps) of a zero-curvature call:
+    signed zeros in every field, headings at both ends of the wrapped range,
+    and a command already met, met by a ramp that ends mid-record, or free."""
+    steps = draw(st.integers(1, 12))
+    dt = draw(st.floats(1e-4, 0.05))
+    speed = draw(SPEED)
+    kind = draw(st.sampled_from(["met", "ramp", "free"]))
+    if kind == "met":
+        cmd = speed
+    elif kind == "ramp":
+        cmd = speed + draw(st.floats(-1.0, 1.0)) * steps * PARAMS.max_accel * dt
+    else:
+        cmd = draw(COMMAND)
+    state = VehicleState(draw(COORDINATE), draw(COORDINATE), draw(WRAPPED_HEADING), speed)
+    return state, draw(SIGNED_ZERO), cmd, dt, steps
 
 
 def arc_pose(start: VehicleState, params: VehicleParams, steer: float, v: float, t: float):
@@ -221,6 +319,21 @@ class TestIntegrateBicycle:
             chained = frozen_step_bicycle(chained, PARAMS, steer, cmd, dt)
         assert state_bits(fused) == state_bits(chained)
 
+    @given(straight_kernel_inputs())
+    # the zero k1h of a ramp from rest turns a -0.0 heading into +0.0 at h2,
+    # so sin(h) would give y the wrong zero
+    @example((VehicleState(0.0, -0.0, -0.0, 0.0), 0.0, 1.0, 0.002, 1))
+    # _make takes a heading unwrapped, which the first sub-step wraps
+    @example((VehicleState._make((1.0, 2.0, math.pi, 1.0)), 0.0, 2.0, 0.002, 3))
+    @example((VehicleState._make((1.0, 2.0, 4.0, 1.0)), -0.0, 2.0, 0.002, 3))
+    @settings(max_examples=1000, deadline=None)
+    def test_straight_bit_identical_to_frozen_kernel(self, inputs):
+        state, steer, cmd, dt, steps = inputs
+        got = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
+        want = frozen_integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
+        assert state_bits(got) == state_bits(want)
+        assert -math.pi <= got.heading < math.pi
+
     def test_step_bicycle_is_one_sub_step(self):
         state = VehicleState(0.5, -1.0, 3.1, speed=0.7)
         assert step_bicycle(state, PARAMS, 0.2, 2.5, 0.002) == integrate_bicycle(
@@ -248,6 +361,24 @@ class TestIntegrateBicycle:
     def test_fewer_than_one_step_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be at least 1"):
             integrate_bicycle(VehicleState(), PARAMS, 0.0, 1.0, 0.002, steps)
+
+
+class TestVehicleState:
+    @pytest.mark.parametrize("heading, wrapped", [
+        (math.pi, -math.pi), (3 * math.pi, -math.pi), (math.tau + 0.5, 0.5),
+    ])
+    def test_heading_wraps_on_construction(self, heading, wrapped):
+        assert VehicleState(1.0, 2.0, heading, 0.5).heading.hex() == wrapped.hex()
+        assert VehicleState(x=1.0, heading=heading).heading.hex() == wrapped.hex()
+
+    @pytest.mark.parametrize("value", [
+        VehicleState(1.0, 2.0, 0.5, 1.0), SensorReading(160.0, 100.0, 20.0, 30.0, 0.0), PidState(),
+    ], ids=lambda value: type(value).__name__)
+    def test_value_types_reject_attribute_assignment(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], 9.0)
+        with pytest.raises(AttributeError):
+            value.extra = 9.0
 
 
 class TestVehicleParams:
