@@ -200,13 +200,10 @@ def integrate_bicycle(
     # speed change of a ramp still under way by tau = dt/2 and dt
     slew_mid, slew_end = max_accel * half, max_accel * dt
     cos, sin, copysign = math.cos, math.sin, math.copysign
-    remainder, tau, pi = math.remainder, math.tau, math.pi
-    # with zero curvature h2, h3 and h4 are h plus a signed zero, and adding
-    # one leaves a wrapped non-zero h as it is: one cos/sin pair serves every
-    # sub-step. At h == 0 each sine is its own signed-zero angle, and the
-    # heading update still sets the sign of the zero.
-    straight = curvature == 0.0 and -pi <= h < pi
-    c, s = cos(h), sin(h)
+    # with zero curvature and a zero heading every angle of a sub-step is a
+    # signed zero: each cosine is 1.0 and each sine its own angle. The heading
+    # stays a signed zero, which the wrap leaves as it is.
+    straight = curvature == 0.0 and not h
 
     for _ in range(steps):
         dv = target - v
@@ -216,31 +213,25 @@ def integrate_bicycle(
         v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
         v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
 
+        # k2 and k3 share the mid-step speed, hence one heading rate k2h
+        k1h = v_start * curvature
+        h2 = h + half * k1h
+        k2h = v_mid * curvature
+        h3 = h + half * k2h
+        h4 = h + dt * k2h
+        k4h = v_end * curvature
         if straight:
-            x += sixth * (v_start * c + 2.0 * (v_mid * c) + 2.0 * (v_mid * c) + v_end * c)
-            if h:
-                y += sixth * (v_start * s + 2.0 * (v_mid * s) + 2.0 * (v_mid * s) + v_end * s)
-            else:
-                k1h, k2h = v_start * curvature, v_mid * curvature
-                y += sixth * (v_start * h + 2.0 * (v_mid * (h + half * k1h))
-                              + 2.0 * (v_mid * (h + half * k2h)) + v_end * (h + dt * k2h))
-                h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + v_end * curvature)
+            x += sixth * (v_start + 2.0 * v_mid + 2.0 * v_mid + v_end)
+            y += sixth * (v_start * h + 2.0 * (v_mid * h2) + 2.0 * (v_mid * h3) + v_end * h4)
         else:
-            # k2 and k3 share the mid-step speed, hence one heading rate k2h
-            k1h = v_start * curvature
-            h2 = h + half * k1h
-            k2h = v_mid * curvature
-            h3 = h + half * k2h
-            h4 = h + dt * k2h
-            k4h = v_end * curvature
             x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
                           + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
             y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
                           + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
-            h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
-            h = remainder(h, tau)  # normalize_angle, inlined
-            if h == pi:
-                h = -pi
+        h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
+        h = math.remainder(h, math.tau)  # normalize_angle, inlined
+        if h == math.pi:
+            h = -math.pi
         v = v_end
     return VehicleState._make((x, y, h, v))
 

@@ -177,7 +177,8 @@ def kernel_inputs(draw):
 # module-level strategies: one built per example would cost more than the kernel
 SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 COORDINATE = SIGNED_ZERO | st.floats(-100, 100)
-WRAPPED_HEADING = (st.sampled_from([0.0, -0.0, -math.pi, math.nextafter(math.pi, 0.0)])
+# a signed zero takes the straight branch; any other heading turns it off
+WRAPPED_HEADING = (SIGNED_ZERO | st.sampled_from([-math.pi, math.nextafter(math.pi, 0.0)])
                    | st.floats(-math.pi, math.pi, exclude_max=True))
 SPEED = st.sampled_from([0.0, -0.0, PARAMS.max_speed]) | st.floats(-0.5, 4.5)
 COMMAND = SIGNED_ZERO | st.floats(-10.0, 10.0)
@@ -323,9 +324,6 @@ class TestIntegrateBicycle:
     # the zero k1h of a ramp from rest turns a -0.0 heading into +0.0 at h2,
     # so sin(h) would give y the wrong zero
     @example((VehicleState(0.0, -0.0, -0.0, 0.0), 0.0, 1.0, 0.002, 1))
-    # _make takes a heading unwrapped, which the first sub-step wraps
-    @example((VehicleState._make((1.0, 2.0, math.pi, 1.0)), 0.0, 2.0, 0.002, 3))
-    @example((VehicleState._make((1.0, 2.0, 4.0, 1.0)), -0.0, 2.0, 0.002, 3))
     @settings(max_examples=1000, deadline=None)
     def test_straight_bit_identical_to_frozen_kernel(self, inputs):
         state, steer, cmd, dt, steps = inputs
