@@ -25,6 +25,7 @@ from .traceio import write_trace_csv
 OBJECTIVES = ("itae", "ise", "rms")
 PID_GRID_KEYS = ("kp", "ki", "kd")
 FUZZY_GRID_KEYS = ("output_scale",)
+MAX_CANDIDATES = 10_000  # bounds a search in time and in held configs (README)
 
 
 class TuneError(ValueError):
@@ -56,6 +57,9 @@ class TuneSpec:
                 raise TuneError(f"grid for {key!r} has non-finite values")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise TuneError(f"grid for {key!r} must be strictly ascending")
+        count = math.prod(map(len, self.grid.values()))
+        if count > MAX_CANDIDATES:
+            raise TuneError(f"grid has {count:,} candidates, more than the {MAX_CANDIDATES:,} cap")
 
     @property
     def mode(self) -> str:

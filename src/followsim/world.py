@@ -197,22 +197,33 @@ def integrate_bicycle(
     target = min(max(speed_cmd, 0.0), params.max_speed)
     half = 0.5 * dt
     sixth = dt / 6.0
-    # speed change of a ramp still under way by tau = dt/2 and dt
-    slew_mid, slew_end = max_accel * half, max_accel * dt
     cos, sin, copysign = math.cos, math.sin, math.copysign
-    # with zero curvature and a zero heading every angle of a sub-step is a
-    # signed zero: each cosine is 1.0 and each sine its own angle. The heading
-    # stays a signed zero, which the wrap leaves as it is.
-    straight = curvature == 0.0 and not h
+    # speed change of a ramp still under way by tau = dt/2 and dt. A ramp
+    # meets the target without passing it, so its sign holds for the call.
+    slew_mid = copysign(max_accel * half, target - v)
+    slew_end = copysign(max_accel * dt, target - v)
+    # zero curvature, a +0.0 heading, a speed >= 0 and a target that is not
+    # -0.0 make every heading rate of every sub-step a zero and every angle
+    # and sine +0.0: each cosine is 1.0, the heading stays +0.0 and y gains
+    # only +0.0
+    along_x = (not curvature and not h and copysign(1.0, h) > 0.0
+               and v >= 0.0 and copysign(1.0, target) > 0.0)
 
-    for _ in range(steps):
+    settled = 0  # sub-steps left once the speed has met the target
+    for i in range(steps):
         dv = target - v
         ramp_time = abs(dv) / max_accel
+        if 0.0 >= ramp_time:
+            settled = steps - i
+            break
         # adding the zero change at tau = 0 turns a -0.0 speed into +0.0
-        v_start = target if 0.0 >= ramp_time else v + copysign(0.0, dv)
-        v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
-        v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
-
+        v_start = v + 0.0
+        v_mid = target if half >= ramp_time else v + slew_mid
+        v_end = target if dt >= ramp_time else v + slew_end
+        v = v_end
+        if along_x:
+            x += sixth * (v_start + 2.0 * v_mid + 2.0 * v_mid + v_end)
+            continue
         # k2 and k3 share the mid-step speed, hence one heading rate k2h
         k1h = v_start * curvature
         h2 = h + half * k1h
@@ -220,20 +231,32 @@ def integrate_bicycle(
         h3 = h + half * k2h
         h4 = h + dt * k2h
         k4h = v_end * curvature
-        if straight:
-            x += sixth * (v_start + 2.0 * v_mid + 2.0 * v_mid + v_end)
-            y += sixth * (v_start * h + 2.0 * (v_mid * h2) + 2.0 * (v_mid * h3) + v_end * h4)
-        else:
-            x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
-                          + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
-            y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
-                          + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
+        x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
+                      + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
+        y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
+                      + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
         h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
         h = math.remainder(h, math.tau)  # normalize_angle, inlined
-        if h == math.pi:
-            h = -math.pi
-        v = v_end
-    return VehicleState._make((x, y, h, v))
+        h = -math.pi if h == math.pi else h
+
+    if along_x:
+        dx = sixth * (target + 2.0 * target + 2.0 * target + target)
+        for _ in range(settled):
+            x += dx
+        y += 0.0
+    elif settled:
+        # every speed of a sub-step is the target: one heading rate kh, and
+        # h3 is h2, so a sub-step needs three cosines and three sines
+        kh = target * curvature
+        dh = sixth * (kh + 2.0 * kh + 2.0 * kh + kh)
+        for _ in range(settled):
+            h2, h4 = h + half * kh, h + dt * kh
+            c2, s2 = 2.0 * (target * cos(h2)), 2.0 * (target * sin(h2))
+            x += sixth * (target * cos(h) + c2 + c2 + target * cos(h4))
+            y += sixth * (target * sin(h) + s2 + s2 + target * sin(h4))
+            h = math.remainder(h + dh, math.tau)
+            h = -math.pi if h == math.pi else h
+    return VehicleState._make((x, y, h, target if settled else v))
 
 
 def step_bicycle(

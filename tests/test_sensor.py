@@ -61,6 +61,27 @@ class TestObserve:
         leader = VehicleState(2.0, 0, math.pi)
         assert observe(CAM, VehicleState(0, 0, 0), leader, PANEL, 0.0) is None
 
+    def test_panel_on_the_fov_edge_is_not_detected(self):
+        # a bearing at half the field of view gives no reading: atan2(2, 2) is
+        # exactly pi/4, half of a pi/2 field of view
+        camera = CameraIntrinsics(horizontal_fov=math.pi / 2)
+        assert math.atan2(2.0, 2.0) == camera.horizontal_fov / 2.0
+        follower = VehicleState(0.0, 0.0, 0.0)
+        assert observe(camera, follower, VehicleState(2.0, 2.0, 0.0), PANEL, 0.0) is None
+        assert observe(camera, follower, VehicleState(2.0, 1.999, 0.0), PANEL, 0.0) is not None
+
+    @pytest.mark.parametrize("aspect", [
+        math.acos(1e-6),
+        math.nextafter(math.acos(1e-9), 0.0),  # the last aspect whose facing is above 1e-9
+        math.acos(1e-9),
+        math.acos(5e-10),
+        math.pi / 2,
+    ])
+    def test_edge_on_cut_off_at_a_facing_of_1e_9(self, aspect):
+        # the panel's facing is cos(aspect); at or below 1e-9 it is edge-on
+        reading = observe(CAM, VehicleState(0, 0, 0), VehicleState(3.0, 0.0, aspect), PANEL, 0.0)
+        assert (reading is not None) == (math.cos(aspect) > 1e-9)
+
     def test_aspect_foreshortens_width_only(self):
         head_on = observe(CAM, VehicleState(0, 0, 0), VehicleState(2.0, 0, 0.0), PANEL, 0.0)
         angled = observe(CAM, VehicleState(0, 0, 0), VehicleState(2.0, 0, 0.5), PANEL, 0.0)

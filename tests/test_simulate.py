@@ -89,6 +89,15 @@ class TestRunScenario:
         assert trace.stop_reason == "follower_stationary"
         assert len(trace.records) == round(base_scenario.stop_hold_time / base_scenario.dt)
 
+    def test_stops_at_exactly_the_hold_time(self, base_scenario):
+        # at 2 Hz the still time sums exactly to 0.5 and then 1.0: the run
+        # stops on the record where it reaches the 1 s hold
+        camera = replace(base_scenario.camera, frame_rate=2.0)
+        trace = run_scenario(replace(base_scenario, duration=20.0, camera=camera))
+        assert base_scenario.stop_hold_time == 1.0
+        assert trace.stop_reason == "follower_stationary"
+        assert len(trace.records) == 2
+
     def test_moving_leader_never_stops_early(self, base_scenario):
         moving = default_scenario(
             "mv", duration=2.0,

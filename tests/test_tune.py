@@ -13,6 +13,7 @@ from followsim import (
     ScenarioError,
     TuneError,
     TuneSpec,
+    cli,
     default_scenario,
     load_gain_grid,
     objective_value,
@@ -25,6 +26,8 @@ from followsim import (
 )
 from followsim.pid import MAX_GAIN
 from followsim.tune import FUZZY_GRID_KEYS, PID_GRID_KEYS, candidate_filename, results_csv
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 def step_scenario(duration=6.0):
@@ -53,6 +56,26 @@ class TestTuneSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(TuneError):
             TuneSpec(**kwargs)
+
+    def test_grid_at_the_candidate_cap_is_accepted(self):
+        values = tuple(float(i) for i in range(100))
+        assert tune.MAX_CANDIDATES == 10_000
+        TuneSpec("throttle", "itae", {"kp": values, "ki": values})
+
+    def test_grid_past_the_candidate_cap_fails_before_any_build(self, tmp_path, monkeypatch,
+                                                                capsys):
+        built = []
+        monkeypatch.setattr(tune, "_candidate_config", lambda *args: built.append(args))
+        grid = tmp_path / "big.grid"
+        grid.write_text(f"kp = {', '.join(map(str, range(101)))}\n"
+                        f"ki = {', '.join(map(str, range(100)))}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["tune", "--scenario", str(SCENARIOS / "throttle_step.scn"), "--grid", str(grid),
+                "--channel", "throttle", "--objective", "itae", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {grid}: grid has 10,100 candidates, more than the 10,000 cap\n"
+        assert built == [] and not out.exists()
 
 
 class TestLoadGainGrid:

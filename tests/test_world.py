@@ -82,8 +82,8 @@ def frozen_integrate_bicycle(
     dt: float,
     steps: int,
 ) -> VehicleState:
-    """The fused kernel as it was before its zero-curvature branch, kept
-    verbatim as the bit-exact oracle for that branch.
+    """The fused kernel as it was before its zero-curvature shortcuts, kept
+    verbatim as the bit-exact oracle for the along-x path and the settled phase.
 
     Advance one vehicle `steps` RK4 sub-steps of dt seconds each under
     bicycle kinematics, holding the steering and speed commands.
@@ -177,7 +177,7 @@ def kernel_inputs(draw):
 # module-level strategies: one built per example would cost more than the kernel
 SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 COORDINATE = SIGNED_ZERO | st.floats(-100, 100)
-# a signed zero takes the straight branch; any other heading turns it off
+# only a +0.0 heading takes the along-x path
 WRAPPED_HEADING = (SIGNED_ZERO | st.sampled_from([-math.pi, math.nextafter(math.pi, 0.0)])
                    | st.floats(-math.pi, math.pi, exclude_max=True))
 SPEED = st.sampled_from([0.0, -0.0, PARAMS.max_speed]) | st.floats(-0.5, 4.5)
@@ -308,6 +308,12 @@ class TestIntegrateBicycle:
     @given(kernel_inputs())
     # the first sub-step lands exactly on pi, which wraps to -pi before the next
     @example((VehicleState(0.0, 0.0, math.nextafter(math.pi, 0.0), 2.0), 2e-14, 2.0, 0.002, 2))
+    # a turning ramp that ends exactly on the boundary of sub-steps 2 and 3:
+    # the settled phase starts with sub-step 3
+    @example((VehicleState(1.0, 2.0, 0.5, 1.0), 0.2, 1.5, 0.125, 4))
+    # a speed one subnormal above the target: its ramp time underflows to 0,
+    # so the first sub-step is settled and the call ends at the target
+    @example((VehicleState(1.0, 2.0, 0.5, 5e-324), 0.2, 0.0, 0.002, 3))
     # a ramp up from -0.0 speed: the speed at tau = 0 is +0.0, which fixes
     # the sign of the zero heading
     @example((VehicleState(0.0, 0.0, -0.0, -0.0), -0.0, 1.0, 0.002, 1))
@@ -324,6 +330,17 @@ class TestIntegrateBicycle:
     # the zero k1h of a ramp from rest turns a -0.0 heading into +0.0 at h2,
     # so sin(h) would give y the wrong zero
     @example((VehicleState(0.0, -0.0, -0.0, 0.0), 0.0, 1.0, 0.002, 1))
+    # along x, y ends as y + 0.0, which turns a -0.0 into +0.0
+    @example((VehicleState(0.0, -0.0, 0.0, 0.0), 0.0, 1.0, 0.002, 3))
+    # -0.0 in each guard term in turn. A -0.0 curvature gives the along-x bits.
+    # A -0.0 heading ends as +0.0, and a -0.0 target (from a -0.0 command)
+    # leaves y at -0.0, so neither may take the along-x path.
+    @example((VehicleState(0.0, -0.0, 0.0, 0.0), -0.0, 1.0, 0.002, 3))
+    @example((VehicleState(0.0, -0.0, -0.0, 1.0), 0.0, 1.0, 0.002, 3))
+    @example((VehicleState(0.0, -0.0, 0.0, 0.0), 0.0, -0.0, 0.002, 3))
+    # a -0.0 speed takes the along-x path; a negative one leaves y at -0.0
+    @example((VehicleState(0.0, -0.0, 0.0, -0.0), 0.0, 1.0, 0.002, 3))
+    @example((VehicleState(0.0, -0.0, 0.0, -0.5), 0.0, 1.0, 0.002, 1))
     @settings(max_examples=1000, deadline=None)
     def test_straight_bit_identical_to_frozen_kernel(self, inputs):
         state, steer, cmd, dt, steps = inputs
