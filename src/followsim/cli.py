@@ -1,7 +1,7 @@
 """Command-line entry point: run / compare / tune / sweep.
 
 Every command reads a scenario file, writes its artifacts (trace CSVs, SVG
-plots, reports) only inside --out, and is reproducible: identical arguments
+plots, reports) only inside --out. On one host (README), identical arguments
 and seed give identical outputs except the wall-clock loop_cost_us column.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_sce
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
-from .tune import OBJECTIVES, TuneError, TuneSpec, load_gain_grid, run_grid_search
+from .tune import OBJECTIVES, TuneError, TuneSpec, check_grid_mode, load_gain_grid, run_grid_search
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
@@ -83,6 +83,7 @@ def cmd_tune(args) -> int:
     grid = load_gain_grid(args.grid)
     try:  # --channel and --objective are argparse choices: only the grid can fail here
         spec = TuneSpec(args.channel, args.objective, grid)
+        check_grid_mode(config, spec)
     except TuneError as exc:
         raise TuneError(f"{args.grid}: {exc}") from None
     results = run_grid_search(config, spec, args.out)

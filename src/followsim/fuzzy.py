@@ -196,22 +196,17 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     return float(np.dot(config.output_grid, aggregate)) / total
 
 
-def scaled_output_fields(
-    output_sets: dict[str, MembershipFunction], output_universe: tuple[float, float], k: float
-) -> dict[str, object]:
-    """The output_sets and output_universe FuzzyConfig fields scaled by k > 0."""
+def _scaled_output(sets: dict[str, MembershipFunction], universe: tuple[float, float], k: float):
+    """Output sets and output universe scaled by k > 0."""
     if k <= 0:
         raise FuzzyError("scale factor must be positive")
-    lo, hi = output_universe
-    return {
-        "output_sets": {label: mf.scaled(k) for label, mf in output_sets.items()},
-        "output_universe": (k * lo, k * hi),
-    }
+    return {label: mf.scaled(k) for label, mf in sets.items()}, tuple(k * u for u in universe)
 
 
 def scale_output(config: FuzzyConfig, k: float) -> FuzzyConfig:
     """Scale the output universe and every output set by k > 0 (tuning knob)."""
-    return replace(config, **scaled_output_fields(config.output_sets, config.output_universe, k))
+    output_sets, output_universe = _scaled_output(config.output_sets, config.output_universe, k)
+    return replace(config, output_sets=output_sets, output_universe=output_universe)
 
 
 def _five_triangles(span: float) -> dict[str, MembershipFunction]:
@@ -223,45 +218,43 @@ def _five_triangles(span: float) -> dict[str, MembershipFunction]:
     }
 
 
-def default_rule_table() -> dict[tuple[str, str], str]:
-    """Diagonal table: output index = clamp(error index + delta index - 2)."""
-    rules = {}
-    for i, e in enumerate(DEFAULT_LABELS):
-        for j, d in enumerate(DEFAULT_LABELS):
-            rules[(e, d)] = DEFAULT_LABELS[min(max(i + j - 2, 0), 4)]
-    return rules
-
-
-def default_fuzzy_fields(
-    error_span: float,
-    delta_span: float,
-    output_span: float = 1.0,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> dict[str, object]:
-    """FuzzyConfig fields of the symmetric 5x5 controller over [-span, span]
-    universes, as fresh dicts that can be edited before the one build."""
-    if min(error_span, delta_span, output_span) <= 0:
-        raise FuzzyError("universe spans must be positive")
-    return {
-        "error_sets": _five_triangles(error_span),
-        "delta_sets": _five_triangles(delta_span),
-        "output_sets": _five_triangles(output_span),
-        "rules": default_rule_table(),
-        "error_universe": (-error_span, error_span),
-        "delta_universe": (-delta_span, delta_span),
-        "output_universe": (-output_span, output_span),
-        "grid_points": grid_points,
-    }
-
-
 def default_fuzzy_config(
     error_span: float,
     delta_span: float,
     output_span: float = 1.0,
     grid_points: int = DEFAULT_GRID_POINTS,
+    *,
+    sets: dict[tuple[str, str], MembershipFunction] | None = None,
+    rules: dict[tuple[str, str], str] | None = None,
+    output_scale: float | None = None,
 ) -> FuzzyConfig:
-    """Symmetric 5x5 controller over [-span, span] universes."""
-    return FuzzyConfig(**default_fuzzy_fields(error_span, delta_span, output_span, grid_points))
+    """Symmetric 5x5 controller over [-span, span] universes: five triangles per
+    variable and the diagonal rule table (output = clamp(error + delta - 2) by
+    label index). `sets` replaces (var, label) sets of var error, delta or output,
+    `rules` replaces (E, D) cells, then output_scale scales the output; built once."""
+    spans = {"error": error_span, "delta": delta_span, "output": output_span}
+    if min(spans.values()) <= 0:
+        raise FuzzyError("universe spans must be positive")
+    var_sets = {var: _five_triangles(span) for var, span in spans.items()}
+    table = {(e, d): DEFAULT_LABELS[min(max(i + j - 2, 0), 4)]
+             for i, e in enumerate(DEFAULT_LABELS) for j, d in enumerate(DEFAULT_LABELS)}
+    for (var, label), mf in (sets or {}).items():
+        if label not in var_sets.get(var, ()):
+            raise FuzzyError(f"no {var} set {label!r} to replace")
+        var_sets[var][label] = mf
+    for cell, out in (rules or {}).items():
+        if cell not in table:
+            raise FuzzyError(f"no rule cell {cell!r}")
+        table[cell] = out
+    output_sets, output_universe = var_sets["output"], (-output_span, output_span)
+    if output_scale is not None:
+        output_sets, output_universe = _scaled_output(output_sets, output_universe, output_scale)
+    return FuzzyConfig(
+        error_sets=var_sets["error"], delta_sets=var_sets["delta"], output_sets=output_sets,
+        rules=table, error_universe=(-error_span, error_span),
+        delta_universe=(-delta_span, delta_span), output_universe=output_universe,
+        grid_points=grid_points,
+    )
 
 
 _TRI_EVAL_OPS = 7

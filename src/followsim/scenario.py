@@ -15,14 +15,8 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .fuzzy import (
-    DEFAULT_LABELS,
-    FuzzyConfig,
-    FuzzyError,
-    MembershipFunction,
-    default_fuzzy_fields,
-    scaled_output_fields,
-)
+from .fuzzy import (DEFAULT_LABELS, MAX_GRID_POINTS, MIN_GRID_POINTS, FuzzyConfig, FuzzyError,
+                    MembershipFunction, default_fuzzy_config)
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
 from .world import LeaderScript, VehicleParams, VehicleState, leader_pose, place_behind
@@ -209,7 +203,7 @@ def default_scenario(
     from the camera and setpoint) and the follower start pose, which is
     placed the setpoint range behind the leader's start. `follower` maps
     VehicleState fields to values that override those of that placed pose.
-    `fuzzy` maps a channel to its `fuzzy.<ch>.*` scenario-file settings.
+    `fuzzy` maps a channel to its `fuzzy.<ch>.*` settings as _build_fuzzy takes them.
     """
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
@@ -234,37 +228,22 @@ def default_scenario(
     return ScenarioConfig(name=name, **overrides)
 
 
-# fuzzy.<ch> fields that set a default_fuzzy_config argument -> its parameter name
-_FUZZY_SPAN_ARGS = {
-    "error_universe": "error_span",
-    "delta_universe": "delta_span",
-    "output_universe": "output_span",
-    "grid_points": "grid_points",
-}
-
-
 def _build_fuzzy(
     channel: str, settings: dict[str, object], error_span: float, delta_span: float
 ) -> FuzzyConfig:
-    """Default controller over the given spans with the `fuzzy.<channel>.*`
-    settings applied: span and grid keys, set and rule edits, output_scale.
-    The edits go to the config's fields, so the controller is built once."""
+    """default_fuzzy_config over the given spans with the `fuzzy.<channel>.*`
+    settings: each scalar is named after the argument it sets, and each
+    `set.<var>.<LABEL>` or `rule.<E>.<D>` edit goes to `sets` or `rules`."""
     args = {"error_span": error_span, "delta_span": delta_span}
-    args.update((_FUZZY_SPAN_ARGS[k], v) for k, v in settings.items() if k in _FUZZY_SPAN_ARGS)
+    edits = {"set": {}, "rule": {}}
+    for name, value in settings.items():
+        kind, *cell = name.split(".")
+        if kind in edits:
+            edits[kind][tuple(cell)] = value
+        else:
+            args[name] = value
     try:
-        spec = default_fuzzy_fields(**args)
-        for name, value in settings.items():
-            kind, *labels = name.split(".")
-            if kind == "set":
-                var, label = labels
-                spec[f"{var}_sets"][label] = value
-            elif kind == "rule":
-                spec["rules"][tuple(labels)] = value
-        if "output_scale" in settings:
-            spec.update(scaled_output_fields(
-                spec["output_sets"], spec["output_universe"], settings["output_scale"]
-            ))
-        return FuzzyConfig(**spec)
+        return default_fuzzy_config(**args, sets=edits["set"], rules=edits["rule"])
     except FuzzyError as exc:
         raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
 
@@ -355,18 +334,25 @@ def _parse_label(raw: str) -> str:
     return raw
 
 
-# a dataclass field of one of these annotations takes a scalar key; a fuzzy
-# universe (lo, hi) is set by its half-span
-_FIELD_PARSERS = {"float": _parse_float, "int": _parse_int, "tuple[float, float]": _parse_float}
+# the fuzzy.<ch> scalars' parsers; default_fuzzy_config repeats their checks for Python callers
+def _parse_positive(raw: str) -> float:
+    v = _parse_float(raw)
+    if v <= 0:
+        raise ScenarioError(f"expected a positive number, got {raw!r}")
+    return v
+
+
+def _parse_grid_points(raw: str) -> int:
+    n = _parse_int(raw)
+    if not MIN_GRID_POINTS <= n <= MAX_GRID_POINTS:
+        raise ScenarioError(f"grid_points must be in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")
+    return n
 
 
 def _field_keys(section: str, cls) -> dict[str, tuple]:
-    """`<section>.<field>` entries for every scalar field of a dataclass."""
-    return {
-        f"{section}.{f.name}": (_FIELD_PARSERS[f.type], section, f.name)
-        for f in fields(cls)
-        if f.type in _FIELD_PARSERS
-    }
+    """`<section>.<field>` entries for every float field of a dataclass."""
+    return {f"{section}.{f.name}": (_parse_float, section, f.name)
+            for f in fields(cls) if f.type == "float"}
 
 
 # key -> (parser, section, field). Section "" holds ScenarioConfig fields;
@@ -410,8 +396,15 @@ SCENARIO_KEYS: dict[str, tuple] = {
 }
 for _ch in CHANNELS:
     SCENARIO_KEYS.update(_field_keys(f"pid.{_ch}", PidConfig))
-    SCENARIO_KEYS.update(_field_keys(f"fuzzy.{_ch}", FuzzyConfig))
-    SCENARIO_KEYS[f"fuzzy.{_ch}.output_scale"] = (_parse_float, f"fuzzy.{_ch}", "output_scale")
+    # each fuzzy.<ch> scalar sets the default_fuzzy_config argument it names
+    _fz = f"fuzzy.{_ch}"
+    SCENARIO_KEYS.update({
+        f"{_fz}.error_universe": (_parse_positive, _fz, "error_span"),
+        f"{_fz}.delta_universe": (_parse_positive, _fz, "delta_span"),
+        f"{_fz}.output_universe": (_parse_positive, _fz, "output_span"),
+        f"{_fz}.grid_points": (_parse_grid_points, _fz, "grid_points"),
+        f"{_fz}.output_scale": (_parse_positive, _fz, "output_scale"),
+    })
 
 
 def _scenario_entry(key: str):

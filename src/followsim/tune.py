@@ -25,7 +25,7 @@ from .traceio import write_trace_csv
 OBJECTIVES = ("itae", "ise", "rms")
 PID_GRID_KEYS = ("kp", "ki", "kd")
 FUZZY_GRID_KEYS = ("output_scale",)
-MAX_CANDIDATES = 10_000  # bounds a search in time and in held configs (README)
+MAX_CANDIDATES = 10_000  # bounds a search in time (README)
 
 
 class TuneError(ValueError):
@@ -121,6 +121,13 @@ def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, fl
         raise TuneError(f"{spec.channel} candidate {gains}: {exc}") from None
 
 
+def check_grid_mode(base: ScenarioConfig, spec: TuneSpec) -> None:
+    """Raise unless the grid tunes the kind of controller its channel runs."""
+    kind = getattr(base, f"{spec.channel}_kind")
+    if kind != spec.mode:
+        raise TuneError(f"grid tunes a {spec.mode} channel but the {spec.channel} channel is {kind!r}")
+
+
 def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResult]:
     """Check everything before out exists, then run, score and write each
     candidate in turn; write the ranking and return the results best-first."""
@@ -129,18 +136,17 @@ def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResul
         raise TuneError("tuning needs a single-run scenario archetype")
     if spec.channel == "steering" and runs[0].steering_locked:
         raise TuneError("the scenario locks the steering channel, so it has nothing to tune")
-    kind = getattr(base, f"{spec.channel}_kind")
-    if kind != spec.mode:
-        raise TuneError(f"grid tunes a {spec.mode} channel but the {spec.channel} channel is {kind!r}")
+    check_grid_mode(base, spec)
     keys = spec.ordered_keys
     grid = [dict(zip(keys, combo)) for combo in itertools.product(*(spec.grid[k] for k in keys))]
-    configs = [_candidate_config(base, spec, params) for params in grid]
+    for params in grid:  # checked before out exists; built again to run, so one is held
+        _candidate_config(base, spec, params)
     signal = CHANNEL_COLUMNS[spec.channel][0]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
-    for index, (params, config) in enumerate(zip(grid, configs)):
-        (trace,) = execute_archetype(config)
+    for index, params in enumerate(grid):
+        (trace,) = execute_archetype(_candidate_config(base, spec, params))
         results.append(TuneResult(index, params, objective_value(trace, signal, spec.objective, base.dt),
                                   trace_metrics(trace, signal).control_effort_tv))
         write_trace_csv(trace, out / candidate_filename(results[-1]))

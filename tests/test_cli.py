@@ -343,6 +343,7 @@ class TestTune:
         ("output_scale = -1, 1\n", "line 1: output_scale: scales must be positive, got '-1, 1'"),
         ("ki = 0.1\noutput_scale = 0, 1\n", "line 2: output_scale: scales must be positive"),
         ("kp = 1\noutput_scale = 1\n", "grid keys ('kp', 'output_scale') must be"),
+        ("output_scale = 0.5, 1\n", "grid tunes a fuzzy channel but the throttle channel is 'pid'"),
     ])
     def test_every_grid_error_names_the_grid_file(self, tmp_path, capsys, text, message):
         scn = write_scenario(tmp_path, "s", "duration = 2\n")

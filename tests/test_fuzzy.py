@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +367,21 @@ class TestConfigValidation:
         with pytest.raises(FuzzyError):
             scale_output(default_fuzzy_config(1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"sets": {("error", "XL"): MembershipFunction((0, 1, 2))}}, "no error set 'XL'"),
+        ({"sets": {("speed", "Z"): MembershipFunction((0, 1, 2))}}, "no speed set 'Z'"),
+        ({"rules": {("Z", "XL"): "Z"}}, r"no rule cell \('Z', 'XL'\)"),
+        ({"rules": {("Z", "Z"): "PS"}, "output_scale": 0.0}, "scale factor must be positive"),
+    ], ids=["label", "variable", "rule_cell", "scale"])
+    def test_edit_outside_the_default_controller_rejected(self, edits, message):
+        # a sixth output set would pass the config checks with no rule using it
+        with pytest.raises(FuzzyError, match=message):
+            default_fuzzy_config(1.0, 1.0, **edits)
+
+    def test_spans_are_checked_before_the_edits(self):
+        with pytest.raises(FuzzyError, match="universe spans must be positive"):
+            default_fuzzy_config(1.0, 0.0, rules={("Z", "XL"): "Z"}, output_scale=0.0)
+
 
 def test_fuzzy_costs_more_ops_than_pid():
     fuzzy_ops = count_fuzzy_ops(default_fuzzy_config(160.0, 600.0))
@@ -539,3 +554,52 @@ def test_fuzzy_step_matches_staged_pipeline_bit_for_bit(data, config):
 @settings(max_examples=100, deadline=None)
 def test_support_slices_match_curves(config):
     assert_supports_match_curves(config)
+
+
+@st.composite
+def default_edits(draw):
+    """default_fuzzy_config arguments: spans, a grid, one set edit per
+    variable, one rule edit and an optional output scale. Each edited set
+    widens a default triangle's support and redraws its core inside, so
+    every universe stays covered and every output set keeps its samples."""
+    spans = draw(st.tuples(st.floats(0.1, 1000.0), st.floats(0.1, 1000.0), st.floats(0.1, 10.0)))
+    grid_points = draw(st.integers(201, 2001))
+    base = default_fuzzy_config(*spans, grid_points)
+    sets = {}
+    for var in ("error", "delta", "output"):
+        label = draw(st.sampled_from(DEFAULT_LABELS))
+        a, _, c = getattr(base, f"{var}_sets")[label].breakpoints
+        lo = a - draw(st.floats(0.0, 1.0)) * (c - a)
+        hi = c + draw(st.floats(0.0, 1.0)) * (c - a)
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+        core = sorted(min(lo + f * (hi - lo), hi) for f in fractions)
+        sets[var, label] = MembershipFunction((lo, *core, hi))
+    cell = draw(st.tuples(st.sampled_from(DEFAULT_LABELS), st.sampled_from(DEFAULT_LABELS)))
+    rules = {cell: draw(st.sampled_from(DEFAULT_LABELS))}
+    scale = draw(st.none() | st.floats(0.01, 100.0))
+    return spans, grid_points, sets, rules, scale
+
+
+@given(data=st.data(), edits=default_edits())
+@settings(max_examples=100, deadline=None)
+def test_builder_edits_match_the_staged_build(data, edits):
+    """The one-build edits give the config, field for field, and the
+    fuzzy_step bits of editing a default config's fields, then scaling it."""
+    spans, grid_points, sets, rules, scale = edits
+    built = default_fuzzy_config(*spans, grid_points, sets=sets, rules=rules, output_scale=scale)
+    base = default_fuzzy_config(*spans, grid_points)
+    edited = {
+        f"{var}_sets": {**getattr(base, f"{var}_sets"),
+                        **{label: mf for (v, label), mf in sets.items() if v == var}}
+        for var in ("error", "delta", "output")
+    }
+    staged = replace(base, rules={**base.rules, **rules}, **edited)
+    if scale is not None:
+        staged = scale_output(staged, scale)
+    for f in fields(FuzzyConfig):
+        assert repr(getattr(built, f.name)) == repr(getattr(staged, f.name)), f.name
+    errors = inputs_for(built.error_sets, built.error_universe)
+    deltas = inputs_for(built.delta_sets, built.delta_universe)
+    for _ in range(4):
+        e, d = data.draw(errors), data.draw(deltas)
+        assert fuzzy_step(built, e, d).hex() == fuzzy_step(staged, e, d).hex()

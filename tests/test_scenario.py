@@ -267,13 +267,17 @@ class TestParser:
             )
 
     def test_grid_points_capped_at_load(self):
-        with pytest.raises(ScenarioError, match=r"fuzzy.steering: grid_points must be in \[201, "):
+        with pytest.raises(ScenarioError, match=r"^line 1: fuzzy.steering.grid_points: "
+                           r"grid_points must be in \[201, 100001\]$"):
             parse_scenario_text("fuzzy.steering.grid_points = 1000000000000\n")
 
     @pytest.mark.parametrize("line, message", [
         ("camera.image_width = 3", "image_width must be a positive even integer"),
         ("vehicle.wheelbase = -1", "wheelbase must be positive"),
-    ], ids=["image_width", "wheelbase"])
+        ("fuzzy.steering.output_scale = 0", "expected a positive number, got '0'"),
+        ("fuzzy.steering.error_universe = -5", "expected a positive number, got '-5'"),
+        ("fuzzy.steering.grid_points = 5", r"grid_points must be in \[201, 100001\]"),
+    ], ids=["image_width", "wheelbase", "output_scale", "error_universe", "grid_points"])
     def test_dataclass_error_names_key_and_line(self, line, message):
         key = line.split(" = ")[0]
         with pytest.raises(ScenarioError, match=rf"^line 2: {key}: {message}$"):

@@ -1,6 +1,7 @@
 import gc
 import re
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from followsim import (
     read_trace_csv,
     run_grid_search,
     run_scenario,
+    scale_output,
     simulate,
     tune,
 )
@@ -216,6 +218,39 @@ class TestGridSearch:
         spec = TuneSpec("throttle", "itae", {"kp": (0.0004, 0.0012, 0.002)})
         assert len(run_grid_search(step_scenario(2.0), spec, tmp_path)) == 3
         assert len(refs) == 3
+
+    def test_one_candidate_config_held(self, tmp_path, monkeypatch):
+        # the bytes held as the first candidate starts running do not grow
+        # with the grid: a 40-value grid holds less than one fuzzy config more
+        # than a 4-value grid does
+        class Started(Exception):
+            pass
+
+        def first_run(config):
+            gc.collect()  # empties the free lists, which hold freed blocks
+            raise Started(tracemalloc.get_traced_memory()[0])
+
+        def traced(run):
+            tracemalloc.start()
+            try:
+                return run()
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(tune, "execute_archetype", first_run)
+        base = replace(step_scenario(1.0), throttle_kind="fuzzy")
+
+        def held_at_first_run(count):
+            scales = tuple(0.5 + i / 40 for i in range(count))
+            with pytest.raises(Started) as started:
+                traced(lambda: run_grid_search(
+                    base, TuneSpec("throttle", "itae", {"output_scale": scales}), tmp_path / str(count)))
+            return started.value.args[0]
+
+        one_config = traced(lambda: (scale_output(base.throttle_fuzzy, 2.0),
+                                     tracemalloc.get_traced_memory()[0]))[1]
+        assert one_config > 10_000  # the 1001-point grid and its output curves
+        assert held_at_first_run(40) - held_at_first_run(4) < one_config
 
     def test_locked_channel_rejected_before_out(self, tmp_path):
         out = tmp_path / "out"
