@@ -17,7 +17,7 @@ from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_sce
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import TraceFormatError, write_trace_csv
-from .tune import OBJECTIVES, TuneError, TuneSpec, check_grid_mode, load_gain_grid, run_grid_search
+from .tune import OBJECTIVES, GridError, TuneError, TuneSpec, load_gain_grid, run_grid_search
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
     """(error column, command column) a scenario is judged and plotted on:
@@ -81,12 +81,11 @@ def cmd_compare(args) -> int:
 def cmd_tune(args) -> int:
     config = load_scenario(args.scenario)
     grid = load_gain_grid(args.grid)
-    try:  # --channel and --objective are argparse choices: only the grid can fail here
+    try:  # --channel and --objective are argparse choices, so TuneSpec can only fail on the grid
         spec = TuneSpec(args.channel, args.objective, grid)
-        check_grid_mode(config, spec)
-    except TuneError as exc:
+        results = run_grid_search(config, spec, args.out)
+    except GridError as exc:
         raise TuneError(f"{args.grid}: {exc}") from None
-    results = run_grid_search(config, spec, args.out)
     best = results[0]
     gains = " ".join(f"{k}={v:g}" for k, v in best.params.items())
     print(f"best: {gains} {spec.objective}={best.score:.9g} ({len(results)} candidates)")

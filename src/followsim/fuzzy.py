@@ -114,6 +114,8 @@ class FuzzyConfig:
                 raise FuzzyError(f"bad {name} universe {universe!r}")
         if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
             raise FuzzyError(f"grid_points must be in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")
+        if not math.isfinite(self.grid_points * max(map(abs, self.output_universe))):
+            raise FuzzyError(f"output universe {self.output_universe!r} overflows the centroid sum")
         if not self.error_sets or not self.delta_sets or not self.output_sets:
             raise FuzzyError("every variable needs at least one set")
         _check_coverage("error", self.error_sets, self.error_universe)

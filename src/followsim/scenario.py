@@ -25,7 +25,6 @@ ARCHETYPES = ("scenario", "step_response", "lateral_offset", "path_follow")
 CONTROLLER_KINDS = ("pid", "fuzzy")
 LOST_TARGET_POLICIES = ("hold", "stop")
 CHANNELS = ("steering", "throttle")
-_FUZZY_VARS = ("error", "delta", "output")
 
 # head-on range the default setpoint area corresponds to
 DEFAULT_FOLLOW_RANGE = 1.5
@@ -89,17 +88,21 @@ class ScenarioConfig:
         if self.archetype not in ARCHETYPES:
             raise ScenarioError(f"unknown archetype {self.archetype!r}")
         if self.duration < self.dt:
-            raise ScenarioError("duration must be at least one camera frame interval")
+            raise ScenarioError("duration must be at least 1 / camera.frame_rate")
         if self.duration * self.camera.frame_rate > MAX_RECORDS:
             raise ScenarioError(f"duration * camera.frame_rate exceeds the "
                                 f"{MAX_RECORDS:,.0f}-record runaway guard")
         if self.setpoint_area <= 0:
             raise ScenarioError("setpoint_area must be positive")
+        if not math.isfinite(self.follow_range):
+            raise ScenarioError(f"setpoint_area {self.setpoint_area:g} puts the follow range "
+                                "past float range")
         for key, kind in (("steering", self.steering_kind), ("throttle", self.throttle_kind)):
             if kind not in CONTROLLER_KINDS:
                 raise ScenarioError(f"controller.{key}.kind must be pid or fuzzy, got {kind!r}")
         if self.lost_target_policy not in LOST_TARGET_POLICIES:
-            raise ScenarioError(f"unknown lost-target policy {self.lost_target_policy!r}")
+            raise ScenarioError(f"lost_target.policy must be hold or stop, "
+                                f"got {self.lost_target_policy!r}")
         if self.stop_speed_eps < 0:
             raise ScenarioError("stop.speed_eps must be non-negative")
         if self.stop_hold_time <= 0:
@@ -132,6 +135,8 @@ class ScenarioConfig:
         if self.archetype != "scenario":
             self.runs()  # each run checks itself as it is built, so it fails here, not mid-run
             return
+        if not 0.0 <= self.follower_start.speed <= self.vehicle.max_speed:
+            raise ScenarioError("follower.start.speed must be in [0, vehicle.max_speed]")
         # leader speeds are never negative: a pose finite at duration is finite all run
         end = leader_pose(self.leader, self.duration)
         if not (math.isfinite(end.x) and math.isfinite(end.y)):
@@ -203,13 +208,17 @@ def default_scenario(
     from the camera and setpoint) and the follower start pose, which is
     placed the setpoint range behind the leader's start. `follower` maps
     VehicleState fields to values that override those of that placed pose.
-    `fuzzy` maps a channel to its `fuzzy.<ch>.*` settings as _build_fuzzy takes them.
+    `fuzzy` maps a channel to default_fuzzy_config keyword arguments (sets,
+    rules, spans, grid_points, output_scale) that replace its defaults.
     """
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
-    setpoint_area = overrides.setdefault(
-        "setpoint_area", area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
-    )
+    if "setpoint_area" not in overrides:
+        area = overrides["setpoint_area"] = area_at_range(camera, panel, DEFAULT_FOLLOW_RANGE)
+        if not 0 < area < math.inf:
+            raise ScenarioError(f"panel.width, panel.height, camera.image_width and camera."
+                                f"horizontal_fov_deg give a default setpoint_area of {area:g}")
+    setpoint_area = overrides["setpoint_area"]
     if setpoint_area <= 0:  # before the follower range and fuzzy spans derive from it
         raise ScenarioError("setpoint_area must be positive")
     leader = overrides.setdefault("leader", LeaderScript())
@@ -223,29 +232,13 @@ def default_scenario(
     }
     for channel, (error_span, delta_span) in spans.items():
         if f"{channel}_fuzzy" not in overrides:
-            settings = (fuzzy or {}).get(channel, {})
-            overrides[f"{channel}_fuzzy"] = _build_fuzzy(channel, settings, error_span, delta_span)
+            args = {"error_span": error_span, "delta_span": delta_span,
+                    **(fuzzy or {}).get(channel, {})}
+            try:
+                overrides[f"{channel}_fuzzy"] = default_fuzzy_config(**args)
+            except FuzzyError as exc:
+                raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
     return ScenarioConfig(name=name, **overrides)
-
-
-def _build_fuzzy(
-    channel: str, settings: dict[str, object], error_span: float, delta_span: float
-) -> FuzzyConfig:
-    """default_fuzzy_config over the given spans with the `fuzzy.<channel>.*`
-    settings: each scalar is named after the argument it sets, and each
-    `set.<var>.<LABEL>` or `rule.<E>.<D>` edit goes to `sets` or `rules`."""
-    args = {"error_span": error_span, "delta_span": delta_span}
-    edits = {"set": {}, "rule": {}}
-    for name, value in settings.items():
-        kind, *cell = name.split(".")
-        if kind in edits:
-            edits[kind][tuple(cell)] = value
-        else:
-            args[name] = value
-    try:
-        return default_fuzzy_config(**args, sets=edits["set"], rules=edits["rule"])
-    except FuzzyError as exc:
-        raise ScenarioError(f"fuzzy.{channel}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +401,29 @@ for _ch in CHANNELS:
 
 
 def _scenario_entry(key: str):
-    """SCENARIO_KEYS entry of a key, else its `fuzzy.<ch>.set.<var>.<LABEL>`
-    or `fuzzy.<ch>.rule.<E>.<D>` entry; None for any other key."""
+    """SCENARIO_KEYS entry of a key, else the entry of a
+    `fuzzy.<ch>.set.<var>.<LABEL>` key (field (var, LABEL) of section
+    fuzzy.<ch>.sets) or a `fuzzy.<ch>.rule.<E>.<D>` key (field (E, D) of
+    section fuzzy.<ch>.rules); None for any other key."""
     if key in SCENARIO_KEYS:
         return SCENARIO_KEYS[key]
     parts = key.split(".")
     if len(parts) != 5 or parts[0] != "fuzzy" or parts[1] not in CHANNELS:
         return None
-    section, kind, a, b = f"fuzzy.{parts[1]}", parts[2], parts[3], parts[4]
-    if kind == "set" and a in _FUZZY_VARS:
+    _, channel, kind, a, b = parts
+    if kind == "set" and a in ("error", "delta", "output"):
         if b not in DEFAULT_LABELS:
             raise ScenarioError(f"unknown set label {b!r}")
-        return _parse_membership, section, f"set.{a}.{b}"
+        return _parse_membership, f"fuzzy.{channel}.sets", (a, b)
     if kind == "rule":
         if a not in DEFAULT_LABELS or b not in DEFAULT_LABELS:
             raise ScenarioError(f"no rule cell ({a}, {b})")
-        return _parse_label, section, f"rule.{a}.{b}"
+        return _parse_label, f"fuzzy.{channel}.rules", (a, b)
     return None
 
 
 # (section, field) -> (line number, key) of every key a scenario text sets
-KeyLines = dict[tuple[str, str], tuple[int, str]]
+KeyLines = dict[tuple[str, object], tuple[int, str]]
 
 
 def _read_sections(
@@ -461,27 +456,21 @@ def _read_sections(
     return sections, lines
 
 
-def _located(exc: ValueError, lines: KeyLines, section: str, fallback: bool) -> ScenarioError:
+def _located(exc: ValueError, lines: KeyLines, section: str) -> ScenarioError:
     """A validation error raised while building `section`, prefixed with the
     line and key of the set key that its message names first: a key of
-    `section` by field or by key, any other by key. With `fallback`, a message
-    that names none of them is blamed on the section's last key; otherwise it
-    is passed on unprefixed."""
+    `section` by field or by key, any other by key. A message that names
+    none of them is passed on unprefixed."""
     message = str(exc)
-    named, own = [], []
+    named = []
     for (sec, name), (lineno, key) in lines.items():
         words = rf"{re.escape(name)}|{re.escape(key)}" if sec == section else re.escape(key)
         found = re.search(rf"\b({words})\b", message)
         if found:
             named.append((found.start(), lineno, key))
-        if sec == section:
-            own.append((lineno, key))
-    if named:
-        _, lineno, key = min(named)
-    elif fallback and own:
-        lineno, key = max(own)
-    else:
+    if not named:
         return ScenarioError(message)
+    _, lineno, key = min(named)
     return ScenarioError(f"line {lineno}: {key}: {message}")
 
 
@@ -495,7 +484,7 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> ScenarioCo
         try:
             return make(**sections[section])
         except ValueError as exc:
-            raise _located(exc, lines, section, fallback=True) from None
+            raise _located(exc, lines, section) from None
 
     top = sections[""]
     leader_start = VehicleState(**sections["leader.start"])
@@ -511,12 +500,13 @@ def parse_scenario_text(text: str, default_name: str = "scenario") -> ScenarioCo
         return default_scenario(
             top.pop("name", default_name),
             follower=sections["follower.start"],
-            fuzzy={ch: sections[f"fuzzy.{ch}"] for ch in CHANNELS},
+            fuzzy={ch: {**sections[f"fuzzy.{ch}"], "sets": sections[f"fuzzy.{ch}.sets"],
+                        "rules": sections[f"fuzzy.{ch}.rules"]} for ch in CHANNELS},
             **built,
             **top,
         )
     except ValueError as exc:  # the fuzzy sections' errors already name their channel
-        raise _located(exc, lines, "", fallback=False) from None
+        raise _located(exc, lines, "") from None
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -42,7 +42,7 @@ class CameraIntrinsics:
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be non-negative")
         if not math.isfinite(self.focal_px) or self.focal_px <= 0:
-            raise ValueError("degenerate focal length")
+            raise ValueError("horizontal_fov gives a degenerate focal length")
 
     @cached_property
     def focal_px(self) -> float:
@@ -58,8 +58,10 @@ class TargetPanel:
     rear_offset: float = 0.0  # panel center distance behind the leader reference point
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("panel dimensions must be positive")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if self.height <= 0:
+            raise ValueError("height must be positive")
         if self.rear_offset < 0:
             raise ValueError("rear_offset must be non-negative")
 

@@ -32,6 +32,10 @@ class TuneError(ValueError):
     pass
 
 
+class GridError(TuneError):
+    """A grid that cannot be searched against its scenario; cmd_tune names the grid file."""
+
+
 @dataclass(frozen=True)
 class TuneSpec:
     channel: str
@@ -44,22 +48,22 @@ class TuneSpec:
         if self.objective not in OBJECTIVES:
             raise TuneError(f"unknown objective {self.objective!r}")
         if not self.grid:
-            raise TuneError("empty tuning grid")
+            raise GridError("empty tuning grid")
         keys = tuple(sorted(self.grid))
         if not (set(keys) <= set(PID_GRID_KEYS) or set(keys) <= set(FUZZY_GRID_KEYS)):
-            raise TuneError(
+            raise GridError(
                 f"grid keys {keys} must be kp/ki/kd (pid) or output_scale (fuzzy)"
             )
         for key, values in self.grid.items():
             if not values:
-                raise TuneError(f"grid for {key!r} is empty")
+                raise GridError(f"grid for {key!r} is empty")
             if any(not math.isfinite(v) for v in values):
-                raise TuneError(f"grid for {key!r} has non-finite values")
+                raise GridError(f"grid for {key!r} has non-finite values")
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise TuneError(f"grid for {key!r} must be strictly ascending")
+                raise GridError(f"grid for {key!r} must be strictly ascending")
         count = math.prod(map(len, self.grid.values()))
         if count > MAX_CANDIDATES:
-            raise TuneError(f"grid has {count:,} candidates, more than the {MAX_CANDIDATES:,} cap")
+            raise GridError(f"grid has {count:,} candidates, more than the {MAX_CANDIDATES:,} cap")
 
     @property
     def mode(self) -> str:
@@ -118,14 +122,7 @@ def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, fl
         return replace(base, **{attr: scale_output(getattr(base, attr), params["output_scale"])})
     except ValueError as exc:
         gains = " ".join(f"{k}={v:g}" for k, v in params.items())
-        raise TuneError(f"{spec.channel} candidate {gains}: {exc}") from None
-
-
-def check_grid_mode(base: ScenarioConfig, spec: TuneSpec) -> None:
-    """Raise unless the grid tunes the kind of controller its channel runs."""
-    kind = getattr(base, f"{spec.channel}_kind")
-    if kind != spec.mode:
-        raise TuneError(f"grid tunes a {spec.mode} channel but the {spec.channel} channel is {kind!r}")
+        raise GridError(f"{spec.channel} candidate {gains}: {exc}") from None
 
 
 def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResult]:
@@ -136,7 +133,10 @@ def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResul
         raise TuneError("tuning needs a single-run scenario archetype")
     if spec.channel == "steering" and runs[0].steering_locked:
         raise TuneError("the scenario locks the steering channel, so it has nothing to tune")
-    check_grid_mode(base, spec)
+    kind = getattr(base, f"{spec.channel}_kind")
+    if kind != spec.mode:
+        raise GridError(f"grid tunes a {spec.mode} channel but the {spec.channel} "
+                        f"channel is {kind!r}")
     keys = spec.ordered_keys
     grid = [dict(zip(keys, combo)) for combo in itertools.product(*(spec.grid[k] for k in keys))]
     for params in grid:  # checked before out exists; built again to run, so one is held

@@ -56,12 +56,8 @@ class VehicleParams:
     max_accel: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite(
-            wheelbase=self.wheelbase,
-            max_steer_angle=self.max_steer_angle,
-            max_speed=self.max_speed,
-            max_accel=self.max_accel,
-        )
+        _require_finite(wheelbase=self.wheelbase, max_steer_angle=self.max_steer_angle,
+                        max_speed=self.max_speed, max_accel=self.max_accel)
         if self.wheelbase <= 0:
             raise ValueError("wheelbase must be positive")
         if not 0 < self.max_steer_angle < math.pi / 2:
@@ -70,6 +66,13 @@ class VehicleParams:
             raise ValueError("max_speed must be positive")
         if self.max_accel <= 0:
             raise ValueError("max_accel must be positive")
+        # the runner's full-throttle speed command is max_speed * 90 / 90, and an
+        # RK4 step sums six heading rates of up to this fastest turn rate
+        if not math.isfinite(90.0 * self.max_speed):
+            raise ValueError(f"max_speed {self.max_speed:g} overflows the speed command")
+        turn_rate = self.max_speed * (math.tan(self.max_steer_angle) / self.wheelbase)
+        if not math.isfinite(6.0 * turn_rate):
+            raise ValueError("max_speed * tan(max_steer_angle) / wheelbase overflows the turn rate")
 
 
 def _normalize_profile(profile) -> tuple[tuple[float, float], ...]:
@@ -79,16 +82,16 @@ def _normalize_profile(profile) -> tuple[tuple[float, float], ...]:
     else:
         pairs = tuple((float(t), float(v)) for t, v in profile)
     if not pairs:
-        raise ValueError("speed profile must not be empty")
+        raise ValueError("speed_profile must not be empty")
     if pairs[0][0] != 0.0:
-        raise ValueError("speed profile must start at t=0")
+        raise ValueError("speed_profile must start at t=0")
     for (t0, v0), (t1, _) in zip(pairs, pairs[1:]):
         if t1 <= t0:
-            raise ValueError("speed profile times must be strictly ascending")
+            raise ValueError("speed_profile times must be strictly ascending")
     for t, v in pairs:
         _require_finite(time=t, speed=v)
         if v < 0:
-            raise ValueError("speed profile values must be non-negative")
+            raise ValueError("speed_profile values must be non-negative")
     return pairs
 
 
@@ -107,7 +110,7 @@ class LeaderScript:
         object.__setattr__(self, "speed_profile", _normalize_profile(self.speed_profile))
         if self.kind == "waypoint_path":
             if self.waypoints is None or len(self.waypoints) < 2:
-                raise ValueError("waypoint_path needs at least two waypoints")
+                raise ValueError("waypoints must hold at least two points for kind waypoint_path")
             pts = tuple((float(x), float(y)) for x, y in self.waypoints)
             if all(p == pts[0] for p in pts):
                 raise ValueError("waypoints must contain at least two distinct points")
@@ -324,13 +327,13 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
             continue
         u = ((fx - px) * vx + (fy - py) * vy) / norm2
         u = min(max(u, 0.0), 1.0)
-        cx, cy = px + u * vx, py + u * vy
-        d2 = (fx - cx) ** 2 + (fy - cy) ** 2
+        dx, dy = fx - (px + u * vx), fy - (py + u * vy)
+        d2 = dx * dx + dy * dy  # inf, not OverflowError as `**` gives, past float range
         if d2 < best_d2:
             best_d2 = d2
-            cross = vx * (fy - cy) - vy * (fx - cx)
+            cross = vx * dy - vy * dx
             best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
-    if math.isinf(best_d2):  # one distinct point, or every segment collapsed
+    if math.isinf(best_d2):  # one distinct point, every segment collapsed, or d2 overflowed
         return math.hypot(fx - leader_track[0][0], fy - leader_track[0][1])
     d = math.sqrt(best_d2)
     return best_sign * d if best_sign != 0.0 else d

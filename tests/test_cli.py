@@ -335,7 +335,7 @@ class TestTune:
         out = tmp_path / "t"
         assert main(["tune", "--scenario", scn, "--channel", "throttle", "--grid", str(grid),
                      "--objective", "itae", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: throttle candidate output_scale=")
+        assert capsys.readouterr().err.startswith(f"error: {grid}: throttle candidate output_scale=")
         assert len(calls) == 0
         assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -381,6 +382,20 @@ class TestConfigValidation:
     def test_spans_are_checked_before_the_edits(self):
         with pytest.raises(FuzzyError, match="universe spans must be positive"):
             default_fuzzy_config(1.0, 0.0, rules={("Z", "XL"): "Z"}, output_scale=0.0)
+
+    def test_widest_output_universe_keeps_the_centroid_finite(self):
+        n = 201  # a coarse grid admits the widest universe
+        span = sys.float_info.max / n  # then the largest span whose n-fold is finite
+        while not math.isfinite(n * span):
+            span = math.nextafter(span, 0.0)
+        while math.isfinite(n * math.nextafter(span, math.inf)):
+            span = math.nextafter(span, math.inf)
+        config = default_fuzzy_config(1.0, 1.0, output_span=span, grid_points=n)
+        for error, delta in ((1.0, 1.0), (-1.0, -1.0), (0.3, -0.6), (0.0, 0.0)):
+            assert math.isfinite(fuzzy_step(config, error, delta))
+        with pytest.raises(FuzzyError, match=r"output universe .* overflows the centroid sum"):
+            default_fuzzy_config(1.0, 1.0, output_span=math.nextafter(span, math.inf),
+                                 grid_points=n)
 
 
 def test_fuzzy_costs_more_ops_than_pid():

@@ -25,6 +25,7 @@ from followsim import (
     parse_scenario_text,
     scale_output,
 )
+from followsim.metrics import CHANNEL_COLUMNS, trace_metrics
 from followsim.pid import MAX_GAIN
 from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
 from followsim.world import place_behind
@@ -59,6 +60,11 @@ class TestDefaults:
     def test_runaway_guard(self):
         with pytest.raises(ScenarioError, match="guard"):
             default_scenario("x", duration=1e7)
+
+    def test_setpoint_area_checked_on_replace(self, base_scenario):
+        # a scenario file meets default_scenario's check of the same value first
+        with pytest.raises(ScenarioError, match="^setpoint_area must be positive$"):
+            replace(base_scenario, setpoint_area=0.0)
 
     def test_duration_floor(self):
         with pytest.raises(ScenarioError):
@@ -287,9 +293,9 @@ class TestParser:
         with pytest.raises(ScenarioError, match=r"^line 1: camera.min_range: need 0 < min_range"):
             parse_scenario_text("camera.min_range = 20\nseed = 3\n")
 
-    def test_error_naming_no_field_blames_the_sections_last_key(self):
-        with pytest.raises(ScenarioError, match=r"^line 3: panel.height: panel dimensions"):
-            parse_scenario_text("panel.width = 0.3\nseed = 3\npanel.height = -1\n")
+    def test_error_blames_the_key_it_names_not_the_sections_last(self):
+        with pytest.raises(ScenarioError, match=r"^line 1: panel.width: width must be positive$"):
+            parse_scenario_text("panel.width = -1\nseed = 3\npanel.height = 0.3\n")
 
     def test_unknown_controller_kind_names_key_and_line(self):
         with pytest.raises(ScenarioError, match=r"^line 2: controller.steering.kind: .*'fizzy'"):
@@ -378,11 +384,143 @@ def test_archetype_inputs_fail_at_load(text, message):
         parse_scenario_text(text)
 
 
+# each check a scenario file can reach blames the line and key that its
+# message names first, and no key is guessed at; an error of a channel's whole
+# fuzzy controller names the channel
+@pytest.mark.parametrize("text, prefix", [
+    ("name =\n", "line 1: name: scenario name must not be empty"),
+    ("archetype = ramp\n", "line 1: archetype: unknown archetype 'ramp'"),
+    ("lost_target.policy = x\n", "line 1: lost_target.policy: lost_target.policy must be hold or stop"),
+    ("stop.speed_eps = -1\n", "line 1: stop.speed_eps: stop.speed_eps must be non-negative"),
+    ("stop.hold_time = 0\n", "line 1: stop.hold_time: stop.hold_time must be positive"),
+    ("filter.throttle.alpha = 2\n", "line 1: filter.throttle.alpha: filter.throttle.alpha must be"),
+    ("step.separations = 1, -2\n", "line 1: step.separations: step.separations must be positive"),
+    ("seed = 1.5\n", "line 1: seed: expected an integer, got '1.5'"),
+    ("controller.steering.locked = maybe\n",
+     "line 1: controller.steering.locked: expected true/false, got 'maybe'"),
+    ("leader.waypoints = 1 2 3\n", "line 1: leader.waypoints: waypoint '1 2 3' is not 'x y'"),
+    ("fuzzy.steering.set.error.Z = 1, 0, 2\n",
+     "line 1: fuzzy.steering.set.error.Z: breakpoints must be non-decreasing"),
+    ("fuzzy.steering.rule.Z.Z = HUGE\n", "line 1: fuzzy.steering.rule.Z.Z: expected one of NL NS"),
+    ("fuzzy.steering.set.speed.Z = 0, 1, 2\n", "line 1: fuzzy.steering.set.speed.Z: unknown key"),
+    ("leader.speed = 1:1\n", "line 1: leader.speed: speed_profile must start at t=0"),
+    ("leader.speed = 0:1, 0:2\n", "line 1: leader.speed: speed_profile times must be strictly"),
+    ("leader.speed = 0:1, 2:-1\nleader.kind = straight_line\n",
+     "line 1: leader.speed: speed_profile values must be non-negative"),
+    ("leader.kind = orbit\n", "line 1: leader.kind: unknown leader script kind 'orbit'"),
+    ("leader.kind = waypoint_path\n", "line 1: leader.kind: waypoints must hold at least two"),
+    ("leader.kind = waypoint_path\nleader.waypoints = 1 2\n",
+     "line 2: leader.waypoints: waypoints must hold at least two"),
+    ("leader.waypoints = 1 1; 1 1\nleader.kind = waypoint_path\n",
+     "line 1: leader.waypoints: waypoints must contain at least two distinct points"),
+    ("follower.start.speed = 5\n",
+     "line 1: follower.start.speed: follower.start.speed must be in [0, vehicle.max_speed]"),
+    ("panel.width = -1\npanel.height = 0.3\n", "line 1: panel.width: width must be positive"),
+    ("panel.height = 0\npanel.width = 0.3\n", "line 1: panel.height: height must be positive"),
+    ("panel.rear_offset = -1\n", "line 1: panel.rear_offset: rear_offset must be non-negative"),
+    ("camera.horizontal_fov_deg = 1e-320\n",
+     "line 1: camera.horizontal_fov_deg: horizontal_fov gives a degenerate focal length"),
+    ("camera.frame_rate = 0.01\n", "line 1: camera.frame_rate: duration must be at least"),
+    # the default setpoint area derived from them leaves float range
+    ("camera.horizontal_fov_deg = 1e-300\n",
+     "line 1: camera.horizontal_fov_deg: panel.width, panel.height, camera.image_width"),
+    ("panel.height = 1e-300\npanel.width = 1e-300\n",
+     "line 2: panel.width: panel.width, panel.height, camera.image_width"),
+    # values that would overflow mid-run
+    ("setpoint_area = 5e-324\n", "line 1: setpoint_area: setpoint_area 4.94066e-324 puts the follow"),
+    ("vehicle.max_speed = 1e307\n", "line 1: vehicle.max_speed: max_speed 1e+307 overflows the speed"),
+    ("vehicle.wheelbase = 5e-324\n",
+     "line 1: vehicle.wheelbase: max_speed * tan(max_steer_angle) / wheelbase overflows"),
+    # an error of a channel's whole controller names the channel
+    ("fuzzy.steering.output_scale = 1e306\n",
+     "fuzzy.steering: output universe (-1e+306, 1e+306) overflows the centroid sum"),
+], ids=["empty_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
+        "separations", "integer", "bool", "waypoint", "membership", "label", "set_variable",
+        "profile_start", "profile_order", "profile_sign", "leader_kind", "no_waypoints",
+        "one_waypoint", "same_waypoints", "start_speed", "panel_width", "panel_height", "rear_offset",
+        "focal_length", "frame_interval", "area_overflow", "area_underflow", "follow_range",
+        "max_speed", "turn_rate", "centroid_sum"])
+def test_file_reachable_check_names_line_and_key(text, prefix):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(prefix)}"):
+        parse_scenario_text(text)
+
+
 @pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.scn")), DATA / "every_key.scn"],
                          ids=lambda path: path.stem)
 def test_loaded_scenarios_run(path):
     traces = execute_archetype(replace(load_scenario(path), duration=1.0))
     assert traces and all(trace.records for trace in traces)
+
+
+# load-to-run fuzzer: mutations of a file that sets every key either load and
+# run or fail at load with a ScenarioError that blames the key of its line
+_EVERY_KEY = [line.split(" = ", 1) for line in (DATA / "every_key.scn").read_text().splitlines()
+              if not line.startswith("#")]
+_EXTREMES = ["0", "-0", "-1", "5e-324", "1e-300", "1e300", "1e308", "-1e308", "nan", "inf",
+             "-inf", "1" + "0" * 309]
+_INSERTS = [
+    ("bogus", "1"), ("camera.bogus", "1"), ("fuzzy.steering.bogus", "1"),
+    ("fuzzy.steering.set.speed.Z", "0, 1, 2"), ("fuzzy.throttle.rule.Z.WAT", "Z"),
+    ("fuzzy.steering.set.error.Z", "-50, 0, 50"), ("fuzzy.throttle.set.output.PS", "0, 0.5, 1"),
+    ("fuzzy.throttle.rule.Z.Z", "PL"), ("fuzzy.steering.set.delta.NL", "-500, -500, -250, 0"),
+]
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
+_INDEX = st.integers(0, 99)
+_MUTATION = st.one_of(
+    st.tuples(st.just("delete"), _INDEX),
+    st.tuples(st.just("swap"), _INDEX, _INDEX),
+    st.tuples(st.just("number"), _INDEX, st.integers(0, 3), st.sampled_from(_EXTREMES)),
+    st.tuples(st.just("insert"), _INDEX, st.sampled_from(_INSERTS)),
+)
+
+
+def _mutated(mutations) -> list[list[str]]:
+    lines = [list(line) for line in _EVERY_KEY]
+    for op, i, *args in mutations:
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "swap":
+            j = args[0] % len(lines)
+            lines[i][1], lines[j][1] = lines[j][1], lines[i][1]
+        elif op == "number":  # the k-th number of the value, else the whole value
+            k, extreme = args
+            spans = [m.span() for m in _NUMBER.finditer(lines[i][1])]
+            a, b = spans[k % len(spans)] if spans else (0, len(lines[i][1]))
+            lines[i][1] = lines[i][1][:a] + extreme + lines[i][1][b:]
+        else:
+            lines.insert(i, list(args[0]))
+    return lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutations=st.lists(_MUTATION, max_size=4))
+# each example loaded at the parent of the checks it now meets and failed mid-run
+@example(mutations=[("number", 27, 0, "1e-300")])  # horizontal_fov_deg: a 1e302 m follow range
+@example(mutations=[("number", 4, 0, "5e-324")])  # setpoint_area: an infinite follow range
+@example(mutations=[("number", 21, 0, "5e-324")])  # wheelbase: an infinite turn rate
+@example(mutations=[("number", 23, 0, "1e308")])  # max_speed: an infinite speed command
+@example(mutations=[("number", 55, 0, "1e308")])  # steering output_scale: a NaN centroid
+@example(mutations=[("delete", 1), ("number", 19, 0, "1e308")])  # a plain run's start speed
+def test_mutated_scenario_loads_and_runs_or_names_its_key(mutations):
+    lines = _mutated(mutations)
+    try:
+        cfg = parse_scenario_text("".join(f"{key} = {value}\n" for key, value in lines))
+    except ScenarioError as exc:
+        blamed = re.match(r"line (\d+): (\S+): ", str(exc))
+        if blamed:
+            assert lines[int(blamed[1]) - 1][0] == blamed[2], exc
+        else:
+            assert re.match(r"fuzzy\.(steering|throttle): ", str(exc)), exc
+        return
+    # a frame interval past 1 s leaves no record inside the 1 s cut; the run
+    # time of such a config is unbounded, an open defect logged in CHANGES.md
+    if cfg.dt > 1.0:
+        return
+    for trace in execute_archetype(replace(cfg, duration=min(cfg.duration, 1.0))):
+        assert trace.records
+        for error_column, _ in CHANNEL_COLUMNS.values():
+            trace_metrics(trace, error_column)
 
 
 def readme_keys() -> set[str]:

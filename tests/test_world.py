@@ -465,6 +465,11 @@ class TestLeaderPose:
         with pytest.raises(ValueError):
             leader_pose(script, math.nan)
 
+    def test_empty_speed_profile_rejected(self):
+        # a scenario file cannot give one: `leader.speed =` fails to parse
+        with pytest.raises(ValueError, match="^speed_profile must not be empty$"):
+            LeaderScript(kind="straight_line", speed_profile=())
+
     def test_waypoints_must_be_distinct(self):
         with pytest.raises(ValueError):
             LeaderScript(
