@@ -19,7 +19,8 @@ from .fuzzy import (DEFAULT_LABELS, MAX_GRID_POINTS, MIN_GRID_POINTS, FuzzyConfi
                     MembershipFunction, default_fuzzy_config)
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
-from .world import LeaderScript, VehicleParams, VehicleState, leader_pose, place_behind
+from .world import (MAX_PHYSICS_DT, LeaderScript, VehicleParams, VehicleState, leader_pose,
+                    place_behind)
 
 ARCHETYPES = ("scenario", "step_response", "lateral_offset", "path_follow")
 CONTROLLER_KINDS = ("pid", "fuzzy")
@@ -43,6 +44,9 @@ DEFAULT_FUZZY_FILTER_ALPHA = 0.3
 # runaway guard on duration * camera.frame_rate: a kept record costs about
 # 480 bytes, so a trace at the guard stays within half a gigabyte
 MAX_RECORDS = 1e6
+# runaway guard on a run's RK4 sub-steps, records * sub-steps per record: the
+# record guard at the shipped 50 Hz, whose 20 ms frames take 10 sub-steps each
+MAX_SUB_STEPS = 1e7
 
 
 class ScenarioError(ValueError):
@@ -92,6 +96,13 @@ class ScenarioConfig:
         if self.duration * self.camera.frame_rate > MAX_RECORDS:
             raise ScenarioError(f"duration * camera.frame_rate exceeds the "
                                 f"{MAX_RECORDS:,.0f}-record runaway guard")
+        # unrounded, so that a frame of more than 2e305 s reads inf, not an OverflowError
+        per_record = self.dt / MAX_PHYSICS_DT
+        if per_record > MAX_SUB_STEPS or self.n_records * self.sub_steps > MAX_SUB_STEPS:
+            raise ScenarioError(f"duration and camera.frame_rate give {self.n_records:,} records "
+                                f"of {per_record:.3g} physics sub-steps of "
+                                f"{MAX_PHYSICS_DT * 1e3:g} ms, past the "
+                                f"{MAX_SUB_STEPS:,.0f}-sub-step runaway guard")
         if self.setpoint_area <= 0:
             raise ScenarioError("setpoint_area must be positive")
         if not math.isfinite(self.follow_range):
@@ -142,6 +153,12 @@ class ScenarioConfig:
         if not (math.isfinite(end.x) and math.isfinite(end.y)):
             raise ScenarioError("leader.speed or lateral.leader_speed moves the leader to a "
                                 f"non-finite position by duration {self.duration:g} s")
+        # the follower travels at most max_speed * duration; six times that
+        # is the margin the turn-rate check leaves
+        start, max_speed = self.follower_start, self.vehicle.max_speed
+        if not math.isfinite(max(abs(start.x), abs(start.y)) + 6.0 * max_speed * self.duration):
+            raise ScenarioError(f"vehicle.max_speed {max_speed:g} m/s over duration "
+                                f"{self.duration:g} s can drive the follower past float range")
 
     def runs(self) -> tuple[ScenarioConfig, ...]:
         """The plain (archetype "scenario") configs this archetype expands to,
@@ -185,6 +202,16 @@ class ScenarioConfig:
     def dt(self) -> float:
         """Control period, s: one camera frame, since control runs at frame rate."""
         return 1.0 / self.camera.frame_rate
+
+    @property
+    def n_records(self) -> int:
+        """Records of a run that does not stop early: one per control period."""
+        return int(self.duration / self.dt + 1e-9)
+
+    @property
+    def sub_steps(self) -> int:
+        """RK4 sub-steps per record, each at most MAX_PHYSICS_DT long."""
+        return max(1, math.ceil(self.dt / MAX_PHYSICS_DT - 1e-12))
 
     @property
     def follow_range(self) -> float:
@@ -232,8 +259,13 @@ def default_scenario(
     }
     for channel, (error_span, delta_span) in spans.items():
         if f"{channel}_fuzzy" not in overrides:
-            args = {"error_span": error_span, "delta_span": delta_span,
-                    **(fuzzy or {}).get(channel, {})}
+            given = (fuzzy or {}).get(channel, {})
+            args = {"error_span": error_span, "delta_span": delta_span, **given}
+            # a universe is [-span, span], so twice each span must be finite
+            derived = [args[key] for key in ("error_span", "delta_span") if key not in given]
+            if channel == "throttle" and not math.isfinite(2.0 * max(derived, default=0.0)):
+                raise ScenarioError(f"setpoint_area {setpoint_area:g} makes a throttle universe "
+                                    "too wide for a float: they span 1 and 2 setpoint areas")
             try:
                 overrides[f"{channel}_fuzzy"] = default_fuzzy_config(**args)
             except FuzzyError as exc:

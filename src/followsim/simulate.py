@@ -19,7 +19,6 @@ from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
 from .sensor import area_error, observe, pixel_error_x
 from .world import (
-    MAX_PHYSICS_DT,
     following_distance,
     integrate_bicycle,
     lateral_deviation,
@@ -75,7 +74,11 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     The camera is sampled once per period; between detections the last command
     (or neutral, under the `stop` policy) is held and the record is flagged
     undetected. Runs against a stationary leader end early once the follower
-    has been slower than stop_speed_eps for stop_hold_time seconds.
+    has been slower than stop_speed_eps for stop_hold_time seconds. Against a
+    parked leader with no pixel jitter the sensing depends on the follower
+    alone, so while integrate_bicycle hands back the same follower object a
+    record reuses the last one's reading and distances; the controllers still
+    run on every record.
     Takes plain (archetype "scenario") configs only; execute_archetype runs
     the others through ScenarioConfig.runs().
     """
@@ -83,8 +86,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         raise ValueError(f"run_scenario takes a plain scenario, not archetype "
                          f"{config.archetype!r}: use execute_archetype or ScenarioConfig.runs()")
     dt = config.dt
-    n_records = int(config.duration / dt + 1e-9)
-    sub_steps = max(1, math.ceil(dt / MAX_PHYSICS_DT - 1e-12))
+    n_records = config.n_records
+    sub_steps = config.sub_steps
     sub_dt = dt / sub_steps
     rng = random.Random(config.seed)
 
@@ -114,6 +117,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     records: list[TraceRecord] = []
     stop_reason = None
     still_time = 0.0
+    # observe draws from the rng only under jitter
+    reuse_sensing = parked and not config.camera.jitter_px
+    sensed = None  # the follower the last sensing was of, while it may be reused
 
     for k in range(n_records):
         t = k * dt
@@ -125,7 +131,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             track = (tail, *corners[:passed], (leader.x, leader.y))
 
         started = time.perf_counter_ns()
-        reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
+        held = follower is sensed
+        if not held:
+            reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
         ops = 0
         if reading is not None:
             pe = pixel_error_x(reading, config.camera)
@@ -139,10 +147,15 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             steering_pwm = throttle_pwm = NEUTRAL_PWM
         loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
 
+        if not held:
+            lateral_dev = lateral_deviation(follower, track)
+            follow_dist = following_distance(follower, leader)
+            if reuse_sensing:
+                sensed = follower
         records.append(TraceRecord(
             t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
-            steering_pwm, throttle_pwm, lateral_deviation(follower, track),
-            following_distance(follower, leader), reading is not None, loop_cost_us, ops,
+            steering_pwm, throttle_pwm, lateral_dev, follow_dist, reading is not None,
+            loop_cost_us, ops,
         ))
 
         steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)

@@ -182,6 +182,12 @@ def integrate_bicycle(
     the pose with RK4 using the exact slewed speed profile within it. Inputs
     are validated once; the sub-steps run over plain floats, wrapping the
     heading after each one.
+
+    A call that cannot change any bit of the state returns `state` itself,
+    so `result is state` tells a caller that nothing moved. That is a +0.0
+    heading, speed and clamped target, zero curvature of either sign and
+    neither x nor y a -0.0: every sub-step then adds +0.0 to x, and y gains
+    only +0.0. Every other call returns a new VehicleState.
     """
     x, y, h, v = state.x, state.y, state.heading, state.speed
     isfinite = math.isfinite
@@ -211,6 +217,11 @@ def integrate_bicycle(
     # only +0.0
     along_x = (not curvature and not h and copysign(1.0, h) > 0.0
                and v >= 0.0 and copysign(1.0, target) > 0.0)
+    # at rest along x, x + 0.0 and y + 0.0 change only a -0.0, and the
+    # speed ends at its +0.0 target
+    if (along_x and not target and not v and copysign(1.0, v) > 0.0
+            and (x or copysign(1.0, x) > 0.0) and (y or copysign(1.0, y) > 0.0)):
+        return state
 
     settled = 0  # sub-steps left once the speed has met the target
     for i in range(steps):

@@ -27,7 +27,7 @@ from followsim import (
 )
 from followsim.metrics import CHANNEL_COLUMNS, trace_metrics
 from followsim.pid import MAX_GAIN
-from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, SCENARIO_KEYS
+from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, MAX_SUB_STEPS, SCENARIO_KEYS
 from followsim.world import place_behind
 
 DATA = Path(__file__).parent / "data"
@@ -434,15 +434,39 @@ def test_archetype_inputs_fail_at_load(text, message):
     # an error of a channel's whole controller names the channel
     ("fuzzy.steering.output_scale = 1e306\n",
      "fuzzy.steering: output universe (-1e+306, 1e+306) overflows the centroid sum"),
+    # the throttle universes span 1 and 2 setpoint areas
+    ("setpoint_area = 1e308\n", "line 1: setpoint_area: setpoint_area 1e+308 makes a throttle"),
+    # runs whose physics would never end: few records of endless frames, or
+    # the record guard's worth of 1000 s frames
+    ("camera.frame_rate = 1e-300\nduration = 1e301\n",
+     "line 2: duration: duration and camera.frame_rate give 10 records of 5e+302 physics"),
+    ("duration = 1e9\ncamera.frame_rate = 0.001\n",
+     "line 1: duration: duration and camera.frame_rate give 1,000,000 records of 5e+05"),
+    ("camera.frame_rate = 20\nduration = 20001\n",
+     "line 2: duration: duration and camera.frame_rate give 400,020 records of 25 physics"),
+    # a follower that the run would drive past float range
+    ("leader.kind = straight_line\nleader.speed = 1\nvehicle.max_speed = 1e306\n"
+     "vehicle.max_accel = 1e306\ncamera.frame_rate = 1\nduration = 1000\nfollower.start.x = -3\n",
+     "line 3: vehicle.max_speed: vehicle.max_speed 1e+306 m/s over duration 1000 s can drive"),
 ], ids=["empty_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
         "separations", "integer", "bool", "waypoint", "membership", "label", "set_variable",
         "profile_start", "profile_order", "profile_sign", "leader_kind", "no_waypoints",
         "one_waypoint", "same_waypoints", "start_speed", "panel_width", "panel_height", "rear_offset",
         "focal_length", "frame_interval", "area_overflow", "area_underflow", "follow_range",
-        "max_speed", "turn_rate", "centroid_sum"])
+        "max_speed", "turn_rate", "centroid_sum", "throttle_universe", "endless_frames",
+        "long_frames", "sub_step_guard", "follower_reach"])
 def test_file_reachable_check_names_line_and_key(text, prefix):
     with pytest.raises(ScenarioError, match=f"^{re.escape(prefix)}"):
         parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("text", ["camera.frame_rate = 25\nduration = 20000\n",
+                                  "duration = 20000\n", "camera.frame_rate = 1e-3\nduration = 2e4\n"])
+def test_runs_at_the_sub_step_guard_load(text):
+    """The guard caps the exact sub-step count of a full run: 500,000 records
+    of 20, 1,000,000 of 10 and 20 of 500,000 all sit on it."""
+    cfg = parse_scenario_text(text)
+    assert cfg.n_records * cfg.sub_steps == MAX_SUB_STEPS
 
 
 @pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.scn")), DATA / "every_key.scn"],
@@ -513,8 +537,7 @@ def test_mutated_scenario_loads_and_runs_or_names_its_key(mutations):
         else:
             assert re.match(r"fuzzy\.(steering|throttle): ", str(exc)), exc
         return
-    # a frame interval past 1 s leaves no record inside the 1 s cut; the run
-    # time of such a config is unbounded, an open defect logged in CHANGES.md
+    # a frame interval past 1 s leaves no record inside the 1 s cut
     if cfg.dt > 1.0:
         return
     for trace in execute_archetype(replace(cfg, duration=min(cfg.duration, 1.0))):

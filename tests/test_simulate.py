@@ -350,6 +350,48 @@ class TestPhysicsCalls:
         assert set(steps) == {10}  # a 20 ms frame in 2 ms sub-steps
 
 
+class TestHeldSensing:
+    """Against a parked leader with no jitter, a record whose follower did not
+    move reuses the previous record's reading and distances; any other
+    record senses afresh."""
+
+    SENSING = ("observe", "lateral_deviation", "following_distance")
+
+    @classmethod
+    def sensing_calls(cls, monkeypatch, config):
+        calls = {name: 0 for name in cls.SENSING}
+        for name in cls.SENSING:
+            def counting(*args, _name=name, _f=getattr(simulate, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, name, counting)
+        (trace,) = execute_archetype(config)
+        records = trace.records
+        pose = lambda r: (r.follower_x, r.follower_y, r.follower_heading)  # noqa: E731
+        still = sum(1 for a, b in zip(records, records[1:]) if pose(a) == pose(b))
+        assert still > 0  # every case below has records in which the follower stood still
+        return calls, len(records), still
+
+    def test_parked_leader_senses_once_per_move(self, monkeypatch):
+        calls, records, still = self.sensing_calls(monkeypatch, load_scenario(THROTTLE_STEP))
+        assert calls == dict.fromkeys(self.SENSING, records - still)
+
+    def test_jitter_senses_every_record(self, monkeypatch):
+        cfg = load_scenario(THROTTLE_STEP)
+        cfg = replace(cfg, camera=replace(cfg.camera, jitter_px=1.0))
+        calls, records, _ = self.sensing_calls(monkeypatch, cfg)
+        assert calls == dict.fromkeys(self.SENSING, records)
+
+    def test_moving_leader_senses_every_record(self, monkeypatch):
+        # the leader drives off once the follower has stopped behind it
+        cfg = load_scenario(THROTTLE_STEP)
+        cfg = replace(cfg, leader=LeaderScript(kind="straight_line", start=cfg.leader.start,
+                                               speed_profile=((0.0, 0.0), (8.0, 0.5))))
+        calls, records, _ = self.sensing_calls(monkeypatch, cfg)
+        assert calls == dict.fromkeys(self.SENSING, records)
+
+
 class TestPerRunWork:
     """Work that the config fixes is done once per run, not once per record."""
 

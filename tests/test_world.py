@@ -349,6 +349,38 @@ class TestIntegrateBicycle:
         assert state_bits(got) == state_bits(want)
         assert -math.pi <= got.heading < math.pi
 
+    @given(x=COORDINATE, y=COORDINATE, heading=SIGNED_ZERO, speed=SIGNED_ZERO | SPEED,
+           steer=SIGNED_ZERO | st.floats(-0.1, 0.1), cmd=COMMAND, steps=st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_returns_state_itself_only_when_no_bit_moves(self, x, y, heading, speed, steer, cmd,
+                                                         steps):
+        state = VehicleState(x, y, heading, speed)
+        got = integrate_bicycle(state, PARAMS, steer, cmd, 0.002, steps)
+        want = frozen_integrate_bicycle(state, PARAMS, steer, cmd, 0.002, steps)
+        assert state_bits(got) == state_bits(want)
+        if got is state:
+            assert state_bits(want) == state_bits(state)
+
+    @pytest.mark.parametrize("state, steer, cmd, same", [
+        (VehicleState(-4.0, 0.0), 0.0, 0.0, True),
+        (VehicleState(0.0, 2.5), 0.0, 0.0, True),
+        # a -0.0 curvature, and a negative command that clamps to a +0.0 target
+        (VehicleState(-4.0, 0.0), -0.0, -1.0, True),
+        # each guard term in turn: a -0.0 x or y ends as +0.0, a -0.0 heading
+        # as +0.0, a -0.0 speed as +0.0, and a -0.0 target ends the speed at -0.0
+        (VehicleState(-0.0, 0.0), 0.0, 0.0, False),
+        (VehicleState(-4.0, -0.0), 0.0, 0.0, False),
+        (VehicleState(-4.0, 0.0, -0.0), 0.0, 0.0, False),
+        (VehicleState(-4.0, 0.0, 0.0, -0.0), 0.0, 0.0, False),
+        (VehicleState(-4.0, 0.0), 0.0, -0.0, False),
+    ])
+    def test_returns_state_itself_at_rest_along_x(self, state, steer, cmd, same):
+        got = integrate_bicycle(state, PARAMS, steer, cmd, 0.002, 10)
+        assert (got is state) == same
+        assert (state_bits(got) == state_bits(state)) == same
+        assert state_bits(got) == state_bits(
+            frozen_integrate_bicycle(state, PARAMS, steer, cmd, 0.002, 10))
+
     def test_step_bicycle_is_one_sub_step(self):
         state = VehicleState(0.5, -1.0, 3.1, speed=0.7)
         assert step_bicycle(state, PARAMS, 0.2, 2.5, 0.002) == integrate_bicycle(
