@@ -134,10 +134,11 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         held = follower is sensed
         if not held:
             reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
+            if reading is not None:
+                pe = pixel_error_x(reading, config.camera)
+                ae = area_error(reading, config.setpoint_area)
         ops = 0
         if reading is not None:
-            pe = pixel_error_x(reading, config.camera)
-            ae = area_error(reading, config.setpoint_area)
             if steering is not None:
                 steering_pwm = steering.update(pe, pe, dt)
                 ops += steering.ops_per_step

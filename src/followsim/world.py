@@ -204,13 +204,7 @@ def integrate_bicycle(
     curvature = math.tan(delta) / params.wheelbase
     max_accel = params.max_accel
     target = min(max(speed_cmd, 0.0), params.max_speed)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    cos, sin, copysign = math.cos, math.sin, math.copysign
-    # speed change of a ramp still under way by tau = dt/2 and dt. A ramp
-    # meets the target without passing it, so its sign holds for the call.
-    slew_mid = copysign(max_accel * half, target - v)
-    slew_end = copysign(max_accel * dt, target - v)
+    copysign = math.copysign
     # zero curvature, a +0.0 heading, a speed >= 0 and a target that is not
     # -0.0 make every heading rate of every sub-step a zero and every angle
     # and sine +0.0: each cosine is 1.0, the heading stays +0.0 and y gains
@@ -222,6 +216,13 @@ def integrate_bicycle(
     if (along_x and not target and not v and copysign(1.0, v) > 0.0
             and (x or copysign(1.0, x) > 0.0) and (y or copysign(1.0, y) > 0.0)):
         return state
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    cos, sin = math.cos, math.sin
+    # speed change of a ramp still under way by tau = dt/2 and dt. A ramp
+    # meets the target without passing it, so its sign holds for the call.
+    slew_mid = copysign(max_accel * half, target - v)
+    slew_end = copysign(max_accel * dt, target - v)
 
     settled = 0  # sub-steps left once the speed has met the target
     for i in range(steps):
