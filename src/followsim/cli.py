@@ -16,7 +16,7 @@ from .report import write_report
 from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
-from .traceio import TraceFormatError, write_trace_csv
+from .traceio import write_trace_csv
 from .tune import OBJECTIVES, GridError, TuneError, TuneSpec, load_gain_grid, run_grid_search
 
 def _channels(config: ScenarioConfig) -> tuple[str, str]:
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioError, TuneError, TraceFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -191,9 +191,9 @@ class ScenarioConfig:
             for suffix, leader, reference, gap, offset, locked in rows
         )
 
-    def filter_alpha_for(self, channel: str, kind: str) -> float | None:
-        """Resolve a channel's filter setting for the controller kind in use."""
-        setting = getattr(self, f"{channel}_filter")
+    def filter_alpha_for(self, channel: str) -> float | None:
+        """Resolve a channel's filter setting for the channel's controller kind."""
+        setting, kind = getattr(self, f"{channel}_filter"), getattr(self, f"{channel}_kind")
         if setting == "auto":
             return DEFAULT_FUZZY_FILTER_ALPHA if kind == "fuzzy" else None
         return setting

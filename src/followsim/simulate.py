@@ -59,12 +59,11 @@ class Trace:
 
 
 def _make_channel(config: ScenarioConfig, channel: str) -> ChannelController:
-    kind = getattr(config, f"{channel}_kind")
     return ChannelController(
-        kind=kind,
+        kind=getattr(config, f"{channel}_kind"),
         pid_config=getattr(config, f"{channel}_pid"),
         fuzzy_config=getattr(config, f"{channel}_fuzzy"),
-        filter_alpha=config.filter_alpha_for(channel, kind),
+        filter_alpha=config.filter_alpha_for(channel),
     )
 
 
@@ -107,12 +106,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     back = 10.0 * max(config.follow_range, 1.0)
     tail = (leader0.x - back * math.cos(leader0.heading),
             leader0.y - back * math.sin(leader0.heading))
-    if script.kind == "waypoint_path":
-        corners = script.path_points()
-        lengths = [length for _, _, length, _ in script.segments]
-    else:
-        corners, lengths = ((leader0.x, leader0.y),), []
-    corner_s = list(accumulate(lengths, initial=0.0))
+    corners = ((script.start.x, script.start.y), *(q for _, q, _, _ in script.segments))
+    corner_s = list(accumulate((length for _, _, length, _ in script.segments), initial=0.0))
     parked_track = (tail, corners[0])
     records: list[TraceRecord] = []
     stop_reason = None
@@ -127,7 +122,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             leader, track = leader0, parked_track
         else:
             leader = leader_pose(script, t)
-            passed = bisect_right(corner_s, script.distance_at(t))
+            passed = bisect_right(corner_s, script.progress(t)[0])
             track = (tail, *corners[:passed], (leader.x, leader.y))
 
         started = time.perf_counter_ns()

@@ -24,10 +24,10 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 70, 40, 50
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
+    if not all(map(math.isfinite, values)):  # min and max pass over a NaN past the first
+        raise ValueError("cannot plot non-finite values")
     lo = min(values)
     hi = max(values)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cannot plot non-finite values")
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0  # 0 for lo = 0 and for a tiny subnormal lo
         return lo - pad, hi + pad

@@ -118,41 +118,32 @@ class LeaderScript:
             if not all(math.isfinite(length) for _, _, length, _ in self.segments):
                 raise ValueError("waypoints make a path segment too long to measure")
 
-    def speed_at(self, t: float) -> float:
-        v = self.speed_profile[0][1]
-        for t0, v0 in self.speed_profile:
-            if t0 <= t:
-                v = v0
-            else:
+    def progress(self, t: float) -> tuple[float, float]:
+        """(arc length traveled, speed) at time t under the piecewise-constant profile."""
+        profile = self.speed_profile
+        s, v = 0.0, profile[0][1]
+        for i, (t0, v0) in enumerate(profile):
+            if t < t0:
                 break
-        return v
-
-    def distance_at(self, t: float) -> float:
-        """Arc length traveled by time t under the piecewise-constant profile."""
-        s = 0.0
-        for i, (t0, v0) in enumerate(self.speed_profile):
-            t1 = self.speed_profile[i + 1][0] if i + 1 < len(self.speed_profile) else t
-            if t <= t0:
-                break
+            t1 = profile[i + 1][0] if i + 1 < len(profile) else t
             s += v0 * (min(t, t1) - t0)
-        return s
+            v = v0
+        return s, v
 
     @cached_property
     def segments(self) -> tuple[tuple, ...]:
-        """(p, q, length, heading) of each path_points() segment, worked out once."""
-        pts = self.path_points()
+        """(p, q, length, heading) of each leg of a waypoint_path, from the start
+        pose through each waypoint unlike the one before, worked out once; () otherwise."""
+        if self.kind != "waypoint_path":
+            return ()
+        pts = [(self.start.x, self.start.y)]
+        for p in self.waypoints:
+            if p != pts[-1]:
+                pts.append(p)
         return tuple(
             (p, q, math.hypot(q[0] - p[0], q[1] - p[1]), math.atan2(q[1] - p[1], q[0] - p[0]))
             for p, q in zip(pts, pts[1:])
         )
-
-    def path_points(self) -> tuple[tuple[float, float], ...]:
-        """Polyline traversed by a waypoint_path script (start pose prepended)."""
-        pts = [(self.start.x, self.start.y)]
-        for p in self.waypoints or ():
-            if p != pts[-1]:
-                pts.append(p)
-        return tuple(pts)
 
 
 def place_behind(leader_start: VehicleState, gap: float, offset: float = 0.0) -> VehicleState:
@@ -296,24 +287,23 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
     if script.kind == "stationary":
         return script.start._replace(speed=0.0)
 
+    s, v = script.progress(t)
     if script.kind == "straight_line":
-        s = script.distance_at(t)
         h = script.start.heading
         return VehicleState(
             script.start.x + s * math.cos(h),
             script.start.y + s * math.sin(h),
             h,
-            script.speed_at(t),
+            v,
         )
 
     # waypoint_path: walk segments at the profile speed, hold the end pose
-    s = script.distance_at(t)
     for p, q, seg, heading in script.segments:
         if s <= seg:
             u = s / seg
             return VehicleState(
                 p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1]),
-                heading, script.speed_at(t),
+                heading, v,
             )
         s -= seg
     return VehicleState(q[0], q[1], heading, 0.0)

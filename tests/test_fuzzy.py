@@ -324,6 +324,14 @@ class TestConfigValidation:
             output_universe=config.output_universe,
         )
 
+    def test_variable_without_sets_rejected(self):
+        with pytest.raises(FuzzyError, match="^every variable needs at least one set$"):
+            self._with_error_sets({})
+
+    def test_rule_output_must_be_an_output_set(self):
+        with pytest.raises(FuzzyError, match="^rule output 'XL' is not an output set$"):
+            default_fuzzy_config(1.0, 1.0, rules={("Z", "Z"): "XL"})
+
     def test_gap_between_samples_rejected(self):
         # the hole (0.0025, 0.005) is narrower than 1/256 of the universe
         sets = {
@@ -408,10 +416,11 @@ def test_op_model_is_the_grid_controllers_not_ours():
     # op_count models the paper's grid-based controller, where every rule
     # clips the whole grid; fuzzy_step's sparse evaluation must not shrink it
     assert count_fuzzy_ops(default_fuzzy_config(160.0, 600.0)) == 53149
-    config = load_scenario(SCENARIOS / "s_curve.scn")
+    config = replace(load_scenario(SCENARIOS / "s_curve.scn"),
+                     steering_kind="fuzzy", throttle_kind="fuzzy")
     channels = [
         ChannelController("fuzzy", fuzzy_config=getattr(config, f"{ch}_fuzzy"),
-                          filter_alpha=config.filter_alpha_for(ch, "fuzzy"))
+                          filter_alpha=config.filter_alpha_for(ch))
         for ch in CHANNELS
     ]
     assert [channel.ops_per_step for channel in channels] == [53157, 53157]

@@ -198,6 +198,10 @@ class TestObjectives:
         with pytest.raises(ValueError):
             objective_value(self._trace(), "pixel_error_x", "mse", 0.5)
 
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ValueError, match="^unknown trace column 'bogus_signal'$"):
+            objective_value(self._trace(), "bogus_signal", "itae", 0.5)
+
 
 def frozen_trace_metrics(trace, signal, setpoint_delta=None):
     """trace_metrics as it stood when callers passed the step size."""

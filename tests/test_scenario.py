@@ -84,11 +84,11 @@ class TestDefaults:
             ScenarioConfig(name="x", leader=LeaderScript(), follower_start=VehicleState())
 
     def test_filter_resolution(self, base_scenario):
-        assert base_scenario.filter_alpha_for("steering", "pid") is None
-        assert base_scenario.filter_alpha_for("steering", "fuzzy") == 0.3
+        assert base_scenario.filter_alpha_for("steering") is None
+        assert replace(base_scenario, steering_kind="fuzzy").filter_alpha_for("steering") == 0.3
         explicit = default_scenario("x", steering_filter=0.5, throttle_filter=None)
-        assert explicit.filter_alpha_for("steering", "pid") == 0.5
-        assert explicit.filter_alpha_for("throttle", "fuzzy") is None
+        assert explicit.filter_alpha_for("steering") == 0.5
+        assert replace(explicit, throttle_kind="fuzzy").filter_alpha_for("throttle") is None
 
 
 class TestParser:

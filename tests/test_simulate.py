@@ -2,7 +2,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import pytest
@@ -311,25 +311,43 @@ class TestLeaderTrack:
         cfg = load_scenario(S_CURVE)
         assert max(self.track_lengths(monkeypatch, cfg)) <= len(cfg.leader.waypoints) + 3
 
-    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
-    def test_deviation_matches_cut_script_polyline(self, kind):
-        # s_curve's leader reaches the end of its path and holds there
-        cfg = replace(load_scenario(S_CURVE), steering_kind=kind, throttle_kind=kind)
+    @staticmethod
+    def assert_deviation_matches_cut_polyline(cfg):
+        """Each record's lateral_dev_m against the start, the corners passed by
+        then and the leader, with the lane extended back along +x."""
         (trace,) = execute_archetype(cfg)
         path = cfg.leader
         speed = path.speed_profile[0][1]
-        corners = [(path.start.x, path.start.y), *path.waypoints]
+        corners = [(path.start.x, path.start.y), *(path.waypoints or ())]
         arc = [0.0]
         for (px, py), (qx, qy) in zip(corners, corners[1:]):
             arc.append(arc[-1] + math.hypot(qx - px, qy - py))
         back = 10.0 * max(cfg.follow_range, 1.0)
-        tail = (path.start.x - back, path.start.y)  # the first leg heads along +x
-        assert (trace.records[-1].leader_x, trace.records[-1].leader_y) == corners[-1]
+        tail = (path.start.x - back, path.start.y)
         for r in trace.records:
             passed = [c for c, s in zip(corners, arc) if s <= speed * r.t]
             want = signed_distance(r.follower_x, r.follower_y,
                                    [tail, *passed, (r.leader_x, r.leader_y)])
             assert r.lateral_dev_m == pytest.approx(want, abs=1e-9)
+        return trace
+
+    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
+    def test_deviation_matches_cut_script_polyline(self, kind):
+        # s_curve's first leg heads along +x; its leader reaches the end of
+        # its path and holds there
+        cfg = replace(load_scenario(S_CURVE), steering_kind=kind, throttle_kind=kind)
+        trace = self.assert_deviation_matches_cut_polyline(cfg)
+        assert (trace.records[-1].leader_x, trace.records[-1].leader_y) == cfg.leader.waypoints[-1]
+
+    def test_deviation_matches_cut_straight_line_from_negative_zero(self):
+        # the runner's first corner is the script's start, (-0.0, 0.0) here,
+        # where leader_pose(script, 0.0) reads (0.0, 0.0)
+        leader = LeaderScript(kind="straight_line", start=VehicleState(-0.0, 0.0, 0.0),
+                              speed_profile=0.5)
+        cfg = replace(load_scenario(S_CURVE), archetype="scenario", leader=leader, duration=10.0,
+                      follower_start=VehicleState(-2.0, 0.5, 0.0))
+        trace = self.assert_deviation_matches_cut_polyline(cfg)
+        assert trace.records[0].lateral_dev_m == 0.5  # the follower starts left of the lane
 
 
 class TestPhysicsCalls:
@@ -395,19 +413,21 @@ class TestHeldSensing:
 class TestPerRunWork:
     """Work that the config fixes is done once per run, not once per record."""
 
-    def test_path_points_built_at_most_twice(self, monkeypatch):
-        cfg = load_scenario(S_CURVE)
+    def test_segments_built_once_per_script(self, monkeypatch):
         calls = []
-        path_points = LeaderScript.path_points
+        build = LeaderScript.segments.func
 
         def counting(script):
             calls.append(script)
-            return path_points(script)
+            return build(script)
 
-        monkeypatch.setattr(LeaderScript, "path_points", counting)
+        segments = cached_property(counting)
+        segments.__set_name__(LeaderScript, "segments")
+        monkeypatch.setattr(LeaderScript, "segments", segments)
+        cfg = load_scenario(S_CURVE)
         (trace,) = execute_archetype(cfg)
         assert len(trace.records) == 900
-        assert len(calls) <= 2
+        assert len(calls) == 1 and calls[0] is cfg.leader
 
     def test_fuzzy_op_cost_counted_once_per_channel(self, monkeypatch):
         cfg = replace(load_scenario(S_CURVE), steering_kind="fuzzy", throttle_kind="fuzzy")

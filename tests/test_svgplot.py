@@ -61,6 +61,14 @@ class TestWritePlotSvg:
         root = ET.parse(path).getroot()
         assert len(root.findall(f"{SVG}circle")) == 2
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_error_rejected(self, tmp_path, at):
+        # min() and max() skip a NaN that is not the first value
+        trace = Trace("nan", [make_record(0.02 * k, pixel_error_x=math.nan if k == at else 1.0)
+                              for k in range(3)])
+        with pytest.raises(ValueError, match="^cannot plot non-finite values$"):
+            write_plot_svg(trace, ["pixel_error_x", "steering_pwm"], tmp_path / "nan.svg")
+
     def test_unknown_channel_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="pixel_error_y"):
             write_plot_svg(small_trace(), ["pixel_error_y", "steering_pwm"], tmp_path / "x.svg")

@@ -176,6 +176,14 @@ class TestStrictParsing:
         with pytest.raises(TraceFormatError, match="detected"):
             read_trace_csv(path)
 
+    def test_blank_line_between_rows_skipped(self, tmp_path):
+        records = [make_record(0.0), make_record(0.02, pixel_error_x=3.5)]
+        path = tmp_path / "gap.csv"
+        write_trace_csv(Trace("gap", records), path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text(f"{header}\n{first}\n \n{second}\n")
+        assert read_trace_csv(path) == Trace("gap", records)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("")

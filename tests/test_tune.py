@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import tempfile
 import tracemalloc
@@ -27,7 +28,7 @@ from followsim import (
     tune,
 )
 from followsim.pid import MAX_GAIN
-from followsim.tune import FUZZY_GRID_KEYS, PID_GRID_KEYS, candidate_filename, results_csv
+from followsim.tune import FUZZY_GRID_KEYS, PID_GRID_KEYS, GridError, candidate_filename, results_csv
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -58,6 +59,10 @@ class TestTuneSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(TuneError):
             TuneSpec(**kwargs)
+
+    def test_non_finite_grid_value_rejected(self):
+        with pytest.raises(GridError, match="^grid for 'kp' has non-finite values$"):
+            TuneSpec("throttle", "itae", {"kp": (1.0, math.nan)})
 
     def test_grid_at_the_candidate_cap_is_accepted(self):
         values = tuple(float(i) for i in range(100))

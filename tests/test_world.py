@@ -445,6 +445,44 @@ class TestVehicleParams:
             VehicleParams(**kwargs)
 
 
+# few values, so that drawn waypoints repeat, some as the other signed zero
+POINT_COORDS = [0.0, -0.0, 1.0, -2.5, 3.0]
+
+
+def frozen_speed_at(script: LeaderScript, t: float) -> float:
+    """LeaderScript.speed_at as it stood before progress() walked the profile once."""
+    v = script.speed_profile[0][1]
+    for t0, v0 in script.speed_profile:
+        if t0 <= t:
+            v = v0
+        else:
+            break
+    return v
+
+
+def frozen_distance_at(script: LeaderScript, t: float) -> float:
+    """LeaderScript.distance_at as it stood before progress() walked the profile once."""
+    s = 0.0
+    for i, (t0, v0) in enumerate(script.speed_profile):
+        t1 = script.speed_profile[i + 1][0] if i + 1 < len(script.speed_profile) else t
+        if t <= t0:
+            break
+        s += v0 * (min(t, t1) - t0)
+    return s
+
+
+def frozen_segments(script: LeaderScript) -> tuple[tuple, ...]:
+    """The segment table as it stood, built over LeaderScript.path_points()."""
+    pts = [(script.start.x, script.start.y)]
+    for p in script.waypoints or ():
+        if p != pts[-1]:
+            pts.append(p)
+    return tuple(
+        (p, q, math.hypot(q[0] - p[0], q[1] - p[1]), math.atan2(q[1] - p[1], q[0] - p[0]))
+        for p, q in zip(pts, pts[1:])
+    )
+
+
 class TestLeaderPose:
     def test_stationary_holds_start(self):
         script = LeaderScript(kind="stationary", start=VehicleState(1.0, 2.0, 0.5, speed=3.0))
@@ -509,6 +547,47 @@ class TestLeaderPose:
                 start=VehicleState(0, 0, 0),
                 waypoints=((1.0, 1.0), (1.0, 1.0)),
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(1e-3, 100.0),
+                           st.one_of(st.floats(0.0, 50.0), st.just(0.0))),
+                 min_size=1, max_size=5),
+        st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
+    )
+    def test_progress_matches_frozen_distance_and_speed(self, steps, v_first):
+        times, profile = [0.0], [(0.0, v_first)]
+        for gap, v in steps:
+            times.append(times[-1] + gap)
+            profile.append((times[-1], v))
+        script = LeaderScript(kind="straight_line", speed_profile=tuple(profile))
+        ts = [-0.0, *times, times[-1] + 1.0, 2.0 * times[-1] + 7.5]
+        ts += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+        ts += [math.nextafter(b, 0.0) for b in times[1:]]
+        for t in ts:
+            s, v = script.progress(t)
+            assert (s.hex(), v.hex()) == (frozen_distance_at(script, t).hex(),
+                                          frozen_speed_at(script, t).hex()), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
+        st.lists(st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
+                 min_size=2, max_size=8),
+    )
+    @example((0.0, 0.0), [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, -0.0)])
+    def test_waypoint_segments_match_frozen_path_points(self, start, waypoints):
+        assume(len(set(waypoints)) > 1)
+        script = LeaderScript(kind="waypoint_path", start=VehicleState(*start),
+                              speed_profile=1.0, waypoints=tuple(waypoints))
+        # repr tells -0.0 from 0.0, where == does not
+        assert repr(script.segments) == repr(frozen_segments(script))
+
+    @pytest.mark.parametrize("kind", ["stationary", "straight_line"])
+    def test_segments_empty_unless_waypoint_path(self, kind):
+        script = LeaderScript(kind=kind, start=VehicleState(1.0, 2.0, 0.5), speed_profile=1.0,
+                              waypoints=((3.0, 4.0), (5.0, 6.0)))
+        assert script.segments == ()
 
 
 def _sign_is_robust(point, pts, margin=1e-6):
