@@ -11,22 +11,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .metrics import CHANNEL_COLUMNS, compare, trace_metrics
+from .metrics import compare, trace_metrics
 from .report import write_report
-from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
+from .scenario import CHANNELS, ScenarioConfig, ScenarioError, _parse_float_list, load_scenario
 from .simulate import Trace, execute_archetype
 from .svgplot import write_plot_svg
 from .traceio import write_trace_csv
 from .tune import OBJECTIVES, GridError, TuneError, TuneSpec, load_gain_grid, run_grid_search
 
-def _channels(config: ScenarioConfig) -> tuple[str, str]:
-    """(error column, command column) a scenario is judged and plotted on:
-    throttle when its runs lock the steering, steering otherwise."""
-    return CHANNEL_COLUMNS["throttle" if config.runs()[0].steering_locked else "steering"]
+def _channel(config: ScenarioConfig) -> str:
+    """The control channel a scenario is judged and plotted on: throttle
+    when its runs lock the steering, steering otherwise."""
+    return "throttle" if config.runs()[0].steering_locked else "steering"
 
 
 def _write_trace_artifacts(
-    trace: Trace, out: Path, channels, stem: str | None = None
+    trace: Trace, out: Path, channel: str, stem: str | None = None
 ) -> tuple[Path, Path]:
     """Write a trace's CSV and its plot as <stem>.csv and <stem>.svg, the
     stem defaulting to the trace name."""
@@ -34,7 +34,7 @@ def _write_trace_artifacts(
     csv_path = out / f"{stem}.csv"
     svg_path = out / f"{stem}.svg"
     write_trace_csv(trace, csv_path)
-    write_plot_svg(trace, channels, svg_path)
+    write_plot_svg(trace, channel, svg_path)
     return csv_path, svg_path
 
 
@@ -44,9 +44,9 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channels = _channels(config)
+    channel = _channel(config)
     for trace in execute_archetype(config):
-        csv_path, svg_path = _write_trace_artifacts(trace, out, channels)
+        csv_path, svg_path = _write_trace_artifacts(trace, out, channel)
         print(
             f"{trace.name}: {len(trace.records)} records, "
             f"stop={trace.stop_reason or 'duration'}, wrote {csv_path} and {svg_path}"
@@ -60,16 +60,16 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs a single-run scenario archetype")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channels = _channels(config)
+    channel = _channel(config)
 
     traces = {}
     for family in ("pid", "fuzzy"):
         variant = replace(config, steering_kind=family, throttle_kind=family)
         (trace,) = execute_archetype(variant)
-        _write_trace_artifacts(trace, out, channels, f"{trace.name}_{family}")
+        _write_trace_artifacts(trace, out, channel, f"{trace.name}_{family}")
         traces[family] = trace
 
-    report = compare(traces["pid"], traces["fuzzy"], signal=channels[0])
+    report = compare(traces["pid"], traces["fuzzy"], channel)
     report_path = out / f"{traces['pid'].name}_report.md"
     write_report(report, report_path)
     for metric, winner in report.winners.items():
@@ -103,7 +103,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    channels = _channels(steps)
+    channel = _channel(steps)
     traces = execute_archetype(steps)
     lines = [
         f"# Step-response sweep: {config.name}",
@@ -116,8 +116,8 @@ def cmd_sweep(args) -> int:
         return "n/a" if v != v else format(v, ".5g")
 
     for sep, trace in zip(separations, traces):
-        _write_trace_artifacts(trace, out, channels)
-        m = trace_metrics(trace, channels[0])
+        _write_trace_artifacts(trace, out, channel)
+        m = trace_metrics(trace, channel)
         # one column per metric, in MetricSet order, except mean_op_count
         lines.append(f"| {sep:g} | " + " | ".join(map(cell, m[:-1])) + " |")
         print(f"separation {sep:g} m: rise={cell(m.rise_time)} settle={cell(m.settling_time)}")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_p = sub.add_parser("tune", help="grid-search one channel's gains")
     tune_p.add_argument("--scenario", required=True, help="scenario file to tune against")
-    tune_p.add_argument("--channel", required=True, choices=tuple(CHANNEL_COLUMNS),
+    tune_p.add_argument("--channel", required=True, choices=CHANNELS,
                         help="which control channel to tune")
     tune_p.add_argument("--grid", required=True,
                         help="grid file: kp/ki/kd lists (pid) or output_scale (fuzzy)")

@@ -21,7 +21,6 @@ CHANNEL_COLUMNS = {
     "steering": ("pixel_error_x", "steering_pwm"),
     "throttle": ("area_error", "throttle_pwm"),
 }
-_COMMAND_OF = dict(CHANNEL_COLUMNS.values())
 
 TIE_TOLERANCE = 0.02  # relative margin below which a metric is a tie
 
@@ -39,23 +38,26 @@ class MetricSet(NamedTuple):
 METRIC_FIELDS = MetricSet._fields
 
 
+def channel_columns(channel: str) -> tuple[str, str]:
+    """The (error column, command column) of a control channel; ValueError for any other value."""
+    if channel not in tuple(CHANNEL_COLUMNS):  # by equality, so that a list fails the same way
+        raise ValueError(f"unknown channel {channel!r}, expected steering or throttle")
+    return CHANNEL_COLUMNS[channel]
+
+
 def _column(trace: Trace, name: str) -> list[float]:
     if not trace.records:
         raise ValueError(f"trace {trace.name!r} has no records")
-    try:
-        return [float(getattr(r, name)) for r in trace.records]
-    except AttributeError:
-        raise ValueError(f"unknown trace column {name!r}") from None
+    return [float(getattr(r, name)) for r in trace.records]
 
 
-def trace_metrics(trace: Trace, signal: str) -> MetricSet:
+def trace_metrics(trace: Trace, channel: str) -> MetricSet:
     """Metrics of one channel's error column, which steps from its first
     sample y0 to zero; a y0 of +-0 means no step, and the step metrics are NaN."""
-    if signal not in _COMMAND_OF:
-        raise ValueError(f"{signal!r} is not a channel's error column")
-    ys = _column(trace, signal)
+    error, command = channel_columns(channel)
+    ys = _column(trace, error)
     if not math.isfinite(ys[0]):
-        raise ValueError(f"{signal} starts at a non-finite value {ys[0]!r}")
+        raise ValueError(f"{error} starts at a non-finite value {ys[0]!r}")
     delta = -ys[0] or None
     ts = _column(trace, "t")
     tail_start = int(0.8 * len(ys))
@@ -89,7 +91,7 @@ def trace_metrics(trace: Trace, signal: str) -> MetricSet:
 
     rms = math.sqrt(sum(y * y for y in ys) / len(ys))
 
-    cmds = _column(trace, _COMMAND_OF[signal])
+    cmds = _column(trace, command)
     tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
 
     ops = _column(trace, "op_count")
@@ -111,7 +113,6 @@ class ComparisonReport:
     fuzzy: MetricSet
     winners: dict[str, str]
     margins: dict[str, float]
-    notes: list[str]
 
 
 def _pick_winner(metric: str, a: float, b: float) -> tuple[str, float]:
@@ -126,7 +127,7 @@ def _pick_winner(metric: str, a: float, b: float) -> tuple[str, float]:
     return ("pid" if a < b else "fuzzy"), margin
 
 
-def compare(trace_pid: Trace, trace_fuzzy: Trace, signal: str = "pixel_error_x") -> ComparisonReport:
+def compare(trace_pid: Trace, trace_fuzzy: Trace, channel: str = "steering") -> ComparisonReport:
     """Side-by-side metric comparison of two runs of the same scenario.
 
     Every metric is lower-is-better; a metric within TIE_TOLERANCE (relative,
@@ -136,39 +137,26 @@ def compare(trace_pid: Trace, trace_fuzzy: Trace, signal: str = "pixel_error_x")
         raise ValueError(
             f"traces come from different scenarios: {trace_pid.name!r} vs {trace_fuzzy.name!r}"
         )
-    pid_metrics = trace_metrics(trace_pid, signal)
-    fuzzy_metrics = trace_metrics(trace_fuzzy, signal)
+    pid_metrics = trace_metrics(trace_pid, channel)
+    fuzzy_metrics = trace_metrics(trace_fuzzy, channel)
 
     winners: dict[str, str] = {}
     margins: dict[str, float] = {}
     for metric, a, b in zip(METRIC_FIELDS, pid_metrics, fuzzy_metrics):
         winners[metric], margins[metric] = _pick_winner(metric, a, b)
-
-    notes = []
-    if fuzzy_metrics.mean_op_count > pid_metrics.mean_op_count:
-        ratio = (
-            fuzzy_metrics.mean_op_count / pid_metrics.mean_op_count
-            if pid_metrics.mean_op_count
-            else math.inf
-        )
-        notes.append(
-            "fuzzy control costs more per loop: "
-            f"{fuzzy_metrics.mean_op_count:.0f} vs {pid_metrics.mean_op_count:.0f} "
-            f"float ops ({ratio:.0f}x)"
-        )
     return ComparisonReport(
         scenario=trace_pid.name,
         pid=pid_metrics,
         fuzzy=fuzzy_metrics,
         winners=winners,
         margins=margins,
-        notes=notes,
     )
 
 
-def objective_value(trace: Trace, signal: str, objective: str, dt: float) -> float:
-    """Scalar tuning score of a run sampled every dt seconds: itae, ise, or rms of the error."""
-    ys = _column(trace, signal)
+def objective_value(trace: Trace, channel: str, objective: str, dt: float) -> float:
+    """Scalar tuning score of a run sampled every dt seconds: itae, ise, or rms
+    of the channel's error column."""
+    ys = _column(trace, channel_columns(channel)[0])
     ts = _column(trace, "t")
     t0 = ts[0]
     if objective == "itae":

@@ -41,10 +41,11 @@ def format_report(report: ComparisonReport) -> str:
                 g=_cell(report.margins[metric]),
             )
         )
-    if report.notes:
-        lines.append("")
-        for note in report.notes:
-            lines.append(f"- {note}")
+    pid_ops, fuzzy_ops = report.pid.mean_op_count, report.fuzzy.mean_op_count
+    if fuzzy_ops > pid_ops:
+        ratio = f" ({fuzzy_ops / pid_ops:.0f}x)" if pid_ops else ""
+        lines += ["", f"- fuzzy control costs more per loop: "
+                      f"{fuzzy_ops:.0f} vs {pid_ops:.0f} float ops{ratio}"]
     return "\n".join(lines) + "\n"
 
 

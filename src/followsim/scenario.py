@@ -8,6 +8,7 @@ an experiment. SCENARIO_KEYS is the key table; the README documents it.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from collections import defaultdict
@@ -89,6 +90,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must not be empty")
+        if {os.sep, os.altsep, "\0"} & set(self.name):  # each output file name starts with it
+            raise ScenarioError(f"name must be a file stem, with no path separator or NUL, "
+                                f"got {self.name!r}")
         if self.archetype not in ARCHETYPES:
             raise ScenarioError(f"unknown archetype {self.archetype!r}")
         if self.duration < self.dt:

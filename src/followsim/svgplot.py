@@ -12,7 +12,7 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from .metrics import CHANNEL_COLUMNS
+from .metrics import channel_columns
 from .simulate import Trace
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -76,19 +76,17 @@ def _line(parent, x1, y1, x2, y2, color="#888", width=1.0):
     )
 
 
-def write_plot_svg(trace: Trace, channels, path) -> None:
-    """Plot one channel's (error column, command column) pair, as in
-    metrics.CHANNEL_COLUMNS, against time into an SVG file."""
-    channels = tuple(channels)
-    if channels not in CHANNEL_COLUMNS.values():
-        raise ValueError(f"need one (error, command) channel pair of "
-                         f"{list(CHANNEL_COLUMNS.values())}, got {channels!r}")
-    error, command = channels
+def write_plot_svg(trace: Trace, channel: str, path) -> None:
+    """Plot a control channel, steering or throttle, against time into an SVG
+    file: its error column on the left axis, its PWM command on the right."""
+    error, command = channel_columns(channel)
 
     records = trace.records
     ts = [r.t for r in records]
     errors = [float(getattr(r, error)) for r in records]
     commands = [float(getattr(r, command)) for r in records]
+    if not all(0.0 <= v <= 180.0 for v in commands):  # false for a NaN too
+        raise ValueError(f"cannot plot {command} values outside [0, 180]")
 
     svg = ET.Element(
         "svg",

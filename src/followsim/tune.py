@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .fuzzy import scale_output
-from .metrics import CHANNEL_COLUMNS, objective_value, trace_metrics
+from .metrics import objective_value, trace_metrics
 from .pid import MAX_GAIN
-from .scenario import ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
+from .scenario import CHANNELS, ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
 from .simulate import execute_archetype
 from .traceio import write_trace_csv
 
@@ -43,7 +43,7 @@ class TuneSpec:
     grid: dict[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        if self.channel not in CHANNEL_COLUMNS:
+        if self.channel not in CHANNELS:
             raise TuneError(f"unknown channel {self.channel!r}")
         if self.objective not in OBJECTIVES:
             raise TuneError(f"unknown objective {self.objective!r}")
@@ -141,14 +141,14 @@ def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResul
     grid = [dict(zip(keys, combo)) for combo in itertools.product(*(spec.grid[k] for k in keys))]
     for params in grid:  # checked before out exists; built again to run, so one is held
         _candidate_config(base, spec, params)
-    signal = CHANNEL_COLUMNS[spec.channel][0]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for index, params in enumerate(grid):
         (trace,) = execute_archetype(_candidate_config(base, spec, params))
-        results.append(TuneResult(index, params, objective_value(trace, signal, spec.objective, base.dt),
-                                  trace_metrics(trace, signal).control_effort_tv))
+        results.append(TuneResult(index, params,
+                                  objective_value(trace, spec.channel, spec.objective, base.dt),
+                                  trace_metrics(trace, spec.channel).control_effort_tv))
         write_trace_csv(trace, out / candidate_filename(results[-1]))
         del trace  # so the next run starts with no trace held
     results.sort(key=lambda r: (r.score, r.control_effort_tv, tuple(r.params[k] for k in keys)))

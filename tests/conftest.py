@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,12 @@ STEADY_STATE_PX = 5.0
 @pytest.fixture
 def base_scenario():
     return default_scenario("testbase")
+
+
+def unknown_channel(value) -> str:
+    """The message, as a full-match regex, of every function that takes a
+    control channel when it is given a value that names none."""
+    return f"^unknown channel {re.escape(repr(value))}, expected steering or throttle$"
 
 
 def records_match_except_timing(a: TraceRecord, b: TraceRecord) -> bool:

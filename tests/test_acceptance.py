@@ -183,7 +183,7 @@ def test_criterion_5_step_response_depends_on_separation():
                                                 step_separations=(1.0, 2.0, 4.0)))
     transients = []
     for trace in traces:
-        m = trace_metrics(trace, "area_error")
+        m = trace_metrics(trace, "throttle")
         transients.append((m.rise_time, m.settling_time))
 
     def distinct(a, b):
@@ -408,7 +408,7 @@ def test_criterion_9_grid_search_minimizes_itae(tmp_path):
         cells = line.split(",")
         reported.append(float(cells[score_col]))
         trace = read_trace_csv(out / cells[file_col])
-        recomputed.append(objective_value(trace, "area_error", "itae", dt))
+        recomputed.append(objective_value(trace, "throttle", "itae", dt))
     for want, got in zip(reported, recomputed):
         assert got == pytest.approx(want, rel=1e-6)
     # trace CSVs carry 9 significant digits; allow that much slack on the min

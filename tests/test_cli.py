@@ -1,13 +1,16 @@
 import argparse
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from followsim import cli, simulate, tune
 from followsim.cli import main
-from followsim.metrics import CHANNEL_COLUMNS
-from followsim.scenario import load_scenario, parse_scenario_text
+from followsim.scenario import CHANNELS, load_scenario, parse_scenario_text
 from followsim.traceio import read_trace_csv
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -230,7 +233,7 @@ class TestChannelChoice:
     ])
     def test_channel_follows_the_steering_lock(self, source, channel):
         config = load_scenario(source) if isinstance(source, Path) else parse_scenario_text(source)
-        assert cli._channels(config) == CHANNEL_COLUMNS[channel]
+        assert cli._channel(config) == channel
 
     def test_throttle_step_run_and_compare_plot_and_judge_throttle(self, tmp_path):
         scn = str(SCENARIOS / "throttle_step.scn")
@@ -407,6 +410,62 @@ class TestSweep:
         assert "n/a" in row
 
 
+# a command's arguments after --scenario and before --out
+COMMAND_ARGS = (["run"], ["compare"], ["sweep", "--separations", "1"])
+# deep enough that a name of up to 12 characters cannot climb out of the fresh directory
+OUT_DEPTH = 5
+
+
+def files_under(root: Path) -> set[Path]:
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
+class TestNameStaysInsideOut:
+    """A scenario name starts every file name a command writes, so one that
+    holds a path separator or a NUL fails at load, before --out exists; any
+    other name, `.` and `..` included, writes only inside --out."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.one_of(st.sampled_from([".", "..", "../escaped", "a b", "s.curve", "..."]),
+                          st.text("ab .-_/\\\0", min_size=1, max_size=12)),
+           absolute=st.booleans())
+    @example(name="../escaped", absolute=False)
+    @example(name="esc/absolute", absolute=True)
+    def test_every_new_file_lies_under_out(self, tmp_path, capsys, name, absolute):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as fresh:
+            fresh = Path(fresh)
+            if absolute:  # a path inside the fresh directory, so a miss stays in it
+                name = f"{fresh}{os.sep}{name}"
+            scn = write_scenario(fresh, "named", f"name = {name}\nduration = 0.1\n")
+            out = fresh.joinpath(*["d"] * OUT_DEPTH, "out")
+            stem = name.strip()  # the line reader strips the value
+            rejected = not stem or bool({os.sep, os.altsep, "\0"} & set(stem))
+            before = files_under(fresh)
+            for args in COMMAND_ARGS:
+                code = main(args[:1] + ["--scenario", scn] + args[1:] + ["--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == (1 if rejected else 0), err
+                if rejected:
+                    assert "line 1: name: " in err
+                    assert not out.exists()
+            assert all(out in path.parents for path in files_under(fresh) - before)
+
+    @pytest.mark.parametrize("args", COMMAND_ARGS, ids=lambda args: args[0])
+    @pytest.mark.parametrize("name", ["../escaped", "/absolute"])
+    def test_baseline_escapes_fail_before_out_exists(self, tmp_path, capsys, args, name):
+        if name.startswith("/"):
+            name = str(tmp_path / "esc" / "absolute")
+        scn = write_scenario(tmp_path, "named", f"name = {name}\nduration = 0.1\n")
+        out = tmp_path / "o"
+        assert main(args[:1] + ["--scenario", scn] + args[1:] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scn}: line 1: name: name must be a file stem, with no path "
+            f"separator or NUL, got {name!r}\n")
+        assert not out.exists()
+        assert files_under(tmp_path) == {Path(scn)}
+
+
 class TestParserSurface:
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -428,5 +487,5 @@ class TestParserSurface:
         commands = next(action for action in cli.build_parser()._actions
                         if isinstance(action, argparse._SubParsersAction))
         choices = {action.dest: action.choices for action in commands.choices["tune"]._actions}
-        assert choices["channel"] == tuple(CHANNEL_COLUMNS)
+        assert choices["channel"] == CHANNELS
         assert choices["objective"] == tune.OBJECTIVES

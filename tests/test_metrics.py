@@ -4,9 +4,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
-from followsim import Trace, compare, objective_value, trace_metrics
-from followsim.metrics import METRIC_FIELDS, MetricSet
+from conftest import make_record, unknown_channel
+from followsim import Trace, compare, format_report, objective_value, trace_metrics
+from followsim.metrics import CHANNEL_COLUMNS, METRIC_FIELDS, MetricSet
+from followsim.scenario import CHANNELS
+
+# values that name no channel: a stray word, the old column vocabulary, a pair
+NOT_CHANNELS = ("bogus_signal", "Steering", "pixel_error_x", "area_error", "steering_pwm",
+                "follow_dist_m", ("pixel_error_x", "steering_pwm"), ["area_error", "throttle_pwm"])
+
+
+def test_channel_columns_cover_the_scenario_channels():
+    # metrics knows each channel's columns; the scenario, the CLI and tune name the channels
+    assert tuple(CHANNEL_COLUMNS) == CHANNELS
 
 
 def exp_trace(delta=100.0, duration=20.0, dt=0.01, t0=0.0):
@@ -22,63 +32,63 @@ def exp_trace(delta=100.0, duration=20.0, dt=0.01, t0=0.0):
 
 class TestStepMetrics:
     def test_rise_time_matches_closed_form(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x")
+        m = trace_metrics(exp_trace(), "steering")
         # 10%..90% of 1 - e^-t: ln(10/9) to ln(10), difference ln 9
         assert m.rise_time == pytest.approx(math.log(9.0), abs=0.02)
 
     def test_settling_time_matches_closed_form(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x")
+        m = trace_metrics(exp_trace(), "steering")
         # final sample ~ 0; leaves the 5% band when e^-t = 0.05
         assert m.settling_time == pytest.approx(math.log(20.0), abs=0.02)
 
     def test_monotone_trace_has_zero_overshoot(self):
-        m = trace_metrics(exp_trace(), "pixel_error_x")
+        m = trace_metrics(exp_trace(), "steering")
         assert m.overshoot == 0.0
 
     def test_overshoot_measured_beyond_final(self):
         records = [make_record(0.0, pixel_error_x=-100.0)]
         records += [make_record(0.1, pixel_error_x=30.0)]
         records += [make_record(0.1 * k, pixel_error_x=0.0) for k in range(2, 40)]
-        m = trace_metrics(Trace("os", records), "pixel_error_x")
+        m = trace_metrics(Trace("os", records), "steering")
         assert m.overshoot == pytest.approx(30.0)
 
     def test_instantaneous_step_zero_rise(self):
         records = [make_record(0.0, pixel_error_x=-50.0)]
         records += [make_record(0.02 * k, pixel_error_x=0.0) for k in range(1, 30)]
-        m = trace_metrics(Trace("jump", records), "pixel_error_x")
+        m = trace_metrics(Trace("jump", records), "steering")
         assert m.rise_time == 0.0
 
     def test_steady_state_error_is_tail_mean(self):
         records = [make_record(0.1 * k, pixel_error_x=10.0) for k in range(10)]
-        m = trace_metrics(Trace("flat", records), "pixel_error_x")
+        m = trace_metrics(Trace("flat", records), "steering")
         assert m.steady_state_error == pytest.approx(10.0)
 
     def test_rms_zero_iff_signal_zero(self):
         zero = Trace("z", [make_record(0.1 * k) for k in range(10)])
-        assert trace_metrics(zero, "pixel_error_x").rms_error == 0.0
+        assert trace_metrics(zero, "steering").rms_error == 0.0
         nonzero = Trace("nz", [make_record(0.1 * k, pixel_error_x=(1.0 if k == 3 else 0.0))
                                for k in range(10)])
-        assert trace_metrics(nonzero, "pixel_error_x").rms_error > 0.0
+        assert trace_metrics(nonzero, "steering").rms_error > 0.0
 
     def test_control_effort_total_variation(self):
         pwm = [90.0, 100.0, 95.0, 95.0, 120.0]
         records = [make_record(0.1 * k, steering_pwm=v) for k, v in enumerate(pwm)]
-        m = trace_metrics(Trace("tv", records), "pixel_error_x")
+        m = trace_metrics(Trace("tv", records), "steering")
         assert m.control_effort_tv == pytest.approx(10.0 + 5.0 + 0.0 + 25.0)
-        # throttle channel drives the TV when the signal is area_error
-        m2 = trace_metrics(Trace("tv", records), "area_error")
+        # the throttle command drives the TV of the throttle channel
+        m2 = trace_metrics(Trace("tv", records), "throttle")
         assert m2.control_effort_tv == 0.0
 
     def test_time_shift_invariance(self):
-        a = trace_metrics(exp_trace(t0=0.0), "pixel_error_x")
-        b = trace_metrics(exp_trace(t0=123.0), "pixel_error_x")
+        a = trace_metrics(exp_trace(t0=0.0), "steering")
+        b = trace_metrics(exp_trace(t0=123.0), "steering")
         for got, want in zip(b, a):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_short_traces_have_every_metric(self):
         for n in (1, 3):
             records = [make_record(0.1 * k, pixel_error_x=2.0) for k in range(n)]
-            m = trace_metrics(Trace("short", records), "pixel_error_x")
+            m = trace_metrics(Trace("short", records), "steering")
             assert math.isnan(m.rise_time)  # the trace never traverses the step
             assert m.settling_time == 0.0
             assert m.overshoot == 0.0
@@ -90,7 +100,7 @@ class TestStepMetrics:
     def test_zero_delta_means_no_step(self, delta):
         # the error starts at -delta = -+0 and then moves: no step to traverse
         records = [make_record(0.0, pixel_error_x=-delta)] + exp_trace().records[1:]
-        m = trace_metrics(Trace("exp", records), "pixel_error_x")
+        m = trace_metrics(Trace("exp", records), "steering")
         assert math.isnan(m.rise_time)
         assert math.isnan(m.settling_time)
         assert math.isnan(m.overshoot)
@@ -101,13 +111,13 @@ class TestStepMetrics:
         records = [make_record(0.0, area_error=-delta)]
         records += [make_record(0.1 * k) for k in range(1, 10)]
         with pytest.raises(ValueError, match="area_error starts at a non-finite value"):
-            trace_metrics(Trace("bad", records), "area_error")
+            trace_metrics(Trace("bad", records), "throttle")
 
     def test_trace_metrics_without_delta_skips_step_fields(self):
         # a response that starts at zero (the old 0 -> delta form) has no step
         response = Trace("r", [make_record(r.t, pixel_error_x=100.0 + r.pixel_error_x)
                                for r in exp_trace().records])
-        m = trace_metrics(response, "pixel_error_x")
+        m = trace_metrics(response, "steering")
         assert math.isnan(m.rise_time)
         assert math.isnan(m.settling_time)
         assert math.isnan(m.overshoot)
@@ -116,24 +126,21 @@ class TestStepMetrics:
     def test_empty_trace_rejected(self):
         # a header-only CSV reads back as a trace with no records
         with pytest.raises(ValueError, match="has no records"):
-            trace_metrics(Trace("empty", []), "pixel_error_x")
+            trace_metrics(Trace("empty", []), "steering")
         with pytest.raises(ValueError, match="has no records"):
-            objective_value(Trace("empty", []), "pixel_error_x", "itae", 0.02)
+            objective_value(Trace("empty", []), "steering", "itae", 0.02)
 
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ValueError, match="column"):
-            trace_metrics(exp_trace(), "bogus_signal")
-        # a trace column that is no channel's error: before, this read the
-        # steering total variation through a fallback
-        for column in ("follow_dist_m", "steering_pwm"):
-            with pytest.raises(ValueError, match=f"'{column}' is not a channel's error column"):
-                trace_metrics(exp_trace(), column)
+    def test_unknown_channel_rejected(self):
+        # a column, even a channel's own error column, is no channel
+        for value in NOT_CHANNELS:
+            with pytest.raises(ValueError, match=unknown_channel(value)):
+                trace_metrics(exp_trace(), value)
 
 
 class TestCompare:
     def test_identical_traces_tie_everywhere(self):
         t = exp_trace()
-        report = compare(t, t, signal="pixel_error_x")
+        report = compare(t, t, channel="steering")
         assert all(w == "tie" for w in report.winners.values())
 
     def test_lower_rms_wins(self):
@@ -165,7 +172,13 @@ class TestCompare:
         fuzzy = Trace("s", [make_record(0.1 * k, op_count=5000) for k in range(10)])
         report = compare(pid, fuzzy)
         assert report.winners["mean_op_count"] == "pid"
-        assert any("costs more per loop" in note for note in report.notes)
+        assert format_report(report).endswith(
+            "\n\n- fuzzy control costs more per loop: 5000 vs 10 float ops (500x)\n")
+
+    def test_unknown_channel_rejected(self):
+        for value in NOT_CHANNELS:
+            with pytest.raises(ValueError, match=unknown_channel(value)):
+                compare(exp_trace(), exp_trace(), value)
 
     def test_tie_tolerance_is_two_percent(self):
         def flat(px):
@@ -183,24 +196,26 @@ class TestObjectives:
 
     def test_itae_hand_computed(self):
         # sum t*|e|*dt = (0*2 + 0.5*1 + 1.0*0 + 1.5*1) * 0.5
-        assert objective_value(self._trace(), "pixel_error_x", "itae", 0.5) == pytest.approx(1.0)
+        assert objective_value(self._trace(), "steering", "itae", 0.5) == pytest.approx(1.0)
 
     def test_ise_hand_computed(self):
         # sum e^2*dt = (4 + 1 + 0 + 1) * 0.5
-        assert objective_value(self._trace(), "pixel_error_x", "ise", 0.5) == pytest.approx(3.0)
+        assert objective_value(self._trace(), "steering", "ise", 0.5) == pytest.approx(3.0)
 
     def test_rms_hand_computed(self):
-        assert objective_value(self._trace(), "pixel_error_x", "rms", 0.5) == pytest.approx(
+        assert objective_value(self._trace(), "steering", "rms", 0.5) == pytest.approx(
             math.sqrt(6.0 / 4.0)
         )
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
-            objective_value(self._trace(), "pixel_error_x", "mse", 0.5)
+            objective_value(self._trace(), "steering", "mse", 0.5)
 
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ValueError, match="^unknown trace column 'bogus_signal'$"):
-            objective_value(self._trace(), "bogus_signal", "itae", 0.5)
+    def test_unknown_channel_rejected(self):
+        # the score is always a channel's error column, never any other column
+        for value in NOT_CHANNELS:
+            with pytest.raises(ValueError, match=unknown_channel(value)):
+                objective_value(self._trace(), value, "itae", 0.5)
 
 
 def frozen_trace_metrics(trace, signal, setpoint_delta=None):
@@ -254,9 +269,9 @@ def frozen_trace_metrics(trace, signal, setpoint_delta=None):
 
 @st.composite
 def error_traces(draw):
-    """(signal, trace): 1-50 records of one error column, starting at +-0, a
-    signed value or a round value whose 10% and 90% points are exact."""
-    signal = draw(st.sampled_from(["pixel_error_x", "area_error"]))
+    """(channel, trace): 1-50 records of the channel's error column, starting
+    at +-0, a signed value or a round value whose 10% and 90% points are exact."""
+    channel = draw(st.sampled_from(CHANNELS))
     y0 = draw(st.one_of(
         st.sampled_from([0.0, -0.0, 10.0, -10.0, 200.0, -5e4]),
         st.floats(-1e6, 1e6),
@@ -271,19 +286,20 @@ def error_traces(draw):
     dt = draw(st.sampled_from([0.02, 0.04, 1.0 / 30.0]))
     ys = [y0] + [draw(sample) for _ in range(n - 1)]
     records = [
-        make_record(k * dt, **{signal: y}, steering_pwm=draw(command),
+        make_record(k * dt, **{CHANNEL_COLUMNS[channel][0]: y}, steering_pwm=draw(command),
                     throttle_pwm=draw(command), op_count=draw(st.integers(0, 5000)))
         for k, y in enumerate(ys)
     ]
-    return signal, Trace("prop", records)
+    return channel, Trace("prop", records)
 
 
 @given(case=error_traces())
-@example(case=("pixel_error_x", exp_trace(duration=0.5, dt=0.01)))
+@example(case=("steering", exp_trace(duration=0.5, dt=0.01)))
 @settings(max_examples=400, deadline=None)
 def test_step_from_first_sample_matches_passed_delta(case):
-    signal, trace = case
+    channel, trace = case
+    signal = CHANNEL_COLUMNS[channel][0]
     y0 = getattr(trace.records[0], signal)
-    got = trace_metrics(trace, signal)
+    got = trace_metrics(trace, channel)
     want = frozen_trace_metrics(trace, signal, -y0 or None)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from conftest import make_record
 from followsim import Trace, compare, format_report, write_report
 from followsim.metrics import METRIC_FIELDS
@@ -14,6 +16,13 @@ def mixed_report():
     a = Trace("s", [make_record(0.1 * k, pixel_error_x=1.0, op_count=10) for k in range(10)])
     b = Trace("s", [make_record(0.1 * k, pixel_error_x=50.0, op_count=9000) for k in range(10)])
     return compare(a, b)
+
+
+def op_report(pid_ops, fuzzy_ops):
+    """A report on two flat traces whose only difference is their op count."""
+    pid, fuzzy = (Trace("s", [make_record(0.1 * k, op_count=ops) for k in range(10)])
+                  for ops in (pid_ops, fuzzy_ops))
+    return compare(pid, fuzzy)
 
 
 def parse_table(text):
@@ -52,6 +61,16 @@ class TestFormatReport:
     def test_notes_rendered(self):
         text = format_report(mixed_report())
         assert "costs more per loop" in text
+
+    def test_note_leaves_out_the_ratio_when_pid_costs_nothing(self):
+        text = format_report(op_report(0, 700))
+        assert text.endswith("|\n\n- fuzzy control costs more per loop: 700 vs 0 float ops\n")
+
+    @pytest.mark.parametrize("pid_ops, fuzzy_ops", [(10, 10), (700, 10), (0, 0)])
+    def test_no_note_unless_fuzzy_costs_more(self, pid_ops, fuzzy_ops):
+        text = format_report(op_report(pid_ops, fuzzy_ops))
+        assert "costs more" not in text
+        assert text.endswith(" |\n")  # the table's mean_op_count row ends the report
 
     def test_written_file_matches_format(self, tmp_path):
         report = mixed_report()

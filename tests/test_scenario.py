@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from followsim import (
     parse_scenario_text,
     scale_output,
 )
-from followsim.metrics import CHANNEL_COLUMNS, trace_metrics
+from followsim.metrics import trace_metrics
 from followsim.pid import MAX_GAIN
 from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, MAX_SUB_STEPS, SCENARIO_KEYS
 from followsim.world import place_behind
@@ -389,6 +390,7 @@ def test_archetype_inputs_fail_at_load(text, message):
 # fuzzy controller names the channel
 @pytest.mark.parametrize("text, prefix", [
     ("name =\n", "line 1: name: scenario name must not be empty"),
+    ("name = ../escaped\n", "line 1: name: name must be a file stem, with no path separator"),
     ("archetype = ramp\n", "line 1: archetype: unknown archetype 'ramp'"),
     ("lost_target.policy = x\n", "line 1: lost_target.policy: lost_target.policy must be hold or stop"),
     ("stop.speed_eps = -1\n", "line 1: stop.speed_eps: stop.speed_eps must be non-negative"),
@@ -448,7 +450,7 @@ def test_archetype_inputs_fail_at_load(text, message):
     ("leader.kind = straight_line\nleader.speed = 1\nvehicle.max_speed = 1e306\n"
      "vehicle.max_accel = 1e306\ncamera.frame_rate = 1\nduration = 1000\nfollower.start.x = -3\n",
      "line 3: vehicle.max_speed: vehicle.max_speed 1e+306 m/s over duration 1000 s can drive"),
-], ids=["empty_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
+], ids=["empty_name", "path_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
         "separations", "integer", "bool", "waypoint", "membership", "label", "set_variable",
         "profile_start", "profile_order", "profile_sign", "leader_kind", "no_waypoints",
         "one_waypoint", "same_waypoints", "start_speed", "panel_width", "panel_height", "rear_offset",
@@ -542,8 +544,8 @@ def test_mutated_scenario_loads_and_runs_or_names_its_key(mutations):
         return
     for trace in execute_archetype(replace(cfg, duration=min(cfg.duration, 1.0))):
         assert trace.records
-        for error_column, _ in CHANNEL_COLUMNS.values():
-            trace_metrics(trace, error_column)
+        for channel in CHANNELS:
+            trace_metrics(trace, channel)
 
 
 def readme_keys() -> set[str]:
@@ -664,6 +666,24 @@ class TestLoadScenario:
         path = tmp_path / "file.scn"
         path.write_text("name = custom\n")
         assert load_scenario(path).name == "custom"
+
+    @pytest.mark.parametrize("name", ["a/b", "/abs/olute", "../up", "dir/", "a\0b"])
+    def test_name_with_a_separator_or_nul_fails(self, name):
+        message = f"name must be a file stem, with no path separator or NUL, got {name!r}"
+        with pytest.raises(ScenarioError, match=f"^line 2: name: {re.escape(message)}$"):
+            parse_scenario_text(f"duration = 1\nname = {name}\n")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            default_scenario(name)
+
+    def test_name_with_the_alternative_separator_fails(self, monkeypatch):
+        monkeypatch.setattr(os, "altsep", "\\")  # as on Windows
+        with pytest.raises(ScenarioError, match="file stem"):
+            default_scenario("a\\b")
+
+    @pytest.mark.parametrize("name", [".", "..", "...", "a b", "s.curve.v2", "-x_"])
+    def test_stem_names_load(self, name):
+        # every output file name adds a suffix to the name, so `..` stays a file name
+        assert parse_scenario_text(f"name = {name}\n").name == name
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, unknown_channel
 from followsim import Trace, write_plot_svg
 from followsim.metrics import CHANNEL_COLUMNS
 from followsim.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH,
@@ -26,7 +26,7 @@ def small_trace(n=50):
 class TestWritePlotSvg:
     def test_valid_xml_with_one_polyline_per_channel(self, tmp_path):
         path = tmp_path / "p.svg"
-        write_plot_svg(small_trace(), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(small_trace(), "steering", path)
         root = ET.parse(path).getroot()
         assert root.tag == f"{SVG}svg"
         polylines = root.findall(f"{SVG}polyline")
@@ -35,20 +35,20 @@ class TestWritePlotSvg:
     def test_polyline_point_count_equals_record_count(self, tmp_path):
         n = 37
         path = tmp_path / "p.svg"
-        write_plot_svg(small_trace(n), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(small_trace(n), "steering", path)
         for polyline in ET.parse(path).getroot().findall(f"{SVG}polyline"):
             assert len(polyline.attrib["points"].split()) == n
 
     def test_single_record_degenerates_to_points(self, tmp_path):
         path = tmp_path / "single.svg"
-        write_plot_svg(small_trace(1), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(small_trace(1), "steering", path)
         root = ET.parse(path).getroot()
         assert not root.findall(f"{SVG}polyline")
         assert len(root.findall(f"{SVG}circle")) == 2
 
     def test_empty_trace_still_valid(self, tmp_path):
         path = tmp_path / "empty.svg"
-        write_plot_svg(Trace("empty", []), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(Trace("empty", []), "steering", path)
         root = ET.parse(path).getroot()
         assert not root.findall(f"{SVG}polyline")
 
@@ -57,7 +57,7 @@ class TestWritePlotSvg:
         assert _axis_range([5e-324]) == (-1.0, 1.0)
         path = tmp_path / "tiny.svg"
         write_plot_svg(Trace("tiny", [make_record(5e-324, pixel_error_x=5e-324)]),
-                       ["pixel_error_x", "steering_pwm"], path)
+                       "steering", path)
         root = ET.parse(path).getroot()
         assert len(root.findall(f"{SVG}circle")) == 2
 
@@ -67,13 +67,23 @@ class TestWritePlotSvg:
         trace = Trace("nan", [make_record(0.02 * k, pixel_error_x=math.nan if k == at else 1.0)
                               for k in range(3)])
         with pytest.raises(ValueError, match="^cannot plot non-finite values$"):
-            write_plot_svg(trace, ["pixel_error_x", "steering_pwm"], tmp_path / "nan.svg")
+            write_plot_svg(trace, "steering", tmp_path / "nan.svg")
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 180.5, -1.0])
+    def test_command_outside_its_axis_rejected(self, tmp_path, at, bad):
+        trace = Trace("pwm", [make_record(0.02 * k, throttle_pwm=bad if k == at else 180.0)
+                              for k in range(3)])
+        message = r"^cannot plot throttle_pwm values outside \[0, 180\]$"
+        with pytest.raises(ValueError, match=message):
+            write_plot_svg(trace, "throttle", tmp_path / "pwm.svg")
+        assert not (tmp_path / "pwm.svg").exists()
+        write_plot_svg(trace, "steering", tmp_path / "pwm.svg")  # a column it does not draw
 
     def test_unknown_channel_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="pixel_error_y"):
-            write_plot_svg(small_trace(), ["pixel_error_y", "steering_pwm"], tmp_path / "x.svg")
-        with pytest.raises(ValueError):
-            write_plot_svg(small_trace(), [], tmp_path / "x.svg")
+        for value in ("pixel_error_y", "", "Throttle", []):
+            with pytest.raises(ValueError, match=unknown_channel(value)):
+                write_plot_svg(small_trace(), value, tmp_path / "x.svg")
 
     @pytest.mark.parametrize("channels", [
         ["pixel_error_x"],
@@ -82,16 +92,19 @@ class TestWritePlotSvg:
         ["steering_pwm", "pixel_error_x"],
         ["throttle_pwm", "area_error"],
         ["pixel_error_x", "steering_pwm", "area_error", "throttle_pwm"],
+        ["pixel_error_x", "steering_pwm"],
+        ("area_error", "throttle_pwm"),
     ])
     def test_only_one_channel_pair_plots(self, tmp_path, channels):
-        # a single column, a mixed or reversed pair, or more than one pair
-        with pytest.raises(ValueError, match="channel pair"):
+        # a channel plots by its name alone: a column or a list of columns,
+        # even a channel's own (error, command) pair, names no channel
+        with pytest.raises(ValueError, match=unknown_channel(channels)):
             write_plot_svg(small_trace(), channels, tmp_path / "x.svg")
         assert not (tmp_path / "x.svg").exists()
 
     def test_no_external_references(self, tmp_path):
         path = tmp_path / "p.svg"
-        write_plot_svg(small_trace(), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(small_trace(), "steering", path)
         text = path.read_text()
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
         assert "href" not in text
@@ -99,7 +112,7 @@ class TestWritePlotSvg:
     def test_dual_axis_layout(self, tmp_path):
         # pwm channel present: right axis labeled PWM; error on the left axis
         path = tmp_path / "p.svg"
-        write_plot_svg(small_trace(), ["pixel_error_x", "steering_pwm"], path)
+        write_plot_svg(small_trace(), "steering", path)
         texts = [el.text for el in ET.parse(path).getroot().findall(f"{SVG}text")]
         assert "PWM" in texts
         assert "pixel_error_x" in texts
@@ -213,12 +226,11 @@ def plotted_traces(draw):
 @example(trace=Trace("empty", []), channel="throttle")
 @example(trace=Trace("flat", [make_record(0.02 * k) for k in range(5)]), channel="steering")
 def test_plot_is_byte_identical_to_frozen_multi_column_plotter(tmp_path, trace, channel):
-    pair = CHANNEL_COLUMNS[channel]
     try:
-        frozen_write_plot_svg(trace, pair, tmp_path / "want.svg")
+        frozen_write_plot_svg(trace, CHANNEL_COLUMNS[channel], tmp_path / "want.svg")
     except ZeroDivisionError:
         # a flat range at a value so small that a tenth of it underflows to 0:
         # the frozen plotter pads it by nothing and divides by a zero span
         assume(False)
-    write_plot_svg(trace, pair, tmp_path / "got.svg")
+    write_plot_svg(trace, channel, tmp_path / "got.svg")
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()

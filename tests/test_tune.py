@@ -167,7 +167,7 @@ class TestGridSearch:
         for r in results:
             # each score is the objective of a fresh run of its candidate, bit for bit
             fresh = run_scenario(replace(base, throttle_pid=replace(base.throttle_pid, **r.params)))
-            assert objective_value(fresh, "area_error", "itae", base.dt) == r.score
+            assert objective_value(fresh, "throttle", "itae", base.dt) == r.score
             # and its CSV is that run, to the 9 significant digits the CSV keeps
             written = read_trace_csv(tmp_path / candidate_filename(r)).records
             assert len(written) == len(fresh.records)
