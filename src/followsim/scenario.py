@@ -59,6 +59,19 @@ def _tag(value: float) -> str:
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
 
+def _lateral_suffix(offset: float, speed: float) -> str:
+    """The name suffix of a lateral_offset run."""
+    return f"_lat_{_tag(offset)}m_v{_tag(speed)}"
+
+
+# the longest file name a common file system holds, in bytes
+FILE_NAME_MAX_BYTES = 255
+# the most bytes a command adds to a scenario name: compare's `_fuzzy.csv`
+# (or `_report.md`) after a lateral_offset run's suffix, whose two numbers
+# take _tag's widest form, 13 characters such as m1p23457e+300
+NAME_SUFFIX_MAX_BYTES = len(_lateral_suffix(-1.23457e300, -1.23457e300) + "_fuzzy.csv")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -181,7 +194,7 @@ class ScenarioConfig:
             leader = parked if speed == 0.0 else LeaderScript(
                 kind="straight_line", start=start, speed_profile=speed
             )
-            rows = [(f"_lat_{_tag(offset)}m_v{_tag(speed)}", leader, start,
+            rows = [(_lateral_suffix(offset, speed), leader, start,
                      self.follow_range, offset, False)]
         else:  # path_follow: behind the start of the path's first leg
             reference = start
@@ -241,7 +254,16 @@ def default_scenario(
     VehicleState fields to values that override those of that placed pose.
     `fuzzy` maps a channel to default_fuzzy_config keyword arguments (sets,
     rules, spans, grid_points, output_scale) that replace its defaults.
+    The name must leave room for the longest suffix a command adds to it;
+    the runs of an archetype carry their suffix in their own name, so the
+    rule is kept here, where a scenario is first built, not by each run.
     """
+    size = len(os.fsencode(name))
+    if size + NAME_SUFFIX_MAX_BYTES > FILE_NAME_MAX_BYTES:
+        raise ScenarioError(f"name is {size} bytes in UTF-8, more than the "
+                            f"{FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES} it may take: an "
+                            f"output file name adds up to {NAME_SUFFIX_MAX_BYTES} bytes to it, "
+                            f"and a file name holds at most {FILE_NAME_MAX_BYTES}")
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
     if "setpoint_area" not in overrides:

@@ -4,28 +4,34 @@ One record is logged per control period (the camera frame interval); vehicle
 kinematics are integrated with sub-steps of at most 2 ms inside each period so
 plant accuracy never depends on the controller cadence. Runs are deterministic
 for a fixed seed except for the wall-clock loop_cost_us field.
+
+The loop records only what it senses, commands and integrates. The two
+bookkeeping columns, lateral_dev_m and follow_dist_m, feed no controller:
+they are worked out after the loop, for a block of records at a time.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
 from .sensor import area_error, observe, pixel_error_x
-from .world import (
-    following_distance,
-    integrate_bicycle,
-    lateral_deviation,
-    leader_pose,
-)
+from .world import integrate_bicycle, leader_pose, track_deviations
 
 STOP_REASON_STATIONARY = "follower_stationary"
+# records whose bookkeeping columns are worked out together: a block's rows
+# and arrays take about 270 bytes a record beyond the trace, some 4 MB,
+# however long the run
+BOOKKEEPING_BLOCK = 16384
 
 
 class TraceRecord(NamedTuple):
@@ -67,6 +73,44 @@ def _make_channel(config: ScenarioConfig, channel: str) -> ChannelController:
     )
 
 
+def _bookkeeping(config: ScenarioConfig, records: list) -> None:
+    """Turn each recorded row (every column but lateral_dev_m and
+    follow_dist_m) into its TraceRecord, in place, working the two columns
+    out for a block of records at a time.
+
+    Lateral deviation is measured against the leader script's own polyline:
+    its lane extended backward from the start (so there is a line from the
+    first record on), the corners passed by the record's time, and the
+    leader's position. A parked leader has passed only its start, and the
+    segment from there to itself has no length.
+    """
+    script = config.leader
+    leader0 = leader_pose(script, 0.0)
+    back = 10.0 * max(config.follow_range, 1.0)
+    tail = (leader0.x - back * math.cos(leader0.heading),
+            leader0.y - back * math.sin(leader0.heading))
+    vertices = (tail, (script.start.x, script.start.y),
+                *(q for _, q, _, _ in script.segments))
+    # a record has passed each corner whose arc length its leader has reached
+    # by then. Arc length never falls as t grows, so corner j is passed from
+    # the first record that reaches it on, found by bisection.
+    corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
+    first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
+             for s in corner_s]
+    make = TraceRecord._make
+    for lo in range(0, len(records), BOOKKEEPING_BLOCK):
+        rows = records[lo:lo + BOOKKEEPING_BLOCK]
+        passed = np.searchsorted(first, np.arange(lo, lo + len(rows)), side="right")
+        positions = chain.from_iterable(map(itemgetter(1, 2, 3, 4), rows))
+        lx, ly, fx, fy = np.fromiter(positions, float, 4 * len(rows)).reshape(-1, 4).T
+        lateral_dev = track_deviations((fx, fy), vertices, passed, (lx, ly))
+        # following_distance of each record: every recorded position is finite
+        with np.errstate(over="ignore"):
+            follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
+        records[lo:lo + len(rows)] = [make((*row[:10], lateral, gap, *row[10:]))
+                                      for row, lateral, gap in zip(rows, lateral_dev, follow_dist)]
+
+
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Sense -> control -> actuate -> integrate loop producing one Trace.
 
@@ -76,8 +120,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     has been slower than stop_speed_eps for stop_hold_time seconds. Against a
     parked leader with no pixel jitter the sensing depends on the follower
     alone, so while integrate_bicycle hands back the same follower object a
-    record reuses the last one's reading and distances; the controllers still
-    run on every record.
+    record reuses the last one's camera reading and errors; the controllers
+    still run on every record. lateral_dev_m and follow_dist_m are worked out
+    for every record after the loop (_bookkeeping).
     Takes plain (archetype "scenario") configs only; execute_archetype runs
     the others through ScenarioConfig.runs().
     """
@@ -97,19 +142,12 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     steering_pwm = throttle_pwm = NEUTRAL_PWM
     pe = 0.0
     ae = 0.0
-    # lateral deviation is measured against the leader script's own polyline:
-    # its lane extended backward from the start (so there is a line from the
-    # first record on), the corners already passed, and the leader's position
     script = config.leader
     parked = script.kind == "stationary"
     leader0 = leader_pose(script, 0.0)
-    back = 10.0 * max(config.follow_range, 1.0)
-    tail = (leader0.x - back * math.cos(leader0.heading),
-            leader0.y - back * math.sin(leader0.heading))
-    corners = ((script.start.x, script.start.y), *(q for _, q, _, _ in script.segments))
-    corner_s = list(accumulate((length for _, _, length, _ in script.segments), initial=0.0))
-    parked_track = (tail, corners[0])
-    records: list[TraceRecord] = []
+    # each record's row, which lacks lateral_dev_m and follow_dist_m until
+    # they are worked out after the loop
+    records = []
     stop_reason = None
     still_time = 0.0
     # observe draws from the rng only under jitter
@@ -118,16 +156,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
     for k in range(n_records):
         t = k * dt
-        if parked:
-            leader, track = leader0, parked_track
-        else:
-            leader = leader_pose(script, t)
-            passed = bisect_right(corner_s, script.progress(t)[0])
-            track = (tail, *corners[:passed], (leader.x, leader.y))
+        leader = leader0 if parked else leader_pose(script, t)
 
         started = time.perf_counter_ns()
-        held = follower is sensed
-        if not held:
+        if follower is not sensed:
             reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
             if reading is not None:
                 pe = pixel_error_x(reading, config.camera)
@@ -143,15 +175,11 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             steering_pwm = throttle_pwm = NEUTRAL_PWM
         loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
 
-        if not held:
-            lateral_dev = lateral_deviation(follower, track)
-            follow_dist = following_distance(follower, leader)
-            if reuse_sensing:
-                sensed = follower
-        records.append(TraceRecord(
+        if reuse_sensing:
+            sensed = follower
+        records.append((
             t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
-            steering_pwm, throttle_pwm, lateral_dev, follow_dist, reading is not None,
-            loop_cost_us, ops,
+            steering_pwm, throttle_pwm, reading is not None, loop_cost_us, ops,
         ))
 
         steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
@@ -165,6 +193,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 stop_reason = STOP_REASON_STATIONARY
                 break
 
+    _bookkeeping(config, records)
     return Trace(config.name, records, stop_reason=stop_reason)
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 SCRIPT_KINDS = ("stationary", "straight_line", "waypoint_path")
 
 # physics sub-step ceiling used by the experiment runner
@@ -309,36 +311,65 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
     return VehicleState(q[0], q[1], heading, 0.0)
 
 
-def lateral_deviation(follower: VehicleState, leader_track) -> float:
-    """Signed perpendicular distance from the follower to the leader's (x, y) polyline.
+def track_deviations(followers, vertices, passed, leaders) -> list[float]:
+    """Signed perpendicular distance from each follower position to its own
+    leader track, worked out for every record at once.
 
-    Positive when the follower sits left of the local track direction. A track
-    with a single distinct point (or a follower collinear with the nearest
-    segment's axis) has no left/right side; the unsigned distance is returned.
+    `followers` and `leaders` are (xs, ys) pairs of equal-length arrays, one
+    entry per record, and `vertices` is a sequence of (x, y) points. Record
+    i's track is the polyline vertices[:passed[i] + 1] followed by leaders[i].
+    Positive when the follower sits left of the local track direction.
+
+    Segments are measured in track order, skipping any of zero length, and
+    only a strictly nearer one replaces the best, so the first nearest gives
+    the sign. A follower on that segment's axis has no side: its unsigned
+    distance is returned. A track with no segment to measure, or whose every
+    squared distance overflows, gives the plain distance to vertices[0].
     """
+    fx, fy = np.asarray(followers, dtype=float)
+    lx, ly = np.asarray(leaders, dtype=float)
+    passed = np.asarray(passed)
+    best_d2 = np.full(fx.shape, math.inf)
+    best_sign = np.zeros(fx.shape)
+    # past float range a square reads inf and 0 * inf reads nan, as with floats
+    with np.errstate(all="ignore"):
+        # segment j of a record runs from vertex j to the next vertex, or to the
+        # leader if the record was cut after vertex j; no record runs on past
+        # the last vertex, which stands in as the next of its own
+        for j, ((px, py), (ex, ey)) in enumerate(zip(vertices, [*vertices[1:], vertices[-1]])):
+            to_leader = passed == j
+            qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
+            vx, vy = qx - px, qy - py
+            norm2 = vx * vx + vy * vy
+            u = ((fx - px) * vx + (fy - py) * vy) / norm2
+            u = np.where(0.0 > u, 0.0, u)  # max(u, 0.0), which keeps a -0.0 and a nan
+            u = np.where(1.0 < u, 1.0, u)  # min(u, 1.0)
+            dx, dy = fx - (px + u * vx), fy - (py + u * vy)
+            d2 = dx * dx + dy * dy
+            cross = vx * dy - vy * dx
+            closer = (passed >= j) & (norm2 != 0.0) & (d2 < best_d2)
+            best_d2 = np.where(closer, d2, best_d2)
+            best_sign = np.where(closer, np.where(cross != 0.0, np.copysign(1.0, cross), 0.0),
+                                 best_sign)
+        d = np.sqrt(best_d2)
+        out = np.where(best_sign != 0.0, best_sign * d, d).tolist()
+    x0, y0 = vertices[0]
+    for i in np.flatnonzero(np.isinf(best_d2)).tolist():
+        out[i] = math.hypot(float(fx[i]) - x0, float(fy[i]) - y0)
+    return out
+
+
+def lateral_deviation(follower: VehicleState, leader_track) -> float:
+    """Signed perpendicular distance from the follower to the leader's (x, y)
+    polyline, left of travel positive: track_deviations for one position,
+    whose leader stands on the polyline's last point, so the leg to it has
+    no length."""
     if not leader_track:
         raise ValueError("leader track must not be empty")
-
-    fx, fy = follower.x, follower.y
-    best_d2 = math.inf
-    best_sign = 0.0
-    for (px, py), (qx, qy) in zip(leader_track, leader_track[1:]):
-        vx, vy = qx - px, qy - py
-        norm2 = vx * vx + vy * vy
-        if norm2 == 0.0:  # a repeated point, or distinct points closer than sqrt(tiny)
-            continue
-        u = ((fx - px) * vx + (fy - py) * vy) / norm2
-        u = min(max(u, 0.0), 1.0)
-        dx, dy = fx - (px + u * vx), fy - (py + u * vy)
-        d2 = dx * dx + dy * dy  # inf, not OverflowError as `**` gives, past float range
-        if d2 < best_d2:
-            best_d2 = d2
-            cross = vx * dy - vy * dx
-            best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
-    if math.isinf(best_d2):  # one distinct point, every segment collapsed, or d2 overflowed
-        return math.hypot(fx - leader_track[0][0], fy - leader_track[0][1])
-    d = math.sqrt(best_d2)
-    return best_sign * d if best_sign != 0.0 else d
+    last_x, last_y = leader_track[-1]
+    (d,) = track_deviations(([follower.x], [follower.y]), leader_track,
+                            [len(leader_track) - 1], ([last_x], [last_y]))
+    return d
 
 
 def following_distance(follower: VehicleState, leader: VehicleState) -> float:

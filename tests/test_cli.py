@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from followsim import cli, simulate, tune
 from followsim.cli import main
-from followsim.scenario import CHANNELS, load_scenario, parse_scenario_text
+from followsim.scenario import (CHANNELS, FILE_NAME_MAX_BYTES, NAME_SUFFIX_MAX_BYTES,
+                                load_scenario, parse_scenario_text)
 from followsim.traceio import read_trace_csv
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -464,6 +465,38 @@ class TestNameStaysInsideOut:
             f"separator or NUL, got {name!r}\n")
         assert not out.exists()
         assert files_under(tmp_path) == {Path(scn)}
+
+
+class TestNameFitsAFileName:
+    """Every file name a command writes is the scenario name plus a suffix of
+    at most NAME_SUFFIX_MAX_BYTES, so a name that leaves no room for the
+    longest suffix within a file name fails at load, before --out exists."""
+
+    @pytest.mark.parametrize("args", COMMAND_ARGS, ids=lambda args: args[0])
+    def test_a_300_byte_name_fails_before_out_exists(self, tmp_path, capsys, args):
+        scn = write_scenario(tmp_path, "named", f"name = {'a' * 300}\nduration = 0.1\n")
+        out = tmp_path / "o"
+        assert main(args[:1] + ["--scenario", scn] + args[1:] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scn}: line 1: name: name is 300 bytes in UTF-8, more than the 211 it "
+            f"may take: an output file name adds up to 44 bytes to it, and a file name holds "
+            f"at most 255\n")
+        assert not out.exists()
+        assert files_under(tmp_path) == {Path(scn)}
+
+    def test_a_name_at_the_limit_runs_compare_with_the_widest_suffix(self, tmp_path, capsys):
+        name = "é" * 105 + "a"  # two bytes per é in UTF-8
+        assert len(name.encode()) == FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES == 211
+        scn = write_scenario(tmp_path, "named", (
+            f"name = {name}\narchetype = lateral_offset\nlateral.offset = -1.23457e-300\n"
+            "lateral.leader_speed = 1.23457e-300\nduration = 0.1\n"))
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 0, capsys.readouterr()
+        stem = f"{name}_lat_m1p23457em300m_v1p23457em300"
+        assert {path.name for path in files_under(out)} == {
+            f"{stem}_{family}.{ext}" for family in ("pid", "fuzzy") for ext in ("csv", "svg")
+        } | {f"{stem}_report.md"}
+        assert max(len(os.fsencode(path.name)) for path in files_under(out)) == 254
 
 
 class TestParserSurface:

@@ -39,8 +39,9 @@ def test_outputs_match_golden_hashes():
 
 
 def test_a_perturbed_column_is_named_and_no_other(monkeypatch):
-    real = simulate.lateral_deviation
-    monkeypatch.setattr(simulate, "lateral_deviation", lambda f, track: real(f, track) + 1e-3)
+    real = simulate.track_deviations
+    monkeypatch.setattr(simulate, "track_deviations",
+                        lambda *args: [d + 1e-3 for d in real(*args)])
     moved = golden_mismatch(_make_golden()).split("columns that moved: ", 1)[1]
     traces = [label for label in json.loads((GOLDEN / "hashes.json").read_text())
               if label.endswith(".csv") and not label.endswith("tune_results.csv")]

@@ -28,7 +28,8 @@ from followsim import (
 )
 from followsim.metrics import trace_metrics
 from followsim.pid import MAX_GAIN
-from followsim.scenario import CHANNELS, DEFAULT_FOLLOW_RANGE, MAX_SUB_STEPS, SCENARIO_KEYS
+from followsim.scenario import (CHANNELS, DEFAULT_FOLLOW_RANGE, FILE_NAME_MAX_BYTES, MAX_SUB_STEPS,
+                                NAME_SUFFIX_MAX_BYTES, SCENARIO_KEYS)
 from followsim.world import place_behind
 
 DATA = Path(__file__).parent / "data"
@@ -679,6 +680,16 @@ class TestLoadScenario:
         monkeypatch.setattr(os, "altsep", "\\")  # as on Windows
         with pytest.raises(ScenarioError, match="file stem"):
             default_scenario("a\\b")
+
+    def test_name_length_limit_counts_utf8_bytes(self):
+        # 44 bytes: `_lat_`, two numbers of _tag's widest 13 characters, `m_v`
+        # and `_fuzzy.csv`
+        assert NAME_SUFFIX_MAX_BYTES == len("_lat_m1p23457e+300m_vm1p23457e+300_fuzzy.csv") == 44
+        limit = FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES
+        assert parse_scenario_text(f"name = {'a' * limit}\n").name == "a" * limit
+        for name in ("a" * (limit + 1), "é" * (limit // 2 + 1)):
+            with pytest.raises(ScenarioError, match=rf"^line 1: name: name is {limit + 1} bytes"):
+                parse_scenario_text(f"name = {name}\n")
 
     @pytest.mark.parametrize("name", [".", "..", "...", "a b", "s.curve.v2", "-x_"])
     def test_stem_names_load(self, name):

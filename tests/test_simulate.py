@@ -1,8 +1,10 @@
 import gc
 import math
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from functools import cached_property, partial
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STEADY_STATE_PX, overflowing_pid_config, records_match_except_timing
+from test_world import frozen_lateral_deviation
 from followsim import (
     LeaderScript,
     ScenarioError,
@@ -20,9 +23,9 @@ from followsim import (
     parse_scenario_text,
     run_scenario,
 )
-from followsim import actuation, simulate
+from followsim import actuation, simulate, world
 from followsim.scenario import MAX_RECORDS
-from followsim.world import place_behind
+from followsim.world import following_distance, leader_pose, place_behind
 
 ROOT = Path(__file__).parents[1]
 S_CURVE = ROOT / "scenarios" / "s_curve.scn"
@@ -289,27 +292,33 @@ class TestLeaderTrack:
     cut at the leader's current arc length: a bounded track per record."""
 
     @staticmethod
-    def track_lengths(monkeypatch, config):
-        lengths = []
-        measure = simulate.lateral_deviation
+    def passes(monkeypatch, config):
+        """(vertex count, track lengths) of each call of the per-run pass."""
+        calls = []
+        measure = simulate.track_deviations
 
-        def counting(follower, leader_track):
-            lengths.append(len(leader_track))
-            return measure(follower, leader_track)
+        def counting(followers, vertices, passed, leaders):
+            calls.append((len(vertices), [int(p) + 2 for p in passed]))
+            return measure(followers, vertices, passed, leaders)
 
-        monkeypatch.setattr(simulate, "lateral_deviation", counting)
+        monkeypatch.setattr(simulate, "track_deviations", counting)
         (trace,) = execute_archetype(config)
-        assert len(lengths) == len(trace.records)
-        return lengths
+        assert len(calls) == 1  # once per run, over every record
+        assert len(calls[0][1]) == len(trace.records)
+        return calls[0]
 
     def test_track_bounded_on_long_straight_run(self, monkeypatch):
         cfg = replace(load_scenario(S_CURVE), duration=80.0,
                       leader=LeaderScript(kind="straight_line", speed_profile=1.0))
-        assert max(self.track_lengths(monkeypatch, cfg)) <= 3  # no waypoints
+        vertices, lengths = self.passes(monkeypatch, cfg)
+        assert vertices == 2  # the lane's tail and the start: no waypoints
+        assert max(lengths) <= 3
 
     def test_track_bounded_on_waypoint_path(self, monkeypatch):
         cfg = load_scenario(S_CURVE)
-        assert max(self.track_lengths(monkeypatch, cfg)) <= len(cfg.leader.waypoints) + 3
+        vertices, lengths = self.passes(monkeypatch, cfg)
+        assert vertices <= len(cfg.leader.segments) + 2
+        assert max(lengths) <= len(cfg.leader.waypoints) + 3
 
     @staticmethod
     def assert_deviation_matches_cut_polyline(cfg):
@@ -349,6 +358,36 @@ class TestLeaderTrack:
         trace = self.assert_deviation_matches_cut_polyline(cfg)
         assert trace.records[0].lateral_dev_m == 0.5  # the follower starts left of the lane
 
+    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
+    def test_columns_match_the_per_record_definitions(self, kind):
+        """Every record's lateral_dev_m and follow_dist_m carry the bits that
+        lateral_deviation on the record's cut track and following_distance
+        gave when the loop worked them out record by record. The leader
+        starts at -0.0, stops on its first corner, then drives on at two more
+        speeds past a repeated waypoint to the end of its path."""
+        leader = LeaderScript(kind="waypoint_path", start=VehicleState(-0.0, -0.0, 0.0),
+                              speed_profile=((0.0, 0.5), (4.0, 0.0), (5.0, 0.9), (7.0, 0.4)),
+                              waypoints=((2.0, -0.0), (3.0, 1.0), (3.0, 1.0), (5.0, 1.0)))
+        cfg = replace(load_scenario(S_CURVE), archetype="scenario", leader=leader,
+                      duration=12.0, steering_kind=kind, throttle_kind=kind,
+                      follower_start=place_behind(leader.start, 1.5, -0.0))
+        (trace,) = execute_archetype(cfg)
+        leader0 = leader_pose(leader, 0.0)
+        back = 10.0 * max(cfg.follow_range, 1.0)
+        tail = (leader0.x - back * math.cos(leader0.heading),
+                leader0.y - back * math.sin(leader0.heading))
+        corners = ((leader.start.x, leader.start.y), *(q for _, q, _, _ in leader.segments))
+        corner_s = list(accumulate((length for _, _, length, _ in leader.segments), initial=0.0))
+        cut = [bisect_right(corner_s, leader.progress(r.t)[0]) for r in trace.records]
+        assert set(cut) == {1, 2, 3, 4}  # every corner is passed, the last one is the end
+        for r, passed in zip(trace.records, cut):
+            follower = VehicleState(r.follower_x, r.follower_y)
+            want = frozen_lateral_deviation(follower, (tail, *corners[:passed],
+                                                       (r.leader_x, r.leader_y)))
+            assert r.lateral_dev_m.hex() == want.hex()
+            gap = following_distance(follower, VehicleState(r.leader_x, r.leader_y))
+            assert r.follow_dist_m.hex() == gap.hex()
+
 
 class TestPhysicsCalls:
     """The runner integrates each control period in one kernel call."""
@@ -370,44 +409,43 @@ class TestPhysicsCalls:
 
 class TestHeldSensing:
     """Against a parked leader with no jitter, a record whose follower did not
-    move reuses the previous record's reading and distances; any other
-    record senses afresh."""
+    move reuses the previous record's camera reading; any other record senses
+    afresh. The distances are worked out for every record after the run."""
 
-    SENSING = ("observe", "lateral_deviation", "following_distance")
+    @staticmethod
+    def observe_calls(monkeypatch, config):
+        calls = []
+        real = simulate.observe
 
-    @classmethod
-    def sensing_calls(cls, monkeypatch, config):
-        calls = {name: 0 for name in cls.SENSING}
-        for name in cls.SENSING:
-            def counting(*args, _name=name, _f=getattr(simulate, name), **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(simulate, name, counting)
+        monkeypatch.setattr(simulate, "observe", counting)
         (trace,) = execute_archetype(config)
         records = trace.records
         pose = lambda r: (r.follower_x, r.follower_y, r.follower_heading)  # noqa: E731
         still = sum(1 for a, b in zip(records, records[1:]) if pose(a) == pose(b))
         assert still > 0  # every case below has records in which the follower stood still
-        return calls, len(records), still
+        return len(calls), len(records), still
 
     def test_parked_leader_senses_once_per_move(self, monkeypatch):
-        calls, records, still = self.sensing_calls(monkeypatch, load_scenario(THROTTLE_STEP))
-        assert calls == dict.fromkeys(self.SENSING, records - still)
+        calls, records, still = self.observe_calls(monkeypatch, load_scenario(THROTTLE_STEP))
+        assert calls == records - still
 
     def test_jitter_senses_every_record(self, monkeypatch):
         cfg = load_scenario(THROTTLE_STEP)
         cfg = replace(cfg, camera=replace(cfg.camera, jitter_px=1.0))
-        calls, records, _ = self.sensing_calls(monkeypatch, cfg)
-        assert calls == dict.fromkeys(self.SENSING, records)
+        calls, records, _ = self.observe_calls(monkeypatch, cfg)
+        assert calls == records
 
     def test_moving_leader_senses_every_record(self, monkeypatch):
         # the leader drives off once the follower has stopped behind it
         cfg = load_scenario(THROTTLE_STEP)
         cfg = replace(cfg, leader=LeaderScript(kind="straight_line", start=cfg.leader.start,
                                                speed_profile=((0.0, 0.0), (8.0, 0.5))))
-        calls, records, _ = self.sensing_calls(monkeypatch, cfg)
-        assert calls == dict.fromkeys(self.SENSING, records)
+        calls, records, _ = self.observe_calls(monkeypatch, cfg)
+        assert calls == records
 
 
 class TestPerRunWork:
@@ -428,6 +466,26 @@ class TestPerRunWork:
         (trace,) = execute_archetype(cfg)
         assert len(trace.records) == 900
         assert len(calls) == 1 and calls[0] is cfg.leader
+
+    def test_no_distance_is_worked_out_per_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-record distance call")
+
+        for module in (simulate, world):
+            for name in ("lateral_deviation", "following_distance"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for path in (S_CURVE, THROTTLE_STEP, LATERAL_MOVING):
+            assert all(trace.records for trace in execute_archetype(load_scenario(path)))
+
+    def test_bookkeeping_blocks_give_the_same_records(self, monkeypatch):
+        # s_curve's 900 records in blocks of 7, with a last block of 4
+        cfg = load_scenario(S_CURVE)
+        (whole,) = execute_archetype(cfg)
+        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
+        (blocked,) = execute_archetype(cfg)
+        assert len(blocked.records) == 900
+        assert all(map(records_match_except_timing, whole.records, blocked.records))
 
     def test_fuzzy_op_cost_counted_once_per_channel(self, monkeypatch):
         cfg = replace(load_scenario(S_CURVE), steering_kind="fuzzy", throttle_kind="fuzzy")

@@ -18,6 +18,7 @@ from followsim import (
     normalize_angle,
     step_bicycle,
 )
+from followsim.world import track_deviations
 
 PARAMS = VehicleParams()
 
@@ -659,7 +660,10 @@ def frozen_lateral_deviation(follower: VehicleState, leader_track) -> float:
         u = ((fx - px) * vx + (fy - py) * vy) / norm2
         u = min(max(u, 0.0), 1.0)
         cx, cy = px + u * vx, py + u * vy
-        d2 = (fx - cx) ** 2 + (fy - cy) ** 2
+        try:
+            d2 = (fx - cx) ** 2 + (fy - cy) ** 2
+        except OverflowError:  # a square past float range, which a product reads as inf
+            d2 = math.inf
         if d2 < best_d2:
             best_d2 = d2
             cross = vx * (fy - cy) - vy * (fx - cx)
@@ -681,6 +685,59 @@ def repeating_tracks(draw):
                 x = -x
             track.append((x, y))
     return track
+
+
+@st.composite
+def cut_tracks(draw):
+    """A vertex table, then records that each cut it after one of its
+    vertices and end their track at their own leader position. Coordinates
+    repeat, line up on legs, carry either zero, or lie near 1e300, where a
+    squared distance overflows."""
+    coord = st.one_of(
+        st.floats(-10, 10),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+        st.floats(1e299, 1e301),
+        st.floats(-1e301, -1e299),
+    )
+    point = st.tuples(coord, coord)
+    vertices = draw(st.lists(point, min_size=1, max_size=5))
+    n = draw(st.integers(1, 6))
+    passed = draw(st.lists(st.integers(0, len(vertices) - 1), min_size=n, max_size=n))
+    followers = draw(st.lists(point, min_size=n, max_size=n))
+    leaders = draw(st.lists(point, min_size=n, max_size=n))
+    return vertices, passed, followers, leaders
+
+
+class TestTrackDeviations:
+    """The per-run pass gives, for every record, the bits of the scalar
+    definition on that record's cut polyline."""
+
+    @given(cut_tracks())
+    # collinear legs with a repeated corner and a follower on the axis
+    @example(([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [3, 1],
+              [(3.0, 0.0), (-0.0, 0.5)], [(2.0, 0.0), (1.0, -0.0)]))
+    # the follower's squared distance overflows on the only segment
+    @example(([(0.0, 0.0)], [0], [(1e300, 1e300)], [(1.0, 0.0)]))
+    @settings(max_examples=300)
+    @pytest.mark.filterwarnings("error")
+    def test_matches_the_frozen_definition_on_each_cut_track(self, case):
+        vertices, passed, followers, leaders = case
+        got = track_deviations(tuple(zip(*followers)), vertices, passed, tuple(zip(*leaders)))
+        for d, cut, (fx, fy), leader in zip(got, passed, followers, leaders):
+            want = frozen_lateral_deviation(VehicleState(fx, fy), [*vertices[:cut + 1], leader])
+            assert d.hex() == want.hex()
+
+    def test_an_overflowing_distance_falls_back_to_the_first_vertex(self):
+        # d2 is inf on the one segment, so no segment is nearest
+        (d,) = track_deviations(([1e300], [1e300]), [(0.0, 0.0)], [0], ([1.0], [0.0]))
+        assert d == math.hypot(1e300, 1e300)
+
+    def test_records_cut_at_different_vertices(self):
+        # the same follower against an L-shaped table: before the corner only
+        # the first leg and the leg to the leader count
+        vertices = [(-10.0, 0.0), (0.0, 0.0), (2.0, 0.0), (2.0, 2.0)]
+        got = track_deviations(([2.5, 2.5], [1.0, 1.0]), vertices, [1, 3], ([1.0, 2.0], [0.0, 3.0]))
+        assert got == [math.hypot(1.5, 1.0), -0.5]
 
 
 class TestLateralDeviation:
