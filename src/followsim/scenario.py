@@ -59,17 +59,10 @@ def _tag(value: float) -> str:
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
 
-def _lateral_suffix(offset: float, speed: float) -> str:
-    """The name suffix of a lateral_offset run."""
-    return f"_lat_{_tag(offset)}m_v{_tag(speed)}"
-
-
 # the longest file name a common file system holds, in bytes
 FILE_NAME_MAX_BYTES = 255
-# the most bytes a command adds to a scenario name: compare's `_fuzzy.csv`
-# (or `_report.md`) after a lateral_offset run's suffix, whose two numbers
-# take _tag's widest form, 13 characters such as m1p23457e+300
-NAME_SUFFIX_MAX_BYTES = len(_lateral_suffix(-1.23457e300, -1.23457e300) + "_fuzzy.csv")
+# the most bytes a command adds to a run's name: compare's `_fuzzy.csv` or `_report.md`
+COMMAND_SUFFIX_MAX_BYTES = len("_fuzzy.csv")
 
 
 @dataclass(frozen=True)
@@ -106,9 +99,15 @@ class ScenarioConfig:
         if {os.sep, os.altsep, "\0"} & set(self.name):  # each output file name starts with it
             raise ScenarioError(f"name must be a file stem, with no path separator or NUL, "
                                 f"got {self.name!r}")
+        size = len(os.fsencode(self.name))  # a run's name carries its archetype's suffix
+        if size + COMMAND_SUFFIX_MAX_BYTES > FILE_NAME_MAX_BYTES:
+            raise ScenarioError(f"name, with its run's suffix if any, is {size} bytes in UTF-8, "
+                                f"more than the {FILE_NAME_MAX_BYTES - COMMAND_SUFFIX_MAX_BYTES} "
+                                f"it may take: a command adds up to {COMMAND_SUFFIX_MAX_BYTES} "
+                                f"bytes to it, and a file name holds at most {FILE_NAME_MAX_BYTES}")
         if self.archetype not in ARCHETYPES:
             raise ScenarioError(f"unknown archetype {self.archetype!r}")
-        if self.duration < self.dt:
+        if not self.duration >= self.dt:
             raise ScenarioError("duration must be at least 1 / camera.frame_rate")
         if self.duration * self.camera.frame_rate > MAX_RECORDS:
             raise ScenarioError(f"duration * camera.frame_rate exceeds the "
@@ -131,9 +130,9 @@ class ScenarioConfig:
         if self.lost_target_policy not in LOST_TARGET_POLICIES:
             raise ScenarioError(f"lost_target.policy must be hold or stop, "
                                 f"got {self.lost_target_policy!r}")
-        if self.stop_speed_eps < 0:
+        if not self.stop_speed_eps >= 0:
             raise ScenarioError("stop.speed_eps must be non-negative")
-        if self.stop_hold_time <= 0:
+        if not self.stop_hold_time > 0:
             raise ScenarioError("stop.hold_time must be positive")
         for setting, key in ((self.steering_filter, "steering"), (self.throttle_filter, "throttle")):
             if setting is None or setting == "auto":
@@ -194,7 +193,7 @@ class ScenarioConfig:
             leader = parked if speed == 0.0 else LeaderScript(
                 kind="straight_line", start=start, speed_profile=speed
             )
-            rows = [(_lateral_suffix(offset, speed), leader, start,
+            rows = [(f"_lat_{_tag(offset)}m_v{_tag(speed)}", leader, start,
                      self.follow_range, offset, False)]
         else:  # path_follow: behind the start of the path's first leg
             reference = start
@@ -254,16 +253,7 @@ def default_scenario(
     VehicleState fields to values that override those of that placed pose.
     `fuzzy` maps a channel to default_fuzzy_config keyword arguments (sets,
     rules, spans, grid_points, output_scale) that replace its defaults.
-    The name must leave room for the longest suffix a command adds to it;
-    the runs of an archetype carry their suffix in their own name, so the
-    rule is kept here, where a scenario is first built, not by each run.
     """
-    size = len(os.fsencode(name))
-    if size + NAME_SUFFIX_MAX_BYTES > FILE_NAME_MAX_BYTES:
-        raise ScenarioError(f"name is {size} bytes in UTF-8, more than the "
-                            f"{FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES} it may take: an "
-                            f"output file name adds up to {NAME_SUFFIX_MAX_BYTES} bytes to it, "
-                            f"and a file name holds at most {FILE_NAME_MAX_BYTES}")
     camera = overrides.setdefault("camera", CameraIntrinsics())
     panel = overrides.setdefault("panel", TargetPanel())
     if "setpoint_area" not in overrides:

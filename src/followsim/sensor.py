@@ -31,7 +31,7 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         if self.image_width <= 0 or self.image_width % 2 != 0:
             raise ValueError("image_width must be a positive even integer")
-        if self.image_height <= 0:
+        if not self.image_height > 0:
             raise ValueError("image_height must be positive")
         if not 0.0 < self.horizontal_fov < math.pi:
             raise ValueError("horizontal_fov must be in (0, pi)")
@@ -39,7 +39,7 @@ class CameraIntrinsics:
             raise ValueError("frame_rate must be positive and finite")
         if not 0.0 < self.min_range < self.max_range:
             raise ValueError("need 0 < min_range < max_range")
-        if self.jitter_px < 0:
+        if not self.jitter_px >= 0:
             raise ValueError("jitter_px must be non-negative")
         if not math.isfinite(self.focal_px) or self.focal_px <= 0:
             raise ValueError("horizontal_fov gives a degenerate focal length")
@@ -58,11 +58,11 @@ class TargetPanel:
     rear_offset: float = 0.0  # panel center distance behind the leader reference point
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.height <= 0:
+        if not self.height > 0:
             raise ValueError("height must be positive")
-        if self.rear_offset < 0:
+        if not self.rear_offset >= 0:
             raise ValueError("rear_offset must be non-negative")
 
 

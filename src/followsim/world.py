@@ -119,6 +119,8 @@ class LeaderScript:
             object.__setattr__(self, "waypoints", pts)
             if not all(math.isfinite(length) for _, _, length, _ in self.segments):
                 raise ValueError("waypoints make a path segment too long to measure")
+        elif self.waypoints is not None:
+            raise ValueError(f"waypoints are driven only by kind waypoint_path, not {self.kind}")
 
     def progress(self, t: float) -> tuple[float, float]:
         """(arc length traveled, speed) at time t under the piecewise-constant profile."""

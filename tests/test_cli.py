@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from followsim import cli, simulate, tune
 from followsim.cli import main
-from followsim.scenario import (CHANNELS, FILE_NAME_MAX_BYTES, NAME_SUFFIX_MAX_BYTES,
+from followsim.scenario import (CHANNELS, COMMAND_SUFFIX_MAX_BYTES, FILE_NAME_MAX_BYTES,
                                 load_scenario, parse_scenario_text)
 from followsim.traceio import read_trace_csv
 
@@ -450,7 +450,9 @@ class TestNameStaysInsideOut:
                 if rejected:
                     assert "line 1: name: " in err
                     assert not out.exists()
-            assert all(out in path.parents for path in files_under(fresh) - before)
+            new_files = files_under(fresh) - before
+            assert all(out in path.parents for path in new_files)
+            assert all(len(os.fsencode(path.name)) <= FILE_NAME_MAX_BYTES for path in new_files)
 
     @pytest.mark.parametrize("args", COMMAND_ARGS, ids=lambda args: args[0])
     @pytest.mark.parametrize("name", ["../escaped", "/absolute"])
@@ -468,35 +470,66 @@ class TestNameStaysInsideOut:
 
 
 class TestNameFitsAFileName:
-    """Every file name a command writes is the scenario name plus a suffix of
-    at most NAME_SUFFIX_MAX_BYTES, so a name that leaves no room for the
-    longest suffix within a file name fails at load, before --out exists."""
+    """Every file name a command writes is a run's name (the scenario name
+    plus its archetype's suffix) plus at most COMMAND_SUFFIX_MAX_BYTES, so a
+    run name that leaves no room for that within a file name fails at load,
+    before --out exists."""
+
+    @staticmethod
+    def too_long(size: int) -> str:
+        return (f"name, with its run's suffix if any, is {size} bytes in UTF-8, more than the "
+                f"245 it may take: a command adds up to 10 bytes to it, and a file name holds "
+                f"at most 255")
 
     @pytest.mark.parametrize("args", COMMAND_ARGS, ids=lambda args: args[0])
     def test_a_300_byte_name_fails_before_out_exists(self, tmp_path, capsys, args):
         scn = write_scenario(tmp_path, "named", f"name = {'a' * 300}\nduration = 0.1\n")
         out = tmp_path / "o"
         assert main(args[:1] + ["--scenario", scn] + args[1:] + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {scn}: line 1: name: name is 300 bytes in UTF-8, more than the 211 it "
-            f"may take: an output file name adds up to 44 bytes to it, and a file name holds "
-            f"at most 255\n")
+        assert capsys.readouterr().err == f"error: {scn}: line 1: name: {self.too_long(300)}\n"
         assert not out.exists()
         assert files_under(tmp_path) == {Path(scn)}
 
     def test_a_name_at_the_limit_runs_compare_with_the_widest_suffix(self, tmp_path, capsys):
-        name = "é" * 105 + "a"  # two bytes per é in UTF-8
-        assert len(name.encode()) == FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES == 211
+        # _tag's widest forms: 13 characters for a negative offset, 12 for a speed
+        suffix = "_lat_m1p23457em300m_v1p23457e+300"
+        name = "é" * 106  # two bytes per é in UTF-8
+        assert len(name.encode()) + len(suffix) + COMMAND_SUFFIX_MAX_BYTES == FILE_NAME_MAX_BYTES
         scn = write_scenario(tmp_path, "named", (
             f"name = {name}\narchetype = lateral_offset\nlateral.offset = -1.23457e-300\n"
-            "lateral.leader_speed = 1.23457e-300\nduration = 0.1\n"))
+            "lateral.leader_speed = 1.23457e300\nduration = 0.1\n"))
         out = tmp_path / "o"
         assert main(["compare", "--scenario", scn, "--out", str(out)]) == 0, capsys.readouterr()
-        stem = f"{name}_lat_m1p23457em300m_v1p23457em300"
+        stem = name + suffix
         assert {path.name for path in files_under(out)} == {
             f"{stem}_{family}.{ext}" for family in ("pid", "fuzzy") for ext in ("csv", "svg")
         } | {f"{stem}_report.md"}
-        assert max(len(os.fsencode(path.name)) for path in files_under(out)) == 254
+        assert max(len(os.fsencode(path.name)) for path in files_under(out)) == 255
+
+    def test_a_plain_name_may_take_245_bytes(self, tmp_path, capsys):
+        name = "a" * 245
+        scn = write_scenario(tmp_path, "named", f"name = {name}\nduration = 0.1\n")
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 0, capsys.readouterr()
+        assert {path.name for path in files_under(out)} == {
+            f"{name}_{family}.{ext}" for family in ("pid", "fuzzy") for ext in ("csv", "svg")
+        } | {f"{name}_report.md"}
+        assert max(len(os.fsencode(path.name)) for path in files_under(out)) == 255
+        capsys.readouterr()
+        scn = write_scenario(tmp_path, "longer", f"name = {name}a\nduration = 0.1\n")
+        out = tmp_path / "o2"
+        assert main(["compare", "--scenario", scn, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scn}: line 1: name: {self.too_long(246)}\n"
+        assert not out.exists()
+
+    def test_separations_that_overflow_a_run_name_fail_before_out_exists(self, tmp_path, capsys):
+        # a 240-byte name loads, and runs, but its `_sep_1m` run would take 247 bytes
+        scn = write_scenario(tmp_path, "named", f"name = {'a' * 240}\nduration = 0.1\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", scn, "--separations", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --separations '1': {self.too_long(247)}\n"
+        assert not out.exists()
+        assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
 
 
 class TestParserSurface:

@@ -28,8 +28,8 @@ from followsim import (
 )
 from followsim.metrics import trace_metrics
 from followsim.pid import MAX_GAIN
-from followsim.scenario import (CHANNELS, DEFAULT_FOLLOW_RANGE, FILE_NAME_MAX_BYTES, MAX_SUB_STEPS,
-                                NAME_SUFFIX_MAX_BYTES, SCENARIO_KEYS)
+from followsim.scenario import (CHANNELS, COMMAND_SUFFIX_MAX_BYTES, DEFAULT_FOLLOW_RANGE,
+                                FILE_NAME_MAX_BYTES, MAX_SUB_STEPS, SCENARIO_KEYS)
 from followsim.world import place_behind
 
 DATA = Path(__file__).parent / "data"
@@ -416,6 +416,10 @@ def test_archetype_inputs_fail_at_load(text, message):
      "line 2: leader.waypoints: waypoints must hold at least two"),
     ("leader.waypoints = 1 1; 1 1\nleader.kind = waypoint_path\n",
      "line 1: leader.waypoints: waypoints must contain at least two distinct points"),
+    ("leader.kind = stationary\nleader.speed = 1\nleader.waypoints = 1 0; 2 0\n",
+     "line 3: leader.waypoints: waypoints are driven only by kind waypoint_path, not stationary"),
+    ("leader.kind = straight_line\nleader.speed = 1\nleader.waypoints = 1 0; 2 0\n",
+     "line 3: leader.waypoints: waypoints are driven only by kind waypoint_path, not straight_line"),
     ("follower.start.speed = 5\n",
      "line 1: follower.start.speed: follower.start.speed must be in [0, vehicle.max_speed]"),
     ("panel.width = -1\npanel.height = 0.3\n", "line 1: panel.width: width must be positive"),
@@ -454,10 +458,11 @@ def test_archetype_inputs_fail_at_load(text, message):
 ], ids=["empty_name", "path_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
         "separations", "integer", "bool", "waypoint", "membership", "label", "set_variable",
         "profile_start", "profile_order", "profile_sign", "leader_kind", "no_waypoints",
-        "one_waypoint", "same_waypoints", "start_speed", "panel_width", "panel_height", "rear_offset",
-        "focal_length", "frame_interval", "area_overflow", "area_underflow", "follow_range",
-        "max_speed", "turn_rate", "centroid_sum", "throttle_universe", "endless_frames",
-        "long_frames", "sub_step_guard", "follower_reach"])
+        "one_waypoint", "same_waypoints", "parked_waypoints", "line_waypoints", "start_speed",
+        "panel_width", "panel_height", "rear_offset", "focal_length", "frame_interval",
+        "area_overflow", "area_underflow", "follow_range", "max_speed", "turn_rate",
+        "centroid_sum", "throttle_universe", "endless_frames", "long_frames", "sub_step_guard",
+        "follower_reach"])
 def test_file_reachable_check_names_line_and_key(text, prefix):
     with pytest.raises(ScenarioError, match=f"^{re.escape(prefix)}"):
         parse_scenario_text(text)
@@ -655,6 +660,19 @@ def test_readme_default_column_is_the_parsed_default():
     assert prose == PROSE_DEFAULTS
 
 
+# field -> the message its range check gives when the field is NaN
+NAN_FAILS = {
+    "stop_hold_time": "stop.hold_time must be positive",
+    "stop_speed_eps": "stop.speed_eps must be non-negative",
+    "duration": "duration must be at least 1 / camera.frame_rate",
+    "width": "width must be positive",
+    "height": "height must be positive",
+    "rear_offset": "rear_offset must be non-negative",
+    "image_height": "image_height must be positive",
+    "jitter_px": "jitter_px must be non-negative",
+}
+
+
 class TestLoadScenario:
     def test_load_names_from_stem(self, tmp_path):
         path = tmp_path / "myrun.scn"
@@ -682,14 +700,45 @@ class TestLoadScenario:
             default_scenario("a\\b")
 
     def test_name_length_limit_counts_utf8_bytes(self):
-        # 44 bytes: `_lat_`, two numbers of _tag's widest 13 characters, `m_v`
-        # and `_fuzzy.csv`
-        assert NAME_SUFFIX_MAX_BYTES == len("_lat_m1p23457e+300m_vm1p23457e+300_fuzzy.csv") == 44
-        limit = FILE_NAME_MAX_BYTES - NAME_SUFFIX_MAX_BYTES
+        # a plain run's name is the scenario name, and compare adds `_fuzzy.csv`
+        assert COMMAND_SUFFIX_MAX_BYTES == len("_fuzzy.csv") == len("_report.md") == 10
+        limit = FILE_NAME_MAX_BYTES - COMMAND_SUFFIX_MAX_BYTES
+        assert limit == 245
         assert parse_scenario_text(f"name = {'a' * limit}\n").name == "a" * limit
         for name in ("a" * (limit + 1), "é" * (limit // 2 + 1)):
-            with pytest.raises(ScenarioError, match=rf"^line 1: name: name is {limit + 1} bytes"):
+            with pytest.raises(ScenarioError, match=(
+                    rf"^line 1: name: name, with its run's suffix if any, is {limit + 1} bytes "
+                    rf"in UTF-8, more than the {limit} it may take: a command adds up to 10 "
+                    rf"bytes to it, and a file name holds at most 255$")):
                 parse_scenario_text(f"name = {name}\n")
+
+    @pytest.mark.parametrize("build", [
+        lambda name: parse_scenario_text(f"name = {name}\nduration = 0.1\n"),
+        lambda name: default_scenario(name),
+        lambda name: replace(load_scenario(SCENARIOS / "throttle_step.scn"), name=name),
+        lambda name: replace(default_scenario(), archetype="step_response", name=name),
+    ], ids=["file", "default_scenario", "replace", "replace_archetype"])
+    def test_a_300_byte_name_fails_by_every_route(self, build):
+        with pytest.raises(ScenarioError, match="name, with its run's suffix if any, is 300 bytes"):
+            build("a" * 300)
+
+    def test_a_lateral_run_name_may_reach_the_limit_exactly(self):
+        text = "archetype = lateral_offset\nlateral.offset = 1\nname = {}\n"
+        name = "a" * (FILE_NAME_MAX_BYTES - COMMAND_SUFFIX_MAX_BYTES - len("_lat_1m_v1"))
+        (run,) = parse_scenario_text(text.format(name)).runs()
+        assert run.name == f"{name}_lat_1m_v1"
+        assert len(run.name) == 245
+        with pytest.raises(ScenarioError, match="^line 3: name: name, with its run's suffix if "
+                                                "any, is 246 bytes"):
+            parse_scenario_text(text.format(name + "a"))
+
+    @pytest.mark.parametrize("field, message", NAN_FAILS.items(), ids=NAN_FAILS)
+    def test_a_nan_fails_each_range_check(self, field, message):
+        # the parser rejects non-finite numbers, so only a Python caller can pass a NaN
+        owner = next(obj for obj in (load_scenario(SCENARIOS / "throttle_step.scn"), TargetPanel(),
+                                     CameraIntrinsics()) if field in {f.name for f in fields(obj)})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(owner, **{field: math.nan})
 
     @pytest.mark.parametrize("name", [".", "..", "...", "a b", "s.curve.v2", "-x_"])
     def test_stem_names_load(self, name):

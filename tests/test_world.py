@@ -586,9 +586,13 @@ class TestLeaderPose:
 
     @pytest.mark.parametrize("kind", ["stationary", "straight_line"])
     def test_segments_empty_unless_waypoint_path(self, kind):
-        script = LeaderScript(kind=kind, start=VehicleState(1.0, 2.0, 0.5), speed_profile=1.0,
-                              waypoints=((3.0, 4.0), (5.0, 6.0)))
-        assert script.segments == ()
+        # only a waypoint_path drives waypoints, so any other kind rejects them
+        start = VehicleState(1.0, 2.0, 0.5)
+        assert LeaderScript(kind=kind, start=start, speed_profile=1.0).segments == ()
+        message = f"waypoints are driven only by kind waypoint_path, not {kind}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LeaderScript(kind=kind, start=start, speed_profile=1.0,
+                         waypoints=((3.0, 4.0), (5.0, 6.0)))
 
 
 def _sign_is_robust(point, pts, margin=1e-6):
