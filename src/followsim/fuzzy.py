@@ -122,8 +122,10 @@ class FuzzyConfig:
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
         # per-step tables: the output grid, each output set sampled on it, each
-        # input set as (label, a, lo, hi, c), and each output curve's support
-        # slice with the curve's view over it
+        # output curve's support slice with the curve's view over it, each
+        # input set as (set index, a, lo, hi, c), and the rule table, indexed
+        # by (error set index, delta set index), whose cell is the rule's
+        # (output label, support slice, curve view)
         grid = np.linspace(*self.output_universe, self.grid_points)
         curves = {label: mf.on_grid(grid) for label, mf in self.output_sets.items()}
         object.__setattr__(self, "output_grid", grid)
@@ -137,7 +139,8 @@ class FuzzyConfig:
             supports[label] = (span, curve[span])
         object.__setattr__(self, "output_supports", supports)
         for name, sets in (("error_table", self.error_sets), ("delta_table", self.delta_sets)):
-            table = tuple((k, *mf.breakpoints[:2], *mf.breakpoints[-2:]) for k, mf in sets.items())
+            table = tuple((i, *mf.breakpoints[:2], *mf.breakpoints[-2:])
+                          for i, mf in enumerate(sets.values()))
             object.__setattr__(self, name, table)
 
         expected = {(e, d) for e in self.error_sets for d in self.delta_sets}
@@ -148,17 +151,24 @@ class FuzzyConfig:
         for out in self.rules.values():
             if out not in self.output_sets:
                 raise FuzzyError(f"rule output {out!r} is not an output set")
+        cells = {label: (label, *support) for label, support in supports.items()}
+        rule_table = tuple(tuple(cells[self.rules[e, d]] for d in self.delta_sets)
+                           for e in self.error_sets)
+        object.__setattr__(self, "rule_table", rule_table)
 
 
-def _fired(table, x: float) -> list[tuple[str, float]]:
-    """(label, grade) of each (label, a, lo, hi, c) set that grades x above 0,
+def _fired(universe: tuple[float, float], table, x: float) -> list[tuple[int, float]]:
+    """Clamp x to the universe (the bits of min(max(x, lo), hi)), then give the
+    (index, grade) of each (index, a, lo, hi, c) set that grades it above 0,
     by membership's formula in its branch order."""
+    lo, hi = universe
+    x = lo if x < lo else hi if x > hi else x
     fired = []
-    for label, a, lo, hi, c in table:
+    for index, a, lo, hi, c in table:
         if a <= x <= c:
             grade = 1.0 if lo <= x <= hi else (x - a) / (lo - a) if x < lo else (c - x) / (c - hi)
             if grade > 0.0:
-                fired.append((label, grade))
+                fired.append((index, grade))
     return fired
 
 
@@ -169,33 +179,41 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     fires with strength min(error grade, delta grade) and clips its output
     curve there; the clipped curves are max-aggregated, and the output is the
     aggregate's weighted-mean centroid over the grid. Only positive grades
-    fire, each output label clips once at its largest strength (max_r min(
-    curve, s_r) == min(curve, max_r s_r)) and only over its support; the sum
-    and dot stay full-grid, as a sliced reduction would change the bits.
+    fire, and config.rule_table gives each fired (error set, delta set) pair
+    its output label, support slice and curve in one lookup. Each output label
+    clips once at its largest strength (max_r min(curve, s_r) == min(curve,
+    max_r s_r)) and only over its support. The first label clips straight
+    into the zero aggregate: no curve sample is negative or -0.0 and every
+    strength is positive, so max(+0.0, min(curve, s)) is min(curve, s). The
+    sum and dot stay full-grid, as a sliced reduction would change the bits.
     """
     if not (math.isfinite(error) and math.isfinite(error_delta)):
         name = "error_delta" if math.isfinite(error) else "error"
         raise FuzzyError(f"non-finite controller input {name}")
-    lo, hi = config.error_universe
-    e_fired = _fired(config.error_table, min(max(error, lo), hi))
-    lo, hi = config.delta_universe
-    d_fired = _fired(config.delta_table, min(max(error_delta, lo), hi))
-    strengths: dict[str, float] = {}
-    for e_label, e_grade in e_fired:
-        for d_label, d_grade in d_fired:
-            out_label = config.rules[e_label, d_label]
-            strength = min(e_grade, d_grade)
-            if strength > strengths.get(out_label, 0.0):
-                strengths[out_label] = strength
+    e_fired = _fired(config.error_universe, config.error_table, error)
+    d_fired = _fired(config.delta_universe, config.delta_table, error_delta)
+    clips: dict[str, list] = {}  # output label -> [strength, span, curve]
+    for i, e_grade in e_fired:
+        row = config.rule_table[i]
+        for j, d_grade in d_fired:
+            label, span, curve = row[j]
+            strength = d_grade if d_grade < e_grade else e_grade  # min(e_grade, d_grade)
+            clip = clips.get(label)
+            if clip is None:
+                clips[label] = [strength, span, curve]
+            elif strength > clip[0]:
+                clip[0] = strength
     aggregate = np.zeros(config.grid_points)
-    for out_label, strength in strengths.items():
-        span, curve = config.output_supports[out_label]
+    rest = iter(clips.values())
+    strength, span, curve = next(rest)  # some rule fires: both inputs are covered
+    np.minimum(curve, strength, out=aggregate[span])
+    for strength, span, curve in rest:
         seg = aggregate[span]
         np.maximum(seg, np.minimum(curve, strength), out=seg)
-    total = float(np.add.reduce(aggregate))
+    total = np.add.reduce(aggregate)
     if total == 0.0:
         raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
-    return float(np.dot(config.output_grid, aggregate)) / total
+    return float(config.output_grid.dot(aggregate) / total)
 
 
 def _scaled_output(sets: dict[str, MembershipFunction], universe: tuple[float, float], k: float):

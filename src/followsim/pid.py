@@ -32,7 +32,7 @@ class PidConfig:
             value = getattr(self, name)
             if not abs(value) <= MAX_GAIN:  # also false for NaN
                 raise ValueError(f"gain {name} must be within +-{MAX_GAIN:g}, got {value!r}")
-        if self.output_limit <= 0:
+        if not self.output_limit > 0:  # also true for NaN
             raise ValueError("output_limit must be positive")
         if not 0 < self.integral_limit <= self.output_limit:
             raise ValueError("integral_limit must be in (0, output_limit]")

@@ -580,6 +580,75 @@ def test_support_slices_match_curves(config):
     assert_supports_match_curves(config)
 
 
+def assert_rule_table_matches_rules(config):
+    """Input table i is the i-th set's breakpoints as (i, a, lo, hi, c), and
+    rule table cell (i, j) is the rule of the i-th error and j-th delta set:
+    its output label with that label's support slice and curve view."""
+    for table, sets in ((config.error_table, config.error_sets),
+                        (config.delta_table, config.delta_sets)):
+        assert [row[0] for row in table] == list(range(len(sets)))
+        for row, mf in zip(table, sets.values()):
+            assert row[1:] == (*mf.breakpoints[:2], *mf.breakpoints[-2:])
+    assert len(config.rule_table) == len(config.error_sets)
+    for row, e in zip(config.rule_table, config.error_sets):
+        assert len(row) == len(config.delta_sets)
+        for (label, span, curve), d in zip(row, config.delta_sets):
+            assert label == config.rules[e, d]
+            assert span is config.output_supports[label][0]
+            assert curve is config.output_supports[label][1]
+
+
+def assert_no_signed_curve_sample(config):
+    """fuzzy_step clips the first fired label straight into the +0.0
+    aggregate, which is exact only if min(curve, s) >= +0.0 everywhere."""
+    for curve in config.output_curves.values():
+        assert not np.signbit(curve).any()
+
+
+@pytest.mark.parametrize("config", shipped_fuzzy_configs())
+def test_shipped_rule_tables_and_curve_signs(config):
+    assert_rule_table_matches_rules(config)
+    assert_no_signed_curve_sample(config)
+
+
+@given(config=fuzzy_configs())
+@settings(max_examples=100, deadline=None)
+def test_rule_tables_match_rules_and_no_curve_sample_is_signed(config):
+    assert_rule_table_matches_rules(config)
+    assert_no_signed_curve_sample(config)
+
+
+def fired_labels(config, e, d):
+    lo, hi = config.error_universe
+    e_deg = grades(config.error_sets, min(max(e, lo), hi))
+    lo, hi = config.delta_universe
+    d_deg = grades(config.delta_sets, min(max(d, lo), hi))
+    return {out for (el, dl), out in config.rules.items() if min(e_deg[el], d_deg[dl]) > 0.0}
+
+
+@pytest.mark.parametrize(
+    "e, d, rules, labels",
+    [
+        (0.0, 0.0, None, {"Z"}),
+        (-1.7, 2.0, None, {"Z"}),  # both inputs clamp to an edge set's peak
+        (0.3, 0.0, None, {"Z", "PS"}),
+        (0.3, 0.1, None, {"Z", "PS", "PL"}),
+        (-0.8, -0.35, None, {"NL", "NS"}),  # the table clamps NL - NS to NL
+        # (PS, Z) moved off the diagonal: four distinct labels
+        (0.3, 0.1, {("PS", "Z"): "NL"}, {"Z", "PS", "PL", "NL"}),
+        (0.3, 0.1, {("PS", "Z"): "NL", ("Z", "PS"): "NL"}, {"Z", "NL", "PL"}),
+    ],
+)
+def test_one_to_four_fired_labels_match_staged_pipeline(e, d, rules, labels):
+    """fuzzy_step clips the first fired label into the aggregate directly and
+    takes each further one through the max: every label count keeps the
+    staged pipeline's bits, whichever label comes first."""
+    config = default_fuzzy_config(1.0, 1.0, rules=rules)
+    assert fired_labels(config, e, d) == labels
+    assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
+    assert fuzzy_step(config, -e, -d).hex() == staged_fuzzy_step(config, -e, -d).hex()
+
+
 @st.composite
 def default_edits(draw):
     """default_fuzzy_config arguments: spans, a grid, one set edit per

@@ -116,6 +116,11 @@ class TestPidConfigValidation:
         with pytest.raises(ValueError):
             PidConfig(**base)
 
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+    def test_output_limit_message_names_output_limit(self, limit):
+        with pytest.raises(ValueError, match="^output_limit must be positive$"):
+            PidConfig(kp=1.0, ki=0.1, kd=0.01, output_limit=limit, integral_limit=0.5)
+
 
 @given(
     kp=st.floats(0.0, 10.0),
