@@ -43,42 +43,34 @@ def pwm_to_actuation(
 
 
 class ChannelController:
-    """One control channel: a PID or fuzzy core plus optional output filter.
+    """One control channel: the controller its config selects plus an optional
+    output filter.
 
-    The channel holds all of its state as plain values. `state` is the core's
-    value state, stepped by the pure functions: a PidState for pid, the
-    previous error for fuzzy. Both need a previous sample, so it is None until
-    the first update seeds it from the current one and neither controller
-    kicks on startup. With a filter, `alpha` is its weight and `filtered` its
-    previous output, starting from 0.0. The per-update op cost is fixed by
-    the configs, so it is worked out once here.
+    A PidConfig runs pid_step and a FuzzyConfig runs fuzzy_step; `kind` names
+    that family. The channel holds all of its state as plain values. `state`
+    is the core's value state, stepped by the pure functions: a PidState for
+    pid, the previous error for fuzzy. Both need a previous sample, so it is
+    None until the first update seeds it from the current one and neither
+    controller kicks on startup. With a filter, `alpha` is its weight and
+    `filtered` its previous output, starting from 0.0. The per-update op cost
+    is fixed by the config, so it is worked out once here.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        pid_config: PidConfig | None = None,
-        fuzzy_config: FuzzyConfig | None = None,
-        filter_alpha: float | None = None,
-    ) -> None:
-        if kind not in ("pid", "fuzzy"):
-            raise ValueError(f"unknown controller kind {kind!r}")
-        if kind == "pid" and pid_config is None:
-            raise ValueError("pid channel needs a PidConfig")
-        if kind == "fuzzy" and fuzzy_config is None:
-            raise ValueError("fuzzy channel needs a FuzzyConfig")
-        self.kind = kind
-        self.pid_config = pid_config
-        self.fuzzy_config = fuzzy_config
+    def __init__(self, config: PidConfig | FuzzyConfig, filter_alpha: float | None = None) -> None:
+        if isinstance(config, PidConfig):
+            self.kind, ops = "pid", PID_STEP_OPS
+        elif isinstance(config, FuzzyConfig):
+            self.kind, ops = "fuzzy", count_fuzzy_ops(config) + _DELTA_OPS
+        else:
+            raise ValueError(f"a channel runs a PidConfig or a FuzzyConfig, "
+                             f"not a {type(config).__name__}")
+        self.config = config
         if filter_alpha is not None and not 0 < filter_alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = filter_alpha
         self.filtered = 0.0
         self.state: PidState | float | None = None
-        ops = PID_STEP_OPS if kind == "pid" else count_fuzzy_ops(fuzzy_config) + _DELTA_OPS
-        if filter_alpha is not None:
-            ops += _EXP_FILTER_OPS
-        self.ops_per_step = ops + _PWM_MAP_OPS
+        self.ops_per_step = ops + _PWM_MAP_OPS + (0 if filter_alpha is None else _EXP_FILTER_OPS)
 
     def update(self, error: float, measurement: float, dt: float) -> float:
         """One control update; returns the channel's PWM command."""
@@ -86,10 +78,10 @@ class ChannelController:
         if self.kind == "pid":
             if state is None:
                 state = PidState(prev_measurement=measurement)
-            effort, self.state = pid_step(self.pid_config, state, error, measurement, dt)
+            effort, self.state = pid_step(self.config, state, error, measurement, dt)
         else:
             prev = error if state is None else state
-            effort = fuzzy_step(self.fuzzy_config, error, (error - prev) / dt)
+            effort = fuzzy_step(self.config, error, (error - prev) / dt)
             self.state = error
         if self.alpha is not None:
             effort = self.alpha * effort + (1.0 - self.alpha) * self.filtered

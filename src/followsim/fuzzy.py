@@ -121,23 +121,23 @@ class FuzzyConfig:
         _check_coverage("error", self.error_sets, self.error_universe)
         _check_coverage("error_delta", self.delta_sets, self.delta_universe)
         _check_coverage("output", self.output_sets, self.output_universe)
-        # per-step tables: the output grid, each output set sampled on it, each
-        # output curve's support slice with the curve's view over it, each
-        # input set as (set index, a, lo, hi, c), and the rule table, indexed
-        # by (error set index, delta set index), whose cell is the rule's
-        # (output label, support slice, curve view)
+        # per-step tables, all read-only: the output grid, each input set as
+        # (set index, a, lo, hi, c), and the rule table, indexed by (error set
+        # index, delta set index), whose cell is the rule's output label, the
+        # support slice of that label's curve on the grid, and the curve's
+        # view over it
         grid = np.linspace(*self.output_universe, self.grid_points)
-        curves = {label: mf.on_grid(grid) for label, mf in self.output_sets.items()}
+        grid.flags.writeable = False
         object.__setattr__(self, "output_grid", grid)
-        object.__setattr__(self, "output_curves", curves)
-        supports = {}
-        for label, curve in curves.items():
+        cells = {}
+        for label, mf in self.output_sets.items():
+            curve = mf.on_grid(grid)
+            curve.flags.writeable = False
             nonzero = np.flatnonzero(curve)
             if not nonzero.size:
                 raise FuzzyError(f"output set {label} has no positive sample on the output grid")
             span = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
-            supports[label] = (span, curve[span])
-        object.__setattr__(self, "output_supports", supports)
+            cells[label] = (label, span, curve[span])
         for name, sets in (("error_table", self.error_sets), ("delta_table", self.delta_sets)):
             table = tuple((i, *mf.breakpoints[:2], *mf.breakpoints[-2:])
                           for i, mf in enumerate(sets.values()))
@@ -151,7 +151,6 @@ class FuzzyConfig:
         for out in self.rules.values():
             if out not in self.output_sets:
                 raise FuzzyError(f"rule output {out!r} is not an output set")
-        cells = {label: (label, *support) for label, support in supports.items()}
         rule_table = tuple(tuple(cells[self.rules[e, d]] for d in self.delta_sets)
                            for e in self.error_sets)
         object.__setattr__(self, "rule_table", rule_table)
@@ -186,6 +185,9 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     into the zero aggregate: no curve sample is negative or -0.0 and every
     strength is positive, so max(+0.0, min(curve, s)) is min(curve, s). The
     sum and dot stay full-grid, as a sliced reduction would change the bits.
+    The sum is positive for any config FuzzyConfig built, as its tables are
+    read-only: coverage is checked exactly, so some rule fires with a positive
+    strength, and its label's support slice is positive throughout.
     """
     if not (math.isfinite(error) and math.isfinite(error_delta)):
         name = "error_delta" if math.isfinite(error) else "error"
@@ -210,10 +212,7 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     for strength, span, curve in rest:
         seg = aggregate[span]
         np.maximum(seg, np.minimum(curve, strength), out=seg)
-    total = np.add.reduce(aggregate)
-    if total == 0.0:
-        raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
-    return float(config.output_grid.dot(aggregate) / total)
+    return float(config.output_grid.dot(aggregate) / np.add.reduce(aggregate))
 
 
 def _scaled_output(sets: dict[str, MembershipFunction], universe: tuple[float, float], k: float):

@@ -160,7 +160,14 @@ class ScenarioConfig:
             raise ScenarioError("leader.kind must be straight_line or waypoint_path "
                                 "for archetype path_follow, not stationary")
         if self.archetype != "scenario":
-            self.runs()  # each run checks itself as it is built, so it fails here, not mid-run
+            # each run checks itself as it is built, so it fails here, not mid-run
+            names = [run.name for run in self.runs()]
+            # runs write files named after themselves; only step_response has more than one
+            if len(set(names)) < len(names):
+                twin = next(name for name in names if names.count(name) > 1)
+                seps = [sep for sep, name in zip(self.step_separations, names) if name == twin]
+                raise ScenarioError(f"step.separations {', '.join(map(repr, seps))} share the "
+                                    f"run name {twin!r}: runs must have distinct names")
             return
         if not 0.0 <= self.follower_start.speed <= self.vehicle.max_speed:
             raise ScenarioError("follower.start.speed must be in [0, vehicle.max_speed]")
@@ -207,12 +214,13 @@ class ScenarioConfig:
             for suffix, leader, reference, gap, offset, locked in rows
         )
 
-    def filter_alpha_for(self, channel: str) -> float | None:
-        """Resolve a channel's filter setting for the channel's controller kind."""
-        setting, kind = getattr(self, f"{channel}_filter"), getattr(self, f"{channel}_kind")
+    def controller(self, channel: str) -> tuple[PidConfig | FuzzyConfig, float | None]:
+        """The config a channel's kind selects and its filter weight, with
+        `auto` resolved for that kind: ChannelController's arguments."""
+        kind, setting = getattr(self, f"{channel}_kind"), getattr(self, f"{channel}_filter")
         if setting == "auto":
-            return DEFAULT_FUZZY_FILTER_ALPHA if kind == "fuzzy" else None
-        return setting
+            setting = DEFAULT_FUZZY_FILTER_ALPHA if kind == "fuzzy" else None
+        return getattr(self, f"{channel}_{kind}"), setting
 
     @property
     def dt(self) -> float:
@@ -323,9 +331,9 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    items = [item.strip() for item in raw.split(",") if item.strip()]
-    if not items:
-        raise ScenarioError("expected a comma-separated number list")
+    items = [item.strip() for item in raw.split(",")]
+    if not all(items):
+        raise ScenarioError(f"expected a comma-separated number list, got {raw!r}")
     return tuple(_parse_float(item) for item in items)
 
 

@@ -64,15 +64,6 @@ class Trace:
     stop_reason: str | None = field(default=None, compare=False)
 
 
-def _make_channel(config: ScenarioConfig, channel: str) -> ChannelController:
-    return ChannelController(
-        kind=getattr(config, f"{channel}_kind"),
-        pid_config=getattr(config, f"{channel}_pid"),
-        fuzzy_config=getattr(config, f"{channel}_fuzzy"),
-        filter_alpha=config.filter_alpha_for(channel),
-    )
-
-
 def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     """Turn each recorded row (every column but lateral_dev_m and
     follow_dist_m) into its TraceRecord, in place, working the two columns
@@ -135,8 +126,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     sub_dt = dt / sub_steps
     rng = random.Random(config.seed)
 
-    steering = None if config.steering_locked else _make_channel(config, "steering")
-    throttle = _make_channel(config, "throttle")
+    steering = None if config.steering_locked else ChannelController(*config.controller("steering"))
+    throttle = ChannelController(*config.controller("throttle"))
 
     follower = config.follower_start
     steering_pwm = throttle_pwm = NEUTRAL_PWM

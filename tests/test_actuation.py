@@ -26,12 +26,12 @@ UNIT_P = PidConfig(kp=1.0, ki=0.0, kd=0.0, output_limit=2.0, integral_limit=1.0)
 
 def filtered_channel(alpha):
     """A pid channel whose effort is its error, so its PWM shows the filter."""
-    return ChannelController("pid", pid_config=UNIT_P, filter_alpha=alpha)
+    return ChannelController(UNIT_P, filter_alpha=alpha)
 
 
 class TestExpFilter:
     def test_alpha_one_is_identity(self):
-        plain = ChannelController("pid", pid_config=UNIT_P)
+        plain = ChannelController(UNIT_P)
         filt = filtered_channel(1.0)
         for error in (0.25, -0.5, 0.75):
             assert filt.update(error, 0.0, 0.02) == plain.update(error, 0.0, 0.02)
@@ -70,7 +70,7 @@ class TestEffortToPwm:
         with pytest.raises(ValueError, match="^controller effort is NaN$"):
             effort_to_pwm(math.nan)
         config = overflowing_pid_config(PidConfig(kp=0.0, ki=0.0, kd=0.0))
-        ctrl = ChannelController("pid", pid_config=config)
+        ctrl = ChannelController(config)
         assert ctrl.update(10.0, 1.0, 0.02) == 180.0
         # kp*error and kd*derivative both overflow to +inf: inf - inf is NaN
         with pytest.raises(ValueError, match="^controller effort is NaN$"):
@@ -100,43 +100,35 @@ class TestPwmToActuation:
 
 class TestChannelController:
     def test_pid_first_step_has_no_derivative_kick(self):
-        ctrl = ChannelController(
-            "pid", pid_config=PidConfig(kp=0.0, ki=0.0, kd=100.0, output_limit=10.0)
-        )
+        ctrl = ChannelController(PidConfig(kp=0.0, ki=0.0, kd=100.0, output_limit=10.0))
         # huge first measurement: the seeded previous sample suppresses the kick
         assert ctrl.update(0.0, 1e6, 0.02) == 90.0
 
     def test_fuzzy_first_step_zero_delta(self):
-        ctrl = ChannelController("fuzzy", fuzzy_config=default_fuzzy_config(1.0, 1.0))
+        ctrl = ChannelController(default_fuzzy_config(1.0, 1.0))
         assert ctrl.update(0.0, 0.0, 0.02) == pytest.approx(90.0, abs=1e-9)
 
     def test_filter_smooths_output(self):
-        raw = ChannelController(
-            "pid", pid_config=PidConfig(kp=1.0, ki=0.0, kd=0.0)
-        )
-        filtered = ChannelController(
-            "pid", pid_config=PidConfig(kp=1.0, ki=0.0, kd=0.0), filter_alpha=0.3
-        )
+        raw = ChannelController(PidConfig(kp=1.0, ki=0.0, kd=0.0))
+        filtered = ChannelController(PidConfig(kp=1.0, ki=0.0, kd=0.0), filter_alpha=0.3)
         raw_pwm = raw.update(0.5, 0.0, 0.02)
         filt_pwm = filtered.update(0.5, 0.0, 0.02)
         assert abs(filt_pwm - 90.0) < abs(raw_pwm - 90.0)
 
     def test_ops_fuzzy_exceed_pid(self):
-        pid = ChannelController("pid", pid_config=PidConfig(kp=1.0, ki=0.1, kd=0.01))
-        fuzzy = ChannelController("fuzzy", fuzzy_config=default_fuzzy_config(1.0, 1.0))
+        pid = ChannelController(PidConfig(kp=1.0, ki=0.1, kd=0.01))
+        fuzzy = ChannelController(default_fuzzy_config(1.0, 1.0))
         assert fuzzy.ops_per_step > pid.ops_per_step
 
     def test_filter_adds_ops(self):
-        plain = ChannelController("pid", pid_config=PidConfig(kp=1.0, ki=0.1, kd=0.01))
-        filt = ChannelController(
-            "pid", pid_config=PidConfig(kp=1.0, ki=0.1, kd=0.01), filter_alpha=0.3
-        )
+        plain = ChannelController(PidConfig(kp=1.0, ki=0.1, kd=0.01))
+        filt = ChannelController(PidConfig(kp=1.0, ki=0.1, kd=0.01), filter_alpha=0.3)
         assert filt.ops_per_step == plain.ops_per_step + 4
 
     def test_state_is_one_value_seeded_by_first_update(self):
         config = PidConfig(kp=1.0, ki=0.5, kd=0.1)
-        pid = ChannelController("pid", pid_config=config)
-        fuzzy = ChannelController("fuzzy", fuzzy_config=default_fuzzy_config(1.0, 1.0))
+        pid = ChannelController(config)
+        fuzzy = ChannelController(default_fuzzy_config(1.0, 1.0))
         assert pid.state is None and fuzzy.state is None
         pid.update(0.5, 3.0, 0.02)
         fuzzy.update(0.25, 0.0, 0.02)
@@ -144,13 +136,14 @@ class TestChannelController:
         assert pid.state == expected
         assert fuzzy.state == 0.25
 
-    def test_config_requirements(self):
-        with pytest.raises(ValueError):
-            ChannelController("pid")
-        with pytest.raises(ValueError):
-            ChannelController("fuzzy")
-        with pytest.raises(ValueError):
-            ChannelController("bang-bang", pid_config=PidConfig(kp=1, ki=0, kd=0))
+    def test_kind_comes_from_the_config(self):
+        assert ChannelController(PidConfig(kp=1.0, ki=0.0, kd=0.0)).kind == "pid"
+        assert ChannelController(default_fuzzy_config(1.0, 1.0)).kind == "fuzzy"
+
+    @pytest.mark.parametrize("config", ["pid", None, PidState(prev_measurement=0.0)])
+    def test_rejects_a_non_config(self, config):
+        with pytest.raises(ValueError, match="^a channel runs a PidConfig or a FuzzyConfig, not a "):
+            ChannelController(config)
 
     @given(
         errors=st.lists(st.floats(-500, 500), min_size=1, max_size=20),
@@ -158,12 +151,9 @@ class TestChannelController:
     )
     @settings(max_examples=60, deadline=None)
     def test_pwm_always_in_range(self, errors, kind):
-        ctrl = ChannelController(
-            kind,
-            pid_config=PidConfig(kp=0.05, ki=0.01, kd=0.001),
-            fuzzy_config=default_fuzzy_config(160.0, 600.0),
-            filter_alpha=0.3,
-        )
+        configs = {"pid": PidConfig(kp=0.05, ki=0.01, kd=0.001),
+                   "fuzzy": default_fuzzy_config(160.0, 600.0)}
+        ctrl = ChannelController(configs[kind], filter_alpha=0.3)
         for e in errors:
             pwm = ctrl.update(e, e, 0.02)
             assert 0.0 <= pwm <= 180.0
@@ -238,7 +228,7 @@ def test_channel_matches_frozen_filter_and_command_bit_for_bit(
         fuzzy_config=default_fuzzy_config(*spans),
         filter_alpha=alpha,
     )
-    channel = ChannelController(kind, **kwargs)
+    channel = ChannelController(kwargs[f"{kind}_config"], alpha)
     frozen = _FrozenChannel(kind, **kwargs)
     assert channel.ops_per_step == frozen.ops_per_step
     for error, measurement in samples:

@@ -140,6 +140,15 @@ class TestRun:
         assert (out / "steps_sep_2m.csv").exists()
         assert (out / "steps_sep_4m.csv").exists()
 
+    def test_step_archetype_with_twin_run_names_fails_before_writing(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "dup", "archetype = step_response\n"
+                             "step.separations = 1.0000001, 1.0000002, 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scn, "--out", str(out)]) == 1
+        assert ("step.separations: step.separations 1.0000001, 1.0000002 share the run name "
+                "'dup_sep_1m'") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_writes_both_traces_and_report(self, tmp_path, capsys):
@@ -382,7 +391,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("separations, message", [
         ("nan", "expected a finite number"), ("1,0.1", "min_range"),
-    ], ids=["nan", "inside_min_range"])
+        ("1,1", "step.separations 1.0, 1.0 share the run name 'sw_sep_1m'"),
+        ("1,,2", "expected a comma-separated number list, got '1,,2'"),
+    ], ids=["nan", "inside_min_range", "twin_names", "empty_item"])
     def test_invalid_separations_fail_before_writing(self, tmp_path, capsys,
                                                      separations, message):
         scn = write_scenario(tmp_path, "sw", "duration = 2\n")

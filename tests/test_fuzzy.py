@@ -156,7 +156,7 @@ class TestInfer:
         # at (0, 0) only rule (Z, Z) fires, at full strength: the output is
         # the centroid of the Z curve itself
         config = default_fuzzy_config(1.0, 1.0)
-        curve = config.output_curves["Z"]
+        curve = config.output_sets["Z"].on_grid(config.output_grid)
         want = float(np.dot(config.output_grid, curve)) / float(curve.sum())
         assert fuzzy_step(config, 0.0, 0.0) == want
 
@@ -199,13 +199,6 @@ class TestDefuzz:
         lo, hi = config.output_universe
         want = fine_grid_centroid(aggregate_fn(config, 0.55, 0.2), lo, hi, 10 * config.grid_points)
         assert abs(got - want) <= 1e-3 * (hi - lo)
-
-    def test_all_zero_aggregate_rejected(self):
-        config = default_fuzzy_config(1.0, 1.0)
-        for curve in config.output_curves.values():
-            curve[:] = 0.0
-        with pytest.raises(FuzzyError, match="all-zero aggregate"):
-            fuzzy_step(config, 0.0, 0.0)
 
 
 def oracle_fuzzy_step(config, error, error_delta):
@@ -418,11 +411,7 @@ def test_op_model_is_the_grid_controllers_not_ours():
     assert count_fuzzy_ops(default_fuzzy_config(160.0, 600.0)) == 53149
     config = replace(load_scenario(SCENARIOS / "s_curve.scn"),
                      steering_kind="fuzzy", throttle_kind="fuzzy")
-    channels = [
-        ChannelController("fuzzy", fuzzy_config=getattr(config, f"{ch}_fuzzy"),
-                          filter_alpha=config.filter_alpha_for(ch))
-        for ch in CHANNELS
-    ]
+    channels = [ChannelController(*config.controller(ch)) for ch in CHANNELS]
     assert [channel.ops_per_step for channel in channels] == [53157, 53157]
 
 
@@ -434,15 +423,22 @@ def shipped_fuzzy_configs():
     return configs
 
 
+def rule_table_supports(config):
+    """Each output label the rule table uses -> its (support slice, curve view)."""
+    return {label: (span, view) for row in config.rule_table for label, span, view in row}
+
+
 def assert_supports_match_curves(config):
-    """Each output label's support slice spans its curve's nonzero samples,
-    and its stored curve is a view of output_curves over that slice."""
-    assert config.output_supports.keys() == config.output_curves.keys()
-    for label, curve in config.output_curves.items():
+    """Each output label's support slice spans the nonzero samples of its set
+    on the output grid, and its stored curve is a view over that slice of the
+    set's whole sampled curve."""
+    supports = rule_table_supports(config)
+    assert supports.keys() == set(config.rules.values())
+    for label, (span, view) in supports.items():
+        curve = config.output_sets[label].on_grid(config.output_grid)
         nonzero = np.flatnonzero(curve)
-        span, view = config.output_supports[label]
         assert span == slice(nonzero[0], nonzero[-1] + 1)
-        assert np.shares_memory(view, curve)
+        assert np.array_equal(view.base, curve)
         assert np.array_equal(view, curve[span])
 
 
@@ -460,8 +456,9 @@ def test_support_of_one_sample_and_of_the_whole_grid():
     )
     config = replace(config, output_sets=sets)
     assert_supports_match_curves(config)
-    assert config.output_supports["Z"][0] == slice(500, 501)
-    assert config.output_supports["PL"][0] == slice(0, config.grid_points)
+    supports = rule_table_supports(config)
+    assert supports["Z"][0] == slice(500, 501)
+    assert supports["PL"][0] == slice(0, config.grid_points)
     for e, d in [(0.0, 0.0), (0.7, 0.6), (0.2, 0.9), (1.0, 1.0), (0.5, -0.25)]:
         assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
 
@@ -590,19 +587,20 @@ def assert_rule_table_matches_rules(config):
         for row, mf in zip(table, sets.values()):
             assert row[1:] == (*mf.breakpoints[:2], *mf.breakpoints[-2:])
     assert len(config.rule_table) == len(config.error_sets)
+    supports = rule_table_supports(config)
     for row, e in zip(config.rule_table, config.error_sets):
         assert len(row) == len(config.delta_sets)
         for (label, span, curve), d in zip(row, config.delta_sets):
             assert label == config.rules[e, d]
-            assert span is config.output_supports[label][0]
-            assert curve is config.output_supports[label][1]
+            assert span is supports[label][0]
+            assert curve is supports[label][1]
 
 
 def assert_no_signed_curve_sample(config):
     """fuzzy_step clips the first fired label straight into the +0.0
     aggregate, which is exact only if min(curve, s) >= +0.0 everywhere."""
-    for curve in config.output_curves.values():
-        assert not np.signbit(curve).any()
+    for _, view in rule_table_supports(config).values():
+        assert not np.signbit(view.base).any()
 
 
 @pytest.mark.parametrize("config", shipped_fuzzy_configs())
@@ -696,3 +694,47 @@ def test_builder_edits_match_the_staged_build(data, edits):
     for _ in range(4):
         e, d = data.draw(errors), data.draw(deltas)
         assert fuzzy_step(built, e, d).hex() == fuzzy_step(staged, e, d).hex()
+
+
+@pytest.mark.parametrize("config", shipped_fuzzy_configs())
+def test_shipped_tables_are_read_only(config):
+    """Nothing can write into the output grid or a rule table curve, the
+    arrays fuzzy_step reads, so a built config stays as it was checked."""
+    with pytest.raises(ValueError, match="read-only"):
+        config.output_grid[0] = 0.0
+    for _, view in rule_table_supports(config).values():
+        for curve in (view, view.base):
+            with pytest.raises(ValueError, match="read-only"):
+                curve[:] = 0.0
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+
+
+def assert_output_in_universe(config, error, error_delta):
+    """A finite output that is a weighted mean of grid samples, so inside the
+    output universe but for the rounding of the grid-wide dot and sum: at
+    most grid_points ulps of the universe's larger end."""
+    lo, hi = config.output_universe
+    slack = config.grid_points * sys.float_info.epsilon * max(abs(lo), abs(hi))
+    out = fuzzy_step(config, error, error_delta)
+    assert math.isfinite(out)
+    assert lo - slack <= out <= hi + slack
+
+
+_any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("config", shipped_fuzzy_configs())
+@given(error=_any_finite, error_delta=_any_finite)
+@settings(max_examples=50, deadline=None)
+def test_shipped_output_stays_in_universe(config, error, error_delta):
+    assert_output_in_universe(config, error, error_delta)
+
+
+@given(data=st.data(), config=fuzzy_configs())
+@settings(max_examples=150, deadline=None)
+def test_output_stays_in_universe(data, config):
+    errors = inputs_for(config.error_sets, config.error_universe) | _any_finite
+    deltas = inputs_for(config.delta_sets, config.delta_universe) | _any_finite
+    for _ in range(4):
+        assert_output_in_universe(config, data.draw(errors), data.draw(deltas))

@@ -85,12 +85,16 @@ class TestDefaults:
         with pytest.raises(TypeError):
             ScenarioConfig(name="x", leader=LeaderScript(), follower_start=VehicleState())
 
-    def test_filter_resolution(self, base_scenario):
-        assert base_scenario.filter_alpha_for("steering") is None
-        assert replace(base_scenario, steering_kind="fuzzy").filter_alpha_for("steering") == 0.3
-        explicit = default_scenario("x", steering_filter=0.5, throttle_filter=None)
-        assert explicit.filter_alpha_for("steering") == 0.5
-        assert replace(explicit, throttle_kind="fuzzy").filter_alpha_for("throttle") is None
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("kind, setting, alpha", [
+        ("pid", "auto", None), ("fuzzy", "auto", 0.3), ("pid", 0.5, 0.5), ("fuzzy", 0.5, 0.5),
+        ("pid", None, None), ("fuzzy", None, None),
+    ])
+    def test_controller_resolution(self, base_scenario, channel, kind, setting, alpha):
+        config = replace(base_scenario, **{f"{channel}_kind": kind, f"{channel}_filter": setting})
+        selected, resolved = config.controller(channel)
+        assert selected is getattr(config, f"{channel}_{kind}")
+        assert resolved == alpha
 
 
 class TestParser:
@@ -398,6 +402,18 @@ def test_archetype_inputs_fail_at_load(text, message):
     ("stop.hold_time = 0\n", "line 1: stop.hold_time: stop.hold_time must be positive"),
     ("filter.throttle.alpha = 2\n", "line 1: filter.throttle.alpha: filter.throttle.alpha must be"),
     ("step.separations = 1, -2\n", "line 1: step.separations: step.separations must be positive"),
+    # runs of one scenario write files named after themselves
+    ("archetype = step_response\nstep.separations = 1.0000001, 1.0000002, 2\n",
+     "line 2: step.separations: step.separations 1.0000001, 1.0000002 share the run name "
+     "'scenario_sep_1m': runs must have distinct names"),
+    # a number list has no empty item
+    ("step.separations = 1,,2,\n",
+     "line 1: step.separations: expected a comma-separated number list, got '1,,2,'"),
+    ("fuzzy.steering.set.error.Z = -80,, 0, 80\n",
+     "line 1: fuzzy.steering.set.error.Z: expected a comma-separated number list, "
+     "got '-80,, 0, 80'"),
+    ("fuzzy.throttle.set.output.PL = \n",
+     "line 1: fuzzy.throttle.set.output.PL: expected a comma-separated number list, got ''"),
     ("seed = 1.5\n", "line 1: seed: expected an integer, got '1.5'"),
     ("controller.steering.locked = maybe\n",
      "line 1: controller.steering.locked: expected true/false, got 'maybe'"),
@@ -456,7 +472,8 @@ def test_archetype_inputs_fail_at_load(text, message):
      "vehicle.max_accel = 1e306\ncamera.frame_rate = 1\nduration = 1000\nfollower.start.x = -3\n",
      "line 3: vehicle.max_speed: vehicle.max_speed 1e+306 m/s over duration 1000 s can drive"),
 ], ids=["empty_name", "path_name", "archetype", "lost_target", "speed_eps", "hold_time", "filter",
-        "separations", "integer", "bool", "waypoint", "membership", "label", "set_variable",
+        "separations", "twin_separations", "empty_separation", "empty_set_item", "empty_list",
+        "integer", "bool", "waypoint", "membership", "label", "set_variable",
         "profile_start", "profile_order", "profile_sign", "leader_kind", "no_waypoints",
         "one_waypoint", "same_waypoints", "parked_waypoints", "line_waypoints", "start_speed",
         "panel_width", "panel_height", "rear_offset", "focal_length", "frame_interval",

@@ -118,6 +118,13 @@ class TestLoadGainGrid:
         ):
             load_gain_grid(path)
 
+    def test_empty_item_names_the_line(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("ki = 0.1\nkp = 0.1,,0.2\n")
+        with pytest.raises(TuneError, match=rf"^{re.escape(str(path))}: line 2: kp: expected a "
+                           r"comma-separated number list, got '0.1,,0.2'$"):
+            load_gain_grid(path)
+
     @pytest.mark.parametrize("raw", ["0.002, 0.001", "1, 1"])
     def test_unordered_values_name_the_line(self, tmp_path, raw):
         path = tmp_path / "g.grid"
