@@ -30,7 +30,9 @@ def effort_to_pwm(effort: float) -> float:
     """
     if math.isnan(effort):
         raise ValueError("controller effort is NaN")
-    return min(max(NEUTRAL_PWM + CHANNEL_GAIN * effort, 0.0), PWM_MAX)
+    pwm = NEUTRAL_PWM + CHANNEL_GAIN * effort
+    # the bits of min(max(x, lo), hi)
+    return 0.0 if pwm < 0.0 else PWM_MAX if pwm > PWM_MAX else pwm
 
 
 def pwm_to_actuation(
@@ -38,7 +40,8 @@ def pwm_to_actuation(
 ) -> tuple[float, float]:
     """Servo commands -> (steer angle, speed command). Below-neutral throttle coasts."""
     steer = params.max_steer_angle * (steering_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
-    speed = params.max_speed * max(0.0, throttle_pwm - NEUTRAL_PWM) / NEUTRAL_PWM
+    drive = throttle_pwm - NEUTRAL_PWM
+    speed = params.max_speed * (drive if drive > 0.0 else 0.0) / NEUTRAL_PWM  # max(0.0, drive)
     return steer, speed
 
 

@@ -177,7 +177,8 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     Each input is clamped to its universe and graded in every set. A rule
     fires with strength min(error grade, delta grade) and clips its output
     curve there; the clipped curves are max-aggregated, and the output is the
-    aggregate's weighted-mean centroid over the grid. Only positive grades
+    aggregate's weighted-mean centroid over the grid, clamped into the output
+    universe, which the rounded quotient can miss by an ulp. Only positive grades
     fire, and config.rule_table gives each fired (error set, delta set) pair
     its output label, support slice and curve in one lookup. Each output label
     clips once at its largest strength (max_r min(curve, s_r) == min(curve,
@@ -212,7 +213,10 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     for strength, span, curve in rest:
         seg = aggregate[span]
         np.maximum(seg, np.minimum(curve, strength), out=seg)
-    return float(config.output_grid.dot(aggregate) / np.add.reduce(aggregate))
+    out = float(config.output_grid.dot(aggregate) / np.add.reduce(aggregate))
+    # the bits of min(max(x, lo), hi)
+    lo, hi = config.output_universe
+    return lo if out < lo else hi if out > hi else out
 
 
 def _scaled_output(sets: dict[str, MembershipFunction], universe: tuple[float, float], k: float):

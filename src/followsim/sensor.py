@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .world import VehicleState, normalize_angle
+from .world import VehicleState
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,8 @@ def observe(
         return None
 
     # foreshortening from the relative yaw between view axis and panel facing
-    aspect = normalize_angle(follower.heading - leader.heading)
+    aspect = math.remainder(follower.heading - leader.heading, math.tau)
+    aspect = -math.pi if aspect == math.pi else aspect  # normalize_angle, inlined
     facing = math.cos(aspect)
     if facing <= 1e-9:
         return None
@@ -133,10 +134,12 @@ def observe(
         width_px += rng.uniform(-j, j)
         height_px += rng.uniform(-j, j)
 
-    x_px = min(max(x_px, 0.0), float(camera.image_width))
-    width_px = min(max(width_px, 0.0), float(camera.image_width))
-    height_px = min(max(height_px, 0.0), float(camera.image_height))
-    return SensorReading(x_px, camera.image_height / 2.0, width_px, height_px, t)
+    # the bits of min(max(x, lo), hi), with lo = 0.0
+    w_max, h_max = float(camera.image_width), float(camera.image_height)
+    x_px = 0.0 if x_px < 0.0 else w_max if x_px > w_max else x_px
+    width_px = 0.0 if width_px < 0.0 else w_max if width_px > w_max else width_px
+    height_px = 0.0 if height_px < 0.0 else h_max if height_px > h_max else height_px
+    return tuple.__new__(SensorReading, (x_px, camera.image_height / 2.0, width_px, height_px, t))
 
 
 def pixel_error_x(reading: SensorReading, camera: CameraIntrinsics) -> float:

@@ -88,7 +88,7 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
     first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
              for s in corner_s]
-    make = TraceRecord._make
+    new = tuple.__new__
     for lo in range(0, len(records), BOOKKEEPING_BLOCK):
         rows = records[lo:lo + BOOKKEEPING_BLOCK]
         passed = np.searchsorted(first, np.arange(lo, lo + len(rows)), side="right")
@@ -98,7 +98,7 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
         # following_distance of each record: every recorded position is finite
         with np.errstate(over="ignore"):
             follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
-        records[lo:lo + len(rows)] = [make((*row[:10], lateral, gap, *row[10:]))
+        records[lo:lo + len(rows)] = [new(TraceRecord, (*row[:10], lateral, gap, *row[10:]))
                                       for row, lateral, gap in zip(rows, lateral_dev, follow_dist)]
 
 

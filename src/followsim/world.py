@@ -178,6 +178,11 @@ def integrate_bicycle(
     are validated once; the sub-steps run over plain floats, wrapping the
     heading after each one.
 
+    Shortcuts keep the bits of the full four-point trig step: an along-x
+    call (zero curvature, a +0.0 heading, a speed >= 0, a target not -0.0)
+    updates only x and the speed, and settled sub-steps share one speed, one
+    heading step, one mid-step angle and the last end heading's trig.
+
     A call that cannot change any bit of the state returns `state` itself,
     so `result is state` tells a caller that nothing moved. That is a +0.0
     heading, speed and clamped target, zero curvature of either sign and
@@ -185,9 +190,8 @@ def integrate_bicycle(
     only +0.0. Every other call returns a new VehicleState.
     """
     x, y, h, v = state.x, state.y, state.heading, state.speed
-    isfinite = math.isfinite
-    if not (isfinite(x) and isfinite(y) and isfinite(h) and isfinite(v)
-            and isfinite(steer_angle) and isfinite(speed_cmd) and isfinite(dt)):
+    # finite only if every term is; an overflow leaves nothing to reject
+    if not math.isfinite(x + y + h + v + steer_angle + speed_cmd + dt):
         _require_finite(x=x, y=y, heading=h, speed=v,
                         steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt)
     if dt <= 0:
@@ -195,10 +199,13 @@ def integrate_bicycle(
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
+    # each clamp has the bits of min(max(x, lo), hi)
+    lock = params.max_steer_angle
+    delta = -lock if steer_angle < -lock else lock if steer_angle > lock else steer_angle
     curvature = math.tan(delta) / params.wheelbase
     max_accel = params.max_accel
-    target = min(max(speed_cmd, 0.0), params.max_speed)
+    top = params.max_speed
+    target = 0.0 if speed_cmd < 0.0 else top if speed_cmd > top else speed_cmd
     copysign = math.copysign
     # zero curvature, a +0.0 heading, a speed >= 0 and a target that is not
     # -0.0 make every heading rate of every sub-step a zero and every angle
@@ -256,17 +263,24 @@ def integrate_bicycle(
         y += 0.0
     elif settled:
         # every speed of a sub-step is the target: one heading rate kh, and
-        # h3 is h2, so a sub-step needs three cosines and three sines
+        # h3 is h2, so a sub-step needs at most three cosines and three sines
         kh = target * curvature
         dh = sixth * (kh + 2.0 * kh + 2.0 * kh + kh)
+        c, s = cos(h), sin(h)
         for _ in range(settled):
             h2, h4 = h + half * kh, h + dt * kh
             c2, s2 = 2.0 * (target * cos(h2)), 2.0 * (target * sin(h2))
-            x += sixth * (target * cos(h) + c2 + c2 + target * cos(h4))
-            y += sixth * (target * sin(h) + s2 + s2 + target * sin(h4))
+            c4, s4 = cos(h4), sin(h4)
+            x += sixth * (target * c + c2 + c2 + target * c4)
+            y += sixth * (target * s + s2 + s2 + target * s4)
             h = math.remainder(h + dh, math.tau)
             h = -math.pi if h == math.pi else h
-    return VehicleState._make((x, y, h, target if settled else v))
+            # the next sub-step reuses the end heading's cosine and sine if it
+            # starts at that same float; not at a zero: sin(-0.0) is -0.0
+            c, s = c4, s4
+            if h != h4 or not h:
+                c, s = cos(h), sin(h)
+    return tuple.__new__(VehicleState, (x, y, h, target if settled else v))
 
 
 def step_bicycle(
@@ -293,13 +307,8 @@ def leader_pose(script: LeaderScript, t: float) -> VehicleState:
 
     s, v = script.progress(t)
     if script.kind == "straight_line":
-        h = script.start.heading
-        return VehicleState(
-            script.start.x + s * math.cos(h),
-            script.start.y + s * math.sin(h),
-            h,
-            v,
-        )
+        x, y, h, _ = script.start  # a built pose, so h is wrapped
+        return tuple.__new__(VehicleState, (x + s * math.cos(h), y + s * math.sin(h), h, v))
 
     # waypoint_path: walk segments at the profile speed, hold the end pose
     for p, q, seg, heading in script.segments:

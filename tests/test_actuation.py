@@ -235,3 +235,44 @@ def test_channel_matches_frozen_filter_and_command_bit_for_bit(
         got = channel.update(error, measurement, dt)
         want = frozen.update(error, measurement, dt)
         assert got.hex() == want.hex()
+
+
+# --- frozen copies of the command mapping before its clamps became comparisons ---
+
+def frozen_effort_to_pwm(effort):
+    if math.isnan(effort):
+        raise ValueError("controller effort is NaN")
+    return min(max(90.0 + 90.0 * effort, 0.0), 180.0)
+
+
+def frozen_pwm_to_actuation(steering_pwm, throttle_pwm, params):
+    steer = params.max_steer_angle * (steering_pwm - 90.0) / 90.0
+    speed = params.max_speed * max(0.0, throttle_pwm - 90.0) / 90.0
+    return steer, speed
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+# +-1 lands exactly on 0 and 180, +-inf saturates
+@given(effort=_signed_zero | st.sampled_from([-1.0, 1.0, math.inf, -math.inf])
+       | st.floats(-3.0, 3.0) | st.floats(allow_nan=False))
+@settings(max_examples=300)
+def test_effort_to_pwm_matches_frozen_bit_for_bit(effort):
+    got = effort_to_pwm(effort)
+    assert type(got) is float
+    assert got.hex() == frozen_effort_to_pwm(effort).hex()
+
+
+# 90 is neutral (a +0.0 drive), 0 and 180 the ends of the scale
+_pwm = _signed_zero | st.sampled_from([90.0, 180.0, math.nextafter(90.0, 0.0)]) | st.floats(
+    -10.0, 190.0)
+
+
+@given(steering=_pwm, throttle=_pwm)
+@settings(max_examples=300)
+def test_pwm_to_actuation_matches_frozen_bit_for_bit(steering, throttle):
+    got = pwm_to_actuation(steering, throttle, PARAMS)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [
+        v.hex() for v in frozen_pwm_to_actuation(steering, throttle, PARAMS)]

@@ -466,7 +466,8 @@ def test_support_of_one_sample_and_of_the_whole_grid():
 def staged_fuzzy_step(config, error, error_delta):
     """Frozen copy of the staged evaluation fuzzy_step replaced: fuzzify each
     input, infer over output curves built by a scalar membership loop, then
-    defuzz_centroid. fuzzy_step must give the same bits."""
+    defuzz_centroid, clamped into the output universe as fuzzy_step's
+    centroid is. fuzzy_step must give the same bits."""
 
     def fuzzify(value, sets, universe):
         lo, hi = universe
@@ -489,7 +490,7 @@ def staged_fuzzy_step(config, error, error_delta):
     total = float(aggregate.sum())
     if total == 0.0:
         raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
-    return float(np.dot(grid, aggregate)) / total
+    return min(max(float(np.dot(grid, aggregate)) / total, lo), hi)
 
 
 @st.composite
@@ -711,14 +712,25 @@ def test_shipped_tables_are_read_only(config):
 
 
 def assert_output_in_universe(config, error, error_delta):
-    """A finite output that is a weighted mean of grid samples, so inside the
-    output universe but for the rounding of the grid-wide dot and sum: at
-    most grid_points ulps of the universe's larger end."""
+    """A finite output inside the output universe, its ends included."""
     lo, hi = config.output_universe
-    slack = config.grid_points * sys.float_info.epsilon * max(abs(lo), abs(hi))
     out = fuzzy_step(config, error, error_delta)
     assert math.isfinite(out)
-    assert lo - slack <= out <= hi + slack
+    assert lo <= out <= hi
+
+
+def test_a_centroid_on_the_universe_end_is_that_end():
+    """Every rule fires NL, whose only positive grid sample is the lower end
+    u = -0.235, so the aggregate is one weight w there, and u*w/w rounds to
+    -0.23500000000000001 before the clamp."""
+    span, grid_points = 0.235, 201
+    step = 2.0 * span / (grid_points - 1)
+    config = default_fuzzy_config(
+        1.0, 1.0, span, grid_points,
+        sets={("output", "NL"): MembershipFunction((-span - step, -span, -span + 0.05 * step))},
+        rules={(e, d): "NL" for e in DEFAULT_LABELS for d in DEFAULT_LABELS})
+    assert float(config.output_grid[0]) == -span
+    assert fuzzy_step(config, -1.0, 0.77).hex() == (-span).hex()
 
 
 _any_finite = st.floats(allow_nan=False, allow_infinity=False)

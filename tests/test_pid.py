@@ -144,3 +144,80 @@ def test_effort_and_integral_always_bounded(kp, ki, kd, output_limit, frac, erro
 def test_op_count_is_positive_constant():
     assert isinstance(PID_STEP_OPS, int)
     assert PID_STEP_OPS > 0
+
+
+def frozen_pid_step(config, state, error, measurement, dt):
+    """pid_step before its clamps became comparisons and its state a bare
+    tuple.__new__, kept verbatim as the bit-exact oracle."""
+    if not (math.isfinite(error) and math.isfinite(measurement) and math.isfinite(dt)):
+        raise ValueError("non-finite controller input")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    integral = state.integral
+    if config.ki != 0.0:
+        integral += error * dt
+        bound = config.integral_limit / abs(config.ki)
+        integral = min(max(integral, -bound), bound)
+
+    raw_d = (measurement - state.prev_measurement) / dt
+    alpha = config.derivative_filter_alpha
+    filtered_d = alpha * raw_d + (1.0 - alpha) * state.filtered_derivative
+
+    effort = config.kp * error + config.ki * integral - config.kd * filtered_d
+    effort = min(max(effort, -config.output_limit), config.output_limit)
+    return effort, PidState(integral, measurement, filtered_d)
+
+
+def pid_bits(result):
+    effort, state = result
+    return effort.hex(), tuple(v.hex() for v in state)
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def pid_step_cases(draw):
+    """(config, state, error, measurement, dt) with signed zeros everywhere,
+    an integral that lands exactly on its bound and efforts exactly at, past
+    and inside the output limit."""
+    ki = draw(_signed_zero | st.sampled_from([1.0, -2.0]) | st.floats(-10.0, 10.0))
+    output_limit = draw(st.sampled_from([1.0, 2.5]) | st.floats(0.1, 100.0))
+    config = PidConfig(kp=draw(_signed_zero | st.just(1.0) | st.floats(-10.0, 10.0)), ki=ki,
+                       kd=draw(_signed_zero | st.floats(-1.0, 1.0)), output_limit=output_limit,
+                       integral_limit=draw(st.floats(0.01, 1.0)) * output_limit,
+                       derivative_filter_alpha=draw(st.sampled_from([1.0, 0.4])
+                                                    | st.floats(0.01, 1.0)))
+    bound = config.integral_limit / abs(ki) if ki else 1.0
+    # a zero error keeps an integral that sits on its bound there
+    integral = draw(_signed_zero | st.sampled_from([bound, -bound]) | st.floats(-5.0, 5.0))
+    error = draw(_signed_zero | st.sampled_from([output_limit, -output_limit, 1e6, -1e6])
+                 | st.floats(-100.0, 100.0))
+    measurement = draw(_signed_zero | st.floats(-100.0, 100.0))
+    prev = draw(_signed_zero | st.just(measurement) | st.floats(-100.0, 100.0))
+    state = PidState(integral, prev, draw(_signed_zero | st.floats(-10.0, 10.0)))
+    return config, state, error, measurement, draw(st.sampled_from([0.02, 0.1]))
+
+
+class TestPidStepAgainstFrozen:
+    @given(pid_step_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_frozen_bit_for_bit(self, case):
+        got = pid_step(*case)
+        assert pid_bits(got) == pid_bits(frozen_pid_step(*case))
+        assert type(got) is tuple and type(got[0]) is float and type(got[1]) is PidState
+
+    def test_finite_inputs_whose_sum_overflows_pass(self):
+        config = PidConfig(kp=1e-6, ki=0.1, kd=1e-6)
+        state = PidState(0.0, 1e308, 0.0)
+        args = (config, state, 1e308, 1e308, 0.02)
+        assert not math.isfinite(1e308 + 1e308 + 0.02)
+        assert pid_bits(pid_step(*args)) == pid_bits(frozen_pid_step(*args))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["error", "measurement", "dt"])
+    def test_each_non_finite_input_rejected_beside_huge_ones(self, bad, where):
+        args = {name: bad if name == where else 1e308 for name in ("error", "measurement", "dt")}
+        with pytest.raises(ValueError, match="^non-finite controller input$"):
+            pid_step(PidConfig(kp=1.0, ki=0.1, kd=0.0), PidState(), **args)

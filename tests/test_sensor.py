@@ -14,6 +14,7 @@ from followsim import (
     area_error,
     observe,
     pixel_error_x,
+    normalize_angle,
     range_for_area,
 )
 
@@ -213,3 +214,108 @@ class TestCameraValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CameraIntrinsics(**kwargs)
+
+
+def frozen_observe(camera, follower, leader, panel, t, rng=None):
+    """observe before its clamps became comparisons, normalize_angle was
+    inlined and its reading a bare tuple.__new__, kept verbatim as the
+    bit-exact oracle."""
+    hx = math.cos(follower.heading)
+    hy = math.sin(follower.heading)
+    px = leader.x - panel.rear_offset * math.cos(leader.heading)
+    py = leader.y - panel.rear_offset * math.sin(leader.heading)
+    rel_x, rel_y = px - follower.x, py - follower.y
+
+    rng_dist = math.hypot(rel_x, rel_y)
+    if not camera.min_range <= rng_dist <= camera.max_range:
+        return None
+
+    forward = rel_x * hx + rel_y * hy
+    left = -rel_x * hy + rel_y * hx
+    if forward <= 0.0:
+        return None
+    bearing = math.atan2(left, forward)
+    if abs(bearing) >= camera.horizontal_fov / 2.0:
+        return None
+
+    aspect = normalize_angle(follower.heading - leader.heading)
+    facing = math.cos(aspect)
+    if facing <= 1e-9:
+        return None
+
+    f_px = camera.focal_px
+    half_w = camera.image_width / 2.0
+    x_px = half_w + f_px * (left / forward)
+    width_px = f_px * panel.width * facing / rng_dist
+    height_px = f_px * panel.height / rng_dist
+
+    if rng is not None and camera.jitter_px > 0.0:
+        j = camera.jitter_px
+        x_px += rng.uniform(-j, j)
+        width_px += rng.uniform(-j, j)
+        height_px += rng.uniform(-j, j)
+
+    x_px = min(max(x_px, 0.0), float(camera.image_width))
+    width_px = min(max(width_px, 0.0), float(camera.image_width))
+    height_px = min(max(height_px, 0.0), float(camera.image_height))
+    return SensorReading(x_px, camera.image_height / 2.0, width_px, height_px, t)
+
+
+class ScriptedJitter:
+    """An rng whose uniform draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, a, b):
+        return next(self.draws)
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_coordinate = _signed_zero | st.floats(-3.0, 3.0)
+_heading = (_signed_zero | st.sampled_from([-math.pi, math.nextafter(math.pi, 0.0), 0.5])
+            | st.floats(-math.pi, math.pi, exclude_max=True))
+
+
+@st.composite
+def observe_poses(draw):
+    """(follower, leader): anywhere, or the leader in view of the follower
+    (most such poses detect), with signed zeros and both ends of the heading range."""
+    follower = VehicleState(draw(_coordinate), draw(_coordinate), draw(_heading))
+    if draw(st.booleans()):
+        return follower, VehicleState(draw(_coordinate), draw(_coordinate), draw(_heading))
+    bearing = follower.heading + draw(_signed_zero | st.floats(-0.7, 0.7))
+    dist = draw(st.floats(0.2, 21.0))
+    aspect = draw(_signed_zero | st.floats(-1.6, 1.6))
+    return follower, VehicleState(follower.x + dist * math.cos(bearing),
+                                  follower.y + dist * math.sin(bearing), follower.heading + aspect)
+
+
+class TestObserveAgainstFrozen:
+    @given(poses=observe_poses(), offset=_signed_zero | st.floats(0.0, 0.5),
+           t=_signed_zero | st.floats(0.0, 100.0),
+           mode=st.sampled_from(["none", "low", "high", "free"]),
+           free=st.tuples(*[st.floats(-400.0, 400.0)] * 3))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_frozen_bit_for_bit(self, poses, offset, t, mode, free):
+        """A reading as the frozen observe gives it, with no jitter, and with
+        jitter that puts each box value exactly on its lower clamp bound, on
+        its upper one (as near as one addition gets) or anywhere."""
+        camera = CameraIntrinsics(jitter_px=1.0)
+        panel = TargetPanel(rear_offset=offset)
+        args = (*poses, panel, t)
+        clean = frozen_observe(camera, *args)
+        assert observe(camera, *args) == clean
+        if clean is None:
+            return
+        if mode == "none":
+            got, want = observe(camera, *args), clean
+        else:
+            values = (clean.x_px, clean.width_px, clean.height_px)
+            bounds = (0.0, 0.0, 0.0) if mode == "low" else (
+                float(camera.image_width), float(camera.image_width), float(camera.image_height))
+            draws = free if mode == "free" else [b - v for b, v in zip(bounds, values)]
+            got = observe(camera, *args, rng=ScriptedJitter(draws))
+            want = frozen_observe(camera, *args, rng=ScriptedJitter(draws))
+        assert type(got) is SensorReading
+        assert [v.hex() for v in got] == [v.hex() for v in want]

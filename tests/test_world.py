@@ -204,6 +204,26 @@ def straight_kernel_inputs(draw):
     return state, draw(SIGNED_ZERO), cmd, dt, steps
 
 
+@st.composite
+def settled_turning_inputs(draw):
+    """(state, steer, speed command, dt, steps) of a turning call whose speed
+    meets its target at once or by a ramp that ends mid-call, so that most of
+    its sub-steps run at the target: signed-zero headings and speeds, headings
+    that wrap, and a clamped or within-lock steering angle."""
+    steps = draw(st.integers(1, 12))
+    dt = draw(st.sampled_from([0.002, 1.0 / 600]) | st.floats(1e-4, 0.05))
+    heading = draw(WRAPPED_HEADING | st.floats(math.pi - 0.05, math.pi, exclude_max=True))
+    steer = draw(st.sampled_from([0.45, -0.45, 1.0, -1.0]) | st.floats(-0.5, 0.5)
+                 .filter(lambda a: a != 0.0))
+    speed = draw(SPEED)
+    if draw(st.booleans()):
+        cmd = speed  # settled from the first sub-step
+    else:
+        cmd = speed + draw(st.floats(-1.0, 1.0)) * PARAMS.max_accel * dt
+    state = VehicleState(draw(COORDINATE), draw(COORDINATE), heading, speed)
+    return state, steer, cmd, dt, steps
+
+
 def arc_pose(start: VehicleState, params: VehicleParams, steer: float, v: float, t: float):
     """Closed-form constant-steer trajectory: a circle of radius L/tan(delta)."""
     if steer == 0.0:
@@ -382,6 +402,43 @@ class TestIntegrateBicycle:
         assert state_bits(got) == state_bits(
             frozen_integrate_bicycle(state, PARAMS, steer, cmd, 0.002, 10))
 
+    @given(settled_turning_inputs())
+    # a zero heading with a zero turn rate: h4 and the next heading are zeros
+    @example((VehicleState(0.0, 0.0, -0.0, 0.0), 0.3, -1.0, 0.002, 5))
+    @example((VehicleState(0.0, 0.0, 0.0, 0.0), -0.3, 0.0, 0.002, 5))
+    # the heading wraps past pi within the call
+    @example((VehicleState(1.0, 2.0, math.nextafter(math.pi, 0.0), 4.0), 0.45, 4.0, 0.002, 10))
+    @settings(max_examples=500, deadline=None)
+    def test_settled_turning_bit_identical_to_frozen_kernel(self, inputs):
+        state, steer, cmd, dt, steps = inputs
+        got = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
+        assert type(got) is VehicleState
+        assert state_bits(got) == state_bits(
+            frozen_integrate_bicycle(state, PARAMS, steer, cmd, dt, steps))
+
+    @pytest.mark.parametrize("state, steer", [
+        (VehicleState(1.7e308, 1.7e308, 0.5, 1.0), 0.2),
+        (VehicleState(-1.7e308, -1.7e308, 0.0, 0.0), 0.0),  # along x
+        (VehicleState(1e308, 1e308, -0.0, 3.0), -0.3),
+    ])
+    def test_finite_inputs_whose_sum_overflows_pass(self, state, steer):
+        assert not math.isfinite(state.x + state.y + state.heading + state.speed)
+        got = integrate_bicycle(state, PARAMS, steer, 2.0, 0.002, 10)
+        assert type(got) is VehicleState
+        assert state_bits(got) == state_bits(
+            frozen_integrate_bicycle(state, PARAMS, steer, 2.0, 0.002, 10))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y", "heading", "speed", "steer_angle", "speed_cmd",
+                                       "dt"])
+    def test_non_finite_named_beside_huge_finite_values(self, bad, where):
+        pose = SimpleNamespace(**{f: bad if f == where else 1e308
+                                  for f in ("x", "y", "heading", "speed")})
+        args = {f: bad if f == where else 1e308 for f in ("steer_angle", "speed_cmd", "dt")}
+        with pytest.raises(ValueError, match=f"^non-finite {where}: "):
+            integrate_bicycle(pose, PARAMS, args["steer_angle"], args["speed_cmd"],
+                              args["dt"], 10)
+
     def test_step_bicycle_is_one_sub_step(self):
         state = VehicleState(0.5, -1.0, 3.1, speed=0.7)
         assert step_bicycle(state, PARAMS, 0.2, 2.5, 0.002) == integrate_bicycle(
@@ -484,7 +541,33 @@ def frozen_segments(script: LeaderScript) -> tuple[tuple, ...]:
     )
 
 
+def frozen_straight_leader_pose(script: LeaderScript, t: float) -> VehicleState:
+    """leader_pose's straight_line branch before it built its pose with
+    tuple.__new__, kept verbatim as the bit-exact oracle."""
+    s, v = script.progress(t)
+    h = script.start.heading
+    return VehicleState(
+        script.start.x + s * math.cos(h),
+        script.start.y + s * math.sin(h),
+        h,
+        v,
+    )
+
+
 class TestLeaderPose:
+    @settings(max_examples=300, deadline=None)
+    @given(x=COORDINATE, y=COORDINATE, heading=WRAPPED_HEADING,
+           profile=SIGNED_ZERO | st.floats(0.0, 5.0)
+           | st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(
+               lambda vs: ((0.0, vs[0]), (1.5, vs[1]))),
+           t=SIGNED_ZERO | st.sampled_from([1.5]) | st.floats(0.0, 1e4))
+    def test_straight_line_matches_frozen_bit_for_bit(self, x, y, heading, profile, t):
+        script = LeaderScript(kind="straight_line", start=VehicleState(x, y, heading),
+                              speed_profile=profile)
+        got = leader_pose(script, t)
+        assert type(got) is VehicleState
+        assert state_bits(got) == state_bits(frozen_straight_leader_pose(script, t))
+
     def test_stationary_holds_start(self):
         script = LeaderScript(kind="stationary", start=VehicleState(1.0, 2.0, 0.5, speed=3.0))
         for t in (0.0, 1.3, 99.0):

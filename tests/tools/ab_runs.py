@@ -1,0 +1,155 @@
+"""Run two followsim checkouts side by side in one process: same traces, and
+how much faster one runs than the other, run for run.
+
+Usage, from the repo root:
+
+    python tests/tools/ab_runs.py A_CHECKOUT [B_CHECKOUT] [--rounds N] [--workload W ...]
+
+B defaults to this checkout. Each checkout's src/followsim is copied into a
+temporary directory as its own package (followsim_a, followsim_b), and both
+are imported into this process. The workloads are lists of plain runs:
+
+- compare: every shipped scenario (scenarios/*.scn) under both controller
+  families, as `followsim compare` runs them
+- tune_pid: every candidate of scenarios/throttle_grid.grid on
+  scenarios/throttle_step.scn, as `followsim tune --channel throttle` builds it
+- tune_fuzzy: every candidate of tests/data/output_scale.grid on
+  tests/data/throttle_step_fuzzy.scn
+
+Each round runs every run once per side, back to back, with the side that
+goes first alternating from run to run and round to round, and times each
+`execute_archetype` call. A run's speedup in a round is A's time over B's.
+The first round only warms up; it is checked but not timed. Every trace
+of every round must be the same on both sides, every float compared with
+float.hex, except the wall-clock loop_cost_us column, or the tool stops with
+an AssertionError naming the run. The report gives, per workload, the
+median and quartiles of the per-run speedups and of each side's total time
+per round. Uses only the standard library and what followsim needs (numpy).
+Pytest never collects this file.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import itertools
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+WORKLOADS = ("compare", "tune_pid", "tune_fuzzy")
+UNTIMED_COLUMN = "loop_cost_us"
+
+
+def import_copy(checkout: Path, name: str, into: Path):
+    """Import checkout/src/followsim as the package `name`; its imports are
+    relative, so the copy runs as it is."""
+    shutil.copytree(checkout / "src" / "followsim", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def workload_runs(pkg, workload: str) -> list[tuple[str, object]]:
+    """(label, plain config) of each run of a workload, built by pkg itself."""
+    if workload == "compare":
+        runs = []
+        for path in sorted((ROOT / "scenarios").glob("*.scn")):
+            config = pkg.load_scenario(path)
+            for family in ("pid", "fuzzy"):
+                variant = replace(config, steering_kind=family, throttle_kind=family)
+                runs += [(f"{path.stem}/{run.name}/{family}", run) for run in variant.runs()]
+        return runs
+    scenario, grid = {
+        "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
+        "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
+    }[workload]
+    tune = importlib.import_module(f"{pkg.__name__}.tune")
+    base = pkg.load_scenario(ROOT / scenario)
+    spec = tune.TuneSpec("throttle", "itae", tune.load_gain_grid(ROOT / grid))
+    keys = spec.ordered_keys
+    runs = []
+    for combo in itertools.product(*(spec.grid[k] for k in keys)):
+        params = dict(zip(keys, combo))
+        (run,) = tune._candidate_config(base, spec, params).runs()
+        runs.append((" ".join(f"{k}={v:g}" for k, v in params.items()), run))
+    return runs
+
+
+def trace_bits(trace) -> tuple:
+    """A trace as comparable values: each float by its hex, with the
+    wall-clock column left out."""
+    columns = [i for i, name in enumerate(type(trace.records[0])._fields)
+               if name != UNTIMED_COLUMN] if trace.records else []
+    rows = tuple(tuple(v.hex() if isinstance(v, float) else v
+                       for v in (record[i] for i in columns)) for record in trace.records)
+    return trace.name, trace.stop_reason, rows
+
+
+def timed(pkg, config) -> tuple[float, object]:
+    start = time.perf_counter()
+    (trace,) = pkg.execute_archetype(config)
+    return time.perf_counter() - start, trace
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, median, q3
+
+
+def run_workload(a, b, workload: str, rounds: int) -> dict:
+    runs_a, runs_b = workload_runs(a, workload), workload_runs(b, workload)
+    assert [label for label, _ in runs_a] == [label for label, _ in runs_b], workload
+    speedups, totals_a, totals_b = [], [], []
+    for round_no in range(rounds + 1):
+        total_a = total_b = 0.0
+        for i, ((label, config_a), (_, config_b)) in enumerate(zip(runs_a, runs_b)):
+            gc.collect()
+            if (round_no + i) % 2:
+                time_a, trace_a = timed(a, config_a)
+                time_b, trace_b = timed(b, config_b)
+            else:
+                time_b, trace_b = timed(b, config_b)
+                time_a, trace_a = timed(a, config_a)
+            assert trace_bits(trace_a) == trace_bits(trace_b), f"{workload}: {label}: traces differ"
+            if round_no:  # round 0 warms up
+                speedups.append(time_a / time_b)
+                total_a += time_a
+                total_b += time_b
+        if round_no:
+            totals_a.append(total_a)
+            totals_b.append(total_b)
+    return {"runs": len(runs_a), "speedup": quartiles(speedups),
+            "a_s": quartiles(totals_a), "b_s": quartiles(totals_b)}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="checkout A (the baseline)")
+    parser.add_argument("b", type=Path, nargs="?", default=ROOT, help="checkout B (default: here)")
+    parser.add_argument("--rounds", type=int, default=5, help="timed rounds (default 5)")
+    parser.add_argument("--workload", choices=WORKLOADS, action="append",
+                        help="run only this workload (repeatable)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        a = import_copy(args.a.resolve(), "followsim_a", Path(tmp))
+        b = import_copy(args.b.resolve(), "followsim_b", Path(tmp))
+        print(f"A = {args.a.resolve()}\nB = {args.b.resolve()}\n"
+              f"{args.rounds} timed rounds; speedup = A time / B time per run; "
+              f"median [q1, q3]")
+        for workload in args.workload or WORKLOADS:
+            result = run_workload(a, b, workload, args.rounds)
+            q1, med, q3 = result["speedup"]
+            print(f"{workload}: {result['runs']} runs, traces identical; "
+                  f"speedup {med:.3f} [{q1:.3f}, {q3:.3f}]; per round "
+                  f"A {result['a_s'][1] * 1e3:.1f} ms, B {result['b_s'][1] * 1e3:.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
