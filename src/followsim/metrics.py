@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .simulate import Trace
@@ -48,13 +49,19 @@ def channel_columns(channel: str) -> tuple[str, str]:
 def _column(trace: Trace, name: str) -> list[float]:
     if not trace.records:
         raise ValueError(f"trace {trace.name!r} has no records")
-    return [float(getattr(r, name)) for r in trace.records]
+    return list(map(float, map(attrgetter(name), trace.records)))
+
+
+def control_effort_tv(trace: Trace, channel: str) -> float:
+    """Total variation of a channel's command column: the summed size of its steps."""
+    cmds = _column(trace, channel_columns(channel)[1])
+    return sum(map(abs, map(sub, cmds[1:], cmds)))
 
 
 def trace_metrics(trace: Trace, channel: str) -> MetricSet:
     """Metrics of one channel's error column, which steps from its first
     sample y0 to zero; a y0 of +-0 means no step, and the step metrics are NaN."""
-    error, command = channel_columns(channel)
+    error = channel_columns(channel)[0]
     ys = _column(trace, error)
     if not math.isfinite(ys[0]):
         raise ValueError(f"{error} starts at a non-finite value {ys[0]!r}")
@@ -91,9 +98,6 @@ def trace_metrics(trace: Trace, channel: str) -> MetricSet:
 
     rms = math.sqrt(sum(y * y for y in ys) / len(ys))
 
-    cmds = _column(trace, command)
-    tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
-
     ops = _column(trace, "op_count")
     return MetricSet(
         rise_time=rise,
@@ -101,7 +105,7 @@ def trace_metrics(trace: Trace, channel: str) -> MetricSet:
         overshoot=overshoot,
         steady_state_error=steady_state,
         rms_error=rms,
-        control_effort_tv=tv,
+        control_effort_tv=control_effort_tv(trace, channel),
         mean_op_count=sum(ops) / len(ops),
     )
 

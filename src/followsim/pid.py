@@ -60,8 +60,9 @@ def pid_step(
     +-integral_limit; when ki == 0 no integration happens at all.
     """
     if not math.isfinite(error + measurement + dt):  # finite only if every term is
-        if not (math.isfinite(error) and math.isfinite(measurement) and math.isfinite(dt)):
-            raise ValueError("non-finite controller input")
+        for name, value in (("error", error), ("measurement", measurement), ("dt", dt)):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite controller input {name}")
     if dt <= 0:
         raise ValueError("dt must be positive")
 

@@ -95,11 +95,13 @@ def observe(
     horizontal field of view, range outside [min_range, max_range], or the
     panel presenting (near) edge-on or its front face.
     """
-    hx = math.cos(follower.heading)
-    hy = math.sin(follower.heading)
-    px = leader.x - panel.rear_offset * math.cos(leader.heading)
-    py = leader.y - panel.rear_offset * math.sin(leader.heading)
-    rel_x, rel_y = px - follower.x, py - follower.y
+    fx, fy, fh, _ = follower
+    lx, ly, lh, _ = leader
+    hx = math.cos(fh)
+    hy = math.sin(fh)
+    px = lx - panel.rear_offset * math.cos(lh)
+    py = ly - panel.rear_offset * math.sin(lh)
+    rel_x, rel_y = px - fx, py - fy
 
     rng_dist = math.hypot(rel_x, rel_y)
     if not camera.min_range <= rng_dist <= camera.max_range:
@@ -114,7 +116,7 @@ def observe(
         return None
 
     # foreshortening from the relative yaw between view axis and panel facing
-    aspect = math.remainder(follower.heading - leader.heading, math.tau)
+    aspect = math.remainder(fh - lh, math.tau)
     aspect = -math.pi if aspect == math.pi else aspect  # normalize_angle, inlined
     facing = math.cos(aspect)
     if facing <= 1e-9:

@@ -16,15 +16,15 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
-from .sensor import area_error, observe, pixel_error_x
+from .sensor import observe
 from .world import integrate_bicycle, leader_pose, track_deviations
 
 STOP_REASON_STATIONARY = "follower_stationary"
@@ -69,6 +69,10 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     follow_dist_m) into its TraceRecord, in place, working the two columns
     out for a block of records at a time.
 
+    Each block is transposed into columns once, and its records are built
+    from them in C: no Python frame runs per record. The two columns have
+    the arithmetic and the bits of lateral_deviation and following_distance.
+
     Lateral deviation is measured against the leader script's own polyline:
     its lane extended backward from the start (so there is a line from the
     first record on), the corners passed by the record's time, and the
@@ -88,18 +92,17 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
     first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
              for s in corner_s]
-    new = tuple.__new__
+    make = partial(tuple.__new__, TraceRecord)
     for lo in range(0, len(records), BOOKKEEPING_BLOCK):
-        rows = records[lo:lo + BOOKKEEPING_BLOCK]
-        passed = np.searchsorted(first, np.arange(lo, lo + len(rows)), side="right")
-        positions = chain.from_iterable(map(itemgetter(1, 2, 3, 4), rows))
-        lx, ly, fx, fy = np.fromiter(positions, float, 4 * len(rows)).reshape(-1, 4).T
+        cols = list(zip(*records[lo:lo + BOOKKEEPING_BLOCK]))
+        n = len(cols[0])
+        passed = np.searchsorted(first, np.arange(lo, lo + n), side="right")
+        lx, ly, fx, fy = (np.fromiter(col, float, n) for col in cols[1:5])
         lateral_dev = track_deviations((fx, fy), vertices, passed, (lx, ly))
         # following_distance of each record: every recorded position is finite
         with np.errstate(over="ignore"):
             follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
-        records[lo:lo + len(rows)] = [new(TraceRecord, (*row[:10], lateral, gap, *row[10:]))
-                                      for row, lateral, gap in zip(rows, lateral_dev, follow_dist)]
+        records[lo:lo + n] = map(make, zip(*cols[:10], lateral_dev, follow_dist, *cols[10:]))
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
@@ -112,8 +115,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     parked leader with no pixel jitter the sensing depends on the follower
     alone, so while integrate_bicycle hands back the same follower object a
     record reuses the last one's camera reading and errors; the controllers
-    still run on every record. lateral_dev_m and follow_dist_m are worked out
-    for every record after the loop (_bookkeeping).
+    still run on every record. What the config fixes is read once, before
+    the loop, and the errors are worked out inline with the bits of
+    pixel_error_x and area_error. lateral_dev_m and follow_dist_m are worked
+    out for every record after the loop (_bookkeeping).
     Takes plain (archetype "scenario") configs only; execute_archetype runs
     the others through ScenarioConfig.runs().
     """
@@ -125,9 +130,15 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     sub_steps = config.sub_steps
     sub_dt = dt / sub_steps
     rng = random.Random(config.seed)
+    camera, panel, vehicle = config.camera, config.panel, config.vehicle
+    setpoint_area, half_width = config.setpoint_area, camera.image_width / 2.0
+    stop_on_loss = config.lost_target_policy == "stop"
+    still_speed, hold_time = config.stop_speed_eps, config.stop_hold_time
+    clock = time.perf_counter_ns
 
     steering = None if config.steering_locked else ChannelController(*config.controller("steering"))
     throttle = ChannelController(*config.controller("throttle"))
+    detected_ops = throttle.ops_per_step + (0 if steering is None else steering.ops_per_step)
 
     follower = config.follower_start
     steering_pwm = throttle_pwm = NEUTRAL_PWM
@@ -142,45 +153,44 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     stop_reason = None
     still_time = 0.0
     # observe draws from the rng only under jitter
-    reuse_sensing = parked and not config.camera.jitter_px
+    reuse_sensing = parked and not camera.jitter_px
     sensed = None  # the follower the last sensing was of, while it may be reused
 
     for k in range(n_records):
         t = k * dt
         leader = leader0 if parked else leader_pose(script, t)
 
-        started = time.perf_counter_ns()
+        started = clock()
         if follower is not sensed:
-            reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
+            reading = observe(camera, follower, leader, panel, t, rng=rng)
             if reading is not None:
-                pe = pixel_error_x(reading, config.camera)
-                ae = area_error(reading, config.setpoint_area)
-        ops = 0
+                x_px, _, width_px, height_px, _ = reading
+                area = width_px * height_px  # SensorReading.area_px2
+                pe = x_px - half_width
+                ae = setpoint_area - area
         if reading is not None:
             if steering is not None:
                 steering_pwm = steering.update(pe, pe, dt)
-                ops += steering.ops_per_step
-            throttle_pwm = throttle.update(ae, reading.area_px2, dt)
-            ops += throttle.ops_per_step
-        elif config.lost_target_policy == "stop":
+            throttle_pwm = throttle.update(ae, area, dt)
+        elif stop_on_loss:
             steering_pwm = throttle_pwm = NEUTRAL_PWM
-        loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
+        loop_cost_us = (clock() - started) / 1000.0
 
         if reuse_sensing:
             sensed = follower
+        fx, fy, heading, _ = follower
+        detected = reading is not None
         records.append((
-            t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
-            steering_pwm, throttle_pwm, reading is not None, loop_cost_us, ops,
+            t, leader[0], leader[1], fx, fy, heading, pe, ae, steering_pwm, throttle_pwm,
+            detected, loop_cost_us, detected_ops if detected else 0,
         ))
 
-        steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
-        follower = integrate_bicycle(
-            follower, config.vehicle, steer_angle, speed_cmd, sub_dt, sub_steps
-        )
+        steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, vehicle)
+        follower = integrate_bicycle(follower, vehicle, steer_angle, speed_cmd, sub_dt, sub_steps)
 
         if parked:
-            still_time = still_time + dt if follower.speed < config.stop_speed_eps else 0.0
-            if still_time >= config.stop_hold_time and k + 1 < n_records:
+            still_time = still_time + dt if follower[3] < still_speed else 0.0
+            if still_time >= hold_time and k + 1 < n_records:
                 stop_reason = STOP_REASON_STATIONARY
                 break
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .fuzzy import scale_output
-from .metrics import objective_value, trace_metrics
+from .metrics import control_effort_tv, objective_value
 from .pid import MAX_GAIN
 from .scenario import CHANNELS, ScenarioConfig, ScenarioError, _parse_float_list, _read_sections
 from .simulate import execute_archetype
@@ -148,7 +148,7 @@ def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResul
         (trace,) = execute_archetype(_candidate_config(base, spec, params))
         results.append(TuneResult(index, params,
                                   objective_value(trace, spec.channel, spec.objective, base.dt),
-                                  trace_metrics(trace, spec.channel).control_effort_tv))
+                                  control_effort_tv(trace, spec.channel)))
         write_trace_csv(trace, out / candidate_filename(results[-1]))
         del trace  # so the next run starts with no trace held
     results.sort(key=lambda r: (r.score, r.control_effort_tv, tuple(r.params[k] for k in keys)))

@@ -276,9 +276,10 @@ def integrate_bicycle(
             h = math.remainder(h + dh, math.tau)
             h = -math.pi if h == math.pi else h
             # the next sub-step reuses the end heading's cosine and sine if it
-            # starts at that same float; not at a zero: sin(-0.0) is -0.0
+            # starts at that same float. Equal zeros are the same zero: h4 and
+            # the next h add steps of one sign to the same h, so their signs agree
             c, s = c4, s4
-            if h != h4 or not h:
+            if h != h4:
                 c, s = cos(h), sin(h)
     return tuple.__new__(VehicleState, (x, y, h, target if settled else v))
 
@@ -352,6 +353,8 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
             qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
             vx, vy = qx - px, qy - py
             norm2 = vx * vx + vy * vy
+            if not norm2.any():  # no record's segment has a length to be closer on
+                continue
             u = ((fx - px) * vx + (fy - py) * vy) / norm2
             u = np.where(0.0 > u, 0.0, u)  # max(u, 0.0), which keeps a -0.0 and a nan
             u = np.where(1.0 < u, 1.0, u)  # min(u, 1.0)

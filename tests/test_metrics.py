@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record, unknown_channel
 from followsim import Trace, compare, format_report, objective_value, trace_metrics
-from followsim.metrics import CHANNEL_COLUMNS, METRIC_FIELDS, MetricSet
+from followsim.metrics import CHANNEL_COLUMNS, METRIC_FIELDS, MetricSet, control_effort_tv
 from followsim.scenario import CHANNELS
 
 # values that name no channel: a stray word, the old column vocabulary, a pair
@@ -303,3 +303,20 @@ def test_step_from_first_sample_matches_passed_delta(case):
     got = trace_metrics(trace, channel)
     want = frozen_trace_metrics(trace, signal, -y0 or None)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@given(case=error_traces())
+@settings(max_examples=200, deadline=None)
+def test_control_effort_tv_matches_frozen_total_variation(case):
+    channel, trace = case
+    want = frozen_trace_metrics(trace, CHANNEL_COLUMNS[channel][0]).control_effort_tv
+    got = control_effort_tv(trace, channel)
+    assert (type(got), float(got).hex()) == (type(want), float(want).hex())  # int 0 for 1 record
+
+
+def test_control_effort_tv_checks_like_trace_metrics():
+    with pytest.raises(ValueError, match="has no records"):
+        control_effort_tv(Trace("empty", []), "steering")
+    for value in NOT_CHANNELS:
+        with pytest.raises(ValueError, match=unknown_channel(value)):
+            control_effort_tv(exp_trace(), value)

@@ -219,5 +219,12 @@ class TestPidStepAgainstFrozen:
     @pytest.mark.parametrize("where", ["error", "measurement", "dt"])
     def test_each_non_finite_input_rejected_beside_huge_ones(self, bad, where):
         args = {name: bad if name == where else 1e308 for name in ("error", "measurement", "dt")}
-        with pytest.raises(ValueError, match="^non-finite controller input$"):
+        with pytest.raises(ValueError, match=f"^non-finite controller input {where}$"):
+            pid_step(PidConfig(kp=1.0, ki=0.1, kd=0.0), PidState(), **args)
+
+    @pytest.mark.parametrize("bad", [("error", "dt"), ("measurement", "dt"),
+                                     ("error", "measurement", "dt")])
+    def test_first_non_finite_input_is_named(self, bad):
+        args = {name: math.nan if name in bad else 1.0 for name in ("error", "measurement", "dt")}
+        with pytest.raises(ValueError, match=f"^non-finite controller input {bad[0]}$"):
             pid_step(PidConfig(kp=1.0, ki=0.1, kd=0.0), PidState(), **args)

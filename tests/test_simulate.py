@@ -1,12 +1,16 @@
 import gc
 import math
+import random
+import time
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +18,11 @@ from hypothesis import strategies as st
 from conftest import STEADY_STATE_PX, overflowing_pid_config, records_match_except_timing
 from test_world import frozen_lateral_deviation
 from followsim import (
+    CameraIntrinsics,
     LeaderScript,
     ScenarioError,
+    Trace,
+    TraceRecord,
     VehicleState,
     default_scenario,
     execute_archetype,
@@ -24,8 +31,10 @@ from followsim import (
     run_scenario,
 )
 from followsim import actuation, simulate, world
+from followsim.actuation import NEUTRAL_PWM, ChannelController, pwm_to_actuation
 from followsim.scenario import MAX_RECORDS
-from followsim.world import following_distance, leader_pose, place_behind
+from followsim.sensor import area_error, observe, pixel_error_x
+from followsim.world import following_distance, integrate_bicycle, leader_pose, place_behind
 
 ROOT = Path(__file__).parents[1]
 S_CURVE = ROOT / "scenarios" / "s_curve.scn"
@@ -671,3 +680,195 @@ def test_trace_at_the_runaway_guard_fits_the_documented_budget():
         tracemalloc.stop()
     assert len(trace.records) == 1000
     assert per_record * MAX_RECORDS <= TRACE_BUDGET_BYTES, f"{per_record:.0f} bytes per record"
+
+
+def frozen_bookkeeping(config, records):
+    """simulate._bookkeeping before it went by column, kept verbatim as the
+    oracle of the records it builds."""
+    script = config.leader
+    leader0 = leader_pose(script, 0.0)
+    back = 10.0 * max(config.follow_range, 1.0)
+    tail = (leader0.x - back * math.cos(leader0.heading),
+            leader0.y - back * math.sin(leader0.heading))
+    vertices = (tail, (script.start.x, script.start.y),
+                *(q for _, q, _, _ in script.segments))
+    corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
+    first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
+             for s in corner_s]
+    new = tuple.__new__
+    for lo in range(0, len(records), simulate.BOOKKEEPING_BLOCK):
+        rows = records[lo:lo + simulate.BOOKKEEPING_BLOCK]
+        passed = np.searchsorted(first, np.arange(lo, lo + len(rows)), side="right")
+        positions = chain.from_iterable(map(itemgetter(1, 2, 3, 4), rows))
+        lx, ly, fx, fy = np.fromiter(positions, float, 4 * len(rows)).reshape(-1, 4).T
+        lateral_dev = world.track_deviations((fx, fy), vertices, passed, (lx, ly))
+        with np.errstate(over="ignore"):
+            follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
+        records[lo:lo + len(rows)] = [new(TraceRecord, (*row[:10], lateral, gap, *row[10:]))
+                                      for row, lateral, gap in zip(rows, lateral_dev, follow_dist)]
+
+
+def frozen_run_scenario(config):
+    """run_scenario before it read its config once per run and worked out
+    the errors inline, kept verbatim as the bit-exact oracle of the loop."""
+    dt = config.dt
+    n_records = config.n_records
+    sub_steps = config.sub_steps
+    sub_dt = dt / sub_steps
+    rng = random.Random(config.seed)
+
+    steering = None if config.steering_locked else ChannelController(*config.controller("steering"))
+    throttle = ChannelController(*config.controller("throttle"))
+
+    follower = config.follower_start
+    steering_pwm = throttle_pwm = NEUTRAL_PWM
+    pe = 0.0
+    ae = 0.0
+    script = config.leader
+    parked = script.kind == "stationary"
+    leader0 = leader_pose(script, 0.0)
+    records = []
+    stop_reason = None
+    still_time = 0.0
+    reuse_sensing = parked and not config.camera.jitter_px
+    sensed = None
+
+    for k in range(n_records):
+        t = k * dt
+        leader = leader0 if parked else leader_pose(script, t)
+
+        started = time.perf_counter_ns()
+        if follower is not sensed:
+            reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
+            if reading is not None:
+                pe = pixel_error_x(reading, config.camera)
+                ae = area_error(reading, config.setpoint_area)
+        ops = 0
+        if reading is not None:
+            if steering is not None:
+                steering_pwm = steering.update(pe, pe, dt)
+                ops += steering.ops_per_step
+            throttle_pwm = throttle.update(ae, reading.area_px2, dt)
+            ops += throttle.ops_per_step
+        elif config.lost_target_policy == "stop":
+            steering_pwm = throttle_pwm = NEUTRAL_PWM
+        loop_cost_us = (time.perf_counter_ns() - started) / 1000.0
+
+        if reuse_sensing:
+            sensed = follower
+        records.append((
+            t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
+            steering_pwm, throttle_pwm, reading is not None, loop_cost_us, ops,
+        ))
+
+        steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
+        follower = integrate_bicycle(
+            follower, config.vehicle, steer_angle, speed_cmd, sub_dt, sub_steps
+        )
+
+        if parked:
+            still_time = still_time + dt if follower.speed < config.stop_speed_eps else 0.0
+            if still_time >= config.stop_hold_time and k + 1 < n_records:
+                stop_reason = simulate.STOP_REASON_STATIONARY
+                break
+
+    frozen_bookkeeping(config, records)
+    return Trace(config.name, records, stop_reason=stop_reason)
+
+
+def run_bits(trace) -> tuple:
+    """A trace as comparable values: each float by its hex and every other
+    value with its type, leaving out the wall-clock loop_cost_us column."""
+    timing = TraceRecord._fields.index("loop_cost_us")
+    rows = tuple(tuple(v.hex() if type(v) is float else (type(v), v)
+                       for i, v in enumerate(r) if i != timing) for r in trace.records)
+    return trace.name, trace.stop_reason, tuple(map(type, trace.records)), rows
+
+
+@st.composite
+def plain_configs(draw):
+    """A short plain run: a parked, straight-line or waypoint leader with a
+    start on either zero, a follower placed near, beside or facing away from
+    it (so that some runs lose the target), jitter on or off, either lost-
+    target policy, the steering locked or not, either family per channel,
+    and stop settings that end some parked runs early."""
+    kind = draw(st.sampled_from(["stationary", "straight_line", "waypoint_path"]))
+    start = VehicleState(draw(st.sampled_from([0.0, -0.0, 1.5])),
+                         draw(st.sampled_from([0.0, -0.0, -2.0])),
+                         draw(st.sampled_from([0.0, -0.0, 0.7, -3.0])))
+    if kind == "stationary":
+        leader = LeaderScript(start=start)
+    elif kind == "straight_line":
+        profile = draw(st.sampled_from([1.0, ((0.0, 0.0), (0.6, 1.2))]))
+        leader = LeaderScript("straight_line", start, speed_profile=profile)
+    else:
+        bend = draw(st.sampled_from([0.5, 0.0]))  # gentle, or a right angle that loses the panel
+        leader = LeaderScript("waypoint_path", start, speed_profile=1.5, waypoints=(
+            (start.x + 1.0, start.y), (start.x + 1.0 + bend, start.y + 3.0)))
+    gap = draw(st.sampled_from([0.25, 1.0, 1.5, 3.0]))
+    offset = draw(st.sampled_from([0.0, -0.0, 0.4, -1.5]))
+    placed = place_behind(leader.start, gap, offset)
+    follower = VehicleState(placed.x, placed.y,
+                            placed.heading + draw(st.sampled_from([0.0, 0.3, -0.9, math.pi])))
+    return default_scenario(
+        "frozen",
+        leader=leader,
+        follower_start=follower,
+        camera=CameraIntrinsics(jitter_px=draw(st.sampled_from([0.0, 1.5]))),
+        duration=draw(st.sampled_from([0.02, 0.5, 2.5])),
+        seed=draw(st.integers(0, 3)),
+        steering_kind=draw(st.sampled_from(["pid", "fuzzy"])),
+        throttle_kind=draw(st.sampled_from(["pid", "fuzzy"])),
+        steering_locked=draw(st.booleans()),
+        steering_filter=draw(st.sampled_from(["auto", None, 0.5])),
+        lost_target_policy=draw(st.sampled_from(["hold", "stop"])),
+        stop_speed_eps=draw(st.sampled_from([0.01, 0.3])),
+        stop_hold_time=draw(st.sampled_from([0.1, 1.0])),
+    )
+
+
+class TestRunnerAgainstFrozen:
+    """run_scenario gives the records the loop and bookkeeping it replaced
+    gave, down to the bits, and stops for the same reason."""
+
+    @given(plain_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_frozen_bit_for_bit(self, config):
+        assert run_bits(run_scenario(config)) == run_bits(frozen_run_scenario(config))
+
+    COVERING = {
+        # what each case shows: (leader kind, config overrides)
+        "parked, stops early": ("stationary", dict(stop_hold_time=0.2)),
+        "parked, held sensing under hold": ("stationary", dict(follower={"x": -3.0})),
+        "parked, jitter, locked steering": ("stationary", dict(
+            camera=CameraIntrinsics(jitter_px=1.5), steering_locked=True, duration=2.0)),
+        "straight line, target lost under stop": ("straight_line", dict(
+            follower={"heading": math.pi}, lost_target_policy="stop")),
+        "waypoints, target lost under hold, fuzzy": ("waypoint_path", dict(
+            steering_kind="fuzzy", throttle_kind="fuzzy")),
+    }
+
+    @pytest.mark.parametrize("case", COVERING)
+    def test_each_covering_case_matches_frozen(self, case):
+        kind, overrides = self.COVERING[case]
+        leader = {
+            "stationary": LeaderScript(),
+            "straight_line": LeaderScript("straight_line", speed_profile=1.0),
+            "waypoint_path": LeaderScript("waypoint_path", speed_profile=1.5,
+                                          waypoints=((1.0, 0.0), (1.0, 3.0))),
+        }[kind]
+        config = default_scenario("frozen", leader=leader, **{"duration": 3.0, **overrides})
+        got = run_scenario(config)
+        assert run_bits(got) == run_bits(frozen_run_scenario(config))
+        records = got.records
+        shown = {
+            "parked, stops early": got.stop_reason == simulate.STOP_REASON_STATIONARY,
+            "parked, held sensing under hold": any(
+                a[3:6] == b[3:6] and b.detected for a, b in zip(records, records[1:])),
+            "parked, jitter, locked steering": {r.steering_pwm for r in records} == {90.0},
+            "straight line, target lost under stop": any(
+                not r.detected and (r.steering_pwm, r.throttle_pwm) == (90.0, 90.0)
+                for r in records),
+            "waypoints, target lost under hold, fuzzy": any(not r.detected for r in records),
+        }[case]
+        assert shown, case

@@ -24,8 +24,18 @@ of every round must be the same on both sides, every float compared with
 float.hex, except the wall-clock loop_cost_us column, or the tool stops with
 an AssertionError naming the run. The report gives, per workload, the
 median and quartiles of the per-run speedups and of each side's total time
-per round. Uses only the standard library and what followsim needs (numpy).
-Pytest never collects this file.
+per round.
+
+The tune workloads are also timed as whole commands: each round runs
+`run_grid_search` once per side, each into its own temporary directory,
+with the side that goes first alternating from round to round. So a
+candidate's CSV write and scoring count as well as its run. Both sides must
+write a byte-identical tune_results.csv and the same candidate traces, read
+back with read_trace_csv and compared as above. The report gives the median
+and quartiles of the per-command speedups.
+
+Uses only the standard library and what followsim needs (numpy). Pytest
+never collects this file.
 """
 from __future__ import annotations
 
@@ -43,6 +53,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 WORKLOADS = ("compare", "tune_pid", "tune_fuzzy")
+# tune workload -> (scenario, grid), searched on the throttle channel by itae
+TUNE_INPUTS = {
+    "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
+    "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
+}
 UNTIMED_COLUMN = "loop_cost_us"
 
 
@@ -52,6 +67,14 @@ def import_copy(checkout: Path, name: str, into: Path):
     shutil.copytree(checkout / "src" / "followsim", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(name)
+
+
+def tune_search(pkg, workload: str) -> tuple:
+    """(tune module, base config, spec) of a tune workload, built by pkg itself."""
+    scenario, grid = TUNE_INPUTS[workload]
+    tune = importlib.import_module(f"{pkg.__name__}.tune")
+    base = pkg.load_scenario(ROOT / scenario)
+    return tune, base, tune.TuneSpec("throttle", "itae", tune.load_gain_grid(ROOT / grid))
 
 
 def workload_runs(pkg, workload: str) -> list[tuple[str, object]]:
@@ -64,13 +87,7 @@ def workload_runs(pkg, workload: str) -> list[tuple[str, object]]:
                 variant = replace(config, steering_kind=family, throttle_kind=family)
                 runs += [(f"{path.stem}/{run.name}/{family}", run) for run in variant.runs()]
         return runs
-    scenario, grid = {
-        "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
-        "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
-    }[workload]
-    tune = importlib.import_module(f"{pkg.__name__}.tune")
-    base = pkg.load_scenario(ROOT / scenario)
-    spec = tune.TuneSpec("throttle", "itae", tune.load_gain_grid(ROOT / grid))
+    tune, base, spec = tune_search(pkg, workload)
     keys = spec.ordered_keys
     runs = []
     for combo in itertools.product(*(spec.grid[k] for k in keys)):
@@ -127,6 +144,43 @@ def run_workload(a, b, workload: str, rounds: int) -> dict:
             "a_s": quartiles(totals_a), "b_s": quartiles(totals_b)}
 
 
+def timed_search(search: tuple, out: Path) -> float:
+    tune, base, spec = search
+    start = time.perf_counter()
+    tune.run_grid_search(base, spec, out)
+    return time.perf_counter() - start
+
+
+def search_outputs(pkg, out: Path) -> tuple:
+    """A search's output directory as comparable values: tune_results.csv's
+    bytes and the bits of each candidate trace, read back."""
+    traceio = importlib.import_module(f"{pkg.__name__}.traceio")
+    candidates = tuple((path.name, trace_bits(traceio.read_trace_csv(path)))
+                       for path in sorted(out.glob("cand_*.csv")))
+    return (out / "tune_results.csv").read_bytes(), candidates
+
+
+def run_tune_command(a, b, workload: str, rounds: int, tmp: Path) -> dict:
+    search_a, search_b = tune_search(a, workload), tune_search(b, workload)
+    speedups = []
+    for round_no in range(rounds + 1):
+        out_a, out_b = tmp / f"{workload}_a", tmp / f"{workload}_b"
+        gc.collect()
+        if round_no % 2:
+            time_a = timed_search(search_a, out_a)
+            time_b = timed_search(search_b, out_b)
+        else:
+            time_b = timed_search(search_b, out_b)
+            time_a = timed_search(search_a, out_a)
+        outputs = search_outputs(a, out_a)
+        assert outputs == search_outputs(b, out_b), f"{workload} command: outputs differ"
+        shutil.rmtree(out_a)
+        shutil.rmtree(out_b)
+        if round_no:  # round 0 warms up
+            speedups.append(time_a / time_b)
+    return {"candidates": len(outputs[1]), "speedup": quartiles(speedups)}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the baseline)")
@@ -148,6 +202,11 @@ def main(argv: list[str]) -> int:
             print(f"{workload}: {result['runs']} runs, traces identical; "
                   f"speedup {med:.3f} [{q1:.3f}, {q3:.3f}]; per round "
                   f"A {result['a_s'][1] * 1e3:.1f} ms, B {result['b_s'][1] * 1e3:.1f} ms")
+            if workload in TUNE_INPUTS:
+                result = run_tune_command(a, b, workload, args.rounds, Path(tmp))
+                q1, med, q3 = result["speedup"]
+                print(f"{workload} command: {result['candidates']} candidates, outputs "
+                      f"identical; speedup {med:.3f} [{q1:.3f}, {q3:.3f}]")
     return 0
 
 
