@@ -41,7 +41,6 @@ from .world import (
     LeaderScript,
     VehicleParams,
     VehicleState,
-    following_distance,
     integrate_bicycle,
     lateral_deviation,
     leader_pose,
@@ -53,4 +52,4 @@ __all__ = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
-__version__ = "0.1.0"
+__version__ = "0.2.0"

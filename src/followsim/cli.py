@@ -2,7 +2,8 @@
 
 Every command reads a scenario file, writes its artifacts (trace CSVs, SVG
 plots, reports) only inside --out. On one host (README), identical arguments
-and seed give identical outputs except the wall-clock loop_cost_us column.
+and seed give byte-identical files; only the wall-clock loop cost that run
+and compare print on stdout differs from run to run.
 """
 from __future__ import annotations
 
@@ -23,6 +24,11 @@ def _channel(config: ScenarioConfig) -> str:
     """The control channel a scenario is judged and plotted on: throttle
     when its runs lock the steering, steering otherwise."""
     return "throttle" if config.runs()[0].steering_locked else "steering"
+
+
+def _loop_cost(trace: Trace) -> str:
+    """The run's measured sensing and control time per record, for stdout only."""
+    return f"{trace.loop_cost_ns / 1e3 / len(trace.records):.2f} us/record"
 
 
 def _write_trace_artifacts(
@@ -49,7 +55,8 @@ def cmd_run(args) -> int:
         csv_path, svg_path = _write_trace_artifacts(trace, out, channel)
         print(
             f"{trace.name}: {len(trace.records)} records, "
-            f"stop={trace.stop_reason or 'duration'}, wrote {csv_path} and {svg_path}"
+            f"stop={trace.stop_reason or 'duration'}, loop cost {_loop_cost(trace)}, "
+            f"wrote {csv_path} and {svg_path}"
         )
     return 0
 
@@ -74,6 +81,8 @@ def cmd_compare(args) -> int:
     write_report(report, report_path)
     for metric, winner in report.winners.items():
         print(f"{metric}: {winner}")
+    for family, trace in traces.items():
+        print(f"{family} loop cost: {_loop_cost(trace)} (wall clock)")
     print(f"wrote {report_path}")
     return 0
 

@@ -55,7 +55,7 @@ def _column(trace: Trace, name: str) -> list[float]:
 def control_effort_tv(trace: Trace, channel: str) -> float:
     """Total variation of a channel's command column: the summed size of its steps."""
     cmds = _column(trace, channel_columns(channel)[1])
-    return sum(map(abs, map(sub, cmds[1:], cmds)))
+    return sum(map(abs, map(sub, cmds[1:], cmds)), 0.0)
 
 
 def trace_metrics(trace: Trace, channel: str) -> MetricSet:

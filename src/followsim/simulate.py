@@ -3,7 +3,7 @@
 One record is logged per control period (the camera frame interval); vehicle
 kinematics are integrated with sub-steps of at most 2 ms inside each period so
 plant accuracy never depends on the controller cadence. Runs are deterministic
-for a fixed seed except for the wall-clock loop_cost_us field.
+for a fixed seed, but for the wall-clock loop_cost_ns a Trace keeps apart.
 
 The loop records only what it senses, commands and integrates. The two
 bookkeeping columns, lateral_dev_m and follow_dist_m, feed no controller:
@@ -50,18 +50,19 @@ class TraceRecord(NamedTuple):
     lateral_dev_m: float
     follow_dist_m: float
     detected: bool
-    loop_cost_us: float
     op_count: int
 
 
 @dataclass
 class Trace:
-    """Scenario name plus the time-ordered records; the early-stop reason rides
-    along but takes no part in equality (it does not survive the CSV round trip)."""
+    """Scenario name plus the time-ordered records. The early-stop reason and
+    loop_cost_ns, the run's wall-clock ns of sensing and control, ride along
+    but take no part in equality: neither survives the CSV round trip."""
 
     name: str
     records: list[TraceRecord]
     stop_reason: str | None = field(default=None, compare=False)
+    loop_cost_ns: int = field(default=0, compare=False)
 
 
 def _bookkeeping(config: ScenarioConfig, records: list) -> None:
@@ -71,7 +72,7 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
 
     Each block is transposed into columns once, and its records are built
     from them in C: no Python frame runs per record. The two columns have
-    the arithmetic and the bits of lateral_deviation and following_distance.
+    the arithmetic and the bits of lateral_deviation and of math.hypot.
 
     Lateral deviation is measured against the leader script's own polyline:
     its lane extended backward from the start (so there is a line from the
@@ -99,7 +100,7 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
         passed = np.searchsorted(first, np.arange(lo, lo + n), side="right")
         lx, ly, fx, fy = (np.fromiter(col, float, n) for col in cols[1:5])
         lateral_dev = track_deviations((fx, fy), vertices, passed, (lx, ly))
-        # following_distance of each record: every recorded position is finite
+        # follow_dist_m of each record: every recorded position is finite
         with np.errstate(over="ignore"):
             follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
         records[lo:lo + n] = map(make, zip(*cols[:10], lateral_dev, follow_dist, *cols[10:]))
@@ -152,6 +153,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     records = []
     stop_reason = None
     still_time = 0.0
+    loop_cost_ns = 0
     # observe draws from the rng only under jitter
     reuse_sensing = parked and not camera.jitter_px
     sensed = None  # the follower the last sensing was of, while it may be reused
@@ -174,7 +176,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             throttle_pwm = throttle.update(ae, area, dt)
         elif stop_on_loss:
             steering_pwm = throttle_pwm = NEUTRAL_PWM
-        loop_cost_us = (clock() - started) / 1000.0
+        loop_cost_ns += clock() - started
 
         if reuse_sensing:
             sensed = follower
@@ -182,7 +184,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         detected = reading is not None
         records.append((
             t, leader[0], leader[1], fx, fy, heading, pe, ae, steering_pwm, throttle_pwm,
-            detected, loop_cost_us, detected_ops if detected else 0,
+            detected, detected_ops if detected else 0,
         ))
 
         steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, vehicle)
@@ -195,7 +197,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 break
 
     _bookkeeping(config, records)
-    return Trace(config.name, records, stop_reason=stop_reason)
+    return Trace(config.name, records, stop_reason=stop_reason, loop_cost_ns=loop_cost_ns)
 
 
 def execute_archetype(config: ScenarioConfig) -> list[Trace]:

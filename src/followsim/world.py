@@ -384,11 +384,3 @@ def lateral_deviation(follower: VehicleState, leader_track) -> float:
     (d,) = track_deviations(([follower.x], [follower.y]), leader_track,
                             [len(leader_track) - 1], ([last_x], [last_y]))
     return d
-
-
-def following_distance(follower: VehicleState, leader: VehicleState) -> float:
-    """Euclidean distance between the two vehicle positions."""
-    fx, fy, lx, ly = follower.x, follower.y, leader.x, leader.y
-    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(lx) and math.isfinite(ly)):
-        _require_finite(fx=fx, fy=fy, lx=lx, ly=ly)
-    return math.hypot(lx - fx, ly - fy)

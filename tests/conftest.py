@@ -21,16 +21,6 @@ def unknown_channel(value) -> str:
     return f"^unknown channel {re.escape(repr(value))}, expected steering or throttle$"
 
 
-def records_match_except_timing(a: TraceRecord, b: TraceRecord) -> bool:
-    """Field-for-field equality excluding the wall-clock loop cost."""
-    for name in TraceRecord._fields:
-        if name == "loop_cost_us":
-            continue
-        if getattr(a, name) != getattr(b, name):
-            return False
-    return True
-
-
 def overflowing_pid_config(config: PidConfig) -> PidConfig:
     """A copy of config with kp = kd = 1e308, forced past PidConfig's gain
     bound: no loader accepts such gains, so a test of the runner's NaN-effort
@@ -58,7 +48,6 @@ def make_record(t, **overrides) -> TraceRecord:
         lateral_dev_m=0.0,
         follow_dist_m=0.0,
         detected=True,
-        loop_cost_us=1.0,
         op_count=10,
     )
     values.update(overrides)

@@ -10,9 +10,9 @@ per objective: itae, ise and rms) and of tests/data/output_scale.grid on
 tests/data/throttle_step_fuzzy.scn (fuzzy output scale, itae), and `followsim sweep --separations 1,2,4` on
 scenarios/throttle_step.scn, then stores the SHA-256 of:
 
-- every trace CSV, with the wall-clock `loop_cost_us` column blanked;
-- each other column of every trace CSV on its own, its cells in record
-  order, under the label `<file label>#<column>`;
+- every trace CSV;
+- each column of every trace CSV on its own, its cells in record order,
+  under the label `<file label>#<column>`;
 - every compare report and the sweep summary;
 - each `tune_results.csv`.
 
@@ -49,13 +49,9 @@ def _is_trace(path: Path) -> bool:
 
 
 def _column_hashes(text: str) -> dict[str, str]:
-    """Column -> hash of its cells in record order, for every column of a
-    trace CSV except the wall-clock `loop_cost_us`."""
+    """Column -> hash of its cells in record order, for every column of a trace CSV."""
     header, *rows = [line.split(",") for line in text.split("\n") if line]
-    return {
-        column: _sha256("\n".join(row[i] for row in rows))
-        for i, column in enumerate(header) if column != "loop_cost_us"
-    }
+    return {column: _sha256("\n".join(row[i] for row in rows)) for i, column in enumerate(header)}
 
 
 def moved_columns(stored: dict[str, str], got: dict[str, str]) -> dict[str, list[str]]:
@@ -68,25 +64,6 @@ def moved_columns(stored: dict[str, str], got: dict[str, str]) -> dict[str, list
     return moved
 
 
-def _blank_loop_cost(text: str) -> str:
-    lines = text.split("\n")
-    col = lines[0].split(",").index("loop_cost_us")
-    out = [lines[0]]
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) > col:
-            cells[col] = ""
-        out.append(",".join(cells))
-    return "\n".join(out)
-
-
-def _canonical(path: Path) -> str:
-    text = path.read_text(encoding="utf-8")
-    if _is_trace(path):
-        return _blank_loop_cost(text)
-    return text
-
-
 def _run(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
@@ -94,12 +71,12 @@ def _run(argv: list[str]) -> None:
 
 
 def compute_hashes() -> dict[str, str]:
-    """Output label -> SHA-256 of its canonical text, for the whole corpus."""
+    """Output label -> SHA-256 of its text, for the whole corpus."""
     hashes = {}
 
     def store(out: Path, paths) -> None:
         for path in paths:
-            label, text = f"{out.name}/{path.name}", _canonical(path)
+            label, text = f"{out.name}/{path.name}", path.read_text(encoding="utf-8")
             hashes[label] = _sha256(text)
             if _is_trace(path):
                 for column, digest in _column_hashes(text).items():

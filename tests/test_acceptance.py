@@ -231,15 +231,6 @@ def test_criterion_6_fuzzy_costs_more_ops():
 # 7. compare determinism at the byte level
 
 
-def _strip_loop_cost(path: Path) -> str:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    idx = lines[0].split(",").index("loop_cost_us")
-    return "\n".join(
-        ",".join(cell for j, cell in enumerate(line.split(",")) if j != idx)
-        for line in lines
-    )
-
-
 def test_criterion_7_compare_byte_identical(tmp_path):
     scn = tmp_path / "det.scn"
     scn.write_text(
@@ -249,16 +240,12 @@ def test_criterion_7_compare_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["compare", "--scenario", str(scn), "--out", str(out1)]) == 0
     assert main(["compare", "--scenario", str(scn), "--out", str(out2)]) == 0
-    # every file under --out: trace CSVs up to their wall-clock column,
-    # plots and the report byte for byte
+    # every file under --out byte for byte: trace CSVs, plots and the report
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())
     assert {Path(n).suffix for n in names} == {".csv", ".svg", ".md"}
     for name in names:
-        if name.endswith(".csv"):
-            assert _strip_loop_cost(out1 / name) == _strip_loop_cost(out2 / name)
-        else:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     _ok(7, "compare-byte-determinism")
 
 
@@ -333,7 +320,6 @@ _records = st.lists(
         lateral_dev_m=_finite,
         follow_dist_m=_finite,
         detected=st.booleans(),
-        loop_cost_us=st.floats(0, 1e6),
         op_count=st.integers(0, 10**9),
     ),
     max_size=4,

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -21,12 +22,6 @@ def write_scenario(tmp_path, name, text):
     path = tmp_path / f"{name}.scn"
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def strip_loop_cost(path: Path) -> list[str]:
-    lines = path.read_text().splitlines()
-    idx = lines[0].split(",").index("loop_cost_us")
-    return [",".join(c for j, c in enumerate(line.split(",")) if j != idx) for line in lines]
 
 
 MOVING = (
@@ -61,7 +56,9 @@ class TestRun:
         assert (out / "basic.csv").exists()
         assert (out / "basic.svg").exists()
         ET.parse(out / "basic.svg")
-        assert "basic" in capsys.readouterr().out
+        assert re.fullmatch(r"basic: 50 records, stop=follower_stationary, "
+                            r"loop cost \d+\.\d\d us/record, "
+                            r"wrote \S+basic\.csv and \S+basic\.svg\n", capsys.readouterr().out)
 
     def test_unknown_key_fails_with_message(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, "typo", "controler.steering.kind = pid\n")
@@ -128,7 +125,7 @@ class TestRun:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["run", "--scenario", scn, "--out", str(out1), "--seed", "7"]) == 0
         assert main(["run", "--scenario", scn, "--out", str(out2), "--seed", "7"]) == 0
-        assert strip_loop_cost(out1 / "jit.csv") == strip_loop_cost(out2 / "jit.csv")
+        assert (out1 / "jit.csv").read_bytes() == (out2 / "jit.csv").read_bytes()
 
     def test_step_archetype_writes_one_file_per_separation(self, tmp_path):
         scn = write_scenario(
@@ -160,6 +157,11 @@ class TestCompare:
             assert (out / f"{stem}{suffix}").exists()
         stdout = capsys.readouterr().out
         assert "mean_op_count: pid" in stdout
+        # the measured loop cost reaches stdout only, one line per family after the winners
+        *_, pid_cost, fuzzy_cost, wrote = stdout.splitlines()
+        assert re.fullmatch(r"pid loop cost: \d+\.\d\d us/record \(wall clock\)", pid_cost)
+        assert re.fullmatch(r"fuzzy loop cost: \d+\.\d\d us/record \(wall clock\)", fuzzy_cost)
+        assert wrote.startswith("wrote ")
 
     def test_report_surfaces_resource_gap(self, tmp_path):
         scn = write_scenario(tmp_path, "cmp", MOVING)
@@ -217,10 +219,7 @@ class TestCompare:
             "det_lat_1m_v1_report.md",
         ]
         for name in names:
-            if name.endswith(".csv"):
-                assert strip_loop_cost(out1 / name) == strip_loop_cost(out2 / name)
-            else:
-                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def svg_texts(path: Path) -> set[str]:
@@ -420,6 +419,25 @@ class TestSweep:
         row = next(line for line in (out / "sw_sweep.md").read_text().splitlines()
                    if line.startswith("| 1.5"))
         assert "n/a" in row
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "tune"])
+def test_two_invocations_write_the_same_bytes(tmp_path, command):
+    """Two invocations of a command with the same arguments write the same
+    files, byte for byte, trace CSVs included; only the loop cost that run
+    and compare print on stdout is wall clock."""
+    scn = write_scenario(tmp_path, "det", "duration = 3\ncamera.jitter_px = 1.0\nseed = 5\n"
+                                          "follower.start.x = -3\n")
+    grid = tmp_path / "g.grid"
+    grid.write_text("kp = 0.0006, 0.0012\nki = 0.0002\n")
+    extra = {"sweep": ["--separations", "1,2"],
+             "tune": ["--channel", "throttle", "--objective", "itae", "--grid", str(grid)]}
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main([command, "--scenario", scn, *extra.get(command, []), "--out", str(out)]) == 0
+        trees.append({path.relative_to(out): path.read_bytes() for path in files_under(out)})
+    assert trees[0] == trees[1]
+    assert any(path.suffix == ".csv" for path in trees[0])
 
 
 # a command's arguments after --scenario and before --out

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from followsim import Trace, TraceFormatError, TraceRecord, read_trace_csv, write_trace_csv
+from followsim import (Trace, TraceFormatError, TraceRecord, default_scenario, read_trace_csv,
+                       run_scenario, write_trace_csv)
 from followsim.traceio import CSV_COLUMNS, trace_to_csv
 
 README = Path(__file__).parents[1] / "README.md"
@@ -23,7 +24,6 @@ record_strategy = st.builds(
     lateral_dev_m=finite,
     follow_dist_m=finite,
     detected=st.booleans(),
-    loop_cost_us=st.floats(0, 1e6),
     op_count=st.integers(0, 10**9),
 )
 
@@ -105,6 +105,13 @@ class TestWriteRead:
         assert "".join(block.split()) == ",".join(CSV_COLUMNS)
         assert CSV_COLUMNS == TraceRecord._fields
 
+    def test_loop_cost_does_not_survive_the_round_trip(self, tmp_path):
+        path = tmp_path / "run.csv"
+        trace = run_scenario(default_scenario("run", duration=1.0))
+        write_trace_csv(trace, path)
+        assert trace.loop_cost_ns > 0
+        assert read_trace_csv(path).loop_cost_ns == 0
+
     def test_round_trip_preserves_fields_to_precision(self, tmp_path):
         path = tmp_path / "rt.csv"
         trace = Trace("rt", [make_record(0.02 * k, pixel_error_x=k * 0.1,
@@ -141,9 +148,15 @@ class TestStrictParsing:
         def drop(lines):
             return [",".join(lines[0].split(",")[:-1])] + lines[1:]
 
-        path = self.write_and_mangle(tmp_path, drop)
-        with pytest.raises(TraceFormatError, match="expected 15 columns, found 14"):
-            read_trace_csv(path)
+        def old_header(lines):
+            # the header of a file written before 0.2.0, with its wall-clock column
+            return [lines[0].replace(",op_count", ",loop_cost_us,op_count")] + lines[1:]
+
+        for mangle, found in ((drop, 13), (old_header, 15)):
+            path = self.write_and_mangle(tmp_path, mangle)
+            with pytest.raises(TraceFormatError,
+                               match=f"^line 1: expected 14 columns, found {found}$"):
+                read_trace_csv(path)
 
     def test_bad_cell_reports_line(self, tmp_path):
         def corrupt(lines):

@@ -179,8 +179,7 @@ class TestGridSearch:
             written = read_trace_csv(tmp_path / candidate_filename(r)).records
             assert len(written) == len(fresh.records)
             for got, want in zip(written, fresh.records):
-                assert got._replace(loop_cost_us=0.0) == pytest.approx(
-                    want._replace(loop_cost_us=0.0), rel=1e-8, abs=0.0)
+                assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_equilibrium_ties_break_lexicographically(self, tmp_path):
         # zero error throughout: every candidate scores 0 and moves nothing,

@@ -21,10 +21,10 @@ goes first alternating from run to run and round to round, and times each
 `execute_archetype` call. A run's speedup in a round is A's time over B's.
 The first round only warms up; it is checked but not timed. Every trace
 of every round must be the same on both sides, every float compared with
-float.hex, except the wall-clock loop_cost_us column, or the tool stops with
-an AssertionError naming the run. The report gives, per workload, the
-median and quartiles of the per-run speedups and of each side's total time
-per round.
+float.hex, or the tool stops with an AssertionError naming the run. So both
+checkouts must write the same trace schema. The report gives, per workload,
+the median and quartiles of the per-run speedups and of each side's total
+time per round.
 
 The tune workloads are also timed as whole commands: each round runs
 `run_grid_search` once per side, each into its own temporary directory,
@@ -58,7 +58,6 @@ TUNE_INPUTS = {
     "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
     "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
 }
-UNTIMED_COLUMN = "loop_cost_us"
 
 
 def import_copy(checkout: Path, name: str, into: Path):
@@ -98,12 +97,9 @@ def workload_runs(pkg, workload: str) -> list[tuple[str, object]]:
 
 
 def trace_bits(trace) -> tuple:
-    """A trace as comparable values: each float by its hex, with the
-    wall-clock column left out."""
-    columns = [i for i, name in enumerate(type(trace.records[0])._fields)
-               if name != UNTIMED_COLUMN] if trace.records else []
-    rows = tuple(tuple(v.hex() if isinstance(v, float) else v
-                       for v in (record[i] for i in columns)) for record in trace.records)
+    """A trace as comparable values: each float by its hex."""
+    rows = tuple(tuple(v.hex() if isinstance(v, float) else v for v in record)
+                 for record in trace.records)
     return trace.name, trace.stop_reason, rows
 
 
