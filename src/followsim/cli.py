@@ -20,10 +20,10 @@ from .svgplot import write_plot_svg
 from .traceio import write_trace_csv
 from .tune import OBJECTIVES, GridError, TuneError, TuneSpec, load_gain_grid, run_grid_search
 
-def _channel(config: ScenarioConfig) -> str:
-    """The control channel a scenario is judged and plotted on: throttle
-    when its runs lock the steering, steering otherwise."""
-    return "throttle" if config.runs()[0].steering_locked else "steering"
+def _channel(runs: tuple[ScenarioConfig, ...]) -> str:
+    """The control channel a scenario's runs are judged and plotted on:
+    throttle when they lock the steering, steering otherwise."""
+    return "throttle" if runs[0].steering_locked else "steering"
 
 
 def _loop_cost(trace: Trace) -> str:
@@ -48,10 +48,11 @@ def cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    runs = config.runs()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channel = _channel(config)
-    for trace in execute_archetype(config):
+    channel = _channel(runs)
+    for (trace,) in map(execute_archetype, runs):
         csv_path, svg_path = _write_trace_artifacts(trace, out, channel)
         print(
             f"{trace.name}: {len(trace.records)} records, "
@@ -62,17 +63,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = load_scenario(args.scenario)
-    if len(config.runs()) != 1:
+    runs = load_scenario(args.scenario).runs()
+    if len(runs) != 1:
         raise ScenarioError("compare needs a single-run scenario archetype")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    channel = _channel(config)
+    channel = _channel(runs)
 
     traces = {}
     for family in ("pid", "fuzzy"):
-        variant = replace(config, steering_kind=family, throttle_kind=family)
-        (trace,) = execute_archetype(variant)
+        (trace,) = execute_archetype(replace(runs[0], steering_kind=family, throttle_kind=family))
         _write_trace_artifacts(trace, out, channel, f"{trace.name}_{family}")
         traces[family] = trace
 
@@ -112,8 +112,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    channel = _channel(steps)
-    traces = execute_archetype(steps)
+    runs = steps.runs()
+    channel = _channel(runs)
     lines = [
         f"# Step-response sweep: {config.name}",
         "",
@@ -124,7 +124,7 @@ def cmd_sweep(args) -> int:
     def cell(v: float) -> str:
         return "n/a" if v != v else format(v, ".5g")
 
-    for sep, trace in zip(separations, traces):
+    for sep, (trace,) in zip(separations, map(execute_archetype, runs)):
         _write_trace_artifacts(trace, out, channel)
         m = trace_metrics(trace, channel)
         # one column per metric, in MetricSet order, except mean_op_count

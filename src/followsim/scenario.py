@@ -43,8 +43,9 @@ DEFAULT_THROTTLE_PID = PidConfig(
 )
 DEFAULT_FUZZY_FILTER_ALPHA = 0.3
 # runaway guard on duration * camera.frame_rate: a kept record costs about
-# 530 bytes of RSS. A PID run at the guard peaked at 536 MB after the run and
-# at 730 MB writing its 70 MB CSV (measured with Python 3.11 on x86-64 Linux)
+# 530 bytes of RSS. A PID run at the guard behind a straight-line leader
+# peaked at 536 MB, and writing its 70 MB CSV a block of rows at a time
+# raised no peak (measured with Python 3.11 on x86-64 Linux)
 MAX_RECORDS = 1e6
 # runaway guard on a run's RK4 sub-steps, records * sub-steps per record: the
 # record guard at the shipped 50 Hz, whose 20 ms frames take 10 sub-steps each

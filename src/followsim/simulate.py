@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +24,12 @@ import numpy as np
 from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
 from .sensor import observe
-from .world import integrate_bicycle, leader_pose, track_deviations
+from .world import integrate_bicycle, leader_pose, leader_poses, leader_progress, track_deviations
 
 STOP_REASON_STATIONARY = "follower_stationary"
-# records whose bookkeeping columns are worked out together: a block's rows
-# and arrays take about 270 bytes a record beyond the trace, some 4 MB,
-# however long the run
+# records whose leader poses, and then whose bookkeeping columns, are worked
+# out together: a block's rows and arrays take about 270 bytes a record
+# beyond the trace, some 4 MB, however long the run
 BOOKKEEPING_BLOCK = 16384
 
 
@@ -77,8 +76,10 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     Lateral deviation is measured against the leader script's own polyline:
     its lane extended backward from the start (so there is a line from the
     first record on), the corners passed by the record's time, and the
-    leader's position. A parked leader has passed only its start, and the
-    segment from there to itself has no length.
+    leader's position. A record has passed each corner whose arc length its
+    leader has reached (leader_progress at the record's t). A parked leader
+    has passed only its start, and the segment from there to itself has no
+    length.
     """
     script = config.leader
     leader0 = leader_pose(script, 0.0)
@@ -87,23 +88,33 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
             leader0.y - back * math.sin(leader0.heading))
     vertices = (tail, (script.start.x, script.start.y),
                 *(q for _, q, _, _ in script.segments))
-    # a record has passed each corner whose arc length its leader has reached
-    # by then. Arc length never falls as t grows, so corner j is passed from
-    # the first record that reaches it on, found by bisection.
-    corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
-    first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
-             for s in corner_s]
+    # the arc length of each corner past the start, which only a waypoint path has
+    corner_s = [*accumulate(length for _, _, length, _ in script.segments)]
     make = partial(tuple.__new__, TraceRecord)
     for lo in range(0, len(records), BOOKKEEPING_BLOCK):
         cols = list(zip(*records[lo:lo + BOOKKEEPING_BLOCK]))
         n = len(cols[0])
-        passed = np.searchsorted(first, np.arange(lo, lo + n), side="right")
         lx, ly, fx, fy = (np.fromiter(col, float, n) for col in cols[1:5])
+        passed = np.ones(n, dtype=np.intp)  # the start, and each corner reached by then
+        if corner_s:
+            s, _ = leader_progress(script, np.fromiter(cols[0], float, n))
+            passed += np.searchsorted(corner_s, s, side="right")
         lateral_dev = track_deviations((fx, fy), vertices, passed, (lx, ly))
         # follow_dist_m of each record: every recorded position is finite
         with np.errstate(over="ignore"):
             follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
         records[lo:lo + n] = map(make, zip(*cols[:10], lateral_dev, follow_dist, *cols[10:]))
+
+
+def _leader_schedule(script, dt: float, n_records: int):
+    """Each record's (t, leader pose), one block of records at a time: t is
+    k * dt, and a moving leader's poses for the block come from one
+    leader_poses call, while a parked one holds its pose at t = 0."""
+    for lo in range(0, n_records, BOOKKEEPING_BLOCK):
+        t = np.arange(lo, min(lo + BOOKKEEPING_BLOCK, n_records)) * dt
+        poses = (repeat(leader_pose(script, 0.0)) if script.kind == "stationary"
+                 else zip(*(column.tolist() for column in leader_poses(script, t))))
+        yield zip(t.tolist(), poses)
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
@@ -118,8 +129,12 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     record reuses the last one's camera reading and errors; the controllers
     still run on every record. What the config fixes is read once, before
     the loop, and the errors are worked out inline with the bits of
-    pixel_error_x and area_error. lateral_dev_m and follow_dist_m are worked
-    out for every record after the loop (_bookkeeping).
+    pixel_error_x and area_error. The leader's pose at each record's time
+    is worked out ahead of the loop for a block of BOOKKEEPING_BLOCK records
+    at a time (_leader_schedule), with the bits of leader_pose at that time,
+    so memory stays flat however long the run. lateral_dev_m and
+    follow_dist_m are worked out for every record after the loop
+    (_bookkeeping).
     Takes plain (archetype "scenario") configs only; execute_archetype runs
     the others through ScenarioConfig.runs().
     """
@@ -147,7 +162,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     ae = 0.0
     script = config.leader
     parked = script.kind == "stationary"
-    leader0 = leader_pose(script, 0.0)
     # each record's row, which lacks lateral_dev_m and follow_dist_m until
     # they are worked out after the loop
     records = []
@@ -158,10 +172,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     reuse_sensing = parked and not camera.jitter_px
     sensed = None  # the follower the last sensing was of, while it may be reused
 
-    for k in range(n_records):
-        t = k * dt
-        leader = leader0 if parked else leader_pose(script, t)
-
+    for t, leader in chain.from_iterable(_leader_schedule(script, dt, n_records)):
         started = clock()
         if follower is not sensed:
             reading = observe(camera, follower, leader, panel, t, rng=rng)
@@ -192,7 +203,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
         if parked:
             still_time = still_time + dt if follower[3] < still_speed else 0.0
-            if still_time >= hold_time and k + 1 < n_records:
+            if still_time >= hold_time and len(records) < n_records:
                 stop_reason = STOP_REASON_STATIONARY
                 break
 

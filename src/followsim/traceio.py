@@ -15,6 +15,8 @@ CSV_COLUMNS = TraceRecord._fields
 _ROW = ",".join(
     "%d" if column in ("detected", "op_count") else "%.9g" for column in CSV_COLUMNS
 ) + "\n"
+# rows formatted and written together: about 1 MB of text
+_ROWS_PER_WRITE = 16384
 
 class TraceFormatError(ValueError):
     pass
@@ -25,7 +27,17 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    Path(path).write_bytes(trace_to_csv(trace).encode("utf-8"))
+    """Write the bytes of trace_to_csv a block of rows at a time, so that the
+    text held at once stays about one block long however long the trace.
+    The header goes out with the first block, so a trace of one block (or
+    none) is one write, as one string was."""
+    records = trace.records
+    text = ",".join(CSV_COLUMNS) + "\n"
+    with open(path, "wb") as f:
+        for lo in range(0, len(records) or 1, _ROWS_PER_WRITE):
+            block = records[lo:lo + _ROWS_PER_WRITE]
+            f.write((text + "".join(_ROW % r for r in block)).encode("utf-8"))
+            text = ""
 
 
 def _parse_cell(column: str, raw: str, lineno: int):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -122,18 +123,6 @@ class LeaderScript:
         elif self.waypoints is not None:
             raise ValueError(f"waypoints are driven only by kind waypoint_path, not {self.kind}")
 
-    def progress(self, t: float) -> tuple[float, float]:
-        """(arc length traveled, speed) at time t under the piecewise-constant profile."""
-        profile = self.speed_profile
-        s, v = 0.0, profile[0][1]
-        for i, (t0, v0) in enumerate(profile):
-            if t < t0:
-                break
-            t1 = profile[i + 1][0] if i + 1 < len(profile) else t
-            s += v0 * (min(t, t1) - t0)
-            v = v0
-        return s, v
-
     @cached_property
     def segments(self) -> tuple[tuple, ...]:
         """(p, q, length, heading) of each leg of a waypoint_path, from the start
@@ -148,6 +137,24 @@ class LeaderScript:
             (p, q, math.hypot(q[0] - p[0], q[1] - p[1]), math.atan2(q[1] - p[1], q[0] - p[0]))
             for p, q in zip(pts, pts[1:])
         )
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(start time, speed, arc length by its start) of each speed-profile
+        piece as columns, worked out once: each finished piece adds its
+        distance in turn, from 0.0."""
+        profile = self.speed_profile
+        arcs = accumulate((v0 * (t1 - t0) for (t0, v0), (t1, _) in zip(profile, profile[1:])),
+                          initial=0.0)
+        return np.array([t for t, _ in profile]), np.array([v for _, v in profile]), np.array([*arcs])
+
+    @cached_property
+    def _legs(self) -> tuple[np.ndarray, ...]:
+        """The segments as columns, worked out once: start x and y, extent
+        along x and y, length, and heading wrapped as a pose wraps it."""
+        return tuple(np.array(column, dtype=float) for column in zip(*(
+            (p[0], p[1], q[0] - p[0], q[1] - p[1], length, normalize_angle(heading))
+            for p, q, length, heading in self.segments)))
 
 
 def place_behind(leader_start: VehicleState, gap: float, offset: float = 0.0) -> VehicleState:
@@ -296,31 +303,63 @@ def step_bicycle(
     return integrate_bicycle(state, params, steer_angle, speed_cmd, dt, 1)
 
 
+def leader_progress(script: LeaderScript, times) -> tuple[np.ndarray, np.ndarray]:
+    """(arc length traveled, speed) at each of an array of times >= 0 under
+    the piecewise-constant speed profile: the arc length by the start of the
+    last piece begun, plus that piece's speed times the time since."""
+    starts, speeds, arcs = script._pieces
+    piece = np.searchsorted(starts, times, side="right") - 1
+    v = speeds[piece]
+    with np.errstate(over="ignore"):
+        return arcs[piece] + v * (times - starts[piece]), v
+
+
+def leader_poses(script: LeaderScript, times) -> tuple[np.ndarray, ...]:
+    """Columns (x, y, heading, speed) of the scripted leader's pose at each of
+    an array of times >= 0 (one time gives columns of one); each time gets the float operations of a walk
+    along the profile and then along the path, so one element at a time
+    gives the same bits.
+
+    A waypoint_path leader drives each leg at the profile speed: each leg
+    it has passed takes that leg's length off its arc length, in turn, and
+    it holds the end pose at speed 0 once past the last leg.
+    """
+    times = np.array(times, dtype=float, ndmin=1)
+    x0, y0, h0, _ = script.start  # a built pose, so h0 is wrapped
+    if script.kind == "stationary":
+        return tuple(np.full(times.shape, c, dtype=float) for c in (x0, y0, h0, 0.0))
+    s, v = leader_progress(script, times)
+    # past float range a sum reads inf, as with floats; past the end of a
+    # path, u > 1 goes unused
+    with np.errstate(all="ignore"):
+        if script.kind == "straight_line":
+            return x0 + s * math.cos(h0), y0 + s * math.sin(h0), np.full(times.shape, h0), v
+        px, py, dx, dy, lengths, headings = script._legs
+        leg = np.zeros(times.shape, dtype=np.intp)
+        beyond = np.ones(times.shape, dtype=bool)  # still walking: past every leg so far
+        for length in lengths.tolist():
+            np.greater(s, length, out=beyond, where=beyond)
+            leg += beyond
+            np.subtract(s, length, out=s, where=beyond)  # s is leader_progress's own array
+        past = leg == len(lengths)
+        leg[past] = len(lengths) - 1
+        u = s / lengths[leg]
+        end_x, end_y = script.segments[-1][1]
+        x = np.where(past, end_x, px[leg] + u * dx[leg])
+        y = np.where(past, end_y, py[leg] + u * dy[leg])
+    return x, y, headings[leg], np.where(past, 0.0, v)
+
+
 def leader_pose(script: LeaderScript, t: float) -> VehicleState:
-    """Pose of the scripted leader at time t >= 0."""
+    """Pose of the scripted leader at time t >= 0: leader_poses at one time,
+    or, for a parked leader, its start pose as given at speed 0."""
     if not math.isfinite(t):
         raise ValueError(f"non-finite time: {t!r}")
     if t < 0:
         raise ValueError("time must be non-negative")
-
     if script.kind == "stationary":
         return script.start._replace(speed=0.0)
-
-    s, v = script.progress(t)
-    if script.kind == "straight_line":
-        x, y, h, _ = script.start  # a built pose, so h is wrapped
-        return tuple.__new__(VehicleState, (x + s * math.cos(h), y + s * math.sin(h), h, v))
-
-    # waypoint_path: walk segments at the profile speed, hold the end pose
-    for p, q, seg, heading in script.segments:
-        if s <= seg:
-            u = s / seg
-            return VehicleState(
-                p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1]),
-                heading, v,
-            )
-        s -= seg
-    return VehicleState(q[0], q[1], heading, 0.0)
+    return tuple.__new__(VehicleState, np.array(leader_poses(script, t))[:, 0].tolist())
 
 
 def track_deviations(followers, vertices, passed, leaders) -> list[float]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from followsim import cli, simulate, tune
 from followsim.cli import main
 from followsim.scenario import (CHANNELS, COMMAND_SUFFIX_MAX_BYTES, FILE_NAME_MAX_BYTES,
-                                load_scenario, parse_scenario_text)
+                                ScenarioConfig, load_scenario, parse_scenario_text)
 from followsim.traceio import read_trace_csv
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -242,7 +242,7 @@ class TestChannelChoice:
     ])
     def test_channel_follows_the_steering_lock(self, source, channel):
         config = load_scenario(source) if isinstance(source, Path) else parse_scenario_text(source)
-        assert cli._channel(config) == channel
+        assert cli._channel(config.runs()) == channel
 
     def test_throttle_step_run_and_compare_plot_and_judge_throttle(self, tmp_path):
         scn = str(SCENARIOS / "throttle_step.scn")
@@ -258,6 +258,29 @@ class TestChannelChoice:
             row = next(line for line in report.splitlines() if line.startswith(f"| {metric} "))
             cells = [c.strip() for c in row.strip("|").split("|")]
             assert all(float(c) > 0 for c in cells[2:4]), row  # pid and fuzzy columns
+
+
+class TestRunConfigsBuiltOnce:
+    """A command expands the scenario it runs into run configs once, beside
+    the expansion that checks an archetype scenario as it is built."""
+
+    @pytest.mark.parametrize("argv, archetype", [
+        (["run"], "lateral_offset"),
+        (["compare"], "lateral_offset"),
+        (["sweep", "--separations", "1,2"], "step_response"),
+    ], ids=["run", "compare", "sweep"])
+    def test_each_command_expands_its_scenario_once(self, tmp_path, monkeypatch, argv, archetype):
+        expanded = []
+        runs = ScenarioConfig.runs
+
+        def counting(config):
+            expanded.append(config.archetype)
+            return runs(config)
+
+        monkeypatch.setattr(ScenarioConfig, "runs", counting)
+        scn = write_scenario(tmp_path, "moving", MOVING.replace("duration = 6", "duration = 1"))
+        assert main([argv[0], "--scenario", scn, *argv[1:], "--out", str(tmp_path / "o")]) == 0
+        assert expanded.count(archetype) == 2
 
 
 class TestTune:

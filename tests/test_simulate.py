@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STEADY_STATE_PX, overflowing_pid_config
-from test_world import frozen_lateral_deviation
+from test_world import frozen_lateral_deviation, frozen_leader_pose, frozen_progress
 from followsim import (
     CameraIntrinsics,
     LeaderScript,
@@ -33,7 +33,7 @@ from followsim import actuation, simulate, world
 from followsim.actuation import NEUTRAL_PWM, ChannelController, pwm_to_actuation
 from followsim.scenario import MAX_RECORDS
 from followsim.sensor import area_error, observe, pixel_error_x
-from followsim.world import integrate_bicycle, leader_pose, place_behind
+from followsim.world import integrate_bicycle, place_behind
 
 ROOT = Path(__file__).parents[1]
 S_CURVE = ROOT / "scenarios" / "s_curve.scn"
@@ -382,13 +382,13 @@ class TestLeaderTrack:
                       duration=12.0, steering_kind=kind, throttle_kind=kind,
                       follower_start=place_behind(leader.start, 1.5, -0.0))
         (trace,) = execute_archetype(cfg)
-        leader0 = leader_pose(leader, 0.0)
+        leader0 = frozen_leader_pose(leader, 0.0)
         back = 10.0 * max(cfg.follow_range, 1.0)
         tail = (leader0.x - back * math.cos(leader0.heading),
                 leader0.y - back * math.sin(leader0.heading))
         corners = ((leader.start.x, leader.start.y), *(q for _, q, _, _ in leader.segments))
         corner_s = list(accumulate((length for _, _, length, _ in leader.segments), initial=0.0))
-        cut = [bisect_right(corner_s, leader.progress(r.t)[0]) for r in trace.records]
+        cut = [bisect_right(corner_s, frozen_progress(leader, r.t)[0]) for r in trace.records]
         assert set(cut) == {1, 2, 3, 4}  # every corner is passed, the last one is the end
         for r, passed in zip(trace.records, cut):
             follower = VehicleState(r.follower_x, r.follower_y)
@@ -684,16 +684,17 @@ def test_trace_at_the_runaway_guard_fits_the_documented_budget():
 
 def frozen_bookkeeping(config, records):
     """simulate._bookkeeping before it went by column, kept verbatim as the
-    oracle of the records it builds."""
+    oracle of the records it builds, with the scalar leader walks that
+    stood then."""
     script = config.leader
-    leader0 = leader_pose(script, 0.0)
+    leader0 = frozen_leader_pose(script, 0.0)
     back = 10.0 * max(config.follow_range, 1.0)
     tail = (leader0.x - back * math.cos(leader0.heading),
             leader0.y - back * math.sin(leader0.heading))
     vertices = (tail, (script.start.x, script.start.y),
                 *(q for _, q, _, _ in script.segments))
     corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
-    first = [bisect_left(records, s, key=lambda row: script.progress(row[0])[0])
+    first = [bisect_left(records, s, key=lambda row: frozen_progress(script, row[0])[0])
              for s in corner_s]
     new = tuple.__new__
     for lo in range(0, len(records), simulate.BOOKKEEPING_BLOCK):
@@ -711,7 +712,8 @@ def frozen_bookkeeping(config, records):
 def frozen_run_scenario(config):
     """run_scenario before it read its config once per run and worked out
     the errors inline, kept verbatim as the bit-exact oracle of the loop but
-    for the wall clock it read around sensing and control."""
+    for the wall clock it read around sensing and control, with the scalar
+    leader walks that stood then."""
     dt = config.dt
     n_records = config.n_records
     sub_steps = config.sub_steps
@@ -727,7 +729,7 @@ def frozen_run_scenario(config):
     ae = 0.0
     script = config.leader
     parked = script.kind == "stationary"
-    leader0 = leader_pose(script, 0.0)
+    leader0 = frozen_leader_pose(script, 0.0)
     records = []
     stop_reason = None
     still_time = 0.0
@@ -736,7 +738,7 @@ def frozen_run_scenario(config):
 
     for k in range(n_records):
         t = k * dt
-        leader = leader0 if parked else leader_pose(script, t)
+        leader = leader0 if parked else frozen_leader_pose(script, t)
 
         if follower is not sensed:
             reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
@@ -833,6 +835,31 @@ class TestRunnerAgainstFrozen:
     @settings(max_examples=150, deadline=None)
     def test_matches_frozen_bit_for_bit(self, config):
         assert run_bits(run_scenario(config)) == run_bits(frozen_run_scenario(config))
+
+    @staticmethod
+    def path_leader():
+        """A waypoint leader that stops on its first corner, then drives on
+        at two more speeds past a repeated waypoint to the end of its path."""
+        return LeaderScript("waypoint_path", VehicleState(-0.0, -0.0, 0.0),
+                            speed_profile=((0.0, 0.5), (4.0, 0.0), (5.0, 0.9), (7.0, 0.4)),
+                            waypoints=((2.0, -0.0), (3.0, 1.0), (3.0, 1.0), (5.0, 1.0)))
+
+    def test_moving_leader_across_small_blocks_matches_frozen(self, monkeypatch):
+        # 600 records in blocks of 7: the leader's poses and the bookkeeping
+        # columns cross 85 block edges, at corners and past the path's end
+        config = default_scenario("frozen", leader=self.path_leader(), duration=12.0)
+        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
+        got = run_scenario(config)
+        assert len(got.records) == 600
+        assert run_bits(got) == run_bits(frozen_run_scenario(config))
+
+    def test_moving_leader_longer_than_one_block_matches_frozen(self):
+        # 40 records past the first full block of leader poses
+        n = simulate.BOOKKEEPING_BLOCK + 40
+        config = default_scenario("frozen", leader=self.path_leader(), duration=n * 0.02)
+        got = run_scenario(config)
+        assert len(got.records) == n
+        assert run_bits(got) == run_bits(frozen_run_scenario(config))
 
     COVERING = {
         # what each case shows: (leader kind, config overrides)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_record
 from followsim import (Trace, TraceFormatError, TraceRecord, default_scenario, read_trace_csv,
                        run_scenario, write_trace_csv)
+from followsim import traceio
 from followsim.traceio import CSV_COLUMNS, trace_to_csv
 
 README = Path(__file__).parents[1] / "README.md"
@@ -98,6 +99,17 @@ class TestWriteRead:
     def test_matches_cell_by_cell_writer(self, records):
         trace = Trace("w", records)
         assert trace_to_csv(trace) == frozen_trace_to_csv(trace)
+
+    @pytest.mark.parametrize("records", [0, 1, 6, 7, 8, 20])
+    def test_file_is_trace_to_csv_bytes_across_write_blocks(self, tmp_path, monkeypatch, records):
+        # blocks of 7 rows: none, a part of one, one less than, exactly and
+        # one past a block, and a last block of 6
+        monkeypatch.setattr(traceio, "_ROWS_PER_WRITE", 7)
+        trace = Trace("b", [make_record(0.02 * k, pixel_error_x=-0.0, op_count=k)
+                            for k in range(records)])
+        path = tmp_path / "b.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
 
     def test_readme_schema_block_is_the_header(self):
         section = README.read_text(encoding="utf-8").split("## Trace CSV schema", 1)[1]

@@ -1,6 +1,8 @@
 import math
+from itertools import accumulate
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from followsim import (
     run_scenario,
     step_bicycle,
 )
-from followsim.world import track_deviations
+from followsim.world import SCRIPT_KINDS, leader_poses, leader_progress, track_deviations
 
 PARAMS = VehicleParams()
 
@@ -542,10 +544,52 @@ def frozen_segments(script: LeaderScript) -> tuple[tuple, ...]:
     )
 
 
+def frozen_progress(script: LeaderScript, t: float) -> tuple[float, float]:
+    """LeaderScript.progress, the scalar profile walk, as it stood before the
+    leader model went by arrays of times, kept verbatim as the oracle."""
+    profile = script.speed_profile
+    s, v = 0.0, profile[0][1]
+    for i, (t0, v0) in enumerate(profile):
+        if t < t0:
+            break
+        t1 = profile[i + 1][0] if i + 1 < len(profile) else t
+        s += v0 * (min(t, t1) - t0)
+        v = v0
+    return s, v
+
+
+def frozen_leader_pose(script: LeaderScript, t: float) -> VehicleState:
+    """leader_pose, the scalar profile and segment walks, as it stood before
+    the leader model went by arrays of times, kept verbatim as the oracle."""
+    if not math.isfinite(t):
+        raise ValueError(f"non-finite time: {t!r}")
+    if t < 0:
+        raise ValueError("time must be non-negative")
+
+    if script.kind == "stationary":
+        return script.start._replace(speed=0.0)
+
+    s, v = frozen_progress(script, t)
+    if script.kind == "straight_line":
+        x, y, h, _ = script.start  # a built pose, so h is wrapped
+        return tuple.__new__(VehicleState, (x + s * math.cos(h), y + s * math.sin(h), h, v))
+
+    # waypoint_path: walk segments at the profile speed, hold the end pose
+    for p, q, seg, heading in script.segments:
+        if s <= seg:
+            u = s / seg
+            return VehicleState(
+                p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1]),
+                heading, v,
+            )
+        s -= seg
+    return VehicleState(q[0], q[1], heading, 0.0)
+
+
 def frozen_straight_leader_pose(script: LeaderScript, t: float) -> VehicleState:
     """leader_pose's straight_line branch before it built its pose with
     tuple.__new__, kept verbatim as the bit-exact oracle."""
-    s, v = script.progress(t)
+    s, v = frozen_progress(script, t)
     h = script.start.heading
     return VehicleState(
         script.start.x + s * math.cos(h),
@@ -553,6 +597,28 @@ def frozen_straight_leader_pose(script: LeaderScript, t: float) -> VehicleState:
         h,
         v,
     )
+
+
+@st.composite
+def leader_scripts(draw):
+    """A leader of any kind: a start on signed zeros, an int or a heading of
+    pi; a profile of one to four pieces, the first often at 1 m/s; and few
+    waypoint values, so that points repeat and legs head at +-pi."""
+    kind = draw(st.sampled_from(SCRIPT_KINDS))
+    coord = st.sampled_from([*POINT_COORDS, 2])
+    start = VehicleState(draw(coord), draw(coord),
+                         draw(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1.1, -2.0])))
+    speed = st.sampled_from([0.0, 1.0, 0.25]) | st.floats(0.0, 5.0)
+    profile, t = [(0.0, draw(st.sampled_from([1.0]) | speed))], 0.0
+    for gap in draw(st.lists(st.floats(0.01, 8.0), max_size=3)):
+        t += gap
+        profile.append((t, draw(speed)))
+    waypoints = None
+    if kind == "waypoint_path":
+        point = st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS))
+        waypoints = draw(st.lists(point, min_size=2, max_size=7))
+        assume(any(p != waypoints[0] for p in waypoints))
+    return LeaderScript(kind, start, tuple(profile), waypoints)
 
 
 class TestLeaderPose:
@@ -568,6 +634,38 @@ class TestLeaderPose:
         got = leader_pose(script, t)
         assert type(got) is VehicleState
         assert state_bits(got) == state_bits(frozen_straight_leader_pose(script, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(leader_scripts())
+    @example(LeaderScript("waypoint_path", VehicleState(3.0, 0.0, math.pi), ((0.0, 1.0), (4.0, 2.5)),
+                          ((-2.5, 0.0), (-2.5, 0.0), (-2.5, -0.0), (1.0, -0.0), (-2.5, -0.0))))
+    @example(LeaderScript("straight_line", VehicleState(2, -0.0, math.pi), ((0.0, 0.0), (1.0, 3.0))))
+    @example(LeaderScript("stationary", VehicleState(2, -0.0, -3.0), 1.0))
+    def test_poses_match_frozen_walks_bit_for_bit(self, script):
+        """leader_pose at one time, and leader_poses and leader_progress over
+        a block of times, carry the bits of the scalar walks they replaced,
+        leader_pose with its exact return types: on and between profile
+        breakpoints, on each corner's arc length (a first piece at 1 m/s
+        reaches it at that time), and past the end of the path."""
+        times = [t for t, _ in script.speed_profile]
+        corners = [*accumulate((length for _, _, length, _ in script.segments), initial=0.0)]
+        ts = [-0.0, *times, *corners, 3.0 * (times[-1] + corners[-1]) + 1.0]
+        ts += [math.nextafter(t, math.inf) for t in ts[1:]]
+        ts += [math.nextafter(t, 0.0) for t in ts[1:]]
+        ts += [t + 0.37 for t in times]
+        wants = [frozen_leader_pose(script, t) for t in ts]
+        for t, want in zip(ts, wants):
+            got = leader_pose(script, t)
+            assert type(got) is VehicleState
+            assert list(map(type, got)) == list(map(type, want)), t
+            assert state_bits(got) == state_bits(want), t
+        columns = leader_poses(script, np.array(ts))
+        assert [(c.dtype, c.shape) for c in columns] == [(np.float64, (len(ts),))] * 4
+        assert [state_bits(VehicleState._make(pose)) for pose in zip(*(c.tolist() for c in columns))] \
+            == list(map(state_bits, wants))
+        arcs, speeds = leader_progress(script, np.array(ts))
+        assert [(s.hex(), v.hex()) for s, v in zip(arcs.tolist(), speeds.tolist())] \
+            == [tuple(map(float.hex, frozen_progress(script, t))) for t in ts]
 
     def test_stationary_holds_start(self):
         script = LeaderScript(kind="stationary", start=VehicleState(1.0, 2.0, 0.5, speed=3.0))
@@ -649,8 +747,8 @@ class TestLeaderPose:
         ts = [-0.0, *times, times[-1] + 1.0, 2.0 * times[-1] + 7.5]
         ts += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
         ts += [math.nextafter(b, 0.0) for b in times[1:]]
-        for t in ts:
-            s, v = script.progress(t)
+        arcs, speeds = (column.tolist() for column in leader_progress(script, np.array(ts)))
+        for t, s, v in zip(ts, arcs, speeds):
             assert (s.hex(), v.hex()) == (frozen_distance_at(script, t).hex(),
                                           frozen_speed_at(script, t).hex()), t
 
