@@ -178,8 +178,9 @@ def fuzzy_step(config: FuzzyConfig, error: float, error_delta: float) -> float:
     fires with strength min(error grade, delta grade) and clips its output
     curve there; the clipped curves are max-aggregated, and the output is the
     aggregate's weighted-mean centroid over the grid, clamped into the output
-    universe, which the rounded quotient can miss by an ulp. Only positive grades
-    fire, and config.rule_table gives each fired (error set, delta set) pair
+    universe, which the rounded quotient can miss by an ulp. Only positive
+    grades fire (at most 4 of the default 25 rules, whose sets overlap by
+    half), and config.rule_table gives each fired (error set, delta set) pair
     its output label, support slice and curve in one lookup. Each output label
     clips once at its largest strength (max_r min(curve, s_r) == min(curve,
     max_r s_r)) and only over its support. The first label clips straight

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -20,6 +21,9 @@ MAX_GAIN = 1e6
 
 @dataclass(frozen=True)
 class PidConfig:
+    """One channel's gains and limits. `step_table`, what pid_step reads, is
+    built from the fields at first use, outside equality, hashing and repr."""
+
     kp: float
     ki: float
     kd: float
@@ -38,6 +42,13 @@ class PidConfig:
             raise ValueError("integral_limit must be in (0, output_limit]")
         if not 0 < self.derivative_filter_alpha <= 1:
             raise ValueError("derivative_filter_alpha must be in (0, 1]")
+
+    @cached_property
+    def step_table(self) -> tuple:
+        """(kp, ki, kd, integral_limit / |ki| or None if ki == 0, alpha, 1 - alpha, output_limit)"""
+        alpha = self.derivative_filter_alpha
+        bound = self.integral_limit / abs(self.ki) if self.ki != 0.0 else None
+        return self.kp, self.ki, self.kd, bound, alpha, 1.0 - alpha, self.output_limit
 
 
 class PidState(NamedTuple):
@@ -66,19 +77,17 @@ def pid_step(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    integral = state.integral
-    if config.ki != 0.0:
+    kp, ki, kd, bound, alpha, beta, limit = config.step_table
+    integral, prev_measurement, prev_d = state
+    if bound is not None:
         integral += error * dt
-        bound = config.integral_limit / abs(config.ki)
         # the bits of min(max(x, lo), hi)
         integral = -bound if integral < -bound else bound if integral > bound else integral
 
-    raw_d = (measurement - state.prev_measurement) / dt
-    alpha = config.derivative_filter_alpha
-    filtered_d = alpha * raw_d + (1.0 - alpha) * state.filtered_derivative
+    raw_d = (measurement - prev_measurement) / dt
+    filtered_d = alpha * raw_d + beta * prev_d
 
-    effort = config.kp * error + config.ki * integral - config.kd * filtered_d
-    limit = config.output_limit
+    effort = kp * error + ki * integral - kd * filtered_d
     effort = -limit if effort < -limit else limit if effort > limit else effort  # ditto
     return effort, tuple.__new__(PidState, (integral, measurement, filtered_d))
 

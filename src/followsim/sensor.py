@@ -20,6 +20,9 @@ from .world import VehicleState
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """The follower's pinhole camera. `focal_px` and `step_table`, what observe
+    reads, are built from the fields at first use, outside equality, hashing and repr."""
+
     image_width: int = 320
     image_height: int = 200
     horizontal_fov: float = math.radians(75.0)
@@ -48,10 +51,18 @@ class CameraIntrinsics:
     def focal_px(self) -> float:
         return (self.image_width / 2.0) / math.tan(self.horizontal_fov / 2.0)
 
+    @cached_property
+    def step_table(self) -> tuple:
+        """Ranges, half FOV, focal_px, half width, width, height, centre y, jitter."""
+        return (self.min_range, self.max_range, self.horizontal_fov / 2.0, self.focal_px,
+                self.image_width / 2.0, float(self.image_width), float(self.image_height),
+                self.image_height / 2.0, self.jitter_px)
+
 
 @dataclass(frozen=True)
 class TargetPanel:
-    """Flat colored panel on the leader's rear, facing backward along -heading."""
+    """Flat colored panel on the leader's rear, facing backward along -heading.
+    `step_table`, what observe reads, is built as the camera's is."""
 
     width: float = 0.2159   # 8.5 inch
     height: float = 0.2794  # 11 inch
@@ -64,6 +75,10 @@ class TargetPanel:
             raise ValueError("height must be positive")
         if not self.rear_offset >= 0:
             raise ValueError("rear_offset must be non-negative")
+
+    @cached_property
+    def step_table(self) -> tuple:
+        return self.rear_offset, self.width, self.height
 
 
 class SensorReading(NamedTuple):
@@ -95,16 +110,18 @@ def observe(
     horizontal field of view, range outside [min_range, max_range], or the
     panel presenting (near) edge-on or its front face.
     """
+    near, far, half_fov, f_px, half_w, w_max, h_max, y_px, jitter = camera.step_table
+    rear, width, height = panel.step_table
     fx, fy, fh, _ = follower
     lx, ly, lh, _ = leader
     hx = math.cos(fh)
     hy = math.sin(fh)
-    px = lx - panel.rear_offset * math.cos(lh)
-    py = ly - panel.rear_offset * math.sin(lh)
+    px = lx - rear * math.cos(lh)
+    py = ly - rear * math.sin(lh)
     rel_x, rel_y = px - fx, py - fy
 
     rng_dist = math.hypot(rel_x, rel_y)
-    if not camera.min_range <= rng_dist <= camera.max_range:
+    if not near <= rng_dist <= far:
         return None
 
     forward = rel_x * hx + rel_y * hy
@@ -112,7 +129,7 @@ def observe(
     if forward <= 0.0:
         return None
     bearing = math.atan2(left, forward)
-    if abs(bearing) >= camera.horizontal_fov / 2.0:
+    if abs(bearing) >= half_fov:
         return None
 
     # foreshortening from the relative yaw between view axis and panel facing
@@ -124,24 +141,20 @@ def observe(
 
     # image x grows toward positive bearing so that positive pixel error,
     # positive effort, PWM > 90, and positive steer angle all point the same way
-    f_px = camera.focal_px
-    half_w = camera.image_width / 2.0
     x_px = half_w + f_px * (left / forward)
-    width_px = f_px * panel.width * facing / rng_dist
-    height_px = f_px * panel.height / rng_dist
+    width_px = f_px * width * facing / rng_dist
+    height_px = f_px * height / rng_dist
 
-    if rng is not None and camera.jitter_px > 0.0:
-        j = camera.jitter_px
-        x_px += rng.uniform(-j, j)
-        width_px += rng.uniform(-j, j)
-        height_px += rng.uniform(-j, j)
+    if rng is not None and jitter > 0.0:
+        x_px += rng.uniform(-jitter, jitter)
+        width_px += rng.uniform(-jitter, jitter)
+        height_px += rng.uniform(-jitter, jitter)
 
     # the bits of min(max(x, lo), hi), with lo = 0.0
-    w_max, h_max = float(camera.image_width), float(camera.image_height)
     x_px = 0.0 if x_px < 0.0 else w_max if x_px > w_max else x_px
     width_px = 0.0 if width_px < 0.0 else w_max if width_px > w_max else width_px
     height_px = 0.0 if height_px < 0.0 else h_max if height_px > h_max else height_px
-    return tuple.__new__(SensorReading, (x_px, camera.image_height / 2.0, width_px, height_px, t))
+    return tuple.__new__(SensorReading, (x_px, y_px, width_px, height_px, t))
 
 
 def pixel_error_x(reading: SensorReading, camera: CameraIntrinsics) -> float:

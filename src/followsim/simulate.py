@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .actuation import ChannelController, NEUTRAL_PWM, pwm_to_actuation
 from .scenario import ScenarioConfig
 from .sensor import observe
-from .world import integrate_bicycle, leader_pose, leader_poses, leader_progress, track_deviations
+from .world import integrate_bicycle, leader_poses, leader_progress, track_deviations
 
 STOP_REASON_STATIONARY = "follower_stationary"
 # records whose leader poses, and then whose bookkeeping columns, are worked
@@ -82,27 +82,23 @@ def _bookkeeping(config: ScenarioConfig, records: list) -> None:
     length.
     """
     script = config.leader
-    leader0 = leader_pose(script, 0.0)
+    leader0, corners, corner_s = script.track  # only a waypoint path has corners
     back = 10.0 * max(config.follow_range, 1.0)
-    tail = (leader0.x - back * math.cos(leader0.heading),
-            leader0.y - back * math.sin(leader0.heading))
-    vertices = (tail, (script.start.x, script.start.y),
-                *(q for _, q, _, _ in script.segments))
-    # the arc length of each corner past the start, which only a waypoint path has
-    corner_s = [*accumulate(length for _, _, length, _ in script.segments)]
+    vertices = ((leader0.x - back * math.cos(leader0.heading),
+                 leader0.y - back * math.sin(leader0.heading)), *corners)
     make = partial(tuple.__new__, TraceRecord)
     for lo in range(0, len(records), BOOKKEEPING_BLOCK):
         cols = list(zip(*records[lo:lo + BOOKKEEPING_BLOCK]))
         n = len(cols[0])
-        lx, ly, fx, fy = (np.fromiter(col, float, n) for col in cols[1:5])
+        leaders, followers = np.fromiter(chain(*cols[1:5]), float, 4 * n).reshape(2, 2, n)
         passed = np.ones(n, dtype=np.intp)  # the start, and each corner reached by then
         if corner_s:
             s, _ = leader_progress(script, np.fromiter(cols[0], float, n))
             passed += np.searchsorted(corner_s, s, side="right")
-        lateral_dev = track_deviations((fx, fy), vertices, passed, (lx, ly))
+        lateral_dev = track_deviations(followers, vertices, passed, leaders)
         # follow_dist_m of each record: every recorded position is finite
         with np.errstate(over="ignore"):
-            follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
+            follow_dist = map(math.hypot, *(leaders - followers).tolist())
         records[lo:lo + n] = map(make, zip(*cols[:10], lateral_dev, follow_dist, *cols[10:]))
 
 
@@ -112,7 +108,7 @@ def _leader_schedule(script, dt: float, n_records: int):
     leader_poses call, while a parked one holds its pose at t = 0."""
     for lo in range(0, n_records, BOOKKEEPING_BLOCK):
         t = np.arange(lo, min(lo + BOOKKEEPING_BLOCK, n_records)) * dt
-        poses = (repeat(leader_pose(script, 0.0)) if script.kind == "stationary"
+        poses = (repeat(script.track[0]) if script.kind == "stationary"
                  else zip(*(column.tolist() for column in leader_poses(script, t))))
         yield zip(t.tolist(), poses)
 
@@ -123,18 +119,16 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     The camera is sampled once per period; between detections the last command
     (or neutral, under the `stop` policy) is held and the record is flagged
     undetected. Runs against a stationary leader end early once the follower
-    has been slower than stop_speed_eps for stop_hold_time seconds. Against a
-    parked leader with no pixel jitter the sensing depends on the follower
-    alone, so while integrate_bicycle hands back the same follower object a
-    record reuses the last one's camera reading and errors; the controllers
-    still run on every record. What the config fixes is read once, before
-    the loop, and the errors are worked out inline with the bits of
-    pixel_error_x and area_error. The leader's pose at each record's time
-    is worked out ahead of the loop for a block of BOOKKEEPING_BLOCK records
-    at a time (_leader_schedule), with the bits of leader_pose at that time,
-    so memory stays flat however long the run. lateral_dev_m and
-    follow_dist_m are worked out for every record after the loop
-    (_bookkeeping).
+    has been slower than stop_speed_eps for stop_hold_time seconds. observe
+    draws from the seeded rng only under pixel jitter, so a run without it
+    makes none. Against a parked leader with no jitter the sensing depends
+    on the follower alone, so while integrate_bicycle hands back the same
+    follower object a record reuses the last one's camera reading and
+    errors; the controllers still run on every record. What the config fixes
+    is read once, before the loop, and the errors are worked out inline with
+    the bits of pixel_error_x and area_error. Leader poses (_leader_schedule)
+    and the bookkeeping columns (_bookkeeping) are worked out a block of
+    records at a time, so memory stays flat however long the run.
     Takes plain (archetype "scenario") configs only; execute_archetype runs
     the others through ScenarioConfig.runs().
     """
@@ -145,8 +139,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     n_records = config.n_records
     sub_steps = config.sub_steps
     sub_dt = dt / sub_steps
-    rng = random.Random(config.seed)
     camera, panel, vehicle = config.camera, config.panel, config.vehicle
+    rng = random.Random(config.seed) if camera.jitter_px else None
     setpoint_area, half_width = config.setpoint_area, camera.image_width / 2.0
     stop_on_loss = config.lost_target_policy == "stop"
     still_speed, hold_time = config.stop_speed_eps, config.stop_hold_time
@@ -168,8 +162,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     stop_reason = None
     still_time = 0.0
     loop_cost_ns = 0
-    # observe draws from the rng only under jitter
-    reuse_sensing = parked and not camera.jitter_px
+    reuse_sensing = parked and rng is None
     sensed = None  # the follower the last sensing was of, while it may be reused
 
     for t, leader in chain.from_iterable(_leader_schedule(script, dt, n_records)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -155,6 +155,13 @@ class LeaderScript:
         return tuple(np.array(column, dtype=float) for column in zip(*(
             (p[0], p[1], q[0] - p[0], q[1] - p[1], length, normalize_angle(heading))
             for p, q, length, heading in self.segments)))
+
+    @cached_property
+    def track(self) -> tuple:
+        """(pose at t = 0, the start and each corner as (x, y), the arc length
+        of each corner), worked out once: the leader track but for its tail."""
+        corners = ((self.start.x, self.start.y), *(q for _, q, _, _ in self.segments))
+        return leader_pose(self, 0.0), corners, tuple(accumulate(s for _, _, s, _ in self.segments))
 
 
 def place_behind(leader_start: VehicleState, gap: float, offset: float = 0.0) -> VehicleState:
@@ -376,23 +383,33 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
     the sign. A follower on that segment's axis has no side: its unsigned
     distance is returned. A track with no segment to measure, or whose every
     squared distance overflows, gives the plain distance to vertices[0].
+    Where no record, or every record, is cut at a vertex, its segments take
+    no per-record choice of end.
     """
     fx, fy = np.asarray(followers, dtype=float)
     lx, ly = np.asarray(leaders, dtype=float)
     passed = np.asarray(passed)
+    first, last = (int(passed.min()), int(passed.max())) if passed.size else (0, -1)
     best_d2 = np.full(fx.shape, math.inf)
-    best_sign = np.zeros(fx.shape)
+    best_cross = np.zeros(fx.shape)  # the nearest segment's cross product, whose sign is the side
     # past float range a square reads inf and 0 * inf reads nan, as with floats
     with np.errstate(all="ignore"):
         # segment j of a record runs from vertex j to the next vertex, or to the
         # leader if the record was cut after vertex j; no record runs on past
         # the last vertex, which stands in as the next of its own
-        for j, ((px, py), (ex, ey)) in enumerate(zip(vertices, [*vertices[1:], vertices[-1]])):
-            to_leader = passed == j
-            qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
+        pairs = zip(vertices, [*vertices[1:], vertices[-1]])
+        for j, ((px, py), (ex, ey)) in enumerate(islice(pairs, last + 1)):
+            px, py, ex, ey = float(px), float(py), float(ex), float(ey)  # as an array holds them
+            if j < first:  # no record is cut here: every segment ends at the next vertex
+                qx, qy = ex, ey
+            elif first == last:  # every record is cut here: each ends at its leader
+                qx, qy = lx, ly
+            else:
+                to_leader = passed == j
+                qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
             vx, vy = qx - px, qy - py
             norm2 = vx * vx + vy * vy
-            if not norm2.any():  # no record's segment has a length to be closer on
+            if not (norm2 if j < first else norm2.any()):  # no segment has a length to be closer on
                 continue
             u = ((fx - px) * vx + (fy - py) * vy) / norm2
             u = np.where(0.0 > u, 0.0, u)  # max(u, 0.0), which keeps a -0.0 and a nan
@@ -400,14 +417,15 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
             dx, dy = fx - (px + u * vx), fy - (py + u * vy)
             d2 = dx * dx + dy * dy
             cross = vx * dy - vy * dx
-            closer = (passed >= j) & (norm2 != 0.0) & (d2 < best_d2)
+            closer = d2 < best_d2
+            if j >= first:  # a record may lack segment j, or its segment a length
+                closer &= (passed >= j) & (norm2 != 0.0)
             best_d2 = np.where(closer, d2, best_d2)
-            best_sign = np.where(closer, np.where(cross != 0.0, np.copysign(1.0, cross), 0.0),
-                                 best_sign)
+            best_cross = np.where(closer, cross, best_cross)
         d = np.sqrt(best_d2)
-        out = np.where(best_sign != 0.0, best_sign * d, d).tolist()
+        out = np.where(best_cross != 0.0, np.copysign(d, best_cross), d).tolist()
     x0, y0 = vertices[0]
-    for i in np.flatnonzero(np.isinf(best_d2)).tolist():
+    for i in np.isinf(best_d2).nonzero()[0].tolist():
         out[i] = math.hypot(float(fx[i]) - x0, float(fy[i]) - y0)
     return out
 

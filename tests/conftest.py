@@ -25,10 +25,14 @@ def overflowing_pid_config(config: PidConfig) -> PidConfig:
     """A copy of config with kp = kd = 1e308, forced past PidConfig's gain
     bound: no loader accepts such gains, so a test of the runner's NaN-effort
     guard has to force them in. kp*error and kd*derivative then overflow to
-    infinities of one sign, and their difference is NaN."""
+    infinities of one sign, and their difference is NaN. The copy's step
+    table is built at its first use, after the gains are forced, so
+    pid_step reads the forced gains."""
     forced = replace(config)
     object.__setattr__(forced, "kp", 1e308)
     object.__setattr__(forced, "kd", 1e308)
+    kp, _, kd, *_ = forced.step_table
+    assert kp == kd == 1e308
     return forced
 
 

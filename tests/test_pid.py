@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -228,3 +229,33 @@ class TestPidStepAgainstFrozen:
         args = {name: math.nan if name in bad else 1.0 for name in ("error", "measurement", "dt")}
         with pytest.raises(ValueError, match=f"^non-finite controller input {bad[0]}$"):
             pid_step(PidConfig(kp=1.0, ki=0.1, kd=0.0), PidState(), **args)
+
+
+class TestStepTable:
+    """PidConfig's step table holds what pid_step reads, built from the
+    fields at first use, and takes no part in equality, hashing or repr."""
+
+    @pytest.mark.parametrize("ki, bound", [(0.5, 0.4), (-2.0, 0.1), (0.0, None), (-0.0, None)])
+    def test_table_holds_the_fields(self, ki, bound):
+        config = PidConfig(kp=1.5, ki=ki, kd=0.25, output_limit=2.0, integral_limit=0.2,
+                           derivative_filter_alpha=0.25)
+        assert config.step_table == (1.5, ki, 0.25, bound, 0.25, 0.75, 2.0)
+
+    def test_replace_steps_with_the_new_fields(self):
+        config = PidConfig(kp=1.0, ki=0.5, kd=0.1, derivative_filter_alpha=0.4)
+        state = PidState(0.3, 1.99, -0.5)
+        before = pid_step(config, state, 0.7, 2.0, 0.02)  # builds the table
+        for changes in (dict(kp=-0.5), dict(ki=0.0), dict(ki=-3.0), dict(kd=0.7),
+                        dict(output_limit=0.2, integral_limit=0.1),
+                        dict(derivative_filter_alpha=1.0)):
+            case = (replace(config, **changes), state, 0.7, 2.0, 0.02)
+            got = pid_step(*case)
+            assert pid_bits(got) == pid_bits(frozen_pid_step(*case))
+            assert pid_bits(got) != pid_bits(before), changes
+
+    def test_table_is_outside_equality_hash_and_repr(self):
+        built, fresh = PidConfig(1.0, 0.1, 0.0), PidConfig(1.0, 0.1, 0.0)
+        pid_step(built, PidState(), 1.0, 0.0, 0.02)
+        assert "step_table" in vars(built) and "step_table" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh) and "step_table" not in repr(built)

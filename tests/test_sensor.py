@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -291,18 +292,34 @@ def observe_poses(draw):
                                   follower.y + dist * math.sin(bearing), follower.heading + aspect)
 
 
+@st.composite
+def jittery_cameras(draw):
+    """A camera with jitter on: the shipped one, or one whose image size,
+    field of view and ranges are all drawn."""
+    if draw(st.booleans()):
+        return CameraIntrinsics(jitter_px=1.0)
+    min_range = draw(st.floats(0.05, 2.0))
+    return CameraIntrinsics(
+        image_width=2 * draw(st.integers(1, 400)), image_height=draw(st.integers(1, 400)),
+        horizontal_fov=draw(st.floats(0.05, 3.1)), min_range=min_range,
+        max_range=min_range + draw(st.floats(0.01, 30.0)), jitter_px=1.0)
+
+
+_panels = st.builds(TargetPanel, width=st.just(0.2159) | st.floats(0.01, 2.0),
+                    height=st.just(0.2794) | st.floats(0.01, 2.0),
+                    rear_offset=_signed_zero | st.floats(0.0, 0.5))
+
+
 class TestObserveAgainstFrozen:
-    @given(poses=observe_poses(), offset=_signed_zero | st.floats(0.0, 0.5),
+    @given(poses=observe_poses(), camera=jittery_cameras(), panel=_panels,
            t=_signed_zero | st.floats(0.0, 100.0),
            mode=st.sampled_from(["none", "low", "high", "free"]),
            free=st.tuples(*[st.floats(-400.0, 400.0)] * 3))
     @settings(max_examples=500, deadline=None)
-    def test_matches_frozen_bit_for_bit(self, poses, offset, t, mode, free):
+    def test_matches_frozen_bit_for_bit(self, poses, camera, panel, t, mode, free):
         """A reading as the frozen observe gives it, with no jitter, and with
         jitter that puts each box value exactly on its lower clamp bound, on
         its upper one (as near as one addition gets) or anywhere."""
-        camera = CameraIntrinsics(jitter_px=1.0)
-        panel = TargetPanel(rear_offset=offset)
         args = (*poses, panel, t)
         clean = frozen_observe(camera, *args)
         assert observe(camera, *args) == clean
@@ -319,3 +336,38 @@ class TestObserveAgainstFrozen:
             want = frozen_observe(camera, *args, rng=ScriptedJitter(draws))
         assert type(got) is SensorReading
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestStepTables:
+    """The camera's and the panel's step tables hold what observe reads,
+    built from the fields at first use, and take no part in equality,
+    hashing or repr."""
+
+    def test_tables_hold_the_fields(self):
+        camera = CameraIntrinsics(image_width=640, image_height=481, horizontal_fov=1.0,
+                                  min_range=0.5, max_range=9.0, jitter_px=2.0)
+        assert camera.step_table == (0.5, 9.0, 0.5, camera.focal_px, 320.0, 640.0, 481.0,
+                                     240.5, 2.0)
+        assert TargetPanel(0.3, 0.4, 0.1).step_table == (0.1, 0.3, 0.4)
+
+    def test_replace_steps_with_the_new_fields(self):
+        follower, leader = VehicleState(0.0, 0.0, 0.0), VehicleState(2.0, 0.3, 0.2)
+        observe(CAM, follower, leader, PANEL, 0.0)  # builds both tables
+        camera = replace(CAM, image_width=200, image_height=90, horizontal_fov=1.2,
+                         min_range=1.0, max_range=3.0)
+        panel = replace(PANEL, width=0.5, height=0.1, rear_offset=0.25)
+        for cam, pan in ((camera, PANEL), (CAM, panel), (camera, panel)):
+            got = observe(cam, follower, leader, pan, 0.0)
+            assert got == frozen_observe(cam, follower, leader, pan, 0.0)
+            assert got != observe(CAM, follower, leader, PANEL, 0.0)
+        # out of the new range, and out of the new field of view
+        assert observe(camera, follower, VehicleState(3.5, 0.0, 0.0), PANEL, 0.0) is None
+        assert observe(replace(CAM, horizontal_fov=0.2), follower, leader, PANEL, 0.0) is None
+
+    @pytest.mark.parametrize("make", [CameraIntrinsics, TargetPanel])
+    def test_table_is_outside_equality_hash_and_repr(self, make):
+        built, fresh = make(), make()
+        assert built.step_table
+        assert "step_table" in vars(built) and "step_table" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh) and "step_table" not in repr(built)

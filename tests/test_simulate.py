@@ -20,6 +20,7 @@ from followsim import (
     CameraIntrinsics,
     LeaderScript,
     ScenarioError,
+    TargetPanel,
     Trace,
     TraceRecord,
     VehicleState,
@@ -31,7 +32,7 @@ from followsim import (
 )
 from followsim import actuation, simulate, world
 from followsim.actuation import NEUTRAL_PWM, ChannelController, pwm_to_actuation
-from followsim.scenario import MAX_RECORDS
+from followsim.scenario import DEFAULT_STEERING_PID, DEFAULT_THROTTLE_PID, MAX_RECORDS
 from followsim.sensor import area_error, observe, pixel_error_x
 from followsim.world import integrate_bicycle, place_behind
 
@@ -789,9 +790,11 @@ def run_bits(trace) -> tuple:
 def plain_configs(draw):
     """A short plain run: a parked, straight-line or waypoint leader with a
     start on either zero, a follower placed near, beside or facing away from
-    it (so that some runs lose the target), jitter on or off, either lost-
-    target policy, the steering locked or not, either family per channel,
-    and stop settings that end some parked runs early."""
+    it (so that some runs lose the target), jitter on or off (so a run makes
+    an rng or none), a panel on or behind the leader's reference point,
+    either lost-target policy, the steering locked or not, either family per
+    channel, PID gains with ki zero of either sign or not and a derivative
+    filter on or off, and stop settings that end some parked runs early."""
     kind = draw(st.sampled_from(["stationary", "straight_line", "waypoint_path"]))
     start = VehicleState(draw(st.sampled_from([0.0, -0.0, 1.5])),
                          draw(st.sampled_from([0.0, -0.0, -2.0])),
@@ -810,11 +813,17 @@ def plain_configs(draw):
     placed = place_behind(leader.start, gap, offset)
     follower = VehicleState(placed.x, placed.y,
                             placed.heading + draw(st.sampled_from([0.0, 0.3, -0.9, math.pi])))
+    defaults = {"steering_pid": DEFAULT_STEERING_PID, "throttle_pid": DEFAULT_THROTTLE_PID}
+    pid = {key: replace(config, ki=draw(st.sampled_from([0.0, -0.0, config.ki, -0.5 * config.ki])),
+                        derivative_filter_alpha=draw(st.sampled_from([1.0, 0.4])))
+           for key, config in defaults.items()}
     return default_scenario(
         "frozen",
         leader=leader,
         follower_start=follower,
         camera=CameraIntrinsics(jitter_px=draw(st.sampled_from([0.0, 1.5]))),
+        panel=TargetPanel(rear_offset=draw(st.sampled_from([0.0, 0.3]))),
+        **pid,
         duration=draw(st.sampled_from([0.02, 0.5, 2.5])),
         seed=draw(st.integers(0, 3)),
         steering_kind=draw(st.sampled_from(["pid", "fuzzy"])),

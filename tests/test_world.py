@@ -904,6 +904,9 @@ class TestTrackDeviations:
               [(3.0, 0.0), (-0.0, 0.5)], [(2.0, 0.0), (1.0, -0.0)]))
     # the follower's squared distance overflows on the only segment
     @example(([(0.0, 0.0)], [0], [(1e300, 1e300)], [(1.0, 0.0)]))
+    # the first record's leg to its leader is too short for its squared
+    # length, which underflows to 0.0: it has no length to be nearer on
+    @example(([(0.0, 0.0)], [0, 0], [(3.0, -1.0), (3.0, -1.0)], [(1e-200, 0.0), (5.0, 0.0)]))
     @settings(max_examples=300)
     @pytest.mark.filterwarnings("error")
     def test_matches_the_frozen_definition_on_each_cut_track(self, case):

@@ -34,15 +34,27 @@ write a byte-identical tune_results.csv and the same candidate traces, read
 back with read_trace_csv and compared as above. The report gives the median
 and quartiles of the per-command speedups.
 
+With --layers the tool times per-record layers instead: it records every
+call of observe, pid_step, fuzzy_step and integrate_bicycle that one pass of
+each workload's runs makes in A, replays those calls in A and in B, and
+gives each layer's median us per call over the rounds, untraced. The replay
+loop's own cost, some 0.1 us a call, is in both sides' numbers. Each side
+gets the arguments rebuilt from its own types, and every result must have
+the same bits on both sides, compared with float.hex. Observe draws from its
+rng only under jitter, so an rng passed without jitter is replayed as None,
+and one passed with jitter as a fresh rng in the state the call saw.
+
 Uses only the standard library and what followsim needs (numpy). Pytest
 never collects this file.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import itertools
+import random
 import shutil
 import statistics
 import sys
@@ -58,6 +70,9 @@ TUNE_INPUTS = {
     "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
     "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
 }
+# per-record layer that --layers replays -> the module that defines it
+LAYERS = {"observe": "sensor", "pid_step": "pid", "fuzzy_step": "fuzzy",
+          "integrate_bicycle": "world"}
 
 
 def import_copy(checkout: Path, name: str, into: Path):
@@ -177,6 +192,120 @@ def run_tune_command(a, b, workload: str, rounds: int, tmp: Path) -> dict:
     return {"candidates": len(outputs[1]), "speedup": quartiles(speedups)}
 
 
+class RngState(tuple):
+    """The state of an rng as observe found it, for a fresh rng per replay."""
+
+    def fresh(self) -> random.Random:
+        rng = random.Random()
+        rng.setstate(tuple(self))
+        return rng
+
+
+def layer_function(pkg, layer: str):
+    return getattr(importlib.import_module(f"{pkg.__name__}.{LAYERS[layer]}"), layer)
+
+
+def record_layer_calls(pkg, workload: str) -> dict[str, list[tuple]]:
+    """Each layer's calls, as (args, kwargs), in one pass of a workload's runs."""
+    calls = {layer: [] for layer in LAYERS}
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == pkg.__name__]
+    patched = []
+    for layer in LAYERS:
+        original = layer_function(pkg, layer)
+
+        def recorder(*args, _fn=original, _log=calls[layer], _layer=layer, **kwargs):
+            if _layer == "observe":
+                args, rng = args[:5], (args[5:] or [kwargs.pop("rng", None)])[0]
+                if rng is not None and args[0].jitter_px:
+                    kwargs = {"rng": RngState(rng.getstate())}
+            _log.append((args, kwargs))
+            return _fn(*args, **kwargs) if _layer != "observe" else _fn(*args, rng=rng)
+
+        for namespace in modules:
+            for key, value in list(vars(namespace).items()):
+                if value is original:
+                    setattr(namespace, key, recorder)
+                    patched.append((namespace, key, original))
+    try:
+        for _, config in workload_runs(pkg, workload):
+            pkg.execute_archetype(config)
+    finally:
+        for namespace, key, original in patched:
+            setattr(namespace, key, original)
+    return calls
+
+
+def rebuilt(value, pkg, memo: dict):
+    """A recorded argument rebuilt from pkg's own types, with the same bits:
+    dataclasses from their init fields, named tuples field by field."""
+    if value is None or isinstance(value, (float, int, str, RngState)):
+        return value
+    if id(value) in memo:
+        return memo[id(value)][1]
+    cls = type(value)
+    if cls.__module__.split(".")[0] != "builtins":
+        module = importlib.import_module(f"{pkg.__name__}.{cls.__module__.rsplit('.', 1)[1]}")
+        cls = getattr(module, cls.__name__)
+    if dataclasses.is_dataclass(value):
+        out = cls(**{f.name: rebuilt(getattr(value, f.name), pkg, memo)
+                     for f in dataclasses.fields(value) if f.init})
+    elif isinstance(value, dict):
+        out = {rebuilt(k, pkg, memo): rebuilt(v, pkg, memo) for k, v in value.items()}
+    elif isinstance(value, (tuple, list)):
+        out = tuple.__new__(cls, (rebuilt(v, pkg, memo) for v in value)) if isinstance(
+            value, tuple) else [rebuilt(v, pkg, memo) for v in value]
+    else:
+        raise TypeError(f"cannot rebuild a {cls.__name__}")
+    memo[id(value)] = (value, out)  # holds value, so that its id stays its own
+    return out
+
+
+def value_bits(value):
+    """A result as comparable values: each float by its hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return type(value).__name__, tuple(value_bits(v) for v in value)
+    return value
+
+
+def with_fresh_rngs(calls: list[tuple]) -> list[tuple]:
+    return [(args, {k: v.fresh() if isinstance(v, RngState) else v for k, v in kwargs.items()})
+            for args, kwargs in calls]
+
+
+def run_layers(a, b, workload: str, rounds: int) -> dict:
+    """Per layer: calls, and each side's median us per call over the rounds."""
+    recorded = record_layer_calls(a, workload)
+    result = {}
+    for layer, calls in recorded.items():
+        if not calls:
+            continue
+        sides = []
+        for pkg in (a, b):
+            memo = {}
+            sides.append((layer_function(pkg, layer),
+                          [(rebuilt(args, pkg, memo), rebuilt(kwargs, pkg, memo))
+                           for args, kwargs in calls]))
+        (fn_a, calls_a), (fn_b, calls_b) = sides
+        for i, ((args_a, kw_a), (args_b, kw_b)) in enumerate(zip(with_fresh_rngs(calls_a),
+                                                                 with_fresh_rngs(calls_b))):
+            assert value_bits(fn_a(*args_a, **kw_a)) == value_bits(fn_b(*args_b, **kw_b)), (
+                f"{workload}: {layer} call {i}: results differ")
+        per_call = ([], [])
+        for round_no in range(rounds):
+            for side in ((0, 1) if round_no % 2 else (1, 0)):
+                fn, batch = sides[side]
+                batch = with_fresh_rngs(batch)
+                gc.collect()
+                start = time.perf_counter()
+                for args, kwargs in batch:
+                    fn(*args, **kwargs)
+                per_call[side].append((time.perf_counter() - start) / len(batch) * 1e6)
+        result[layer] = (len(calls), *(statistics.median(us) for us in per_call))
+    return result
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the baseline)")
@@ -184,11 +313,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="timed rounds (default 5)")
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="run only this workload (repeatable)")
+    parser.add_argument("--layers", action="store_true",
+                        help="replay A's per-record layer calls in both instead")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         a = import_copy(args.a.resolve(), "followsim_a", Path(tmp))
         b = import_copy(args.b.resolve(), "followsim_b", Path(tmp))
+        if args.layers:
+            print(f"A = {args.a.resolve()}\nB = {args.b.resolve()}\n{args.rounds} rounds of "
+                  f"A's recorded calls; median us per call, and A over B")
+            for workload in args.workload or WORKLOADS:
+                for layer, (n, us_a, us_b) in run_layers(a, b, workload, args.rounds).items():
+                    print(f"{workload} {layer}: {n} calls, results identical; "
+                          f"A {us_a:.3f} us, B {us_b:.3f} us, {us_a / us_b:.3f}x")
+            return 0
         print(f"A = {args.a.resolve()}\nB = {args.b.resolve()}\n"
               f"{args.rounds} timed rounds; speedup = A time / B time per run; "
               f"median [q1, q3]")
