@@ -94,5 +94,6 @@ def pid_step(
 
 # modelled float operations in one pid_step call, whatever the gains: + - * /
 # and each clamp's comparisons, however written. A model constant, not a count
-# of this code (ROADMAP item 6); the basis of the per-loop resource metric
+# of this code (see "The op model is counted" in ROADMAP.md); the basis of the
+# per-loop resource metric
 PID_STEP_OPS = 16

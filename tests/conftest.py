@@ -1,9 +1,22 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from followsim import PidConfig, TraceRecord, default_scenario
+
+# Tier-1 draws the same examples on every run and checkout: no example database
+# replays one machine's failures, and no deadline lets host speed decide a
+# verdict. `pytest --hypothesis-profile=deep` draws fresh examples (1000 where a
+# test sets no count) and keeps its failures in a database of its own.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, print_blob=True)
+settings.register_profile(
+    "deep", derandomize=False, deadline=None, print_blob=True, max_examples=1000,
+    database=DirectoryBasedExampleDatabase(Path(__file__).parents[1] / ".hypothesis" / "deep"))
+settings.load_profile("tier1")
 
 
 # pixel error below which a steering run counts as aligned (the paper's figs. 5 and 6)

@@ -1,21 +1,18 @@
 import math
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import overflowing_pid_config
 from followsim import (
-    PID_STEP_OPS,
     ChannelController,
     PidConfig,
     PidState,
     VehicleParams,
-    count_fuzzy_ops,
     default_fuzzy_config,
     effort_to_pwm,
-    fuzzy_step,
     pid_step,
     pwm_to_actuation,
 )
@@ -159,55 +156,6 @@ class TestChannelController:
             assert 0.0 <= pwm <= 180.0
 
 
-# --- frozen copy of the channel before its filter state became plain values ---
-# (ExpFilter value type, exp_filter_step and the unchecked effort_to_pwm)
-
-@dataclass(frozen=True)
-class _FrozenExpFilter:
-    alpha: float
-    state: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-
-
-def _frozen_exp_filter_step(filt, value):
-    out = filt.alpha * value + (1.0 - filt.alpha) * filt.state
-    return out, _FrozenExpFilter(filt.alpha, out)
-
-
-def _frozen_effort_to_pwm(effort):
-    return min(max(90.0 + 90.0 * effort, 0.0), 180.0)
-
-
-class _FrozenChannel:
-    def __init__(self, kind, pid_config=None, fuzzy_config=None, filter_alpha=None):
-        self.kind = kind
-        self.pid_config = pid_config
-        self.fuzzy_config = fuzzy_config
-        self.filter = None if filter_alpha is None else _FrozenExpFilter(filter_alpha)
-        self.state = None
-        ops = PID_STEP_OPS if kind == "pid" else count_fuzzy_ops(fuzzy_config) + 2
-        if self.filter is not None:
-            ops += 4
-        self.ops_per_step = ops + 2
-
-    def update(self, error, measurement, dt):
-        state = self.state
-        if self.kind == "pid":
-            if state is None:
-                state = PidState(prev_measurement=measurement)
-            effort, self.state = pid_step(self.pid_config, state, error, measurement, dt)
-        else:
-            prev = error if state is None else state
-            effort = fuzzy_step(self.fuzzy_config, error, (error - prev) / dt)
-            self.state = error
-        if self.filter is not None:
-            effort, self.filter = _frozen_exp_filter_step(self.filter, effort)
-        return _frozen_effort_to_pwm(effort)
-
-
 _finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -223,32 +171,16 @@ _finite = st.floats(-1e3, 1e3, allow_nan=False)
 def test_channel_matches_frozen_filter_and_command_bit_for_bit(
     kind, gains, spans, alpha, samples, dt
 ):
-    kwargs = dict(
-        pid_config=PidConfig(*gains, output_limit=1.5, integral_limit=0.75),
-        fuzzy_config=default_fuzzy_config(*spans),
-        filter_alpha=alpha,
-    )
-    channel = ChannelController(kwargs[f"{kind}_config"], alpha)
-    frozen = _FrozenChannel(kind, **kwargs)
-    assert channel.ops_per_step == frozen.ops_per_step
+    if kind == "pid":
+        controller = PidConfig(*gains, output_limit=1.5, integral_limit=0.75)
+    else:
+        controller = default_fuzzy_config(*spans)
+    channel = ChannelController(controller, alpha)
+    model = reference.Channel(controller, alpha)
+    assert channel.ops_per_step == model.ops_per_step
     for error, measurement in samples:
         got = channel.update(error, measurement, dt)
-        want = frozen.update(error, measurement, dt)
-        assert got.hex() == want.hex()
-
-
-# --- frozen copies of the command mapping before its clamps became comparisons ---
-
-def frozen_effort_to_pwm(effort):
-    if math.isnan(effort):
-        raise ValueError("controller effort is NaN")
-    return min(max(90.0 + 90.0 * effort, 0.0), 180.0)
-
-
-def frozen_pwm_to_actuation(steering_pwm, throttle_pwm, params):
-    steer = params.max_steer_angle * (steering_pwm - 90.0) / 90.0
-    speed = params.max_speed * max(0.0, throttle_pwm - 90.0) / 90.0
-    return steer, speed
+        assert got.hex() == model.update(error, measurement, dt).hex()
 
 
 _signed_zero = st.sampled_from([0.0, -0.0])
@@ -261,7 +193,7 @@ _signed_zero = st.sampled_from([0.0, -0.0])
 def test_effort_to_pwm_matches_frozen_bit_for_bit(effort):
     got = effort_to_pwm(effort)
     assert type(got) is float
-    assert got.hex() == frozen_effort_to_pwm(effort).hex()
+    assert got.hex() == reference.effort_to_pwm(effort).hex()
 
 
 # 90 is neutral (a +0.0 drive), 0 and 180 the ends of the scale
@@ -275,4 +207,4 @@ def test_pwm_to_actuation_matches_frozen_bit_for_bit(steering, throttle):
     got = pwm_to_actuation(steering, throttle, PARAMS)
     assert type(got) is tuple and all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [
-        v.hex() for v in frozen_pwm_to_actuation(steering, throttle, PARAMS)]
+        v.hex() for v in reference.pwm_to_actuation(steering, throttle, PARAMS)]

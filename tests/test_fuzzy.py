@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from followsim import (
     FuzzyConfig,
     FuzzyError,
@@ -24,22 +25,6 @@ from followsim.scenario import CHANNELS, load_scenario
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
-
-
-def oracle_membership(breakpoints, x):
-    """Brute-force piecewise-linear grade, independent of the library code."""
-    if len(breakpoints) == 3:
-        a, b, c = breakpoints
-        lo = hi = b
-    else:
-        a, lo, hi, c = breakpoints
-    if lo <= x <= hi:
-        return 1.0
-    if x <= a or x >= c:
-        return 0.0
-    if x < lo:
-        return (x - a) / (lo - a)
-    return (c - x) / (c - hi)
 
 
 class TestMembershipFunction:
@@ -72,8 +57,7 @@ class TestMembershipFunction:
     @settings(max_examples=300)
     def test_matches_piecewise_linear_oracle(self, a, spread1, spread2, x):
         mf = MembershipFunction((a, a + spread1, a + spread1 + spread2))
-        want = oracle_membership(mf.breakpoints, x)
-        assert mf.membership(x) == pytest.approx(want, abs=1e-12)
+        assert mf.membership(x).hex() == reference.grade(mf.breakpoints, x).hex()
         assert 0.0 <= mf.membership(x) <= 1.0
 
     @pytest.mark.parametrize("pts", [(1.0, 0.0, 2.0), (0.0, 1.0), (0, 1, 2, 3, 4)])
@@ -157,8 +141,7 @@ class TestInfer:
         # the centroid of the Z curve itself
         config = default_fuzzy_config(1.0, 1.0)
         curve = config.output_sets["Z"].on_grid(config.output_grid)
-        want = float(np.dot(config.output_grid, curve)) / float(curve.sum())
-        assert fuzzy_step(config, 0.0, 0.0) == want
+        assert fuzzy_step(config, 0.0, 0.0) == reference.centroid(config.output_grid, curve)
 
     def test_half_strength_clips(self):
         # the right triangle (0, 0, 1) has centroid 1/3; clipped at 0.5 it is
@@ -170,7 +153,7 @@ class TestInfer:
     def test_pointwise_max_against_grid_oracle(self):
         config = default_fuzzy_config(1.0, 1.0)
         mu = np.array([aggregate_fn(config, 0.3, -0.6)(float(u)) for u in config.output_grid])
-        want = float(np.dot(config.output_grid, mu)) / float(mu.sum())
+        want = reference.centroid(config.output_grid, mu)
         assert fuzzy_step(config, 0.3, -0.6) == pytest.approx(want, abs=1e-12)
 
 
@@ -201,25 +184,8 @@ class TestDefuzz:
         assert abs(got - want) <= 1e-3 * (hi - lo)
 
 
-def oracle_fuzzy_step(config, error, error_delta):
-    """End-to-end reference evaluation sharing nothing with the library path."""
-    lo, hi = config.error_universe
-    error = min(max(error, lo), hi)
-    lo, hi = config.delta_universe
-    error_delta = min(max(error_delta, lo), hi)
-    e_deg = {l: oracle_membership(mf.breakpoints, error) for l, mf in config.error_sets.items()}
-    d_deg = {l: oracle_membership(mf.breakpoints, error_delta) for l, mf in config.delta_sets.items()}
-    out_lo, out_hi = config.output_universe
-    num = den = 0.0
-    for i in range(config.grid_points):
-        u = out_lo + i * (out_hi - out_lo) / (config.grid_points - 1)
-        mu = 0.0
-        for (el, dl), out in config.rules.items():
-            strength = min(e_deg[el], d_deg[dl])
-            mu = max(mu, min(strength, oracle_membership(config.output_sets[out].breakpoints, u)))
-        num += u * mu
-        den += mu
-    return num / den
+UNIT = default_fuzzy_config(1.0, 1.0)
+UNIT_MODEL = reference.fuzzy_controller(UNIT)
 
 
 class TestFuzzyStep:
@@ -245,10 +211,7 @@ class TestFuzzyStep:
     @given(e=st.floats(-1.5, 1.5), d=st.floats(-1.5, 1.5))
     @settings(max_examples=100)
     def test_matches_end_to_end_oracle(self, e, d):
-        config = default_fuzzy_config(1.0, 1.0)
-        assert fuzzy_step(config, e, d) == pytest.approx(
-            oracle_fuzzy_step(config, e, d), abs=1e-9
-        )
+        assert fuzzy_step(UNIT, e, d).hex() == UNIT_MODEL(e, d).hex()
 
     @given(e=st.floats(-2, 2), d=st.floats(-2, 2), span=st.floats(0.1, 10))
     @settings(max_examples=100)
@@ -459,38 +422,9 @@ def test_support_of_one_sample_and_of_the_whole_grid():
     supports = rule_table_supports(config)
     assert supports["Z"][0] == slice(500, 501)
     assert supports["PL"][0] == slice(0, config.grid_points)
+    model = reference.fuzzy_controller(config)
     for e, d in [(0.0, 0.0), (0.7, 0.6), (0.2, 0.9), (1.0, 1.0), (0.5, -0.25)]:
-        assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
-
-
-def staged_fuzzy_step(config, error, error_delta):
-    """Frozen copy of the staged evaluation fuzzy_step replaced: fuzzify each
-    input, infer over output curves built by a scalar membership loop, then
-    defuzz_centroid, clamped into the output universe as fuzzy_step's
-    centroid is. fuzzy_step must give the same bits."""
-
-    def fuzzify(value, sets, universe):
-        lo, hi = universe
-        v = min(max(value, lo), hi)
-        return {label: mf.membership(v) for label, mf in sets.items()}
-
-    e_deg = fuzzify(error, config.error_sets, config.error_universe)
-    d_deg = fuzzify(error_delta, config.delta_sets, config.delta_universe)
-    lo, hi = config.output_universe
-    grid = np.linspace(lo, hi, config.grid_points)
-    curves = {
-        label: np.array([mf.membership(float(x)) for x in grid])
-        for label, mf in config.output_sets.items()
-    }
-    aggregate = np.zeros_like(grid)
-    for (e_label, d_label), out_label in config.rules.items():
-        strength = min(e_deg[e_label], d_deg[d_label])
-        if strength > 0.0:
-            np.maximum(aggregate, np.minimum(curves[out_label], strength), out=aggregate)
-    total = float(aggregate.sum())
-    if total == 0.0:
-        raise FuzzyError("all-zero aggregate: rule coverage is incomplete for this input")
-    return min(max(float(np.dot(grid, aggregate)) / total, lo), hi)
+        assert fuzzy_step(config, e, d).hex() == model(e, d).hex()
 
 
 @st.composite
@@ -567,9 +501,10 @@ def inputs_for(sets, universe):
 def test_fuzzy_step_matches_staged_pipeline_bit_for_bit(data, config):
     errors = inputs_for(config.error_sets, config.error_universe)
     deltas = inputs_for(config.delta_sets, config.delta_universe)
+    model = reference.fuzzy_controller(config)
     for _ in range(4):
         e, d = data.draw(errors), data.draw(deltas)
-        assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
+        assert fuzzy_step(config, e, d).hex() == model(e, d).hex()
 
 
 @given(config=fuzzy_configs())
@@ -641,11 +576,13 @@ def fired_labels(config, e, d):
 def test_one_to_four_fired_labels_match_staged_pipeline(e, d, rules, labels):
     """fuzzy_step clips the first fired label into the aggregate directly and
     takes each further one through the max: every label count keeps the
-    staged pipeline's bits, whichever label comes first."""
+    bits of the reference model's rule-by-rule aggregate, whichever label
+    comes first."""
     config = default_fuzzy_config(1.0, 1.0, rules=rules)
     assert fired_labels(config, e, d) == labels
-    assert fuzzy_step(config, e, d).hex() == staged_fuzzy_step(config, e, d).hex()
-    assert fuzzy_step(config, -e, -d).hex() == staged_fuzzy_step(config, -e, -d).hex()
+    model = reference.fuzzy_controller(config)
+    assert fuzzy_step(config, e, d).hex() == model(e, d).hex()
+    assert fuzzy_step(config, -e, -d).hex() == model(-e, -d).hex()
 
 
 @st.composite

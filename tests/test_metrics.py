@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_record, unknown_channel
 from followsim import Trace, compare, format_report, objective_value, trace_metrics
-from followsim.metrics import CHANNEL_COLUMNS, METRIC_FIELDS, MetricSet, control_effort_tv
+from followsim.metrics import CHANNEL_COLUMNS, METRIC_FIELDS, control_effort_tv
 from followsim.scenario import CHANNELS
 
 # values that name no channel: a stray word, the old column vocabulary, a pair
@@ -218,55 +219,6 @@ class TestObjectives:
                 objective_value(self._trace(), value, "itae", 0.5)
 
 
-def frozen_trace_metrics(trace, signal, setpoint_delta=None):
-    """trace_metrics as it stood when callers passed the step size."""
-    def column(name):
-        return [float(getattr(r, name)) for r in trace.records]
-
-    if setpoint_delta is not None and not math.isfinite(setpoint_delta):
-        raise ValueError(f"setpoint_delta must be finite, got {setpoint_delta!r}")
-    delta = setpoint_delta or None
-    ys = column(signal)
-    ts = column("t")
-    tail_start = int(0.8 * len(ys))
-    tail = ys[tail_start:]
-    steady_state = sum(tail) / len(tail)
-    final = ys[-1]
-
-    rise = settle = overshoot = math.nan
-    if delta is not None:
-        t10 = t90 = None
-        for t, y in zip(ts, ys):
-            f = (y - ys[0]) / delta
-            if t10 is None and f >= 0.1:
-                t10 = t
-            if f >= 0.9:
-                t90 = t
-                break
-        if t10 is not None and t90 is not None:
-            rise = t90 - t10
-
-        band = 0.05 * abs(delta)
-        last_outside = -1
-        for i, y in enumerate(ys):
-            if abs(y - final) > band:
-                last_outside = i
-        if last_outside + 1 < len(ys):
-            settle = ts[last_outside + 1] - ts[0]
-
-        direction = math.copysign(1.0, delta)
-        overshoot = max(0.0, max((y - final) * direction for y in ys)) / abs(delta) * 100.0
-
-    rms = math.sqrt(sum(y * y for y in ys) / len(ys))
-
-    command = {"pixel_error_x": "steering_pwm", "area_error": "throttle_pwm"}[signal]
-    cmds = column(command)
-    tv = sum(abs(b - a) for a, b in zip(cmds, cmds[1:]))
-
-    ops = column("op_count")
-    return MetricSet(rise, settle, overshoot, steady_state, rms, tv, sum(ops) / len(ops))
-
-
 @st.composite
 def error_traces(draw):
     """(channel, trace): 1-50 records of the channel's error column, starting
@@ -298,10 +250,8 @@ def error_traces(draw):
 @settings(max_examples=400, deadline=None)
 def test_step_from_first_sample_matches_passed_delta(case):
     channel, trace = case
-    signal = CHANNEL_COLUMNS[channel][0]
-    y0 = getattr(trace.records[0], signal)
     got = trace_metrics(trace, channel)
-    want = frozen_trace_metrics(trace, signal, -y0 or None)
+    want = reference.metrics(trace.records, channel)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
@@ -310,10 +260,10 @@ def test_step_from_first_sample_matches_passed_delta(case):
 @settings(max_examples=200, deadline=None)
 def test_control_effort_tv_matches_frozen_total_variation(case):
     channel, trace = case
-    want = frozen_trace_metrics(trace, CHANNEL_COLUMNS[channel][0]).control_effort_tv
+    want = reference.metrics(trace.records, channel)[METRIC_FIELDS.index("control_effort_tv")]
     got = control_effort_tv(trace, channel)
-    assert type(got) is float  # a float for one record too, where the oracle sums no step
-    assert got.hex() == float(want).hex()
+    assert type(got) is float  # a float for one record too, where no step is summed
+    assert got.hex() == want.hex()
 
 
 def test_control_effort_tv_checks_like_trace_metrics():

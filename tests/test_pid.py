@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from followsim import PID_STEP_OPS, PidConfig, PidState, pid_step
 from followsim.pid import MAX_GAIN
 
@@ -147,29 +148,6 @@ def test_op_count_is_positive_constant():
     assert PID_STEP_OPS > 0
 
 
-def frozen_pid_step(config, state, error, measurement, dt):
-    """pid_step before its clamps became comparisons and its state a bare
-    tuple.__new__, kept verbatim as the bit-exact oracle."""
-    if not (math.isfinite(error) and math.isfinite(measurement) and math.isfinite(dt)):
-        raise ValueError("non-finite controller input")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-    integral = state.integral
-    if config.ki != 0.0:
-        integral += error * dt
-        bound = config.integral_limit / abs(config.ki)
-        integral = min(max(integral, -bound), bound)
-
-    raw_d = (measurement - state.prev_measurement) / dt
-    alpha = config.derivative_filter_alpha
-    filtered_d = alpha * raw_d + (1.0 - alpha) * state.filtered_derivative
-
-    effort = config.kp * error + config.ki * integral - config.kd * filtered_d
-    effort = min(max(effort, -config.output_limit), config.output_limit)
-    return effort, PidState(integral, measurement, filtered_d)
-
-
 def pid_bits(result):
     effort, state = result
     return effort.hex(), tuple(v.hex() for v in state)
@@ -206,7 +184,7 @@ class TestPidStepAgainstFrozen:
     @settings(max_examples=500, deadline=None)
     def test_matches_frozen_bit_for_bit(self, case):
         got = pid_step(*case)
-        assert pid_bits(got) == pid_bits(frozen_pid_step(*case))
+        assert pid_bits(got) == pid_bits(reference.pid_step(*case))
         assert type(got) is tuple and type(got[0]) is float and type(got[1]) is PidState
 
     def test_finite_inputs_whose_sum_overflows_pass(self):
@@ -214,7 +192,7 @@ class TestPidStepAgainstFrozen:
         state = PidState(0.0, 1e308, 0.0)
         args = (config, state, 1e308, 1e308, 0.02)
         assert not math.isfinite(1e308 + 1e308 + 0.02)
-        assert pid_bits(pid_step(*args)) == pid_bits(frozen_pid_step(*args))
+        assert pid_bits(pid_step(*args)) == pid_bits(reference.pid_step(*args))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["error", "measurement", "dt"])
@@ -250,7 +228,7 @@ class TestStepTable:
                         dict(derivative_filter_alpha=1.0)):
             case = (replace(config, **changes), state, 0.7, 2.0, 0.02)
             got = pid_step(*case)
-            assert pid_bits(got) == pid_bits(frozen_pid_step(*case))
+            assert pid_bits(got) == pid_bits(reference.pid_step(*case))
             assert pid_bits(got) != pid_bits(before), changes
 
     def test_table_is_outside_equality_hash_and_repr(self):

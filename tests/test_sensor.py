@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from followsim import (
     CameraIntrinsics,
     SensorReading,
@@ -15,7 +16,6 @@ from followsim import (
     area_error,
     observe,
     pixel_error_x,
-    normalize_angle,
     range_for_area,
 )
 
@@ -217,51 +217,6 @@ class TestCameraValidation:
             CameraIntrinsics(**kwargs)
 
 
-def frozen_observe(camera, follower, leader, panel, t, rng=None):
-    """observe before its clamps became comparisons, normalize_angle was
-    inlined and its reading a bare tuple.__new__, kept verbatim as the
-    bit-exact oracle."""
-    hx = math.cos(follower.heading)
-    hy = math.sin(follower.heading)
-    px = leader.x - panel.rear_offset * math.cos(leader.heading)
-    py = leader.y - panel.rear_offset * math.sin(leader.heading)
-    rel_x, rel_y = px - follower.x, py - follower.y
-
-    rng_dist = math.hypot(rel_x, rel_y)
-    if not camera.min_range <= rng_dist <= camera.max_range:
-        return None
-
-    forward = rel_x * hx + rel_y * hy
-    left = -rel_x * hy + rel_y * hx
-    if forward <= 0.0:
-        return None
-    bearing = math.atan2(left, forward)
-    if abs(bearing) >= camera.horizontal_fov / 2.0:
-        return None
-
-    aspect = normalize_angle(follower.heading - leader.heading)
-    facing = math.cos(aspect)
-    if facing <= 1e-9:
-        return None
-
-    f_px = camera.focal_px
-    half_w = camera.image_width / 2.0
-    x_px = half_w + f_px * (left / forward)
-    width_px = f_px * panel.width * facing / rng_dist
-    height_px = f_px * panel.height / rng_dist
-
-    if rng is not None and camera.jitter_px > 0.0:
-        j = camera.jitter_px
-        x_px += rng.uniform(-j, j)
-        width_px += rng.uniform(-j, j)
-        height_px += rng.uniform(-j, j)
-
-    x_px = min(max(x_px, 0.0), float(camera.image_width))
-    width_px = min(max(width_px, 0.0), float(camera.image_width))
-    height_px = min(max(height_px, 0.0), float(camera.image_height))
-    return SensorReading(x_px, camera.image_height / 2.0, width_px, height_px, t)
-
-
 class ScriptedJitter:
     """An rng whose uniform draws are given in advance."""
 
@@ -317,23 +272,23 @@ class TestObserveAgainstFrozen:
            free=st.tuples(*[st.floats(-400.0, 400.0)] * 3))
     @settings(max_examples=500, deadline=None)
     def test_matches_frozen_bit_for_bit(self, poses, camera, panel, t, mode, free):
-        """A reading as the frozen observe gives it, with no jitter, and with
+        """A reading as the reference model gives it, with no jitter, and with
         jitter that puts each box value exactly on its lower clamp bound, on
         its upper one (as near as one addition gets) or anywhere."""
         args = (*poses, panel, t)
-        clean = frozen_observe(camera, *args)
+        clean = reference.observe(camera, *args)
         assert observe(camera, *args) == clean
         if clean is None:
             return
         if mode == "none":
             got, want = observe(camera, *args), clean
         else:
-            values = (clean.x_px, clean.width_px, clean.height_px)
+            values = (clean[0], clean[2], clean[3])
             bounds = (0.0, 0.0, 0.0) if mode == "low" else (
                 float(camera.image_width), float(camera.image_width), float(camera.image_height))
             draws = free if mode == "free" else [b - v for b, v in zip(bounds, values)]
             got = observe(camera, *args, rng=ScriptedJitter(draws))
-            want = frozen_observe(camera, *args, rng=ScriptedJitter(draws))
+            want = reference.observe(camera, *args, rng=ScriptedJitter(draws))
         assert type(got) is SensorReading
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -358,7 +313,7 @@ class TestStepTables:
         panel = replace(PANEL, width=0.5, height=0.1, rear_offset=0.25)
         for cam, pan in ((camera, PANEL), (CAM, panel), (camera, panel)):
             got = observe(cam, follower, leader, pan, 0.0)
-            assert got == frozen_observe(cam, follower, leader, pan, 0.0)
+            assert got == reference.observe(cam, follower, leader, pan, 0.0)
             assert got != observe(CAM, follower, leader, PANEL, 0.0)
         # out of the new range, and out of the new field of view
         assert observe(camera, follower, VehicleState(3.5, 0.0, 0.0), PANEL, 0.0) is None

@@ -1,28 +1,21 @@
 import gc
 import math
-import random
 import tracemalloc
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from functools import cached_property, partial
-from itertools import accumulate, chain
-from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import STEADY_STATE_PX, overflowing_pid_config
-from test_world import frozen_lateral_deviation, frozen_leader_pose, frozen_progress
 from followsim import (
     CameraIntrinsics,
     LeaderScript,
     ScenarioError,
     TargetPanel,
-    Trace,
-    TraceRecord,
     VehicleState,
     default_scenario,
     execute_archetype,
@@ -31,10 +24,8 @@ from followsim import (
     run_scenario,
 )
 from followsim import actuation, simulate, world
-from followsim.actuation import NEUTRAL_PWM, ChannelController, pwm_to_actuation
 from followsim.scenario import DEFAULT_STEERING_PID, DEFAULT_THROTTLE_PID, MAX_RECORDS
-from followsim.sensor import area_error, observe, pixel_error_x
-from followsim.world import integrate_bicycle, place_behind
+from followsim.world import place_behind
 
 ROOT = Path(__file__).parents[1]
 S_CURVE = ROOT / "scenarios" / "s_curve.scn"
@@ -284,20 +275,6 @@ class TestPathFollow:
                     leader=LeaderScript(kind="stationary", start=VehicleState(0, 0, 0)))
 
 
-def signed_distance(x, y, pts):
-    """Signed distance from (x, y) to a polyline, left of travel positive."""
-    best_d2, best_cross = math.inf, 0.0
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        vx, vy = qx - px, qy - py
-        if vx == 0.0 and vy == 0.0:
-            continue
-        u = min(max(((x - px) * vx + (y - py) * vy) / (vx * vx + vy * vy), 0.0), 1.0)
-        dx, dy = x - (px + u * vx), y - (py + u * vy)
-        if dx * dx + dy * dy < best_d2:
-            best_d2, best_cross = dx * dx + dy * dy, vx * dy - vy * dx
-    return math.copysign(math.sqrt(best_d2), best_cross)
-
-
 class TestLeaderTrack:
     """Lateral deviation is measured against the leader script's polyline,
     cut at the leader's current arc length: a bounded track per record."""
@@ -346,8 +323,8 @@ class TestLeaderTrack:
         tail = (path.start.x - back, path.start.y)
         for r in trace.records:
             passed = [c for c, s in zip(corners, arc) if s <= speed * r.t]
-            want = signed_distance(r.follower_x, r.follower_y,
-                                   [tail, *passed, (r.leader_x, r.leader_y)])
+            want = reference.lateral_deviation(r.follower_x, r.follower_y,
+                                               [tail, *passed, (r.leader_x, r.leader_y)])
             assert r.lateral_dev_m == pytest.approx(want, abs=1e-9)
         return trace
 
@@ -368,36 +345,6 @@ class TestLeaderTrack:
                       follower_start=VehicleState(-2.0, 0.5, 0.0))
         trace = self.assert_deviation_matches_cut_polyline(cfg)
         assert trace.records[0].lateral_dev_m == 0.5  # the follower starts left of the lane
-
-    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
-    def test_columns_match_the_per_record_definitions(self, kind):
-        """Every record's lateral_dev_m and follow_dist_m carry the bits that
-        lateral_deviation on the record's cut track and math.hypot of the
-        leader's offset gave when the loop worked them out record by record.
-        The leader starts at -0.0, stops on its first corner, then drives on
-        at two more speeds past a repeated waypoint to the end of its path."""
-        leader = LeaderScript(kind="waypoint_path", start=VehicleState(-0.0, -0.0, 0.0),
-                              speed_profile=((0.0, 0.5), (4.0, 0.0), (5.0, 0.9), (7.0, 0.4)),
-                              waypoints=((2.0, -0.0), (3.0, 1.0), (3.0, 1.0), (5.0, 1.0)))
-        cfg = replace(load_scenario(S_CURVE), archetype="scenario", leader=leader,
-                      duration=12.0, steering_kind=kind, throttle_kind=kind,
-                      follower_start=place_behind(leader.start, 1.5, -0.0))
-        (trace,) = execute_archetype(cfg)
-        leader0 = frozen_leader_pose(leader, 0.0)
-        back = 10.0 * max(cfg.follow_range, 1.0)
-        tail = (leader0.x - back * math.cos(leader0.heading),
-                leader0.y - back * math.sin(leader0.heading))
-        corners = ((leader.start.x, leader.start.y), *(q for _, q, _, _ in leader.segments))
-        corner_s = list(accumulate((length for _, _, length, _ in leader.segments), initial=0.0))
-        cut = [bisect_right(corner_s, frozen_progress(leader, r.t)[0]) for r in trace.records]
-        assert set(cut) == {1, 2, 3, 4}  # every corner is passed, the last one is the end
-        for r, passed in zip(trace.records, cut):
-            follower = VehicleState(r.follower_x, r.follower_y)
-            want = frozen_lateral_deviation(follower, (tail, *corners[:passed],
-                                                       (r.leader_x, r.leader_y)))
-            assert r.lateral_dev_m.hex() == want.hex()
-            gap = math.hypot(r.leader_x - r.follower_x, r.leader_y - r.follower_y)
-            assert r.follow_dist_m.hex() == gap.hex()
 
 
 class TestPhysicsCalls:
@@ -488,15 +435,6 @@ class TestPerRunWork:
         for path in (S_CURVE, THROTTLE_STEP, LATERAL_MOVING):
             assert all(trace.records for trace in execute_archetype(load_scenario(path)))
 
-    def test_bookkeeping_blocks_give_the_same_records(self, monkeypatch):
-        # s_curve's 900 records in blocks of 7, with a last block of 4
-        cfg = load_scenario(S_CURVE)
-        (whole,) = execute_archetype(cfg)
-        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
-        (blocked,) = execute_archetype(cfg)
-        assert len(blocked.records) == 900
-        assert blocked.records == whole.records
-
     def test_fuzzy_op_cost_counted_once_per_channel(self, monkeypatch):
         cfg = replace(load_scenario(S_CURVE), steering_kind="fuzzy", throttle_kind="fuzzy")
         calls = []
@@ -512,73 +450,16 @@ class TestPerRunWork:
         assert calls == [cfg.steering_fuzzy, cfg.throttle_fuzzy]
 
 
-def frozen_tag(value: float) -> str:
-    return f"{value:g}".replace(".", "p").replace("-", "m")
-
-
-def frozen_step_configs(base, separations):
-    """The configs the run_step_response wrapper built, as it stood before
-    ScenarioConfig.runs() took the archetypes over."""
-    separations = tuple(float(s) for s in separations)
-    leader = LeaderScript(kind="stationary", start=base.leader.start)
-    return [
-        replace(
-            base,
-            name=f"{base.name}_sep_{frozen_tag(sep)}m",
-            archetype="scenario",
-            leader=leader,
-            follower_start=place_behind(leader.start, sep),
-            steering_locked=True,
-        )
-        for sep in separations
-    ]
-
-
-def frozen_lateral_config(base, offset, leader_speed):
-    """The config the run_lateral_offset wrapper built."""
-    if leader_speed == 0.0:
-        leader = LeaderScript(kind="stationary", start=base.leader.start)
-    else:
-        leader = LeaderScript(
-            kind="straight_line", start=base.leader.start, speed_profile=leader_speed
-        )
-    return replace(
-        base,
-        name=f"{base.name}_lat_{frozen_tag(offset)}m_v{frozen_tag(leader_speed)}",
-        archetype="scenario",
-        leader=leader,
-        follower_start=place_behind(base.leader.start, base.follow_range, offset),
-        steering_locked=False,
-    )
-
-
-def frozen_path_config(base, path):
-    """The config the run_path_follow wrapper built."""
-    if path.kind == "waypoint_path":
-        (x, y), _, _, heading = path.segments[0]
-        start = VehicleState(x, y, heading)
-    else:
-        start = path.start
-    return replace(
-        base,
-        name=f"{base.name}_path",
-        archetype="scenario",
-        leader=path,
-        follower_start=place_behind(start, base.follow_range),
-        steering_locked=False,
-    )
-
-
 LEADER_STARTS = [VehicleState(0.0, 0.0, 0.0), VehicleState(1.0, -2.0, 2.3)]
 
 
 class TestRunsMatchFrozenWrappers:
-    """ScenarioConfig.runs() builds the configs the deleted run_* wrappers
-    built, down to the bits of the follower's start pose."""
+    """ScenarioConfig.runs() builds the configs the reference model's
+    archetypes build, down to the bits of the follower's start pose."""
 
     @staticmethod
     def assert_same(got, want):
-        assert len(got) == len(want)
+        assert len(got) == len(want) > 0
         for a, b in zip(got, want):
             assert a == b
             assert [v.hex() for v in a.follower_start._asdict().values()] == \
@@ -589,7 +470,7 @@ class TestRunsMatchFrozenWrappers:
     def test_step_response(self, start):
         base = default_scenario("eq", leader=LeaderScript(start=start),
                                 archetype="step_response", step_separations=(1, 2.5, 4))
-        self.assert_same(base.runs(), frozen_step_configs(base, (1, 2.5, 4)))
+        self.assert_same(base.runs(), reference.archetype_runs(base))
 
     @pytest.mark.parametrize("start", LEADER_STARTS)
     @pytest.mark.parametrize("offset", [0.8, -0.8, -0.5])
@@ -597,7 +478,7 @@ class TestRunsMatchFrozenWrappers:
     def test_lateral_offset(self, start, offset, speed):
         base = default_scenario("eq", leader=LeaderScript(start=start), archetype="lateral_offset",
                                 lateral_offset=offset, lateral_leader_speed=speed)
-        self.assert_same(base.runs(), [frozen_lateral_config(base, offset, speed)])
+        self.assert_same(base.runs(), reference.archetype_runs(base))
 
     @pytest.mark.parametrize("start", LEADER_STARTS)
     @pytest.mark.parametrize("kind", ["straight_line", "waypoint_path"])
@@ -607,7 +488,7 @@ class TestRunsMatchFrozenWrappers:
             waypoints = ((start.x, start.y), (start.x + 3.0, start.y + 1.0), (6.0, 2.0))
         path = LeaderScript(kind=kind, start=start, speed_profile=1.0, waypoints=waypoints)
         base = default_scenario("eq", leader=path, archetype="path_follow")
-        self.assert_same(base.runs(), [frozen_path_config(base, path)])
+        self.assert_same(base.runs(), reference.archetype_runs(base))
 
 
 class TestExecuteArchetype:
@@ -683,107 +564,17 @@ def test_trace_at_the_runaway_guard_fits_the_documented_budget():
     assert per_record * MAX_RECORDS <= TRACE_BUDGET_BYTES, f"{per_record:.0f} bytes per record"
 
 
-def frozen_bookkeeping(config, records):
-    """simulate._bookkeeping before it went by column, kept verbatim as the
-    oracle of the records it builds, with the scalar leader walks that
-    stood then."""
-    script = config.leader
-    leader0 = frozen_leader_pose(script, 0.0)
-    back = 10.0 * max(config.follow_range, 1.0)
-    tail = (leader0.x - back * math.cos(leader0.heading),
-            leader0.y - back * math.sin(leader0.heading))
-    vertices = (tail, (script.start.x, script.start.y),
-                *(q for _, q, _, _ in script.segments))
-    corner_s = accumulate((length for _, _, length, _ in script.segments), initial=0.0)
-    first = [bisect_left(records, s, key=lambda row: frozen_progress(script, row[0])[0])
-             for s in corner_s]
-    new = tuple.__new__
-    for lo in range(0, len(records), simulate.BOOKKEEPING_BLOCK):
-        rows = records[lo:lo + simulate.BOOKKEEPING_BLOCK]
-        passed = np.searchsorted(first, np.arange(lo, lo + len(rows)), side="right")
-        positions = chain.from_iterable(map(itemgetter(1, 2, 3, 4), rows))
-        lx, ly, fx, fy = np.fromiter(positions, float, 4 * len(rows)).reshape(-1, 4).T
-        lateral_dev = world.track_deviations((fx, fy), vertices, passed, (lx, ly))
-        with np.errstate(over="ignore"):
-            follow_dist = map(math.hypot, (lx - fx).tolist(), (ly - fy).tolist())
-        records[lo:lo + len(rows)] = [new(TraceRecord, (*row[:10], lateral, gap, *row[10:]))
-                                      for row, lateral, gap in zip(rows, lateral_dev, follow_dist)]
+def run_bits(records, stop_reason) -> tuple:
+    """A run as comparable values: its stop reason, then each record's type
+    and fields, each float by its hex and every other value with its type."""
+    return stop_reason, [(type(r), *(v.hex() if type(v) is float else (type(v), v) for v in r))
+                         for r in records]
 
 
-def frozen_run_scenario(config):
-    """run_scenario before it read its config once per run and worked out
-    the errors inline, kept verbatim as the bit-exact oracle of the loop but
-    for the wall clock it read around sensing and control, with the scalar
-    leader walks that stood then."""
-    dt = config.dt
-    n_records = config.n_records
-    sub_steps = config.sub_steps
-    sub_dt = dt / sub_steps
-    rng = random.Random(config.seed)
-
-    steering = None if config.steering_locked else ChannelController(*config.controller("steering"))
-    throttle = ChannelController(*config.controller("throttle"))
-
-    follower = config.follower_start
-    steering_pwm = throttle_pwm = NEUTRAL_PWM
-    pe = 0.0
-    ae = 0.0
-    script = config.leader
-    parked = script.kind == "stationary"
-    leader0 = frozen_leader_pose(script, 0.0)
-    records = []
-    stop_reason = None
-    still_time = 0.0
-    reuse_sensing = parked and not config.camera.jitter_px
-    sensed = None
-
-    for k in range(n_records):
-        t = k * dt
-        leader = leader0 if parked else frozen_leader_pose(script, t)
-
-        if follower is not sensed:
-            reading = observe(config.camera, follower, leader, config.panel, t, rng=rng)
-            if reading is not None:
-                pe = pixel_error_x(reading, config.camera)
-                ae = area_error(reading, config.setpoint_area)
-        ops = 0
-        if reading is not None:
-            if steering is not None:
-                steering_pwm = steering.update(pe, pe, dt)
-                ops += steering.ops_per_step
-            throttle_pwm = throttle.update(ae, reading.area_px2, dt)
-            ops += throttle.ops_per_step
-        elif config.lost_target_policy == "stop":
-            steering_pwm = throttle_pwm = NEUTRAL_PWM
-
-        if reuse_sensing:
-            sensed = follower
-        records.append((
-            t, leader.x, leader.y, follower.x, follower.y, follower.heading, pe, ae,
-            steering_pwm, throttle_pwm, reading is not None, ops,
-        ))
-
-        steer_angle, speed_cmd = pwm_to_actuation(steering_pwm, throttle_pwm, config.vehicle)
-        follower = integrate_bicycle(
-            follower, config.vehicle, steer_angle, speed_cmd, sub_dt, sub_steps
-        )
-
-        if parked:
-            still_time = still_time + dt if follower.speed < config.stop_speed_eps else 0.0
-            if still_time >= config.stop_hold_time and k + 1 < n_records:
-                stop_reason = simulate.STOP_REASON_STATIONARY
-                break
-
-    frozen_bookkeeping(config, records)
-    return Trace(config.name, records, stop_reason=stop_reason)
-
-
-def run_bits(trace) -> tuple:
-    """A trace as comparable values: each float by its hex and every other
-    value with its type."""
-    rows = tuple(tuple(v.hex() if type(v) is float else (type(v), v) for v in r)
-                 for r in trace.records)
-    return trace.name, trace.stop_reason, tuple(map(type, trace.records)), rows
+def assert_run_matches_reference(config):
+    trace = run_scenario(config)
+    assert run_bits(trace.records, trace.stop_reason) == run_bits(*reference.reference_run(config))
+    return trace
 
 
 @st.composite
@@ -818,7 +609,7 @@ def plain_configs(draw):
                         derivative_filter_alpha=draw(st.sampled_from([1.0, 0.4])))
            for key, config in defaults.items()}
     return default_scenario(
-        "frozen",
+        "plain",
         leader=leader,
         follower_start=follower,
         camera=CameraIntrinsics(jitter_px=draw(st.sampled_from([0.0, 1.5]))),
@@ -836,39 +627,49 @@ def plain_configs(draw):
     )
 
 
+def path_leader():
+    """A waypoint leader that stops on its first corner, then drives on at
+    two more speeds past a repeated waypoint to the end of its path."""
+    return LeaderScript("waypoint_path", VehicleState(-0.0, -0.0, 0.0),
+                        speed_profile=((0.0, 0.5), (4.0, 0.0), (5.0, 0.9), (7.0, 0.4)),
+                        waypoints=((2.0, -0.0), (3.0, 1.0), (3.0, 1.0), (5.0, 1.0)))
+
+
+def examples(test):
+    """Every shipped scenario's runs under each family, and the path leader's
+    600 records followed from -0.0 under each family in blocks of 7, which
+    cross 85 block edges, at corners and past the path's end."""
+    for kind in ("pid", "fuzzy"):
+        for path in sorted((ROOT / "scenarios").glob("*.scn")):
+            for run in replace(load_scenario(path), steering_kind=kind, throttle_kind=kind).runs():
+                test = example(config=run, block=simulate.BOOKKEEPING_BLOCK)(test)
+        test = example(config=default_scenario(
+            "blocked", leader=path_leader(), duration=12.0, steering_kind=kind, throttle_kind=kind,
+            follower_start=place_behind(path_leader().start, 1.5, -0.0)), block=7)(test)
+    return test
+
+
+@given(config=plain_configs(), block=st.sampled_from([simulate.BOOKKEEPING_BLOCK, 7]))
+@examples
+@settings(max_examples=150)
+def test_run_matches_reference_bit_for_bit(config, block):
+    """run_scenario gives the reference model's records, field for field
+    and bit for bit, and stops for the same reason, in blocks of the
+    shipped size and of 7 records."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "BOOKKEEPING_BLOCK", block)
+        assert_run_matches_reference(config)
+
+
 class TestRunnerAgainstFrozen:
-    """run_scenario gives the records the loop and bookkeeping it replaced
-    gave, down to the bits, and stops for the same reason."""
-
-    @given(plain_configs())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_frozen_bit_for_bit(self, config):
-        assert run_bits(run_scenario(config)) == run_bits(frozen_run_scenario(config))
-
-    @staticmethod
-    def path_leader():
-        """A waypoint leader that stops on its first corner, then drives on
-        at two more speeds past a repeated waypoint to the end of its path."""
-        return LeaderScript("waypoint_path", VehicleState(-0.0, -0.0, 0.0),
-                            speed_profile=((0.0, 0.5), (4.0, 0.0), (5.0, 0.9), (7.0, 0.4)),
-                            waypoints=((2.0, -0.0), (3.0, 1.0), (3.0, 1.0), (5.0, 1.0)))
-
-    def test_moving_leader_across_small_blocks_matches_frozen(self, monkeypatch):
-        # 600 records in blocks of 7: the leader's poses and the bookkeeping
-        # columns cross 85 block edges, at corners and past the path's end
-        config = default_scenario("frozen", leader=self.path_leader(), duration=12.0)
-        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
-        got = run_scenario(config)
-        assert len(got.records) == 600
-        assert run_bits(got) == run_bits(frozen_run_scenario(config))
+    """Runs that test_run_matches_reference_bit_for_bit seldom draws, each
+    against the reference model."""
 
     def test_moving_leader_longer_than_one_block_matches_frozen(self):
         # 40 records past the first full block of leader poses
         n = simulate.BOOKKEEPING_BLOCK + 40
-        config = default_scenario("frozen", leader=self.path_leader(), duration=n * 0.02)
-        got = run_scenario(config)
-        assert len(got.records) == n
-        assert run_bits(got) == run_bits(frozen_run_scenario(config))
+        config = default_scenario("long", leader=path_leader(), duration=n * 0.02)
+        assert len(assert_run_matches_reference(config).records) == n
 
     COVERING = {
         # what each case shows: (leader kind, config overrides)
@@ -891,9 +692,8 @@ class TestRunnerAgainstFrozen:
             "waypoint_path": LeaderScript("waypoint_path", speed_profile=1.5,
                                           waypoints=((1.0, 0.0), (1.0, 3.0))),
         }[kind]
-        config = default_scenario("frozen", leader=leader, **{"duration": 3.0, **overrides})
-        got = run_scenario(config)
-        assert run_bits(got) == run_bits(frozen_run_scenario(config))
+        config = default_scenario("covering", leader=leader, **{"duration": 3.0, **overrides})
+        got = assert_run_matches_reference(config)
         records = got.records
         shown = {
             "parked, stops early": got.stop_reason == simulate.STOP_REASON_STATIONARY,

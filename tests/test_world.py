@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from followsim import (
     LeaderScript,
     PidState,
@@ -26,128 +27,8 @@ from followsim.world import SCRIPT_KINDS, leader_poses, leader_progress, track_d
 PARAMS = VehicleParams()
 
 
-def _frozen_require_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite {name}: {v!r}")
-
-
-def frozen_step_bicycle(
-    state: VehicleState,
-    params: VehicleParams,
-    steer_angle: float,
-    speed_cmd: float,
-    dt: float,
-) -> VehicleState:
-    """The closure-based single RK4 step that integrate_bicycle replaced, kept
-    verbatim as the bit-exact oracle for the fused kernel."""
-    _frozen_require_finite(
-        x=state.x, y=state.y, heading=state.heading, speed=state.speed,
-        steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt,
-    )
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-    delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
-    curvature = math.tan(delta) / params.wheelbase
-
-    v0 = state.speed
-    target = min(max(speed_cmd, 0.0), params.max_speed)
-    dv = target - v0
-    ramp_time = abs(dv) / params.max_accel
-
-    def speed_at(tau: float) -> float:
-        if tau >= ramp_time:
-            return target
-        return v0 + math.copysign(params.max_accel * tau, dv)
-
-    def deriv(tau: float, h: float) -> tuple[float, float, float]:
-        v = speed_at(tau)
-        return v * math.cos(h), v * math.sin(h), v * curvature
-
-    x, y, h = state.x, state.y, state.heading
-    half = 0.5 * dt
-    k1 = deriv(0.0, h)
-    k2 = deriv(half, h + half * k1[2])
-    k3 = deriv(half, h + half * k2[2])
-    k4 = deriv(dt, h + dt * k3[2])
-    sixth = dt / 6.0
-    x += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    y += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    h += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return VehicleState(x, y, normalize_angle(h), speed_at(dt))
-
-
-def frozen_integrate_bicycle(
-    state: VehicleState,
-    params: VehicleParams,
-    steer_angle: float,
-    speed_cmd: float,
-    dt: float,
-    steps: int,
-) -> VehicleState:
-    """The fused kernel as it was before its zero-curvature shortcuts, kept
-    verbatim as the bit-exact oracle for the along-x path and the settled phase.
-
-    Advance one vehicle `steps` RK4 sub-steps of dt seconds each under
-    bicycle kinematics, holding the steering and speed commands.
-
-    The steering angle is clamped to +-max_steer_angle. Speed slews toward the
-    (clamped, non-negative) command at max_accel, and each sub-step integrates
-    the pose with RK4 using the exact slewed speed profile within it. Inputs
-    are validated once; the sub-steps run over plain floats, wrapping the
-    heading after each one.
-    """
-    x, y, h, v = state.x, state.y, state.heading, state.speed
-    isfinite = math.isfinite
-    if not (isfinite(x) and isfinite(y) and isfinite(h) and isfinite(v)
-            and isfinite(steer_angle) and isfinite(speed_cmd) and isfinite(dt)):
-        _frozen_require_finite(x=x, y=y, heading=h, speed=v,
-                               steer_angle=steer_angle, speed_cmd=speed_cmd, dt=dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-
-    delta = min(max(steer_angle, -params.max_steer_angle), params.max_steer_angle)
-    curvature = math.tan(delta) / params.wheelbase
-    max_accel = params.max_accel
-    target = min(max(speed_cmd, 0.0), params.max_speed)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # speed change of a ramp still under way by tau = dt/2 and dt
-    slew_mid, slew_end = max_accel * half, max_accel * dt
-    cos, sin, copysign = math.cos, math.sin, math.copysign
-
-    for _ in range(steps):
-        dv = target - v
-        ramp_time = abs(dv) / max_accel
-        # adding the zero change at tau = 0 turns a -0.0 speed into +0.0
-        v_start = target if 0.0 >= ramp_time else v + copysign(0.0, dv)
-        v_mid = target if half >= ramp_time else v + copysign(slew_mid, dv)
-        v_end = target if dt >= ramp_time else v + copysign(slew_end, dv)
-
-        # k2 and k3 share the mid-step speed, hence one heading rate k2h
-        k1h = v_start * curvature
-        h2 = h + half * k1h
-        k2h = v_mid * curvature
-        h3 = h + half * k2h
-        h4 = h + dt * k2h
-        k4h = v_end * curvature
-        x += sixth * (v_start * cos(h) + 2.0 * (v_mid * cos(h2))
-                      + 2.0 * (v_mid * cos(h3)) + v_end * cos(h4))
-        y += sixth * (v_start * sin(h) + 2.0 * (v_mid * sin(h2))
-                      + 2.0 * (v_mid * sin(h3)) + v_end * sin(h4))
-        h += sixth * (k1h + 2.0 * k2h + 2.0 * k2h + k4h)
-        h = math.remainder(h, math.tau)  # normalize_angle, inlined
-        if h == math.pi:
-            h = -math.pi
-        v = v_end
-    return VehicleState(x, y, h, v)
-
-
-def state_bits(state: VehicleState) -> tuple[str, ...]:
-    return tuple(float(v).hex() for v in (state.x, state.y, state.heading, state.speed))
+def state_bits(state) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in state)
 
 
 @st.composite
@@ -345,10 +226,7 @@ class TestIntegrateBicycle:
     def test_bit_identical_to_chained_closure_steps(self, inputs):
         state, steer, cmd, dt, steps = inputs
         fused = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
-        chained = state
-        for _ in range(steps):
-            chained = frozen_step_bicycle(chained, PARAMS, steer, cmd, dt)
-        assert state_bits(fused) == state_bits(chained)
+        assert state_bits(fused) == state_bits(reference.integrate(state, PARAMS, steer, cmd, dt, steps))
 
     @given(straight_kernel_inputs())
     # the zero k1h of a ramp from rest turns a -0.0 heading into +0.0 at h2,
@@ -369,7 +247,7 @@ class TestIntegrateBicycle:
     def test_straight_bit_identical_to_frozen_kernel(self, inputs):
         state, steer, cmd, dt, steps = inputs
         got = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
-        want = frozen_integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
+        want = reference.integrate(state, PARAMS, steer, cmd, dt, steps)
         assert state_bits(got) == state_bits(want)
         assert -math.pi <= got.heading < math.pi
 
@@ -380,7 +258,7 @@ class TestIntegrateBicycle:
                                                          steps):
         state = VehicleState(x, y, heading, speed)
         got = integrate_bicycle(state, PARAMS, steer, cmd, 0.002, steps)
-        want = frozen_integrate_bicycle(state, PARAMS, steer, cmd, 0.002, steps)
+        want = reference.integrate(state, PARAMS, steer, cmd, 0.002, steps)
         assert state_bits(got) == state_bits(want)
         if got is state:
             assert state_bits(want) == state_bits(state)
@@ -403,7 +281,7 @@ class TestIntegrateBicycle:
         assert (got is state) == same
         assert (state_bits(got) == state_bits(state)) == same
         assert state_bits(got) == state_bits(
-            frozen_integrate_bicycle(state, PARAMS, steer, cmd, 0.002, 10))
+            reference.integrate(state, PARAMS, steer, cmd, 0.002, 10))
 
     @given(settled_turning_inputs())
     # a zero heading with a zero turn rate: h4 and the next heading are zeros
@@ -417,7 +295,7 @@ class TestIntegrateBicycle:
         got = integrate_bicycle(state, PARAMS, steer, cmd, dt, steps)
         assert type(got) is VehicleState
         assert state_bits(got) == state_bits(
-            frozen_integrate_bicycle(state, PARAMS, steer, cmd, dt, steps))
+            reference.integrate(state, PARAMS, steer, cmd, dt, steps))
 
     @pytest.mark.parametrize("state, steer", [
         (VehicleState(1.7e308, 1.7e308, 0.5, 1.0), 0.2),
@@ -429,7 +307,7 @@ class TestIntegrateBicycle:
         got = integrate_bicycle(state, PARAMS, steer, 2.0, 0.002, 10)
         assert type(got) is VehicleState
         assert state_bits(got) == state_bits(
-            frozen_integrate_bicycle(state, PARAMS, steer, 2.0, 0.002, 10))
+            reference.integrate(state, PARAMS, steer, 2.0, 0.002, 10))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["x", "y", "heading", "speed", "steer_angle", "speed_cmd",
@@ -510,95 +388,6 @@ class TestVehicleParams:
 POINT_COORDS = [0.0, -0.0, 1.0, -2.5, 3.0]
 
 
-def frozen_speed_at(script: LeaderScript, t: float) -> float:
-    """LeaderScript.speed_at as it stood before progress() walked the profile once."""
-    v = script.speed_profile[0][1]
-    for t0, v0 in script.speed_profile:
-        if t0 <= t:
-            v = v0
-        else:
-            break
-    return v
-
-
-def frozen_distance_at(script: LeaderScript, t: float) -> float:
-    """LeaderScript.distance_at as it stood before progress() walked the profile once."""
-    s = 0.0
-    for i, (t0, v0) in enumerate(script.speed_profile):
-        t1 = script.speed_profile[i + 1][0] if i + 1 < len(script.speed_profile) else t
-        if t <= t0:
-            break
-        s += v0 * (min(t, t1) - t0)
-    return s
-
-
-def frozen_segments(script: LeaderScript) -> tuple[tuple, ...]:
-    """The segment table as it stood, built over LeaderScript.path_points()."""
-    pts = [(script.start.x, script.start.y)]
-    for p in script.waypoints or ():
-        if p != pts[-1]:
-            pts.append(p)
-    return tuple(
-        (p, q, math.hypot(q[0] - p[0], q[1] - p[1]), math.atan2(q[1] - p[1], q[0] - p[0]))
-        for p, q in zip(pts, pts[1:])
-    )
-
-
-def frozen_progress(script: LeaderScript, t: float) -> tuple[float, float]:
-    """LeaderScript.progress, the scalar profile walk, as it stood before the
-    leader model went by arrays of times, kept verbatim as the oracle."""
-    profile = script.speed_profile
-    s, v = 0.0, profile[0][1]
-    for i, (t0, v0) in enumerate(profile):
-        if t < t0:
-            break
-        t1 = profile[i + 1][0] if i + 1 < len(profile) else t
-        s += v0 * (min(t, t1) - t0)
-        v = v0
-    return s, v
-
-
-def frozen_leader_pose(script: LeaderScript, t: float) -> VehicleState:
-    """leader_pose, the scalar profile and segment walks, as it stood before
-    the leader model went by arrays of times, kept verbatim as the oracle."""
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite time: {t!r}")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-
-    if script.kind == "stationary":
-        return script.start._replace(speed=0.0)
-
-    s, v = frozen_progress(script, t)
-    if script.kind == "straight_line":
-        x, y, h, _ = script.start  # a built pose, so h is wrapped
-        return tuple.__new__(VehicleState, (x + s * math.cos(h), y + s * math.sin(h), h, v))
-
-    # waypoint_path: walk segments at the profile speed, hold the end pose
-    for p, q, seg, heading in script.segments:
-        if s <= seg:
-            u = s / seg
-            return VehicleState(
-                p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1]),
-                heading, v,
-            )
-        s -= seg
-    return VehicleState(q[0], q[1], heading, 0.0)
-
-
-def frozen_straight_leader_pose(script: LeaderScript, t: float) -> VehicleState:
-    """leader_pose's straight_line branch before it built its pose with
-    tuple.__new__, kept verbatim as the bit-exact oracle."""
-    s, v = frozen_progress(script, t)
-    h = script.start.heading
-    return VehicleState(
-        script.start.x + s * math.cos(h),
-        script.start.y + s * math.sin(h),
-        h,
-        v,
-    )
-
-
 @st.composite
 def leader_scripts(draw):
     """A leader of any kind: a start on signed zeros, an int or a heading of
@@ -623,37 +412,26 @@ def leader_scripts(draw):
 
 class TestLeaderPose:
     @settings(max_examples=300, deadline=None)
-    @given(x=COORDINATE, y=COORDINATE, heading=WRAPPED_HEADING,
-           profile=SIGNED_ZERO | st.floats(0.0, 5.0)
-           | st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(
-               lambda vs: ((0.0, vs[0]), (1.5, vs[1]))),
-           t=SIGNED_ZERO | st.sampled_from([1.5]) | st.floats(0.0, 1e4))
-    def test_straight_line_matches_frozen_bit_for_bit(self, x, y, heading, profile, t):
-        script = LeaderScript(kind="straight_line", start=VehicleState(x, y, heading),
-                              speed_profile=profile)
-        got = leader_pose(script, t)
-        assert type(got) is VehicleState
-        assert state_bits(got) == state_bits(frozen_straight_leader_pose(script, t))
-
-    @settings(max_examples=300, deadline=None)
     @given(leader_scripts())
     @example(LeaderScript("waypoint_path", VehicleState(3.0, 0.0, math.pi), ((0.0, 1.0), (4.0, 2.5)),
                           ((-2.5, 0.0), (-2.5, 0.0), (-2.5, -0.0), (1.0, -0.0), (-2.5, -0.0))))
     @example(LeaderScript("straight_line", VehicleState(2, -0.0, math.pi), ((0.0, 0.0), (1.0, 3.0))))
     @example(LeaderScript("stationary", VehicleState(2, -0.0, -3.0), 1.0))
+    @example(LeaderScript("straight_line", VehicleState(-73.5, 0.0, math.nextafter(math.pi, 0.0)),
+                          ((0.0, 4.75), (1.5, 0.0), (40.0, 3.25))))
     def test_poses_match_frozen_walks_bit_for_bit(self, script):
         """leader_pose at one time, and leader_poses and leader_progress over
-        a block of times, carry the bits of the scalar walks they replaced,
+        a block of times, carry the bits of the reference model's walks,
         leader_pose with its exact return types: on and between profile
         breakpoints, on each corner's arc length (a first piece at 1 m/s
-        reaches it at that time), and past the end of the path."""
+        reaches it at that time), past the end of the path and far on."""
         times = [t for t, _ in script.speed_profile]
         corners = [*accumulate((length for _, _, length, _ in script.segments), initial=0.0)]
-        ts = [-0.0, *times, *corners, 3.0 * (times[-1] + corners[-1]) + 1.0]
+        ts = [-0.0, *times, *corners, 3.0 * (times[-1] + corners[-1]) + 1.0, 1e4]
         ts += [math.nextafter(t, math.inf) for t in ts[1:]]
         ts += [math.nextafter(t, 0.0) for t in ts[1:]]
         ts += [t + 0.37 for t in times]
-        wants = [frozen_leader_pose(script, t) for t in ts]
+        wants = [reference.leader_pose(script, t) for t in ts]
         for t, want in zip(ts, wants):
             got = leader_pose(script, t)
             assert type(got) is VehicleState
@@ -665,7 +443,7 @@ class TestLeaderPose:
             == list(map(state_bits, wants))
         arcs, speeds = leader_progress(script, np.array(ts))
         assert [(s.hex(), v.hex()) for s, v in zip(arcs.tolist(), speeds.tolist())] \
-            == [tuple(map(float.hex, frozen_progress(script, t))) for t in ts]
+            == [tuple(map(float.hex, reference.progress(script, t))) for t in ts]
 
     def test_stationary_holds_start(self):
         script = LeaderScript(kind="stationary", start=VehicleState(1.0, 2.0, 0.5, speed=3.0))
@@ -733,27 +511,6 @@ class TestLeaderPose:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.floats(1e-3, 100.0),
-                           st.one_of(st.floats(0.0, 50.0), st.just(0.0))),
-                 min_size=1, max_size=5),
-        st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
-    )
-    def test_progress_matches_frozen_distance_and_speed(self, steps, v_first):
-        times, profile = [0.0], [(0.0, v_first)]
-        for gap, v in steps:
-            times.append(times[-1] + gap)
-            profile.append((times[-1], v))
-        script = LeaderScript(kind="straight_line", speed_profile=tuple(profile))
-        ts = [-0.0, *times, times[-1] + 1.0, 2.0 * times[-1] + 7.5]
-        ts += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
-        ts += [math.nextafter(b, 0.0) for b in times[1:]]
-        arcs, speeds = (column.tolist() for column in leader_progress(script, np.array(ts)))
-        for t, s, v in zip(ts, arcs, speeds):
-            assert (s.hex(), v.hex()) == (frozen_distance_at(script, t).hex(),
-                                          frozen_speed_at(script, t).hex()), t
-
-    @settings(max_examples=200, deadline=None)
-    @given(
         st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
         st.lists(st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
                  min_size=2, max_size=8),
@@ -764,7 +521,7 @@ class TestLeaderPose:
         script = LeaderScript(kind="waypoint_path", start=VehicleState(*start),
                               speed_profile=1.0, waypoints=tuple(waypoints))
         # repr tells -0.0 from 0.0, where == does not
-        assert repr(script.segments) == repr(frozen_segments(script))
+        assert repr(list(script.segments)) == repr(reference.segments(script))
 
     @pytest.mark.parametrize("kind", ["stationary", "straight_line"])
     def test_segments_empty_unless_waypoint_path(self, kind):
@@ -815,64 +572,6 @@ def brute_force_polyline_distance(point, pts, resolution=1e-3):
     return best
 
 
-def _frozen_as_point(p) -> tuple[float, float]:
-    if hasattr(p, "x"):
-        return (p.x, p.y)
-    return (float(p[0]), float(p[1]))
-
-
-def frozen_lateral_deviation(follower: VehicleState, leader_track) -> float:
-    """lateral_deviation as it stood with a point normalizer, a dedup pass
-    and a one-point branch."""
-    pts: list[tuple[float, float]] = []
-    for p in leader_track:
-        xy = _frozen_as_point(p)
-        if not pts or xy != pts[-1]:
-            pts.append(xy)
-    if not pts:
-        raise ValueError("leader track must not be empty")
-
-    fx, fy = follower.x, follower.y
-    if len(pts) == 1:
-        return math.hypot(fx - pts[0][0], fy - pts[0][1])
-
-    best_d2 = math.inf
-    best_sign = 0.0
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        vx, vy = qx - px, qy - py
-        norm2 = vx * vx + vy * vy
-        if norm2 == 0.0:
-            continue
-        u = ((fx - px) * vx + (fy - py) * vy) / norm2
-        u = min(max(u, 0.0), 1.0)
-        cx, cy = px + u * vx, py + u * vy
-        try:
-            d2 = (fx - cx) ** 2 + (fy - cy) ** 2
-        except OverflowError:  # a square past float range, which a product reads as inf
-            d2 = math.inf
-        if d2 < best_d2:
-            best_d2 = d2
-            cross = vx * (fy - cy) - vy * (fx - cx)
-            best_sign = math.copysign(1.0, cross) if cross != 0.0 else 0.0
-    if math.isinf(best_d2):
-        return math.hypot(fx - pts[0][0], fy - pts[0][1])
-    d = math.sqrt(best_d2)
-    return best_sign * d if best_sign != 0.0 else d
-
-
-@st.composite
-def repeating_tracks(draw):
-    """Polylines whose points repeat in runs; a zero x may flip sign inside a run."""
-    coord = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
-    track = []
-    for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)):
-        for _ in range(draw(st.integers(1, 4))):
-            if x == 0.0 and draw(st.booleans()):
-                x = -x
-            track.append((x, y))
-    return track
-
-
 @st.composite
 def cut_tracks(draw):
     """A vertex table, then records that each cut it after one of its
@@ -895,8 +594,8 @@ def cut_tracks(draw):
 
 
 class TestTrackDeviations:
-    """The per-run pass gives, for every record, the bits of the scalar
-    definition on that record's cut polyline."""
+    """The per-run pass gives, for every record, the bits of the reference
+    model's deviation on that record's cut polyline."""
 
     @given(cut_tracks())
     # collinear legs with a repeated corner and a follower on the axis
@@ -907,14 +606,19 @@ class TestTrackDeviations:
     # the first record's leg to its leader is too short for its squared
     # length, which underflows to 0.0: it has no length to be nearer on
     @example(([(0.0, 0.0)], [0, 0], [(3.0, -1.0), (3.0, -1.0)], [(1e-200, 0.0), (5.0, 0.0)]))
+    # repeated points, one of them with the other zero, and a track of one point
+    @example(([(0.0, 1.0), (-0.0, 1.0)], [1], [(-0.0, 0.0)], [(2.0, 1.0)]))
+    @example(([(1.0, 2.0)] * 3, [2], [(4.0, 6.0)], [(1.0, 2.0)]))
     @settings(max_examples=300)
     @pytest.mark.filterwarnings("error")
     def test_matches_the_frozen_definition_on_each_cut_track(self, case):
+        """Each record's deviation, and lateral_deviation of its cut track."""
         vertices, passed, followers, leaders = case
         got = track_deviations(tuple(zip(*followers)), vertices, passed, tuple(zip(*leaders)))
         for d, cut, (fx, fy), leader in zip(got, passed, followers, leaders):
-            want = frozen_lateral_deviation(VehicleState(fx, fy), [*vertices[:cut + 1], leader])
-            assert d.hex() == want.hex()
+            track = [*vertices[:cut + 1], leader]
+            want = reference.lateral_deviation(fx, fy, track).hex()
+            assert d.hex() == lateral_deviation(VehicleState(fx, fy), track).hex() == want
 
     def test_an_overflowing_distance_falls_back_to_the_first_vertex(self):
         # d2 is inf on the one segment, so no segment is nearest
@@ -982,16 +686,6 @@ class TestLateralDeviation:
         # the sign is only defined away from ties and away from segment axes
         if _sign_is_robust((fx, fy), pts):
             assert moved == pytest.approx(base, abs=1e-7)
-
-
-    @given(track=repeating_tracks(), fx=st.floats(-12, 12), fy=st.floats(-12, 12))
-    @example(track=[(0.0, 1.0), (-0.0, 1.0), (2.0, 1.0)], fx=-0.0, fy=0.0)
-    @example(track=[(1.0, 2.0)] * 4, fx=4.0, fy=6.0)
-    @settings(max_examples=300)
-    def test_matches_deduplicating_version_bit_for_bit(self, track, fx, fy):
-        follower = VehicleState(fx, fy, 0.0)
-        got = lateral_deviation(follower, track)
-        assert got.hex() == frozen_lateral_deviation(follower, track).hex()
 
 
 class TestFollowingDistance:
