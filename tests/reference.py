@@ -273,10 +273,28 @@ def lateral_deviation(fx, fy, track):
     return math.copysign(d, best_cross) if best_cross != 0.0 else d
 
 
+def cut_track(config):
+    """The track of a record at t whose leader stands at leader_xy, as a
+    function of the two: the leader's lane extended back from its start, the
+    corners it has reached by t, the leader."""
+    script = config.leader
+    x0, y0, h0, _ = leader_pose(script, 0.0)
+    back = 10.0 * max(follow_range(config), 1.0)
+    tail = (x0 - back * math.cos(h0), y0 - back * math.sin(h0))
+    legs = segments(script)
+    corners = [(script.start.x, script.start.y), *(q for _, q, _, _ in legs)]
+    corner_s = list(accumulate((length for _, _, length, _ in legs), initial=0.0))
+
+    def track(t, leader_xy):
+        arc = progress(script, t)[0]
+        passed = sum(1 for s in corner_s if s <= arc)
+        return [(float(x), float(y)) for x, y in (tail, *corners[:passed], leader_xy)]
+    return track
+
+
 def reference_run(config):
     """(records, stop reason) of a plain scenario. A record's lateral deviation
-    is measured against the leader's track cut at the record: its lane
-    extended back from the start, the corners it has reached, the leader."""
+    is measured against its cut_track."""
     camera, panel, vehicle, script = config.camera, config.panel, config.vehicle, config.leader
     dt = 1.0 / camera.frame_rate
     n_records = int(config.duration / dt + 1e-9)
@@ -317,18 +335,10 @@ def reference_run(config):
                 stop_reason = STOP_REASON_STATIONARY
                 break
 
-    x0, y0, h0, _ = leader_pose(script, 0.0)
-    back = 10.0 * max(follow_range(config), 1.0)
-    tail = (x0 - back * math.cos(h0), y0 - back * math.sin(h0))
-    legs = segments(script)
-    corners = [(script.start.x, script.start.y), *(q for _, q, _, _ in legs)]
-    corner_s = list(accumulate((length for _, _, length, _ in legs), initial=0.0))
+    track = cut_track(config)
     records = []
     for t, (lx, ly, _, _), (fx, fy, heading, _), *rest in rows:
-        arc = progress(script, t)[0]
-        passed = sum(1 for s in corner_s if s <= arc)
-        track = [tail, *corners[:passed], (lx, ly)]
-        deviation = lateral_deviation(fx, fy, [(float(x), float(y)) for x, y in track])
+        deviation = lateral_deviation(fx, fy, track(t, (lx, ly)))
         records.append(TraceRecord(t, lx, ly, fx, fy, heading, *rest[:4], deviation,
                                    math.hypot(lx - fx, ly - fy), *rest[4:]))
     return records, stop_reason

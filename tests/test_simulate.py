@@ -309,31 +309,28 @@ class TestLeaderTrack:
         assert max(lengths) <= len(cfg.leader.waypoints) + 3
 
     @staticmethod
-    def assert_deviation_matches_cut_polyline(cfg):
-        """Each record's lateral_dev_m against the start, the corners passed by
-        then and the leader, with the lane extended back along +x."""
+    def assert_columns_match_cut_track(cfg):
+        """Every record's lateral_dev_m and follow_dist_m carry the bits of the
+        reference model's deviation on the record's cut track and of
+        math.hypot of the leader's offset, from the record's own positions.
+        Returns the trace and the length of each record's track."""
         (trace,) = execute_archetype(cfg)
-        path = cfg.leader
-        speed = path.speed_profile[0][1]
-        corners = [(path.start.x, path.start.y), *(path.waypoints or ())]
-        arc = [0.0]
-        for (px, py), (qx, qy) in zip(corners, corners[1:]):
-            arc.append(arc[-1] + math.hypot(qx - px, qy - py))
-        back = 10.0 * max(cfg.follow_range, 1.0)
-        tail = (path.start.x - back, path.start.y)
+        cut, lengths = reference.cut_track(cfg), []
         for r in trace.records:
-            passed = [c for c, s in zip(corners, arc) if s <= speed * r.t]
-            want = reference.lateral_deviation(r.follower_x, r.follower_y,
-                                               [tail, *passed, (r.leader_x, r.leader_y)])
-            assert r.lateral_dev_m == pytest.approx(want, abs=1e-9)
-        return trace
+            track = cut(r.t, (r.leader_x, r.leader_y))
+            lengths.append(len(track))
+            want = reference.lateral_deviation(r.follower_x, r.follower_y, track)
+            assert r.lateral_dev_m.hex() == want.hex()
+            gap = math.hypot(r.leader_x - r.follower_x, r.leader_y - r.follower_y)
+            assert r.follow_dist_m.hex() == gap.hex()
+        return trace, lengths
 
     @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
     def test_deviation_matches_cut_script_polyline(self, kind):
         # s_curve's first leg heads along +x; its leader reaches the end of
         # its path and holds there
         cfg = replace(load_scenario(S_CURVE), steering_kind=kind, throttle_kind=kind)
-        trace = self.assert_deviation_matches_cut_polyline(cfg)
+        trace, _ = self.assert_columns_match_cut_track(cfg)
         assert (trace.records[-1].leader_x, trace.records[-1].leader_y) == cfg.leader.waypoints[-1]
 
     def test_deviation_matches_cut_straight_line_from_negative_zero(self):
@@ -343,8 +340,18 @@ class TestLeaderTrack:
                               speed_profile=0.5)
         cfg = replace(load_scenario(S_CURVE), archetype="scenario", leader=leader, duration=10.0,
                       follower_start=VehicleState(-2.0, 0.5, 0.0))
-        trace = self.assert_deviation_matches_cut_polyline(cfg)
+        trace, _ = self.assert_columns_match_cut_track(cfg)
         assert trace.records[0].lateral_dev_m == 0.5  # the follower starts left of the lane
+
+    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
+    def test_columns_match_the_per_record_definitions(self, kind):
+        # path_leader() passes every corner, a repeated one included, and
+        # stops on the last
+        cfg = replace(load_scenario(S_CURVE), archetype="scenario", leader=path_leader(),
+                      duration=12.0, steering_kind=kind, throttle_kind=kind,
+                      follower_start=place_behind(path_leader().start, 1.5, -0.0))
+        _, lengths = self.assert_columns_match_cut_track(cfg)
+        assert set(lengths) == {3, 4, 5, 6}
 
 
 class TestPhysicsCalls:
@@ -434,6 +441,15 @@ class TestPerRunWork:
                 monkeypatch.setattr(module, "lateral_deviation", refuse)
         for path in (S_CURVE, THROTTLE_STEP, LATERAL_MOVING):
             assert all(trace.records for trace in execute_archetype(load_scenario(path)))
+
+    def test_bookkeeping_blocks_give_the_same_records(self, monkeypatch):
+        # s_curve's 900 records in blocks of 7, with a last block of 4
+        cfg = load_scenario(S_CURVE)
+        (whole,) = execute_archetype(cfg)
+        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
+        (blocked,) = execute_archetype(cfg)
+        assert len(blocked.records) == 900
+        assert blocked.records == whole.records
 
     def test_fuzzy_op_cost_counted_once_per_channel(self, monkeypatch):
         cfg = replace(load_scenario(S_CURVE), steering_kind="fuzzy", throttle_kind="fuzzy")
@@ -636,34 +652,47 @@ def path_leader():
 
 
 def examples(test):
-    """Every shipped scenario's runs under each family, and the path leader's
-    600 records followed from -0.0 under each family in blocks of 7, which
-    cross 85 block edges, at corners and past the path's end."""
+    """Every shipped scenario's runs under each family, in blocks of the
+    shipped size."""
     for kind in ("pid", "fuzzy"):
         for path in sorted((ROOT / "scenarios").glob("*.scn")):
             for run in replace(load_scenario(path), steering_kind=kind, throttle_kind=kind).runs():
                 test = example(config=run, block=simulate.BOOKKEEPING_BLOCK)(test)
-        test = example(config=default_scenario(
-            "blocked", leader=path_leader(), duration=12.0, steering_kind=kind, throttle_kind=kind,
-            follower_start=place_behind(path_leader().start, 1.5, -0.0)), block=7)(test)
     return test
 
 
-@given(config=plain_configs(), block=st.sampled_from([simulate.BOOKKEEPING_BLOCK, 7]))
+@given(config=plain_configs(), block=st.just(7))
 @examples
 @settings(max_examples=150)
 def test_run_matches_reference_bit_for_bit(config, block):
     """run_scenario gives the reference model's records, field for field
-    and bit for bit, and stops for the same reason, in blocks of the
-    shipped size and of 7 records."""
+    and bit for bit, and stops for the same reason: the drawn plain runs in
+    blocks of 7 records, which moving leaders cross, and the shipped runs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "BOOKKEEPING_BLOCK", block)
         assert_run_matches_reference(config)
 
 
 class TestRunnerAgainstFrozen:
-    """Runs that test_run_matches_reference_bit_for_bit seldom draws, each
+    """Runs that test_run_matches_reference_bit_for_bit does not draw, each
     against the reference model."""
+
+    @given(plain_configs())
+    @settings(max_examples=150)
+    def test_matches_frozen_bit_for_bit(self, config):
+        # the drawn plain runs in blocks of the shipped size
+        assert_run_matches_reference(config)
+
+    def test_moving_leader_across_small_blocks_matches_frozen(self, monkeypatch):
+        # 600 records in blocks of 7 under each family: the leader's poses and
+        # the bookkeeping columns cross 85 block edges, at corners and past
+        # the path's end
+        monkeypatch.setattr(simulate, "BOOKKEEPING_BLOCK", 7)
+        for kind in ("pid", "fuzzy"):
+            config = default_scenario("blocked", leader=path_leader(), duration=12.0,
+                                      steering_kind=kind, throttle_kind=kind,
+                                      follower_start=place_behind(path_leader().start, 1.5, -0.0))
+            assert len(assert_run_matches_reference(config).records) == 600
 
     def test_moving_leader_longer_than_one_block_matches_frozen(self):
         # 40 records past the first full block of leader poses

@@ -412,6 +412,19 @@ def leader_scripts(draw):
 
 class TestLeaderPose:
     @settings(max_examples=300, deadline=None)
+    @given(x=COORDINATE, y=COORDINATE, heading=WRAPPED_HEADING,
+           profile=SIGNED_ZERO | st.floats(0.0, 5.0)
+           | st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(
+               lambda vs: ((0.0, vs[0]), (1.5, vs[1]))),
+           t=SIGNED_ZERO | st.sampled_from([1.5]) | st.floats(0.0, 1e4))
+    def test_straight_line_matches_frozen_bit_for_bit(self, x, y, heading, profile, t):
+        script = LeaderScript(kind="straight_line", start=VehicleState(x, y, heading),
+                              speed_profile=profile)
+        got = leader_pose(script, t)
+        assert type(got) is VehicleState
+        assert state_bits(got) == state_bits(reference.leader_pose(script, t))
+
+    @settings(max_examples=300, deadline=None)
     @given(leader_scripts())
     @example(LeaderScript("waypoint_path", VehicleState(3.0, 0.0, math.pi), ((0.0, 1.0), (4.0, 2.5)),
                           ((-2.5, 0.0), (-2.5, 0.0), (-2.5, -0.0), (1.0, -0.0), (-2.5, -0.0))))
@@ -511,6 +524,26 @@ class TestLeaderPose:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        st.lists(st.tuples(st.floats(1e-3, 100.0),
+                           st.one_of(st.floats(0.0, 50.0), st.just(0.0))),
+                 min_size=1, max_size=5),
+        st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
+    )
+    def test_progress_matches_frozen_distance_and_speed(self, steps, v_first):
+        times, profile = [0.0], [(0.0, v_first)]
+        for gap, v in steps:
+            times.append(times[-1] + gap)
+            profile.append((times[-1], v))
+        script = LeaderScript(kind="straight_line", speed_profile=tuple(profile))
+        ts = [-0.0, *times, times[-1] + 1.0, 2.0 * times[-1] + 7.5]
+        ts += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+        ts += [math.nextafter(b, 0.0) for b in times[1:]]
+        arcs, speeds = (column.tolist() for column in leader_progress(script, np.array(ts)))
+        for t, s, v in zip(ts, arcs, speeds):
+            assert (s.hex(), v.hex()) == tuple(x.hex() for x in reference.progress(script, t)), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(
         st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
         st.lists(st.tuples(st.sampled_from(POINT_COORDS), st.sampled_from(POINT_COORDS)),
                  min_size=2, max_size=8),
@@ -570,6 +603,19 @@ def brute_force_polyline_distance(point, pts, resolution=1e-3):
             d = math.hypot(px - (x0 + u * (x1 - x0)), py - (y0 + u * (y1 - y0)))
             best = min(best, d)
     return best
+
+
+@st.composite
+def repeating_tracks(draw):
+    """Polylines whose points repeat in runs; a zero x may flip sign inside a run."""
+    coord = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
+    track = []
+    for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)):
+        for _ in range(draw(st.integers(1, 4))):
+            if x == 0.0 and draw(st.booleans()):
+                x = -x
+            track.append((x, y))
+    return track
 
 
 @st.composite
@@ -686,6 +732,14 @@ class TestLateralDeviation:
         # the sign is only defined away from ties and away from segment axes
         if _sign_is_robust((fx, fy), pts):
             assert moved == pytest.approx(base, abs=1e-7)
+
+    @given(track=repeating_tracks(), fx=st.floats(-12, 12), fy=st.floats(-12, 12))
+    @example(track=[(0.0, 1.0), (-0.0, 1.0), (2.0, 1.0)], fx=-0.0, fy=0.0)
+    @example(track=[(1.0, 2.0)] * 4, fx=4.0, fy=6.0)
+    @settings(max_examples=300)
+    def test_matches_deduplicating_version_bit_for_bit(self, track, fx, fy):
+        got = lateral_deviation(VehicleState(fx, fy, 0.0), track)
+        assert got.hex() == reference.lateral_deviation(fx, fy, track).hex()
 
 
 class TestFollowingDistance:
