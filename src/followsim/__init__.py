@@ -28,9 +28,7 @@ from .sensor import (
     SensorReading,
     TargetPanel,
     area_at_range,
-    area_error,
     observe,
-    pixel_error_x,
     range_for_area,
 )
 from .simulate import Trace, TraceRecord, execute_archetype, run_scenario

@@ -43,24 +43,11 @@ class MembershipFunction:
             raise FuzzyError("breakpoints must be non-decreasing")
         object.__setattr__(self, "breakpoints", pts)
 
-    def membership(self, x: float) -> float:
-        """Piecewise-linear grade in [0, 1]; zero-width edges act as steps."""
-        if len(self.breakpoints) == 3:
-            a, b, c = self.breakpoints
-            lo, hi = b, b
-        else:
-            a, lo, hi, c = self.breakpoints
-        if x < a or x > c:
-            return 0.0
-        if lo <= x <= hi:
-            return 1.0
-        if x < lo:
-            return (x - a) / (lo - a)  # lo > a here, else x would be in the core
-        return (c - x) / (c - hi)
-
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """`membership` at every grid point: the same branches and IEEE
-        operations, so the same bits."""
+        """The grade of every grid point x, in [0, 1]: 0 outside [a, c], 1 on
+        the core [lo, hi] (a triangle's peak), else (x - a) / (lo - a) rising
+        and (c - x) / (c - hi) falling, so zero-width edges act as steps.
+        _fired's branches and IEEE operations, so its bits."""
         x = np.asarray(grid, dtype=float)
         a, *core, c = self.breakpoints  # a triangle's core is its peak
         lo, hi = core[0], core[-1]
@@ -74,10 +61,9 @@ class MembershipFunction:
         return MembershipFunction(tuple(k * b for b in self.breakpoints))
 
 
-def _check_coverage(
-    name: str, sets: dict[str, MembershipFunction], universe: tuple[float, float]
-) -> None:
-    """Raise unless every point of the universe has a positive grade in some set.
+def _check_coverage(name: str, table, universe: tuple[float, float]) -> None:
+    """Raise unless every point of the universe has a positive grade in some
+    (index, a, lo, hi, c) set of the table.
 
     A set is positive on its open support (a, c) plus its closed core, so
     coverage can only change at a breakpoint. Probing every breakpoint inside
@@ -85,10 +71,10 @@ def _check_coverage(
     pair therefore sweeps the whole universe exactly.
     """
     lo, hi = universe
-    points = sorted({lo, hi, *(b for mf in sets.values() for b in mf.breakpoints if lo < b < hi)})
+    points = sorted({lo, hi, *(b for _, *bs in table for b in bs if lo < b < hi)})
     probes = points + [0.5 * p + 0.5 * q for p, q in zip(points, points[1:])]
     for x in probes:
-        if not any(mf.membership(x) > 0.0 for mf in sets.values()):
+        if not _fired(universe, table, x):
             raise FuzzyError(f"{name} sets leave {x:g} uncovered")
 
 
@@ -118,14 +104,20 @@ class FuzzyConfig:
             raise FuzzyError(f"output universe {self.output_universe!r} overflows the centroid sum")
         if not self.error_sets or not self.delta_sets or not self.output_sets:
             raise FuzzyError("every variable needs at least one set")
-        _check_coverage("error", self.error_sets, self.error_universe)
-        _check_coverage("error_delta", self.delta_sets, self.delta_universe)
-        _check_coverage("output", self.output_sets, self.output_universe)
-        # per-step tables, all read-only: the output grid, each input set as
-        # (set index, a, lo, hi, c), and the rule table, indexed by (error set
-        # index, delta set index), whose cell is the rule's output label, the
-        # support slice of that label's curve on the grid, and the curve's
-        # view over it
+        # each variable's sets as (set index, a, lo, hi, c), which the coverage
+        # checks read; the input ones, the output grid and the rule table are
+        # the read-only per-step tables. A rule table cell, indexed by (error
+        # set index, delta set index), is the rule's output label, the support
+        # slice of that label's curve on the grid, and the curve's view over it
+        error_table, delta_table, output_table = (
+            tuple((i, *mf.breakpoints[:2], *mf.breakpoints[-2:])
+                  for i, mf in enumerate(sets.values()))
+            for sets in (self.error_sets, self.delta_sets, self.output_sets))
+        _check_coverage("error", error_table, self.error_universe)
+        _check_coverage("error_delta", delta_table, self.delta_universe)
+        _check_coverage("output", output_table, self.output_universe)
+        object.__setattr__(self, "error_table", error_table)
+        object.__setattr__(self, "delta_table", delta_table)
         grid = np.linspace(*self.output_universe, self.grid_points)
         grid.flags.writeable = False
         object.__setattr__(self, "output_grid", grid)
@@ -138,10 +130,6 @@ class FuzzyConfig:
                 raise FuzzyError(f"output set {label} has no positive sample on the output grid")
             span = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
             cells[label] = (label, span, curve[span])
-        for name, sets in (("error_table", self.error_sets), ("delta_table", self.delta_sets)):
-            table = tuple((i, *mf.breakpoints[:2], *mf.breakpoints[-2:])
-                          for i, mf in enumerate(sets.values()))
-            object.__setattr__(self, name, table)
 
         expected = {(e, d) for e in self.error_sets for d in self.delta_sets}
         if set(self.rules) != expected:
@@ -159,7 +147,7 @@ class FuzzyConfig:
 def _fired(universe: tuple[float, float], table, x: float) -> list[tuple[int, float]]:
     """Clamp x to the universe (the bits of min(max(x, lo), hi)), then give the
     (index, grade) of each (index, a, lo, hi, c) set that grades it above 0,
-    by membership's formula in its branch order."""
+    by on_grid's formula."""
     lo, hi = universe
     x = lo if x < lo else hi if x > hi else x
     fired = []

@@ -125,8 +125,10 @@ def _pick_winner(metric: str, a: float, b: float) -> tuple[str, float]:
     # steady-state error is signed; closeness to zero is what counts
     if metric == "steady_state_error":
         a, b = abs(a), abs(b)
+    if a == b:  # two infinities too, whose difference is nan
+        return "tie", 0.0
     margin = abs(a - b)
-    if margin <= TIE_TOLERANCE * max(abs(a), abs(b)):
+    if margin <= TIE_TOLERANCE * max(abs(a), abs(b)) < math.inf:  # an infinity loses
         return "tie", margin
     return ("pid" if a < b else "fuzzy"), margin
 

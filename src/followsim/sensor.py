@@ -40,6 +40,13 @@ class CameraIntrinsics:
             raise ValueError("horizontal_fov must be in (0, pi)")
         if not 0.0 < self.frame_rate < math.inf:
             raise ValueError("frame_rate must be positive and finite")
+        # pid.MAX_GAIN needs errors and their rates below 1e302: a pixel error
+        # stays within image_width, a box area within image_width * image_height,
+        # and each changes by at most that much in a frame, 1 / frame_rate long
+        peak = float(self.image_width) * max(self.image_height, 1) * max(self.frame_rate, 1.0)
+        if not peak <= 1e302:
+            raise ValueError(f"image_width * image_height * frame_rate, the largest box area "
+                             f"change per second, is {peak:g}, past 1e+302")
         if not 0.0 < self.min_range < self.max_range:
             raise ValueError("need 0 < min_range < max_range")
         if not self.jitter_px >= 0:
@@ -82,18 +89,13 @@ class TargetPanel:
 
 
 class SensorReading(NamedTuple):
-    """One bounding-box report: centroid pixels, box size, timestamp; the area
-    is the box's width times its height."""
+    """One bounding-box report: centroid pixels, box size, timestamp."""
 
     x_px: float
     y_px: float
     width_px: float
     height_px: float
     t: float
-
-    @property
-    def area_px2(self) -> float:
-        return self.width_px * self.height_px
 
 
 def observe(
@@ -155,19 +157,6 @@ def observe(
     width_px = 0.0 if width_px < 0.0 else w_max if width_px > w_max else width_px
     height_px = 0.0 if height_px < 0.0 else h_max if height_px > h_max else height_px
     return tuple.__new__(SensorReading, (x_px, y_px, width_px, height_px, t))
-
-
-def pixel_error_x(reading: SensorReading, camera: CameraIntrinsics) -> float:
-    """Horizontal centroid offset from frame center, signed toward the side
-    that an above-neutral (PWM > 90) steering command turns into."""
-    return reading.x_px - camera.image_width / 2.0
-
-
-def area_error(reading: SensorReading, setpoint_area: float) -> float:
-    """Signed area error; positive = target too small = too far = speed up."""
-    if setpoint_area <= 0:
-        raise ValueError("setpoint_area must be positive")
-    return setpoint_area - reading.area_px2
 
 
 def area_at_range(camera: CameraIntrinsics, panel: TargetPanel, distance: float) -> float:

@@ -125,8 +125,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     on the follower alone, so while integrate_bicycle hands back the same
     follower object a record reuses the last one's camera reading and
     errors; the controllers still run on every record. What the config fixes
-    is read once, before the loop, and the errors are worked out inline with
-    the bits of pixel_error_x and area_error. Leader poses (_leader_schedule)
+    is read once, before the loop; a reading's errors are x_px - image_width / 2
+    and setpoint_area - width_px * height_px. Leader poses (_leader_schedule)
     and the bookkeeping columns (_bookkeeping) are worked out a block of
     records at a time, so memory stays flat however long the run.
     Takes plain (archetype "scenario") configs only; execute_archetype runs
@@ -171,9 +171,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             reading = observe(camera, follower, leader, panel, t, rng=rng)
             if reading is not None:
                 x_px, _, width_px, height_px, _ = reading
-                area = width_px * height_px  # SensorReading.area_px2
-                pe = x_px - half_width
-                ae = setpoint_area - area
+                area = width_px * height_px  # the box area
+                pe = x_px - half_width  # positive right of centre
+                ae = setpoint_area - area  # positive when the target is too far
         if reading is not None:
             if steering is not None:
                 steering_pwm = steering.update(pe, pe, dt)

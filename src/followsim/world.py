@@ -383,13 +383,11 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
     the sign. A follower on that segment's axis has no side: its unsigned
     distance is returned. A track with no segment to measure, or whose every
     squared distance overflows, gives the plain distance to vertices[0].
-    Where no record, or every record, is cut at a vertex, its segments take
-    no per-record choice of end.
     """
     fx, fy = np.asarray(followers, dtype=float)
     lx, ly = np.asarray(leaders, dtype=float)
     passed = np.asarray(passed)
-    first, last = (int(passed.min()), int(passed.max())) if passed.size else (0, -1)
+    last = int(passed.max()) if passed.size else -1
     best_d2 = np.full(fx.shape, math.inf)
     best_cross = np.zeros(fx.shape)  # the nearest segment's cross product, whose sign is the side
     # past float range a square reads inf and 0 * inf reads nan, as with floats
@@ -400,16 +398,11 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
         pairs = zip(vertices, [*vertices[1:], vertices[-1]])
         for j, ((px, py), (ex, ey)) in enumerate(islice(pairs, last + 1)):
             px, py, ex, ey = float(px), float(py), float(ex), float(ey)  # as an array holds them
-            if j < first:  # no record is cut here: every segment ends at the next vertex
-                qx, qy = ex, ey
-            elif first == last:  # every record is cut here: each ends at its leader
-                qx, qy = lx, ly
-            else:
-                to_leader = passed == j
-                qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
+            to_leader = passed == j
+            qx, qy = np.where(to_leader, lx, ex), np.where(to_leader, ly, ey)
             vx, vy = qx - px, qy - py
             norm2 = vx * vx + vy * vy
-            if not (norm2 if j < first else norm2.any()):  # no segment has a length to be closer on
+            if not norm2.any():  # no segment has a length to be closer on
                 continue
             u = ((fx - px) * vx + (fy - py) * vy) / norm2
             u = np.where(0.0 > u, 0.0, u)  # max(u, 0.0), which keeps a -0.0 and a nan
@@ -417,9 +410,8 @@ def track_deviations(followers, vertices, passed, leaders) -> list[float]:
             dx, dy = fx - (px + u * vx), fy - (py + u * vy)
             d2 = dx * dx + dy * dy
             cross = vx * dy - vy * dx
-            closer = d2 < best_d2
-            if j >= first:  # a record may lack segment j, or its segment a length
-                closer &= (passed >= j) & (norm2 != 0.0)
+            # a record may lack segment j, or its segment a length
+            closer = (d2 < best_d2) & (passed >= j) & (norm2 != 0.0)
             best_d2 = np.where(closer, d2, best_d2)
             best_cross = np.where(closer, cross, best_cross)
         d = np.sqrt(best_d2)

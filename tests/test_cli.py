@@ -75,6 +75,17 @@ class TestRun:
         assert f"line 2: {key}" in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_box_area_fails_at_load(self, tmp_path, capsys):
+        # width_px * height_px would overflow to inf, and the area error read -inf mid-run
+        big = "1" + "0" * 200
+        scn = write_scenario(tmp_path, "wide", f"camera.image_width = {big}\ncamera.image_height = "
+                             f"{big}\nsetpoint_area = 1000\nfollower.start.x = -1\nduration = 1\n")
+        assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scn}: line 1: camera.image_width: image_width * image_height * "
+            "frame_rate, the largest box area change per second, is inf, past 1e+302\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, key", [
         ("leader.kind = straight_line\nleader.speed = 1e308\nduration = 2\n", "leader.speed"),
         ("leader.kind = waypoint_path\nleader.start.x = -1e308\n"

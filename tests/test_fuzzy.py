@@ -30,23 +30,20 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 class TestMembershipFunction:
     def test_peak_is_one(self):
         mf = MembershipFunction((-1.0, 0.5, 2.0))
-        assert mf.membership(0.5) == 1.0
+        assert mf.on_grid([0.5]).tolist() == [1.0]
 
     def test_fifty_percent_crossing(self):
         left = MembershipFunction((-2.0, -1.0, 0.0))
         right = MembershipFunction((-1.0, 0.0, 1.0))
-        assert left.membership(-0.5) == 0.5
-        assert right.membership(-0.5) == 0.5
+        assert left.on_grid([-0.5]).tolist() == right.on_grid([-0.5]).tolist() == [0.5]
 
     def test_trapezoid_core(self):
         mf = MembershipFunction((0.0, 1.0, 2.0, 4.0))
-        assert mf.membership(1.5) == 1.0
-        assert mf.membership(3.0) == 0.5
+        assert mf.on_grid([1.5, 3.0]).tolist() == [1.0, 0.5]
 
     def test_zero_width_edges_act_as_steps(self):
         mf = MembershipFunction((0.0, 0.0, 1.0))
-        assert mf.membership(0.0) == 1.0
-        assert mf.membership(-1e-9) == 0.0
+        assert mf.on_grid([0.0, -1e-9]).tolist() == [1.0, 0.0]
 
     @given(
         a=st.floats(-10, 10),
@@ -57,8 +54,9 @@ class TestMembershipFunction:
     @settings(max_examples=300)
     def test_matches_piecewise_linear_oracle(self, a, spread1, spread2, x):
         mf = MembershipFunction((a, a + spread1, a + spread1 + spread2))
-        assert mf.membership(x).hex() == reference.grade(mf.breakpoints, x).hex()
-        assert 0.0 <= mf.membership(x) <= 1.0
+        (got,) = mf.on_grid([x]).tolist()
+        assert got.hex() == reference.grade(mf.breakpoints, x).hex()
+        assert 0.0 <= got <= 1.0
 
     @pytest.mark.parametrize("pts", [(1.0, 0.0, 2.0), (0.0, 1.0), (0, 1, 2, 3, 4)])
     def test_bad_breakpoints_rejected(self, pts):
@@ -78,16 +76,17 @@ class TestMembershipFunction:
     @example(points=[-1.0, 0.0, 0.0, 1.0], extra=[-0.0], n=2)  # zero-width core
     @example(points=[-0.0, 0.0, 0.0, -0.0], extra=[0.0, -0.0, 1e-300], n=2)  # signed zeros
     def test_on_grid_matches_scalar_loop(self, points, extra, n):
-        """on_grid gives the scalar membership's bits at every point, including
-        -0.0 grades and points that sit exactly on a breakpoint."""
+        """on_grid gives the bits of the reference model's scalar grade at
+        every point, including -0.0 grades and points that sit exactly on a
+        breakpoint."""
         mf = MembershipFunction(tuple(points))
         grid = np.concatenate([np.linspace(-2.5, 2.5, n), points, extra])
-        want = np.array([mf.membership(float(x)) for x in grid])
+        want = np.array([reference.grade(mf.breakpoints, float(x)) for x in grid])
         assert mf.on_grid(grid).tobytes() == want.tobytes()
 
 
 def grades(sets, x):
-    return {label: mf.membership(x) for label, mf in sets.items()}
+    return {label: reference.grade(mf.breakpoints, x) for label, mf in sets.items()}
 
 
 class TestFuzzify:
@@ -129,7 +128,7 @@ def aggregate_fn(config, e, d):
         best = 0.0
         for (el, dl), out in config.rules.items():
             strength = min(e_deg[el], d_deg[dl])
-            best = max(best, min(strength, config.output_sets[out].membership(u)))
+            best = max(best, min(strength, reference.grade(config.output_sets[out].breakpoints, u)))
         return best
 
     return mu

@@ -188,6 +188,20 @@ class TestCompare:
         assert compare(flat(100.0), flat(101.0)).winners["rms_error"] == "tie"
         assert compare(flat(100.0), flat(103.0)).winners["rms_error"] == "pid"
 
+    def test_infinite_metrics_tie_when_equal_and_lose_to_finite_ones(self):
+        def flat(px):
+            return Trace("s", [make_record(0.1 * k, pixel_error_x=px) for k in range(10)])
+
+        # a 1e200 error's square overflows, so its rms reads inf
+        huge, small = flat(1e200), flat(5.0)
+        assert trace_metrics(huge, "steering").rms_error == math.inf
+        report = compare(huge, huge)
+        assert (report.winners["rms_error"], report.margins["rms_error"]) == ("tie", 0.0)
+        assert set(report.winners.values()) <= {"tie", "n/a"}
+        for pid, fuzzy, winner in ((huge, small, "fuzzy"), (small, huge, "pid")):
+            report = compare(pid, fuzzy)
+            assert (report.winners["rms_error"], report.margins["rms_error"]) == (winner, math.inf)
+
 
 class TestObjectives:
     def _trace(self):

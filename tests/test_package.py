@@ -80,8 +80,7 @@ REFERENCE_IMPORTS = {
 # the library's step tables, caches, derived properties and methods
 LIVE_ATTRIBUTES = {
     "step_table", "rule_table", "error_table", "delta_table", "output_grid", "track", "segments",
-    "focal_px", "follow_range", "dt", "n_records", "sub_steps", "membership", "on_grid", "runs",
-    "controller"}
+    "focal_px", "follow_range", "dt", "n_records", "sub_steps", "on_grid", "runs", "controller"}
 
 
 def reference_leaks(source: str) -> list[str]:

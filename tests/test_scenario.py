@@ -24,6 +24,7 @@ from followsim import (
     execute_archetype,
     load_scenario,
     parse_scenario_text,
+    run_scenario,
     scale_output,
 )
 from followsim.metrics import trace_metrics
@@ -328,6 +329,19 @@ class TestParser:
         past = math.nextafter(MAX_GAIN, math.inf)
         with pytest.raises(ScenarioError, match=rf"^line 2: pid.steering.{key}: gain {key} must be"):
             parse_scenario_text(f"seed = 3\npid.steering.{key} = {past!r}\n")
+
+    @pytest.mark.parametrize("kind", ["pid", "fuzzy"])
+    def test_camera_at_the_box_area_bound_loads_and_runs(self, kind):
+        # 2e150 x 1e150 pixels at 50 frames a second: the box area may change
+        # by (just under) 1e302 a second; at 51 frames it may not
+        text = (f"camera.image_width = 2{'0' * 150}\ncamera.image_height = 1{'0' * 150}\n"
+                f"setpoint_area = 1000\nfollower.start.x = -1\nduration = 1\n"
+                f"controller.steering.kind = {kind}\ncontroller.throttle.kind = {kind}\n")
+        trace = run_scenario(parse_scenario_text(text))
+        assert len(trace.records) == 50 and all(r.detected for r in trace.records)
+        with pytest.raises(ScenarioError, match=r"^line 1: camera.image_width: image_width \* "
+                           r"image_height \* frame_rate, .* is 1\.02e\+302, past 1e\+302$"):
+            parse_scenario_text(text + "camera.frame_rate = 51\n")
 
     @pytest.mark.parametrize("text", ["", "fuzzy.throttle.output_scale = 0.7\n"],
                              ids=["empty", "output_scale"])

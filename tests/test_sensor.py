@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 import reference
 from followsim import (
     CameraIntrinsics,
+    ScenarioError,
     SensorReading,
     TargetPanel,
     VehicleState,
     area_at_range,
-    area_error,
+    default_scenario,
     observe,
-    pixel_error_x,
     range_for_area,
+    run_scenario,
 )
 
 CAM = CameraIntrinsics()
@@ -43,7 +44,6 @@ class TestObserve:
         reading = observe(CAM, VehicleState(0, 0, 0), VehicleState(2.0, 0, 0), PANEL, 0.0)
         assert reading.width_px == pytest.approx(want_width, rel=1e-12)
         assert reading.height_px == pytest.approx(f * 0.2794 / 2.0, rel=1e-12)
-        assert reading.area_px2 == reading.width_px * reading.height_px
 
     def test_out_of_range_no_detection(self):
         assert observe(CAM, VehicleState(0, 0, 0), VehicleState(100.0, 0, 0), PANEL, 0.0) is None
@@ -139,45 +139,64 @@ class TestObserve:
             assert readings[0].x_px > readings[1].x_px
 
 
+def first_record(**follower):
+    """The one record of a one-frame run of the default scenario, whose leader
+    is parked at the origin heading +x and whose follower starts at the
+    setpoint range behind it, but for the given follower fields; and the
+    reading the camera takes of that start."""
+    config = default_scenario("one", duration=0.02, follower=follower)
+    (record,) = run_scenario(config).records
+    reading = observe(config.camera, config.follower_start, config.leader.start, config.panel, 0.0)
+    return record, reading, config
+
+
 class TestPixelError:
-    def _reading(self, x_px):
-        return SensorReading(x_px, 100.0, 10.0, 12.0, 0.0)
+    """The trace's pixel_error_x column: the centroid's offset from the
+    image centre, x_px - image_width / 2."""
 
     def test_centered_zero(self):
-        assert pixel_error_x(self._reading(160.0), CAM) == 0.0
+        record, _, _ = first_record()
+        assert record.pixel_error_x == 0.0
 
     def test_offset_arithmetic(self):
-        assert pixel_error_x(self._reading(200.0), CAM) == 40.0
+        record, reading, config = first_record(y=-0.2)
+        assert record.pixel_error_x == reading.x_px - config.camera.image_width / 2
+
+    def test_panel_right_of_centre_reads_positive(self):
+        # a leader left of the follower's heading shows right of the image
+        # centre, the side an above-neutral (PWM > 90) steering command turns to
+        record, reading, config = first_record(y=-0.2)
+        assert reading.x_px > config.camera.image_width / 2
+        assert record.pixel_error_x > 0.0 and record.steering_pwm > 90.0
 
     def test_mirror_antisymmetry(self):
-        for x in (0.0, 40.0, 137.5, 320.0):
-            mirrored = CAM.image_width - x
-            assert pixel_error_x(self._reading(x), CAM) == -pixel_error_x(
-                self._reading(mirrored), CAM
-            )
+        for y in (0.05, 0.1, 0.2, 0.3):
+            left, _, _ = first_record(y=y)
+            right, _, _ = first_record(y=-y)
+            assert left.pixel_error_x == pytest.approx(-right.pixel_error_x, abs=1e-9)
 
 
 class TestAreaError:
-    def _reading(self, area):
-        return SensorReading(160.0, 100.0, area / 10.0, 10.0, 0.0)
+    """The trace's area_error column: setpoint_area less the box area,
+    width_px * height_px."""
 
     def test_at_setpoint_zero(self):
-        assert area_error(self._reading(900.0), 900.0) == 0.0
+        record, _, _ = first_record()
+        assert record.area_error == 0.0
 
     def test_too_far_positive(self):
         # smaller-than-setpoint signature means too far: close the distance
-        assert area_error(self._reading(400.0), 900.0) == 500.0
+        record, reading, config = first_record(x=-2.0)
+        assert record.area_error == config.setpoint_area - reading.width_px * reading.height_px
+        assert record.area_error > 0.0
 
     def test_setpoint_must_be_positive(self):
-        with pytest.raises(ValueError):
-            area_error(self._reading(400.0), 0.0)
+        with pytest.raises(ScenarioError, match="setpoint_area must be positive"):
+            default_scenario("zero", setpoint_area=0.0)
 
     def test_monotone_in_range(self):
         ranges = [0.5 + 0.25 * k for k in range(40)]
-        errors = []
-        for dist in ranges:
-            r = observe(CAM, VehicleState(0, 0, 0), VehicleState(dist, 0, 0), PANEL, 0.0)
-            errors.append(area_error(r, 900.0))
+        errors = [first_record(x=-dist)[0].area_error for dist in ranges]
         assert all(a < b for a, b in zip(errors, errors[1:]))
 
 

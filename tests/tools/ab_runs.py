@@ -34,15 +34,17 @@ write a byte-identical tune_results.csv and the same candidate traces, read
 back with read_trace_csv and compared as above. The report gives the median
 and quartiles of the per-command speedups.
 
-With --layers the tool times per-record layers instead: it records every
-call of observe, pid_step, fuzzy_step and integrate_bicycle that one pass of
-each workload's runs makes in A, replays those calls in A and in B, and
-gives each layer's median us per call over the rounds, untraced. The replay
-loop's own cost, some 0.1 us a call, is in both sides' numbers. Each side
-gets the arguments rebuilt from its own types, and every result must have
-the same bits on both sides, compared with float.hex. Observe draws from its
-rng only under jitter, so an rng passed without jitter is replayed as None,
-and one passed with jitter as a fresh rng in the state the call saw.
+With --layers the tool times layers instead: it records every call of
+observe, pid_step, fuzzy_step and integrate_bicycle (one a record) and of
+track_deviations (one a block of records) that one pass of each workload's
+runs makes in A, replays those calls in A and in B, and gives each layer's
+median us per call over the rounds, untraced. The replay loop's own cost,
+some 0.1 us a call, is in both sides' numbers. Each side gets the arguments
+rebuilt from its own types (a numpy array as a copy), and every result must
+have the same bits on both sides, each float of a tuple or a list compared
+with float.hex. Observe draws from its rng only under jitter, so an rng
+passed without jitter is replayed as None, and one passed with jitter as a
+fresh rng in the state the call saw.
 
 Uses only the standard library and what followsim needs (numpy). Pytest
 never collects this file.
@@ -63,6 +65,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[2]
 WORKLOADS = ("compare", "tune_pid", "tune_fuzzy")
 # tune workload -> (scenario, grid), searched on the throttle channel by itae
@@ -70,9 +74,9 @@ TUNE_INPUTS = {
     "tune_pid": ("scenarios/throttle_step.scn", "scenarios/throttle_grid.grid"),
     "tune_fuzzy": ("tests/data/throttle_step_fuzzy.scn", "tests/data/output_scale.grid"),
 }
-# per-record layer that --layers replays -> the module that defines it
+# layer that --layers replays -> the module that defines it
 LAYERS = {"observe": "sensor", "pid_step": "pid", "fuzzy_step": "fuzzy",
-          "integrate_bicycle": "world"}
+          "integrate_bicycle": "world", "track_deviations": "world"}
 
 
 def import_copy(checkout: Path, name: str, into: Path):
@@ -237,9 +241,12 @@ def record_layer_calls(pkg, workload: str) -> dict[str, list[tuple]]:
 
 def rebuilt(value, pkg, memo: dict):
     """A recorded argument rebuilt from pkg's own types, with the same bits:
-    dataclasses from their init fields, named tuples field by field."""
+    dataclasses from their init fields, named tuples field by field, numpy
+    arrays as copies."""
     if value is None or isinstance(value, (float, int, str, RngState)):
         return value
+    if isinstance(value, np.ndarray):
+        return value.copy()
     if id(value) in memo:
         return memo[id(value)][1]
     cls = type(value)
@@ -264,7 +271,7 @@ def value_bits(value):
     """A result as comparable values: each float by its hex."""
     if isinstance(value, float):
         return value.hex()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return type(value).__name__, tuple(value_bits(v) for v in value)
     return value
 
