@@ -9,18 +9,17 @@ following) with reproducible traces, metrics, and plots.
 
 from types import ModuleType as _ModuleType
 
-from .actuation import ChannelController, effort_to_pwm, pwm_to_actuation
+from .actuation import PID_STEP_OPS, ChannelController, count_fuzzy_ops, effort_to_pwm, pwm_to_actuation
 from .fuzzy import (
     FuzzyConfig,
     FuzzyError,
     MembershipFunction,
-    count_fuzzy_ops,
     default_fuzzy_config,
     fuzzy_step,
     scale_output,
 )
 from .metrics import ComparisonReport, MetricSet, compare, objective_value, trace_metrics
-from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
+from .pid import PidConfig, PidState, pid_step
 from .report import format_report, write_report
 from .scenario import ScenarioConfig, ScenarioError, default_scenario, load_scenario, parse_scenario_text
 from .sensor import (

@@ -4,23 +4,45 @@ Controller efforts are normalized to roughly +-1 and mapped onto the hobby
 servo scale: 0..180 with 90 neutral. Above 90 steers right / drives forward,
 below 90 steers left; throttle below neutral just coasts to a stop because
 the vehicles never reverse.
+
+The op model, the basis of the per-loop resource metric `op_count`, lives
+here. An op is one float + - * / or one comparison of a clamp, min or max,
+counted per call whatever the gains and however the code is written. The
+constants model the paper's embedded controllers, in which every fuzzy rule
+clips the whole output grid; they are not a count of this package's code.
 """
 from __future__ import annotations
 
 import math
 
-from .fuzzy import FuzzyConfig, count_fuzzy_ops, fuzzy_step
-from .pid import PID_STEP_OPS, PidConfig, PidState, pid_step
+from .fuzzy import FuzzyConfig, fuzzy_step
+from .pid import PidConfig, PidState, pid_step
 from .world import VehicleParams
 
 NEUTRAL_PWM = 90.0
 PWM_MAX = 180.0
 CHANNEL_GAIN = 90.0  # pwm per unit effort: effort +-1 spans the full scale
 
-# op-model costs of the non-controller arithmetic in one channel update
+# op-model costs: one pid_step call, one set grade, and the non-controller
+# arithmetic in one channel update
+PID_STEP_OPS = 16
+_TRI_EVAL_OPS = 7
+_TRAP_EVAL_OPS = 9
 _PWM_MAP_OPS = 2
 _EXP_FILTER_OPS = 4
 _DELTA_OPS = 2
+
+
+def count_fuzzy_ops(config: FuzzyConfig) -> int:
+    """Ops per fuzzy_step: fuzzification grades every input set, each rule
+    costs one min plus a grid-wide clip and max, and the centroid costs one
+    multiply-accumulate pair per grid point plus the final divide."""
+    ops = 0
+    for mf in list(config.error_sets.values()) + list(config.delta_sets.values()):
+        ops += _TRI_EVAL_OPS if len(mf.breakpoints) == 3 else _TRAP_EVAL_OPS
+    ops += len(config.rules) * (1 + 2 * config.grid_points)
+    ops += 3 * config.grid_points + 1
+    return ops
 
 
 def effort_to_pwm(effort: float) -> float:

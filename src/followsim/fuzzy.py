@@ -268,21 +268,3 @@ def default_fuzzy_config(
         grid_points=grid_points,
     )
 
-
-_TRI_EVAL_OPS = 7
-_TRAP_EVAL_OPS = 9
-
-
-def count_fuzzy_ops(config: FuzzyConfig) -> int:
-    """Float operations per fuzzy_step under the same op model as PID_STEP_OPS.
-
-    Fuzzification grades every input set, each rule costs one min plus a
-    grid-wide clip and max, and the centroid costs one multiply-accumulate
-    pair per grid point plus the final divide.
-    """
-    ops = 0
-    for mf in list(config.error_sets.values()) + list(config.delta_sets.values()):
-        ops += _TRI_EVAL_OPS if len(mf.breakpoints) == 3 else _TRAP_EVAL_OPS
-    ops += len(config.rules) * (1 + 2 * config.grid_points)
-    ops += 3 * config.grid_points + 1
-    return ops

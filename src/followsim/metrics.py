@@ -52,6 +52,15 @@ def _column(trace: Trace, name: str) -> list[float]:
     return list(map(float, map(attrgetter(name), trace.records)))
 
 
+def _rms(ys: list[float]) -> float:
+    """Root mean square, scaled by the largest |y| where the squares overflow on finite ys."""
+    rms = math.sqrt(sum(y * y for y in ys) / len(ys))
+    if rms == math.inf and all(map(math.isfinite, ys)):
+        peak = max(map(abs, ys))
+        rms = peak * math.sqrt(sum((y / peak) ** 2 for y in ys) / len(ys))
+    return rms
+
+
 def control_effort_tv(trace: Trace, channel: str) -> float:
     """Total variation of a channel's command column: the summed size of its steps."""
     cmds = _column(trace, channel_columns(channel)[1])
@@ -67,9 +76,10 @@ def trace_metrics(trace: Trace, channel: str) -> MetricSet:
         raise ValueError(f"{error} starts at a non-finite value {ys[0]!r}")
     delta = -ys[0] or None
     ts = _column(trace, "t")
-    tail_start = int(0.8 * len(ys))
-    tail = ys[tail_start:]
+    tail = ys[int(0.8 * len(ys)):]
     steady_state = sum(tail) / len(tail)
+    if math.isinf(steady_state) and all(map(math.isfinite, tail)):  # the sum overflowed
+        steady_state = sum(y / len(tail) for y in tail)
     final = ys[-1]
 
     rise = settle = overshoot = math.nan
@@ -96,15 +106,13 @@ def trace_metrics(trace: Trace, channel: str) -> MetricSet:
         direction = math.copysign(1.0, delta)
         overshoot = max(0.0, max((y - final) * direction for y in ys)) / abs(delta) * 100.0
 
-    rms = math.sqrt(sum(y * y for y in ys) / len(ys))
-
     ops = _column(trace, "op_count")
     return MetricSet(
         rise_time=rise,
         settling_time=settle,
         overshoot=overshoot,
         steady_state_error=steady_state,
-        rms_error=rms,
+        rms_error=_rms(ys),
         control_effort_tv=control_effort_tv(trace, channel),
         mean_op_count=sum(ops) / len(ops),
     )
@@ -170,5 +178,5 @@ def objective_value(trace: Trace, channel: str, objective: str, dt: float) -> fl
     if objective == "ise":
         return sum(y * y * dt for y in ys)
     if objective == "rms":
-        return math.sqrt(sum(y * y for y in ys) / len(ys))
+        return _rms(ys)
     raise ValueError(f"unknown objective {objective!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .pid import MAX_SIGNAL
 from .world import VehicleState
 
 
@@ -40,13 +41,14 @@ class CameraIntrinsics:
             raise ValueError("horizontal_fov must be in (0, pi)")
         if not 0.0 < self.frame_rate < math.inf:
             raise ValueError("frame_rate must be positive and finite")
-        # pid.MAX_GAIN needs errors and their rates below 1e302: a pixel error
-        # stays within image_width, a box area within image_width * image_height,
-        # and each changes by at most that much in a frame, 1 / frame_rate long
-        peak = float(self.image_width) * max(self.image_height, 1) * max(self.frame_rate, 1.0)
-        if not peak <= 1e302:
+        # errors and their rates stay below MAX_SIGNAL: a pixel error stays within image_width,
+        # a box area within image_width * image_height, and each changes by at most that much
+        # in a frame, 1 / frame_rate long; a factor past MAX_SIGNAL need not convert to float
+        peak = (float(self.image_width) * max(self.image_height, 1) * max(self.frame_rate, 1.0)
+                if max(self.image_width, self.image_height, self.frame_rate) <= MAX_SIGNAL else math.inf)
+        if not peak <= MAX_SIGNAL:
             raise ValueError(f"image_width * image_height * frame_rate, the largest box area "
-                             f"change per second, is {peak:g}, past 1e+302")
+                             f"change per second, is {peak:g}, past {MAX_SIGNAL:g}")
         if not 0.0 < self.min_range < self.max_range:
             raise ValueError("need 0 < min_range < max_range")
         if not self.jitter_px >= 0:
@@ -68,8 +70,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class TargetPanel:
-    """Flat colored panel on the leader's rear, facing backward along -heading.
-    `step_table`, what observe reads, is built as the camera's is."""
+    """Flat colored panel on the leader's rear, facing backward along -heading."""
 
     width: float = 0.2159   # 8.5 inch
     height: float = 0.2794  # 11 inch
@@ -82,10 +83,6 @@ class TargetPanel:
             raise ValueError("height must be positive")
         if not self.rear_offset >= 0:
             raise ValueError("rear_offset must be non-negative")
-
-    @cached_property
-    def step_table(self) -> tuple:
-        return self.rear_offset, self.width, self.height
 
 
 class SensorReading(NamedTuple):
@@ -113,13 +110,12 @@ def observe(
     panel presenting (near) edge-on or its front face.
     """
     near, far, half_fov, f_px, half_w, w_max, h_max, y_px, jitter = camera.step_table
-    rear, width, height = panel.step_table
     fx, fy, fh, _ = follower
     lx, ly, lh, _ = leader
     hx = math.cos(fh)
     hy = math.sin(fh)
-    px = lx - rear * math.cos(lh)
-    py = ly - rear * math.sin(lh)
+    px = lx - panel.rear_offset * math.cos(lh)
+    py = ly - panel.rear_offset * math.sin(lh)
     rel_x, rel_y = px - fx, py - fy
 
     rng_dist = math.hypot(rel_x, rel_y)
@@ -144,8 +140,8 @@ def observe(
     # image x grows toward positive bearing so that positive pixel error,
     # positive effort, PWM > 90, and positive steer angle all point the same way
     x_px = half_w + f_px * (left / forward)
-    width_px = f_px * width * facing / rng_dist
-    height_px = f_px * height / rng_dist
+    width_px = f_px * panel.width * facing / rng_dist
+    height_px = f_px * panel.height / rng_dist
 
     if rng is not None and jitter > 0.0:
         x_px += rng.uniform(-jitter, jitter)

@@ -12,6 +12,7 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+from .actuation import PWM_MAX
 from .metrics import channel_columns
 from .simulate import Trace
 
@@ -64,14 +65,14 @@ def _text(parent, x, y, content, size=12, anchor="middle", rotate=None, color="#
     return el
 
 
-def _line(parent, x1, y1, x2, y2, color="#888", width=1.0):
+def _line(parent, x1, y1, x2, y2):
     ET.SubElement(
         parent,
         "line",
         {
             "x1": f"{x1:.2f}", "y1": f"{y1:.2f}",
             "x2": f"{x2:.2f}", "y2": f"{y2:.2f}",
-            "stroke": color, "stroke-width": f"{width:g}",
+            "stroke": "#333", "stroke-width": "1",
         },
     )
 
@@ -85,8 +86,8 @@ def write_plot_svg(trace: Trace, channel: str, path) -> None:
     ts = [r.t for r in records]
     errors = [float(getattr(r, error)) for r in records]
     commands = [float(getattr(r, command)) for r in records]
-    if not all(0.0 <= v <= 180.0 for v in commands):  # false for a NaN too
-        raise ValueError(f"cannot plot {command} values outside [0, 180]")
+    if not all(0.0 <= v <= PWM_MAX for v in commands):  # false for a NaN too
+        raise ValueError(f"cannot plot {command} values outside [0, {PWM_MAX:g}]")
 
     svg = ET.Element(
         "svg",
@@ -107,23 +108,23 @@ def write_plot_svg(trace: Trace, channel: str, path) -> None:
 
     x_scale = _Scale(*(_axis_range(ts) if ts else (0.0, 1.0)), x0, x1)
     left_scale = _Scale(*(_axis_range(errors) if errors else (0.0, 1.0)), y0, y1)
-    right_scale = _Scale(0.0, 180.0, y0, y1)
+    right_scale = _Scale(0.0, PWM_MAX, y0, y1)
 
     # frame and ticks
-    _line(svg, x0, y0, x1, y0, color="#333")
-    _line(svg, x0, y0, x0, y1, color="#333")
-    _line(svg, x1, y0, x1, y1, color="#333")
+    _line(svg, x0, y0, x1, y0)
+    _line(svg, x0, y0, x0, y1)
+    _line(svg, x1, y0, x1, y1)
     for t in x_scale.ticks():
         px = x_scale(t)
-        _line(svg, px, y0, px, y0 + 5, color="#333")
+        _line(svg, px, y0, px, y0 + 5)
         _text(svg, px, y0 + 18, f"{t:.4g}")
     for v in left_scale.ticks():
         py = left_scale(v)
-        _line(svg, x0 - 5, py, x0, py, color="#333")
+        _line(svg, x0 - 5, py, x0, py)
         _text(svg, x0 - 10, py + 4, f"{v:.4g}", anchor="end")
     for v in right_scale.ticks():
         py = right_scale(v)
-        _line(svg, x1, py, x1 + 5, py, color="#333")
+        _line(svg, x1, py, x1 + 5, py)
         _text(svg, x1 + 10, py + 4, f"{v:.4g}", anchor="start")
 
     _text(svg, (x0 + x1) / 2, _HEIGHT - 12, "time (s)", size=13)

@@ -128,10 +128,10 @@ def _candidate_config(base: ScenarioConfig, spec: TuneSpec, params: dict[str, fl
 def run_grid_search(base: ScenarioConfig, spec: TuneSpec, out) -> list[TuneResult]:
     """Check everything before out exists, then run, score and write each
     candidate in turn; write the ranking and return the results best-first."""
-    runs = base.runs()
-    if len(runs) != 1:
+    base, *others = base.runs()  # every candidate is this plain run with its gains
+    if others:
         raise TuneError("tuning needs a single-run scenario archetype")
-    if spec.channel == "steering" and runs[0].steering_locked:
+    if spec.channel == "steering" and base.steering_locked:
         raise TuneError("the scenario locks the steering channel, so it has nothing to tune")
     kind = getattr(base, f"{spec.channel}_kind")
     if kind != spec.mode:

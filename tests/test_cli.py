@@ -192,6 +192,19 @@ class TestCompare:
         assert abs(float(cells[2])) < 5.0  # pid column, pixels
         assert abs(float(cells[3])) < 5.0  # fuzzy column
 
+    def test_huge_setpoint_area_reports_finite_errors(self, tmp_path):
+        # area errors near 4e307: their sum and squares overflow, their mean and rms do not
+        scn = write_scenario(
+            tmp_path, "big",
+            "duration = 3\ncontroller.steering.locked = true\n"
+            "setpoint_area = 4e307\nfollower.start.x = -4\n",
+        )
+        assert main(["compare", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "big_report.md").read_text(encoding="utf-8")
+        for metric in ("steady_state_error", "rms_error"):
+            row = next(line for line in report.splitlines() if f"| {metric} |" in line)
+            assert row == f"| {metric} | signal | 4e+307 | 4e+307 | tie | 0 |"
+
     def test_multi_run_archetype_fails_before_running(self, tmp_path, capsys, monkeypatch):
         calls = count_runs(monkeypatch)
         scn = write_scenario(tmp_path, "steps", STEPS)

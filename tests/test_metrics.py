@@ -190,10 +190,11 @@ class TestCompare:
 
     def test_infinite_metrics_tie_when_equal_and_lose_to_finite_ones(self):
         def flat(px):
-            return Trace("s", [make_record(0.1 * k, pixel_error_x=px) for k in range(10)])
+            return Trace("s", [make_record(0.1 * k, pixel_error_x=px if k else 5.0)
+                               for k in range(10)])
 
-        # a 1e200 error's square overflows, so its rms reads inf
-        huge, small = flat(1e200), flat(5.0)
+        # an infinite error after the first sample makes the rms infinite
+        huge, small = flat(math.inf), flat(5.0)
         assert trace_metrics(huge, "steering").rms_error == math.inf
         report = compare(huge, huge)
         assert (report.winners["rms_error"], report.margins["rms_error"]) == ("tie", 0.0)
@@ -201,6 +202,32 @@ class TestCompare:
         for pid, fuzzy, winner in ((huge, small, "fuzzy"), (small, huge, "pid")):
             report = compare(pid, fuzzy)
             assert (report.winners["rms_error"], report.margins["rms_error"]) == (winner, math.inf)
+
+
+class TestOverflow:
+    """The tail mean and the rms are finite wherever the true value is,
+    although the plain sum or the squares overflow."""
+
+    @pytest.mark.parametrize("px", [4e307, -4e307, 1.7e308])
+    def test_mean_and_rms_of_huge_errors_are_finite(self, px):
+        trace = Trace("s", [make_record(0.1 * k, pixel_error_x=px) for k in range(100)])
+        metrics = trace_metrics(trace, "steering")
+        assert metrics.steady_state_error == pytest.approx(px, rel=1e-12)
+        assert metrics.rms_error == abs(px)
+        assert objective_value(trace, "steering", "rms", 0.1) == abs(px)
+
+    def test_rms_whose_squares_overflow_is_finite(self):
+        es = [1e200, -3e200, 2e200, 0.0]
+        trace = Trace("s", [make_record(0.1 * k, pixel_error_x=e) for k, e in enumerate(es)])
+        want = 1e200 * math.sqrt(14.0 / 4.0)
+        assert trace_metrics(trace, "steering").rms_error == pytest.approx(want, rel=1e-12)
+        assert objective_value(trace, "steering", "rms", 0.1) == pytest.approx(want, rel=1e-12)
+
+    def test_an_infinite_sample_keeps_them_infinite(self):
+        trace = Trace("s", [make_record(0.1 * k, pixel_error_x=math.inf if k else 1e300)
+                            for k in range(10)])
+        metrics = trace_metrics(trace, "steering")
+        assert metrics.steady_state_error == metrics.rms_error == math.inf
 
 
 class TestObjectives:

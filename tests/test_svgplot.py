@@ -11,7 +11,7 @@ from conftest import make_record, unknown_channel
 from followsim import Trace, write_plot_svg
 from followsim.metrics import CHANNEL_COLUMNS
 from followsim.svgplot import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH,
-                               SVG_NS, _axis_range, _line, _Scale, _text)
+                               SVG_NS, _axis_range, _Scale, _text)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -140,6 +140,11 @@ def _frozen_axis_range(values):
     return lo - pad, hi + pad
 
 
+def _frozen_line(parent, x1, y1, x2, y2, color="#888", width=1.0):
+    ET.SubElement(parent, "line", {"x1": f"{x1:.2f}", "y1": f"{y1:.2f}", "x2": f"{x2:.2f}",
+                                   "y2": f"{y2:.2f}", "stroke": color, "stroke-width": f"{width:g}"})
+
+
 def frozen_write_plot_svg(trace, channels, path) -> None:
     channels = list(channels)
     records = trace.records
@@ -160,22 +165,22 @@ def frozen_write_plot_svg(trace, channels, path) -> None:
     left_scale = _Scale(*(_frozen_axis_range(left_values) if left_values else (0.0, 1.0)), y0, y1)
     right_scale = _Scale(0.0, 180.0, y0, y1)
 
-    _line(svg, x0, y0, x1, y0, color="#333")
-    _line(svg, x0, y0, x0, y1, color="#333")
+    _frozen_line(svg, x0, y0, x1, y0, color="#333")
+    _frozen_line(svg, x0, y0, x0, y1, color="#333")
     if right:
-        _line(svg, x1, y0, x1, y1, color="#333")
+        _frozen_line(svg, x1, y0, x1, y1, color="#333")
     for t in x_scale.ticks():
         px = x_scale(t)
-        _line(svg, px, y0, px, y0 + 5, color="#333")
+        _frozen_line(svg, px, y0, px, y0 + 5, color="#333")
         _text(svg, px, y0 + 18, f"{t:.4g}")
     for v in left_scale.ticks():
         py = left_scale(v)
-        _line(svg, x0 - 5, py, x0, py, color="#333")
+        _frozen_line(svg, x0 - 5, py, x0, py, color="#333")
         _text(svg, x0 - 10, py + 4, f"{v:.4g}", anchor="end")
     if right:
         for v in right_scale.ticks():
             py = right_scale(v)
-            _line(svg, x1, py, x1 + 5, py, color="#333")
+            _frozen_line(svg, x1, py, x1 + 5, py, color="#333")
             _text(svg, x1 + 10, py + 4, f"{v:.4g}", anchor="start")
     _text(svg, (x0 + x1) / 2, _HEIGHT - 12, "time (s)", size=13)
     if left:

@@ -12,12 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from followsim import (
+    ScenarioConfig,
     ScenarioError,
     TuneError,
     TuneSpec,
     cli,
     default_scenario,
     load_gain_grid,
+    load_scenario,
     objective_value,
     parse_scenario_text,
     read_trace_csv,
@@ -28,6 +30,7 @@ from followsim import (
     tune,
 )
 from followsim.pid import MAX_GAIN
+from followsim.traceio import trace_to_csv
 from followsim.tune import FUZZY_GRID_KEYS, PID_GRID_KEYS, GridError, candidate_filename, results_csv
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -180,6 +183,31 @@ class TestGridSearch:
             assert len(written) == len(fresh.records)
             for got, want in zip(written, fresh.records):
                 assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_single_run_archetype_tunes_its_plain_run(self, tmp_path, monkeypatch):
+        # each candidate is the archetype's one plain run with its gains, and
+        # the archetype is expanded once, however many candidates there are
+        base = load_scenario(SCENARIOS / "lateral_offset_moving.scn")
+        (plain,) = base.runs()
+        expanded = []
+        runs = ScenarioConfig.runs
+
+        def counting(config):
+            expanded.append(config.archetype)
+            return runs(config)
+
+        monkeypatch.setattr(ScenarioConfig, "runs", counting)
+        spec = TuneSpec("steering", "itae", {"kp": (0.002, 0.004)})
+        results = run_grid_search(base, spec, tmp_path)
+        assert expanded.count("lateral_offset") == 1
+        assert sorted(r.index for r in results) == [0, 1]
+        written = {}
+        for r in results:
+            fresh = run_scenario(replace(plain, steering_pid=replace(plain.steering_pid, **r.params)))
+            assert fresh.name == "lateral_offset_moving_lat_1m_v1"
+            written[r.index] = (tmp_path / candidate_filename(r)).read_text(encoding="utf-8")
+            assert written[r.index] == trace_to_csv(fresh)
+        assert written[0] != written[1]  # the gains reach the run
 
     def test_equilibrium_ties_break_lexicographically(self, tmp_path):
         # zero error throughout: every candidate scores 0 and moves nothing,

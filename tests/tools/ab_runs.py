@@ -38,7 +38,8 @@ With --layers the tool times layers instead: it records every call of
 observe, pid_step, fuzzy_step and integrate_bicycle (one a record) and of
 track_deviations (one a block of records) that one pass of each workload's
 runs makes in A, replays those calls in A and in B, and gives each layer's
-median us per call over the rounds, untraced. The replay loop's own cost,
+median us per call over the rounds and the median and quartiles of the
+per-round A over B ratios, untraced. The replay loop's own cost,
 some 0.1 us a call, is in both sides' numbers. Each side gets the arguments
 rebuilt from its own types (a numpy array as a copy), and every result must
 have the same bits on both sides, each float of a tuple or a list compared
@@ -282,7 +283,8 @@ def with_fresh_rngs(calls: list[tuple]) -> list[tuple]:
 
 
 def run_layers(a, b, workload: str, rounds: int) -> dict:
-    """Per layer: calls, and each side's median us per call over the rounds."""
+    """Per layer: calls, each side's median us per call over the rounds, and
+    the quartiles of the per-round A over B ratios."""
     recorded = record_layer_calls(a, workload)
     result = {}
     for layer, calls in recorded.items():
@@ -309,7 +311,8 @@ def run_layers(a, b, workload: str, rounds: int) -> dict:
                 for args, kwargs in batch:
                     fn(*args, **kwargs)
                 per_call[side].append((time.perf_counter() - start) / len(batch) * 1e6)
-        result[layer] = (len(calls), *(statistics.median(us) for us in per_call))
+        ratios = [us_a / us_b for us_a, us_b in zip(*per_call)]
+        result[layer] = (len(calls), *(statistics.median(us) for us in per_call), quartiles(ratios))
     return result
 
 
@@ -329,11 +332,13 @@ def main(argv: list[str]) -> int:
         b = import_copy(args.b.resolve(), "followsim_b", Path(tmp))
         if args.layers:
             print(f"A = {args.a.resolve()}\nB = {args.b.resolve()}\n{args.rounds} rounds of "
-                  f"A's recorded calls; median us per call, and A over B")
+                  f"A's recorded calls; median us per call, and per-round A over B "
+                  f"median [q1, q3]")
             for workload in args.workload or WORKLOADS:
-                for layer, (n, us_a, us_b) in run_layers(a, b, workload, args.rounds).items():
+                for layer, (n, us_a, us_b, (q1, med, q3)) in run_layers(
+                        a, b, workload, args.rounds).items():
                     print(f"{workload} {layer}: {n} calls, results identical; "
-                          f"A {us_a:.3f} us, B {us_b:.3f} us, {us_a / us_b:.3f}x")
+                          f"A {us_a:.3f} us, B {us_b:.3f} us, {med:.3f}x [{q1:.3f}, {q3:.3f}]")
             return 0
         print(f"A = {args.a.resolve()}\nB = {args.b.resolve()}\n"
               f"{args.rounds} timed rounds; speedup = A time / B time per run; "
