@@ -10,10 +10,11 @@ per objective: itae, ise and rms) and of tests/data/output_scale.grid on
 tests/data/throttle_step_fuzzy.scn (fuzzy output scale, itae), and `followsim sweep --separations 1,2,4` on
 scenarios/throttle_step.scn, then stores the SHA-256 of:
 
-- every trace CSV;
+- every file each compare and the sweep write: the trace CSVs, the plot
+  SVGs (two per compare, one per sweep separation), the compare reports
+  and the sweep summary;
 - each column of every trace CSV on its own, its cells in record order,
   under the label `<file label>#<column>`;
-- every compare report and the sweep summary;
 - each `tune_results.csv`.
 
 Before it rewrites the file, it prints each label whose hash changed, was
@@ -86,7 +87,7 @@ def compute_hashes() -> dict[str, str]:
         for scenario in sorted(SCENARIOS.glob("*.scn")):
             out = Path(tmp) / f"compare_{scenario.stem}"
             _run(["compare", "--scenario", str(scenario), "--out", str(out)])
-            store(out, sorted(out.glob("*.csv")) + sorted(out.glob("*_report.md")))
+            store(out, sorted(out.iterdir()))
         for label, scenario, grid, objective in (
             ("throttle_step", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid", "itae"),
             ("throttle_step_ise", SCENARIOS / "throttle_step.scn", SCENARIOS / "throttle_grid.grid", "ise"),
@@ -100,7 +101,7 @@ def compute_hashes() -> dict[str, str]:
         out = Path(tmp) / "sweep_throttle_step"
         _run(["sweep", "--scenario", str(SCENARIOS / "throttle_step.scn"),
               "--separations", "1,2,4", "--out", str(out)])
-        store(out, sorted(out.glob("*.csv")) + sorted(out.glob("*_sweep.md")))
+        store(out, sorted(out.iterdir()))
     return hashes
 
 

@@ -1,4 +1,5 @@
-"""Golden corpus: the shipped scenarios' outputs stay byte-identical.
+"""Golden corpus: the shipped scenarios' outputs, plots included, stay
+byte-identical.
 
 Hashes live in tests/golden/hashes.json; tests/golden/make_golden.py
 regenerates them and documents what each hash covers.
@@ -36,6 +37,18 @@ def golden_mismatch(make_golden) -> str:
 def test_outputs_match_golden_hashes():
     mismatch = golden_mismatch(_make_golden())
     assert not mismatch, mismatch
+
+
+def test_every_plot_is_pinned():
+    # compare plots both families of each shipped scenario; the sweep plots each separation
+    plots = sorted(label for label in json.loads((GOLDEN / "hashes.json").read_text())
+                   if label.endswith(".svg"))
+    scenarios = sorted(path.stem for path in (GOLDEN.parents[1] / "scenarios").glob("*.scn"))
+    assert len(scenarios) == 4
+    assert [label.split("/")[0] for label in plots] == (
+        [f"compare_{stem}" for stem in scenarios for _ in range(2)] + ["sweep_throttle_step"] * 3)
+    assert [label for label in plots if label.startswith("sweep_")] == [
+        f"sweep_throttle_step/throttle_step_sep_{sep}m.svg" for sep in (1, 2, 4)]
 
 
 def test_a_perturbed_column_is_named_and_no_other(monkeypatch):
