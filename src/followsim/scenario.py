@@ -11,6 +11,7 @@ import math
 import os
 import re
 import sys
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -20,8 +21,7 @@ from .fuzzy import (DEFAULT_LABELS, MAX_GRID_POINTS, MIN_GRID_POINTS, FuzzyConfi
                     MembershipFunction, default_fuzzy_config)
 from .pid import PidConfig
 from .sensor import CameraIntrinsics, TargetPanel, area_at_range, range_for_area
-from .world import (MAX_PHYSICS_DT, LeaderScript, VehicleParams, VehicleState, leader_pose,
-                    place_behind)
+from .world import MAX_PHYSICS_DT, LeaderScript, VehicleParams, VehicleState, place_behind
 
 ARCHETYPES = ("scenario", "step_response", "lateral_offset", "path_follow")
 CONTROLLER_KINDS = ("pid", "fuzzy")
@@ -173,9 +173,16 @@ class ScenarioConfig:
             return
         if not 0.0 <= self.follower_start.speed <= self.vehicle.max_speed:
             raise ScenarioError("follower.start.speed must be in [0, vehicle.max_speed]")
-        # leader speeds are never negative: a pose finite at duration is finite all run
-        end = leader_pose(self.leader, self.duration)
-        if not (math.isfinite(end.x) and math.isfinite(end.y)):
+        # leader speeds are never negative: a pose finite at duration is finite all run. Only a
+        # straight line leaves float range (leader_poses' operations, on floats): a waypoint
+        # path stops at its finite end, a parked leader stays at its start
+        x, y, heading, _ = self.leader.start
+        if self.leader.kind == "straight_line":
+            starts, speeds, arcs = (column.tolist() for column in self.leader._pieces)
+            i = bisect_right(starts, self.duration) - 1
+            s = arcs[i] + speeds[i] * (self.duration - starts[i])
+            x, y = x + s * math.cos(heading), y + s * math.sin(heading)
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ScenarioError("leader.speed or lateral.leader_speed moves the leader to a "
                                 f"non-finite position by duration {self.duration:g} s")
         # the follower travels at most max_speed * duration; six times that

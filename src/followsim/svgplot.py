@@ -4,12 +4,15 @@ Dual-axis layout: time runs along the horizontal axis, the channel's error
 column uses the left axis, and its PWM command sits on a fixed 0-180 right
 axis. Output is plain SVG built with ElementTree, so the file is well-formed
 XML with no external references and each polyline has exactly one point per
-trace record.
+trace record. A polyline point gets the float operations of `_Scale.__call__`,
+each record's x coordinate is formatted once for both polylines, and one
+format call fills each polyline's points.
 """
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from operator import attrgetter
 from pathlib import Path
 
 from .actuation import PWM_MAX
@@ -44,6 +47,12 @@ class _Scale:
     def __call__(self, v: float) -> float:
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.out_lo + frac * (self.out_hi - self.out_lo)
+
+    def each(self, values) -> list[float]:
+        """self(v) for each of values, by the same float operations."""
+        lo, span = self.lo, self.hi - self.lo
+        out_lo, out_span = self.out_lo, self.out_hi - self.out_lo
+        return [out_lo + (v - lo) / span * out_span for v in values]
 
     def ticks(self, n: int = 5) -> list[float]:
         return [self.lo + i * (self.hi - self.lo) / (n - 1) for i in range(n)]
@@ -83,9 +92,9 @@ def write_plot_svg(trace: Trace, channel: str, path) -> None:
     error, command = channel_columns(channel)
 
     records = trace.records
-    ts = [r.t for r in records]
-    errors = [float(getattr(r, error)) for r in records]
-    commands = [float(getattr(r, command)) for r in records]
+    ts = list(map(attrgetter("t"), records))
+    errors = list(map(float, map(attrgetter(error), records)))
+    commands = list(map(float, map(attrgetter(command), records)))
     if not all(0.0 <= v <= PWM_MAX for v in commands):  # false for a NaN too
         raise ValueError(f"cannot plot {command} values outside [0, {PWM_MAX:g}]")
 
@@ -132,28 +141,22 @@ def write_plot_svg(trace: Trace, channel: str, path) -> None:
     _text(svg, _WIDTH - 16, (y0 + y1) / 2, "PWM", size=13, rotate=90)
     _text(svg, (x0 + x1) / 2, 22, trace.name, size=14)
 
+    # each record's x text, then its y value, in turn: both polylines share the x texts
+    points = [None] * (2 * len(ts))
+    points[::2] = ["%.2f" % px for px in x_scale.each(ts)]
     for i, (ch, values, scale, color) in enumerate((
         (error, errors, left_scale, _ERROR_COLOR),
         (command, commands, right_scale, _COMMAND_COLOR),
     )):
-        points = [(x_scale(t), scale(v)) for t, v in zip(ts, values)]
-        if len(points) >= 2:
-            ET.SubElement(
-                svg,
-                "polyline",
-                {
-                    "points": " ".join(f"{px:.2f},{py:.2f}" for px, py in points),
-                    "fill": "none",
-                    "stroke": color,
-                    "stroke-width": "1.5",
-                },
-            )
+        if len(ts) >= 2:
+            points[1::2] = scale.each(values)
+            text = " ".join(["%s,%.2f"] * len(ts)) % tuple(points)
+            ET.SubElement(svg, "polyline", {"points": text, "fill": "none", "stroke": color,
+                                            "stroke-width": "1.5"})
         else:
-            for px, py in points:
-                ET.SubElement(
-                    svg, "circle",
-                    {"cx": f"{px:.2f}", "cy": f"{py:.2f}", "r": "3", "fill": color},
-                )
+            for px, py in zip(map(x_scale, ts), map(scale, values)):
+                ET.SubElement(svg, "circle",
+                              {"cx": f"{px:.2f}", "cy": f"{py:.2f}", "r": "3", "fill": color})
         _text(svg, x1 - 8, y1 + 16 + 16 * i, ch, anchor="end", color=color)
 
     ET.ElementTree(svg).write(Path(path), encoding="utf-8", xml_declaration=True)

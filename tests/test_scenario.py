@@ -1,11 +1,13 @@
 import math
 import os
 import re
+import sys
 from dataclasses import fields, replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from followsim import (
@@ -31,7 +33,7 @@ from followsim.metrics import trace_metrics
 from followsim.pid import MAX_GAIN
 from followsim.scenario import (CHANNELS, COMMAND_SUFFIX_MAX_BYTES, DEFAULT_FOLLOW_RANGE,
                                 FILE_NAME_MAX_BYTES, MAX_SUB_STEPS, SCENARIO_KEYS)
-from followsim.world import place_behind
+from followsim.world import leader_pose, place_behind
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -402,6 +404,54 @@ class TestParser:
 def test_archetype_inputs_fail_at_load(text, message):
     with pytest.raises(ScenarioError, match=message):
         parse_scenario_text(text)
+
+
+_LEADER_OFF_RANGE = r"^leader\.speed or lateral\.leader_speed moves the leader to a non-finite position"
+
+
+# a straight-line leader heading along +x has gone 2 * speed by 2 s: MAX, or
+# the next float up, which is past float range
+@pytest.mark.parametrize("speed, finite", [
+    (sys.float_info.max / 2, True), (math.nextafter(sys.float_info.max / 2, math.inf), False)])
+def test_straight_line_leader_overflow_boundary(base_scenario, speed, finite):
+    leader = LeaderScript(kind="straight_line", speed_profile=speed)
+    assert math.isfinite(leader_pose(leader, 2.0).x) is finite
+    if finite:
+        assert replace(base_scenario, leader=leader, duration=2.0).leader == leader
+    else:
+        with pytest.raises(ScenarioError, match=_LEADER_OFF_RANGE + " by duration 2 s$"):
+            replace(base_scenario, leader=leader, duration=2.0)
+
+
+_big = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([sys.float_info.max, -sys.float_info.max, 1e308, -1e308]))
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["stationary", "straight_line", "waypoint_path"]),
+       start=st.tuples(st.one_of(_big, st.sampled_from([math.inf, -math.nan])), _big,
+                       st.floats(-4.0, 4.0)),
+       pieces=st.lists(st.tuples(st.floats(0.01, 10.0), st.one_of(st.floats(0.0, 10.0), _big)),
+                       min_size=1, max_size=3),
+       waypoints=st.lists(st.tuples(_big, _big), min_size=2, max_size=4),
+       duration=st.floats(0.05, 40.0))
+def test_leader_range_check_agrees_with_leader_pose(kind, start, pieces, waypoints, duration):
+    # the check reads no leader_pose, yet takes exactly the leaders whose pose
+    # at duration it finds finite, with the same message for the rest
+    times = accumulate((dt for dt, _ in pieces[1:]), initial=0.0)
+    try:
+        leader = LeaderScript(kind=kind, start=VehicleState(*start),
+                              speed_profile=tuple(zip(times, (abs(v) for _, v in pieces))),
+                              waypoints=waypoints if kind == "waypoint_path" else None)
+    except ValueError:
+        assume(False)
+    end = leader_pose(leader, duration)
+    base = default_scenario("leader")
+    if math.isfinite(end.x) and math.isfinite(end.y):
+        assert replace(base, leader=leader, duration=duration).leader == leader
+    else:
+        with pytest.raises(ScenarioError, match=_LEADER_OFF_RANGE):
+            replace(base, leader=leader, duration=duration)
 
 
 # each check a scenario file can reach blames the line and key that its

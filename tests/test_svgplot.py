@@ -119,6 +119,15 @@ class TestWritePlotSvg:
         assert "time (s)" in texts
 
 
+@settings(max_examples=200)
+@given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20),
+       out=st.sampled_from([(_MARGIN_L, _WIDTH - _MARGIN_R), (_HEIGHT - _MARGIN_B, _MARGIN_T)]))
+def test_each_places_points_with_the_bits_of_one_call_per_point(values, out):
+    # a polyline point rounds to 0.01 px, which seldom shows a change of op order
+    scale = _Scale(*_axis_range(values), *out)
+    assert [y.hex() for y in scale.each(values)] == [scale(v).hex() for v in values]
+
+
 # ---------------------------------------------------------------------------
 # frozen reference: the multi-column plotter as it stood before the plot took
 # exactly one channel pair, restricted to the columns a pair can name, with
@@ -207,30 +216,41 @@ def frozen_write_plot_svg(trace, channels, path) -> None:
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+# a title that XML escapes, and text past ASCII
+_ESCAPED_NAME = 'a & b <c> "d" éß 直線'
 
 
 @st.composite
-def plotted_traces(draw):
-    """A trace of 0, 1 or many records with increasing times, any finite
-    error values and PWM commands in 0-180."""
-    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
+def plotted_cases(draw):
+    """A channel, and a trace of 0, 1 or up to 300 records with increasing
+    times, any finite values in the channel's error column and PWM commands
+    in 0-180; the other channel's columns keep their defaults, so that a long
+    trace fits in the draws hypothesis allows one example."""
+    channel = draw(st.sampled_from(sorted(CHANNEL_COLUMNS)))
+    error, command = CHANNEL_COLUMNS[channel]
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 300)))
     steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
     ts = accumulate(steps, initial=draw(st.floats(0.0, 100.0)))
     pwm = st.floats(0.0, 180.0)
-    records = [
-        make_record(t, pixel_error_x=draw(_finite), area_error=draw(_finite),
-                    steering_pwm=draw(pwm), throttle_pwm=draw(pwm))
-        for t, _ in zip(ts, steps)
-    ]
-    return Trace(draw(st.sampled_from(["plot", "s_curve_path_pid"])), records)
+    records = [make_record(t, **{error: draw(_finite), command: draw(pwm)})
+               for t, _ in zip(ts, steps)]
+    return Trace(draw(st.sampled_from(["plot", "s_curve_path_pid", _ESCAPED_NAME])), records), channel
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(trace=plotted_traces(), channel=st.sampled_from(sorted(CHANNEL_COLUMNS)))
-@example(trace=Trace("empty", []), channel="throttle")
-@example(trace=Trace("flat", [make_record(0.02 * k) for k in range(5)]), channel="steering")
-def test_plot_is_byte_identical_to_frozen_multi_column_plotter(tmp_path, trace, channel):
+@given(case=plotted_cases())
+@example(case=(Trace("empty", []), "throttle"))
+@example(case=(Trace("flat", [make_record(0.02 * k) for k in range(5)]), "steering"))
+@example(case=(Trace("two", [make_record(0.5, area_error=-3.0, throttle_pwm=0.0),
+                             make_record(0.52, area_error=4.5, throttle_pwm=180.0)]), "throttle"))
+@example(case=(Trace("flat_error", [make_record(0.02 * k, pixel_error_x=-12.5, steering_pwm=90.0 + k)
+                                    for k in range(7)]), "steering"))
+@example(case=(Trace(_ESCAPED_NAME, [make_record(0.02 * k, pixel_error_x=float(k * k))
+                                     for k in range(4)]), "steering"))
+def test_plot_is_byte_identical_to_frozen_multi_column_plotter(tmp_path, case):
+    # the frozen plotter places every point through _Scale.__call__, one at a time
+    trace, channel = case
     try:
         frozen_write_plot_svg(trace, CHANNEL_COLUMNS[channel], tmp_path / "want.svg")
     except ZeroDivisionError:

@@ -34,6 +34,13 @@ write a byte-identical tune_results.csv and the same candidate traces, read
 back with read_trace_csv and compared as above. The report gives the median
 and quartiles of the per-command speedups.
 
+So is the compare workload: each round runs `followsim compare` (the CLI's
+`main`, its stdout dropped) on each shipped scenario once per side, each
+into its own temporary directory, with the side that goes first alternating
+from command to command and round to round. So the trace CSVs, the plots
+and the report count as well as the runs. Every file the two sides write
+must have the same name and the same bytes.
+
 With --layers the tool times layers instead: it records every call of
 observe, pid_step, fuzzy_step and integrate_bicycle (one a record) and of
 track_deviations (one a block of records) that one pass of each workload's
@@ -53,9 +60,11 @@ never collects this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import importlib
+import io
 import itertools
 import random
 import shutil
@@ -195,6 +204,43 @@ def run_tune_command(a, b, workload: str, rounds: int, tmp: Path) -> dict:
         if round_no:  # round 0 warms up
             speedups.append(time_a / time_b)
     return {"candidates": len(outputs[1]), "speedup": quartiles(speedups)}
+
+
+def timed_compare(pkg, scenario: Path, out: Path) -> float:
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):  # stdout holds the wall-clock run cost
+        status = cli.main(["compare", "--scenario", str(scenario), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert status == 0, f"compare {scenario.stem}: exit status {status}"
+    return elapsed
+
+
+def run_compare_command(a, b, rounds: int, tmp: Path) -> dict:
+    scenarios = sorted((ROOT / "scenarios").glob("*.scn"))
+    speedups, files = [], 0
+    for round_no in range(rounds + 1):
+        for i, scenario in enumerate(scenarios):
+            out_a, out_b = tmp / "compare_a", tmp / "compare_b"
+            gc.collect()
+            if (round_no + i) % 2:
+                time_a = timed_compare(a, scenario, out_a)
+                time_b = timed_compare(b, scenario, out_b)
+            else:
+                time_b = timed_compare(b, scenario, out_b)
+                time_a = timed_compare(a, scenario, out_a)
+            written_a, written_b = ({path.name: path.read_bytes() for path in out.iterdir()}
+                                    for out in (out_a, out_b))
+            differ = sorted(name for name in written_a.keys() | written_b.keys()
+                            if written_a.get(name) != written_b.get(name))
+            assert not differ, f"compare {scenario.stem} command: files differ: {differ}"
+            shutil.rmtree(out_a)
+            shutil.rmtree(out_b)
+            if round_no:  # round 0 warms up
+                speedups.append(time_a / time_b)
+            else:
+                files += len(written_a)
+    return {"scenarios": len(scenarios), "files": files, "speedup": quartiles(speedups)}
 
 
 class RngState(tuple):
@@ -354,6 +400,11 @@ def main(argv: list[str]) -> int:
                 q1, med, q3 = result["speedup"]
                 print(f"{workload} command: {result['candidates']} candidates, outputs "
                       f"identical; speedup {med:.3f} [{q1:.3f}, {q3:.3f}]")
+            else:
+                result = run_compare_command(a, b, args.rounds, Path(tmp))
+                q1, med, q3 = result["speedup"]
+                print(f"compare command: {result['scenarios']} scenarios, all {result['files']} "
+                      f"files identical; speedup {med:.3f} [{q1:.3f}, {q3:.3f}]")
     return 0
 
 
